@@ -20,6 +20,7 @@ from .collocation import (
     SolutionTrace,
     SlabContractionError,
     FixedPointDivergenceError,
+    NonFiniteStageError,
     assemble_coefficients,
     assemble_block_system,
     solve_stage_direct,
@@ -67,6 +68,7 @@ __all__ = [
     "SolutionTrace",
     "SlabContractionError",
     "FixedPointDivergenceError",
+    "NonFiniteStageError",
     "assemble_coefficients",
     "assemble_block_system",
     "solve_stage_direct",

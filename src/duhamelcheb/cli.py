@@ -16,6 +16,7 @@ import sys
 
 from .collocation import (
     FixedPointDivergenceError,
+    NonFiniteStageError,
     SlabContractionError,
     SolverConfig,
     march,
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SlabContractionError, FixedPointDivergenceError) as exc:
+    except (SlabContractionError, FixedPointDivergenceError, NonFiniteStageError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

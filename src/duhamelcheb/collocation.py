@@ -9,8 +9,10 @@ rather than the product keeps the interpolation error governed by the
 smoother of the two factors, while the multiplier b rides inside the
 coefficient integrals, which are evaluated exactly via exponential moment
 recurrences.  The interior block matrix is bidiagonal with
-elementwise-exponential subdiagonal blocks, and the boundary coupling is
-eliminated first through the dense [I - Lambda D] solve.  A fixed-point
+elementwise-exponential subdiagonal blocks.  The direct solve reduces the
+trace unknowns to one N x N system through a single interior solve per
+slab: a forward sweep over all modes when the interior coupling vanishes
+(constant families), M batched N x N LU solves otherwise.  A fixed-point
 sweep over the same splitting is available as an alternative to the direct
 elimination.
 """
@@ -37,6 +39,7 @@ __all__ = [
     "SolutionTrace",
     "SlabContractionError",
     "FixedPointDivergenceError",
+    "NonFiniteStageError",
     "CoefficientAssembler",
     "assemble_coefficients",
     "assemble_block_system",
@@ -80,6 +83,15 @@ class FixedPointDivergenceError(RuntimeError):
         )
 
 
+class NonFiniteStageError(RuntimeError):
+    """A slab's stage values are NaN or infinite, i.e. its data g, b or f is not finite."""
+
+    def __init__(self, residual: float, slab: int):
+        self.residual = residual
+        self.slab = slab
+        super().__init__(f"non-finite stage residual {residual} on slab {slab}: check g, b and f")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization parameters.
@@ -106,8 +118,8 @@ class SolverConfig:
             raise ValueError(f"slab count must be >= 1, got K={self.K}")
         if self.M < 1:
             raise ValueError(f"mode count must be >= 1, got M={self.M}")
-        if self.T <= 0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
+        if not np.isfinite(self.T) or self.T <= 0:
+            raise ValueError(f"final time must be finite and positive, got T={self.T}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.mode not in ("direct", "fixed_point"):
@@ -366,7 +378,9 @@ class BlockSystem:
     gamma = 0 this is the system the marching solver uses; gamma > 0
     applies the similarity scaling by fractional powers of the frozen
     operator, exposed for conditioning diagnostics.  The solution is
-    independent of gamma up to roundoff.
+    independent of gamma up to roundoff.  At gamma = 0 the coupling blocks
+    are views of the coefficient arrays, which constant families share
+    across slabs, so solvers must not write to them.
 
     subdiag[i]     coupling of block row i to row i-1 (i >= 1; entry 0 unused)
     Cmat, D        (N, N, M) interior and boundary-trace coupling, columns
@@ -455,20 +469,22 @@ def assemble_block_system(
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     N, M = coeffs.N, coeffs.M
-    trace = family.basis.boundary_trace
-    scale = coeffs.mu_frozen**gamma if gamma != 0.0 else np.ones((N, M))
     bvals = np.array([float(boundary_multiplier(t)) for t in coeffs.t_star])
-
     subdiag = np.zeros((N, M))
-    if N > 1:
-        subdiag[1:] = coeffs.E[1:] * (scale[1:] / scale[:-1] if gamma != 0.0 else 1.0)
-    Cmat = coeffs.alpha[:, 1:, :] * scale[:, None, :] / scale[None, :, :]
-    D = coeffs.beta_weighted[:, 1:, :] * scale[:, None, :]
-    F_x = coeffs.alpha[:, 0, :] * scale
-    F_x[0] = F_x[0] + scale[0] * coeffs.E[0]
-    F_y = coeffs.beta_weighted[:, 0, :] * scale
-    f_x = coeffs.phi * scale
-    lam_weights = np.broadcast_to(trace[None, :], (N, M)) / scale
+    subdiag[1:] = coeffs.E[1:]
+    Cmat, D = coeffs.alpha[:, 1:, :], coeffs.beta_weighted[:, 1:, :]
+    F_x = coeffs.alpha[:, 0, :].copy()
+    F_x[0] += coeffs.E[0]
+    F_y, f_x = coeffs.beta_weighted[:, 0, :], coeffs.phi
+    lam_weights = np.broadcast_to(family.basis.boundary_trace[None, :], (N, M))
+    scale = np.ones((N, M))
+    if gamma != 0.0:
+        scale = coeffs.mu_frozen**gamma
+        subdiag[1:] *= scale[1:] / scale[:-1]
+        Cmat = Cmat * scale[:, None, :] / scale[None, :, :]
+        D = D * scale[:, None, :]
+        F_x, F_y, f_x = F_x * scale, F_y * scale, f_x * scale
+        lam_weights = lam_weights / scale
     return BlockSystem(
         slab=coeffs.slab,
         gamma=gamma,
@@ -527,67 +543,46 @@ def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
-    """Apply the explicit inverse of S~ by forward substitution."""
-    out = np.empty_like(r)
-    out[0] = r[0]
+    """Apply the inverse of S~ to r of shape (N, ..., M) in place, by forward substitution."""
     for k in range(1, system.N):
-        out[k] = r[k] + system.subdiag[k] * out[k - 1]
-    return out
-
-
-def _interior_matrix(system: BlockSystem) -> np.ndarray:
-    """Batched per-mode matrices of S~ - C~, shape (M, N, N)."""
-    N, M = system.N, system.M
-    A = np.zeros((M, N, N))
-    idx = np.arange(N)
-    A[:, idx, idx] = 1.0
-    if N > 1:
-        A[:, idx[1:], idx[:-1]] = -system.subdiag[1:].T
-    A -= system.Cmat.transpose(2, 0, 1)
-    return A
+        r[k] += system.subdiag[k] * r[k - 1]
+    return r
 
 
 def _stage_residual(system: BlockSystem, xt: np.ndarray, w: np.ndarray, Phi: np.ndarray) -> float:
-    res_x = xt - _imsc(system, xt) - _d_apply(system, w[1:]) - Phi
-    res_w = w[1:] - _lam_apply(system, _imsc(system, xt) + _d_apply(system, w[1:]) + Phi)
-    return float(max(np.abs(res_x).max(), np.abs(res_w).max()))
+    rhs = _imsc(system, xt) + _d_apply(system, w[1:]) + Phi
+    return float(max(np.abs(xt - rhs).max(), np.abs(w[1:] - _lam_apply(system, rhs)).max()))
 
 
 def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
     """Direct elimination solve of one slab.
 
-    The boundary traces are eliminated first through [I - Lambda D]^{-1};
-    the remaining interior system decouples into M independent N x N
-    solves, one per mode.
+    With A = S~ - C~ the interior rows read A x~ = D w + Phi; substituted
+    into the trace rows they leave w = Lambda x~.  One interior solve
+    Z = A^{-1} [D | Phi] therefore reduces the traces to the N x N system
+    (I - Lambda Z_D) w = Lambda Z_Phi, and then x~ = Z_Phi + Z_D w.  When
+    C~ vanishes (constant families) A is unit lower bidiagonal and Z comes
+    from a forward sweep over all modes and columns at once; otherwise from
+    M batched N x N LU factorisations, each shared by the N + 1 columns.
     """
-    N, M = system.N, system.M
-    Pmat = system.lambda_d_matrix()
-    rho = float(np.abs(Pmat).sum(axis=1).max())
+    rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
     Phi = _phi_blocks(system, x0, w0)
-    A = _interior_matrix(system)
-    U = np.linalg.solve(A, system.D.transpose(2, 0, 1))
-    v0 = np.linalg.solve(A, Phi.T[:, :, None])[:, :, 0]
-
-    v0_blocks = v0.T
-    r0 = _lam_apply(system, _imsc(system, v0_blocks))
-    lamPhi = _lam_apply(system, Phi)
-    R = np.empty((N, N))
-    for j in range(N):
-        R[:, j] = _lam_apply(system, _imsc(system, U[:, :, j].T))
-    w_sys = (np.eye(N) - Pmat) - R
-    w_int = np.linalg.solve(w_sys, r0 + lamPhi)
-    xt = v0_blocks + np.einsum("mkj,j->km", U, w_int)
-    w_rec = np.linalg.solve(
-        np.eye(N) - Pmat, _lam_apply(system, _imsc(system, xt)) + lamPhi
-    )
-    w = np.concatenate([[w0], w_rec])
+    rhs = np.concatenate([system.D, Phi[:, None, :]], axis=1)
+    if system.Cmat.any():
+        A = (system.s_tilde_blocks() - system.Cmat).transpose(2, 0, 1)
+        Z = np.linalg.solve(A, rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
+    else:
+        Z = _forward_sub(system, rhs)
+    LZ = np.einsum("km,kjm->kj", system.lam_weights, Z)
+    w_int = np.linalg.solve(np.eye(system.N) - LZ[:, :-1], LZ[:, -1])
+    xt = Z[:, -1] + w_int @ Z[:, :-1]
+    w = np.concatenate([[w0], w_int])
     residual = _stage_residual(system, xt, w, Phi)
-    x = xt / system.scale
     return StageSolution(
         slab=system.slab,
-        x=np.vstack([x0[None, :], x]),
+        x=np.vstack([x0[None, :], xt / system.scale]),
         y=system.bvals * w,
         boundary_traces=w,
         residual=residual,
@@ -626,6 +621,8 @@ def solve_stage_fixed_point(
         cx = np.einsum("kjm,jm->km", system.Cmat, x)
         x_new = _forward_sub(system, cx + _d_apply(system, W @ z)) + const
         d = float(np.abs(x_new - x).max())
+        if not np.isfinite(d):
+            raise NonFiniteStageError(d, system.slab)
         history.append(d)
         x = x_new
         if d < tol:
@@ -680,32 +677,25 @@ class SolutionTrace:
 
     def node_times(self) -> np.ndarray:
         """Distinct node times: t = 0 followed by nodes 1..N of each slab."""
-        times = [0.0]
-        for stage in self.stages:
-            ts = self.partition.slab_times(stage.slab, self.grid)
-            times.extend(ts[1:])
-        return np.array(times)
+        slabs = [self.partition.slab_times(stage.slab, self.grid)[1:] for stage in self.stages]
+        return np.concatenate([[0.0]] + slabs)
+
+    def _nodal(self, field: str) -> np.ndarray:
+        """Stage values of ``field`` at :meth:`node_times`, junctions kept once."""
+        parts = [getattr(self.stages[0], field)[:1]]
+        return np.concatenate(parts + [getattr(stage, field)[1:] for stage in self.stages])
 
     def node_modes(self) -> np.ndarray:
         """Mode vectors matching :meth:`node_times`, shape (1 + K N, M)."""
-        rows = [self.stages[0].x[0]]
-        for stage in self.stages:
-            rows.extend(stage.x[1:])
-        return np.array(rows)
+        return self._nodal("x")
 
     def node_boundary_values(self) -> np.ndarray:
         """Weighted boundary values y = b w matching :meth:`node_times`."""
-        vals = [self.stages[0].y[0]]
-        for stage in self.stages:
-            vals.extend(stage.y[1:])
-        return np.array(vals)
+        return self._nodal("y")
 
     def node_boundary_traces(self) -> np.ndarray:
         """Boundary trace unknowns w matching :meth:`node_times`."""
-        vals = [self.stages[0].boundary_traces[0]]
-        for stage in self.stages:
-            vals.extend(stage.boundary_traces[1:])
-        return np.array(vals)
+        return self._nodal("boundary_traces")
 
 
 def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTrace:
@@ -761,6 +751,8 @@ def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTr
                     system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
                 )
             solve_seconds += time.perf_counter() - t0
+            if not np.isfinite(stage.residual):
+                raise NonFiniteStageError(stage.residual, l)
             stages.append(stage)
             x_prev = stage.x[-1]
             w_prev = float(stage.boundary_traces[-1])

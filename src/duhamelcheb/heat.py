@@ -90,6 +90,10 @@ class HeatProblem:
     u0_tail_bound: float = 0.0
     name: str = ""
 
+    def __post_init__(self):
+        if not np.isfinite(self.T) or self.T <= 0:
+            raise ValueError(f"final time must be finite and positive, got T={self.T}")
+
     @property
     def basis(self) -> EigenBasis:
         return self.family.basis

@@ -192,8 +192,8 @@ class TimePartition:
     K: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        if not np.isfinite(self.T) or self.T <= 0:
+            raise ValueError(f"final time must be finite and positive, got T={self.T}")
         if self.K < 1:
             raise ValueError(f"slab count must be >= 1, got {self.K}")
 

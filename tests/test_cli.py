@@ -8,11 +8,13 @@ through ``python -m`` to cover the installed entry point.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from duhamelcheb import (
+    HeatProblem,
     KernelSeries,
     SolverConfig,
     build_reference_example,
@@ -20,6 +22,7 @@ from duhamelcheb import (
     heat_basis,
     march,
 )
+from duhamelcheb import cli
 from duhamelcheb.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, load_structured, main
 
 
@@ -125,6 +128,28 @@ def test_solve_reports_solver_failure(capsys):
          "--fp-tol", "1e-30", "--fp-max-iter", "3"]
     )
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["tables", "--n", "2"], ["convergence"], ["baseline"]]
+)
+def test_nan_final_time_is_a_config_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--T", "nan"])
+    assert code == EXIT_CONFIG
+    assert "T=nan" in capsys.readouterr().err
+
+
+def test_solve_non_finite_stage_is_solver_failure(capsys, monkeypatch):
+    def nan_reference(M, T):
+        ref = build_reference_example(M=M, T=T)
+        return HeatProblem(family=ref.family, b=ref.b, g=lambda t: np.nan, u0=ref.u0, T=T)
+
+    monkeypatch.setitem(cli._BUILDERS, "reference", nan_reference)
+    code = main(["solve", "--problem", "reference", "--N", "4", "--K", "2"])
+    assert code == EXIT_SOLVER
+    assert "slab 1" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_a_config_error(capsys, tmp_path):

@@ -13,6 +13,7 @@ from duhamelcheb import (
     ExpDecay,
     FixedPointDivergenceError,
     HeatProblem,
+    NonFiniteStageError,
     SeparableSolution,
     SlabContractionError,
     SolverConfig,
@@ -490,3 +491,85 @@ def test_march_validates_problem_shape(reference_problem):
     bad_T = SolverConfig(N=4, K=1, M=128, T=2.0)
     with pytest.raises(ValueError):
         march(reference_problem, bad_T)
+
+
+def dense_stage_solve(system, x0, w0):
+    """Solve the coupled (N M + N) stage system of one slab densely.
+
+    Unknowns are x~ (block k, mode m at k M + m) and the traces w_1..w_N:
+        x~ = (I - A) x~ + D w + Phi,
+        w  = Lambda ((I - A) x~ + D w + Phi),
+    with I - A = C~ plus the subdiagonal blocks, all read straight from the
+    assembled blocks rather than through the solver's helpers.
+    """
+    N, M = system.N, system.M
+    n = N * M
+    ImA = np.zeros((n, n))
+    Dmat = np.zeros((n, N))
+    Lam = np.zeros((N, n))
+    for k in range(N):
+        for m in range(M):
+            row = k * M + m
+            for j in range(N):
+                ImA[row, j * M + m] += system.Cmat[k, j, m]
+                Dmat[row, j] = system.D[k, j, m]
+            if k > 0:
+                ImA[row, (k - 1) * M + m] += system.subdiag[k, m]
+            Lam[k, row] = system.lam_weights[k, m]
+    Phi = (system.F_x * x0[None, :] + system.F_y * w0 + system.f_x).ravel()
+    big = np.zeros((n + N, n + N))
+    big[:n, :n] = np.eye(n) - ImA
+    big[:n, n:] = -Dmat
+    big[n:, :n] = -Lam @ ImA
+    big[n:, n:] = np.eye(N) - Lam @ Dmat
+    sol = np.linalg.solve(big, np.concatenate([Phi, Lam @ Phi]))
+    return sol[:n].reshape(N, M), sol[n:]
+
+
+@pytest.mark.parametrize(
+    "a_coeffs, c_coeffs, sweep",
+    [([1.0], [0.0], True), ([1.0, 0.5], [0.0, 0.3], False)],
+    ids=["constant-sweep", "varying-lu"],
+)
+def test_direct_solve_matches_dense_coupled_system(a_coeffs, c_coeffs, sweep):
+    M, N = 6, 8
+    ref = build_reference_example(M=M)
+    family = OperatorFamily(
+        basis=ref.family.basis, a_coeffs=np.array(a_coeffs), c_coeffs=np.array(c_coeffs)
+    )
+    grid = build_grid(N)
+    partition = TimePartition(1.0, 2)
+    coeffs = CoefficientAssembler(family, grid, partition).slab(2, ref.g, None, ref.b)
+    system = assemble_block_system(coeffs, family, ref.b)
+    assert system.Cmat.any() != sweep
+    x0 = np.random.default_rng(7).standard_normal(M)
+    w0 = float(x0 @ family.basis.boundary_trace)
+    stage = solve_stage_direct(system, x0, w0)
+    xt, w = dense_stage_solve(system, x0, w0)
+    assert np.abs(stage.x[1:] - xt).max() <= 1e-13
+    assert np.abs(stage.boundary_traces[1:] - w).max() <= 1e-13
+    assert stage.boundary_traces[0] == w0
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_non_finite_boundary_data_names_the_slab(reference_problem, mode):
+    prob = HeatProblem(
+        family=reference_problem.family,
+        b=reference_problem.b,
+        g=lambda t: np.nan if t > 0.5 else 1.0,
+        u0=reference_problem.u0,
+        T=1.0,
+        name="nan-data",
+    )
+    with pytest.raises(NonFiniteStageError) as exc:
+        march(prob, SolverConfig(N=8, K=4, M=128, mode=mode))
+    assert exc.value.slab == 3
+    assert "slab 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_non_finite_final_time_rejected(T):
+    with pytest.raises(ValueError, match="T="):
+        SolverConfig(T=T)
+    with pytest.raises(ValueError, match="T="):
+        TimePartition(T, 2)
