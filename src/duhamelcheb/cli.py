@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", choices=sorted(_BUILDERS), default="reference")
     p_solve.add_argument("--N", type=int, default=8, help="collocation degree per slab")
     p_solve.add_argument("--K", type=int, default=1, help="number of slabs")
-    p_solve.add_argument("--gamma", type=float, default=0.0,
-                         help="diagnostic scaling weight in [0, 1); echoed in reports")
     p_solve.add_argument("--errors-out", type=str, default=None,
                          help="error-report path (derived from --out when omitted)")
     add_common(p_solve)
@@ -172,7 +170,6 @@ def _trace_document(trace, problem: HeatProblem) -> tuple[str, dict]:
         "K": trace.partition.K,
         "M": trace.config.M,
         "T": trace.config.T,
-        "gamma": trace.config.gamma,
         "mode": trace.config.mode,
         "problem": problem.name,
         "refinements": trace.refinements,
@@ -186,7 +183,7 @@ def _trace_document(trace, problem: HeatProblem) -> tuple[str, dict]:
 def _cmd_solve(args) -> int:
     mode = "fixed_point" if args.mode == "picard" else args.mode
     config = SolverConfig(
-        N=args.N, K=args.K, M=args.M, T=args.T, gamma=args.gamma,
+        N=args.N, K=args.K, M=args.M, T=args.T,
         mode=mode, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter,
     )
     problem = _BUILDERS[args.problem](M=args.M, T=args.T)

@@ -8,13 +8,15 @@ values y_k = b(t_k) w_k are recovered afterwards.  Interpolating the trace
 rather than the product keeps the interpolation error governed by the
 smoother of the two factors, while the multiplier b rides inside the
 coefficient integrals, which are evaluated exactly via exponential moment
-recurrences.  The interior block matrix is bidiagonal with
-elementwise-exponential subdiagonal blocks.  The direct solve reduces the
-trace unknowns to one N x N system through a single interior solve per
-slab: a forward sweep over all modes when the interior coupling vanishes
-(constant families), M batched N x N LU solves otherwise.  A fixed-point
-sweep over the same splitting is available as an alternative to the direct
-elimination.
+recurrences.  One quadrature map per node subinterval, built from samples
+at local Chebyshev points, integrates every coefficient: the data g and f,
+the products b L_j, and the frozen-operator defect that multiplies L_j.
+The interior block matrix is bidiagonal with elementwise-exponential
+subdiagonal blocks.  The direct solve reduces the trace unknowns to one
+N x N system through a single interior solve per slab: a forward sweep over
+all modes when the interior coupling vanishes (constant families), M
+batched N x N LU solves otherwise.  A fixed-point sweep over the same
+splitting is available as an alternative to the direct elimination.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from math import comb
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .mesh import CGLGrid, TimePartition, build_grid, lagrange_eval
+from .mesh import CGLGrid, TimePartition, build_grid, interpolate
 from .operators import OperatorFamily
 from .kernels import exp_sigma_moments
 
@@ -97,16 +98,14 @@ class SolverConfig:
     """Discretization parameters.
 
     N: collocation degree per slab, K: number of slabs, M: retained modes,
-    T: final time, gamma: fractional-power weight of the diagnostic scaling
-    (the marching solve always runs the unscaled system), mode: "direct" or
-    "fixed_point", fp_tol / fp_max_iter: fixed-point controls.
+    T: final time, mode: "direct" or "fixed_point", fp_tol / fp_max_iter:
+    fixed-point controls.
     """
 
     N: int = 8
     K: int = 1
     M: int = 128
     T: float = 1.0
-    gamma: float = 0.0
     mode: str = "direct"
     fp_tol: float = 1e-12
     fp_max_iter: int = 400
@@ -120,8 +119,6 @@ class SolverConfig:
             raise ValueError(f"mode count must be >= 1, got M={self.M}")
         if not np.isfinite(self.T) or self.T <= 0:
             raise ValueError(f"final time must be finite and positive, got T={self.T}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.mode not in ("direct", "fixed_point"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
         if self.fp_tol <= 0:
@@ -136,13 +133,15 @@ class CollocationCoefficients:
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
+    alpha, beta_weighted and phi all come from the same per-subinterval
+    quadrature map.
 
     E[k-1]            propagator exp(-mu~(t*_k) (tau/2) theta_k)
     alpha[k-1, j]     frozen-operator correction, diagonal per mode
-    beta[k-1, j]      boundary-lift coupling against the bare interpolant
-    beta_weighted     like beta but with the boundary multiplier b folded
-                      into the integrand; the marching solver couples to
-                      the interpolated boundary trace through these
+    beta_weighted     boundary-lift coupling against the interpolated trace,
+      [k-1, j]        with the multiplier b (one when omitted) inside the
+                      integrand; the marching solver couples to the
+                      boundary trace through these
     phi[k-1]          data term (forcing plus boundary data)
     """
 
@@ -151,7 +150,6 @@ class CollocationCoefficients:
     mu_frozen: np.ndarray
     E: np.ndarray
     alpha: np.ndarray
-    beta: np.ndarray
     beta_weighted: np.ndarray
     phi: np.ndarray
 
@@ -164,33 +162,22 @@ class CollocationCoefficients:
         return self.E.shape[1]
 
 
-def _affine_compose(coeffs: np.ndarray, t0: float, h: float) -> np.ndarray:
-    """Coefficients of p(t0 + h eta) given those of p(t)."""
-    acc = np.array([coeffs[-1]])
-    for c in coeffs[-2::-1]:
-        acc = P.polyadd(np.array([c]), P.polymul(acc, np.array([t0, h])))
-    return acc
-
-
-def _shift_matrix(s_k: float, size: int) -> np.ndarray:
-    """Matrix mapping eta-coefficients of p to sigma-coefficients of p(s_k - sigma)."""
-    T = np.zeros((size, size))
-    for s in range(size):
-        for i in range(s + 1):
-            T[i, s] = comb(s, i) * (-1.0) ** i * s_k ** (s - i)
-    return T
-
-
 class CoefficientAssembler:
     """Per-slab coefficient assembly with caching for constant families.
 
-    The unknowns enter through their degree-N interpolants (that is the
-    scheme), but the data g and f are integrated against the exponential
-    kernels to roundoff: each subinterval carries a local Chebyshev fit of
-    the data, of degree ``data_degree`` >= N, whose monomial form feeds the
-    same moment recurrences.  A shared degree-N treatment of data and
+    Every coefficient integrates the exponential kernel against a
+    polynomial on one node subinterval, and one map does all of them: R_k
+    takes values at the data_degree + 1 local Chebyshev points of
+    subinterval k to the exact kernel integrals of their interpolant (the
+    moment recurrence composed with the local Chebyshev fit).  It is
+    applied to samples of g and f, of b L_j for beta, and of
+    (mu(t_k) - mu(t)) L_j for alpha.  The unknowns enter through their
+    degree-N interpolants (that is the scheme), but the data are
+    integrated to roundoff: a shared degree-N treatment of data and
     unknowns would cancel the interpolation defect of the boundary values
     node-for-node and report spurious exactness on resolved problems.
+    The alpha integrands have degree N + deg(a, c), so ``data_degree``
+    may not be lower.
     """
 
     def __init__(
@@ -204,25 +191,15 @@ class CoefficientAssembler:
         self.grid = grid
         self.partition = partition
         N = grid.N
-        nodes = grid.nodes
-        lag = np.zeros((N + 1, N + 1))
-        for j in range(N + 1):
-            others = np.delete(nodes, j)
-            c = P.polyfromroots(others)
-            lag[j, : c.shape[0]] = c / P.polyval(nodes[j], c)
-        self._lag = lag
-        deg_a = family.a_coeffs.shape[0] - 1
-        deg_c = family.c_coeffs.shape[0] - 1
-        self._poly_len = N + 1 + max(deg_a, deg_c, 0)
-        self._shifts = [_shift_matrix(nodes[k], self._poly_len) for k in range(1, N + 1)]
-        Q = max(12, N) if data_degree is None else int(data_degree)
-        if Q < N:
-            raise ValueError(f"data degree {Q} must be at least the collocation degree {N}")
+        floor = N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0], 1) - 1
+        Q = max(12, floor) if data_degree is None else int(data_degree)
+        if Q < floor:
+            raise ValueError(
+                f"data degree {Q} is below N + deg(a, c) = {floor}, the degree of the alpha integrands"
+            )
         self.data_degree = Q
         zq = build_grid(Q).nodes
-        self._zq = zq
-        vander = np.polynomial.chebyshev.chebvander(zq, Q)
-        self._vinv = np.linalg.inv(vander)
+        self._vinv = np.linalg.inv(np.polynomial.chebyshev.chebvander(zq, Q))
         c2p = np.zeros((Q + 1, Q + 1))
         for m in range(Q + 1):
             unit = np.zeros(m + 1)
@@ -230,73 +207,51 @@ class CoefficientAssembler:
             mono = np.polynomial.chebyshev.cheb2poly(unit)
             c2p[: mono.shape[0], m] = mono
         self._c2p = c2p
+        # local sample points s_q of subinterval k, and the Lagrange basis there
+        theta = grid.spacings
+        self._s_loc = grid.nodes[1:, None] - 0.5 * theta[:, None] * (1.0 + zq)
+        self._lag_loc = np.ascontiguousarray(
+            interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
+        )
+        # aff[k-1] takes z-monomial coefficients of the local fit to
+        # sigma-monomial ones, sigma = s_k - s = (theta_k / 2)(1 + z)
+        signed = np.array(
+            [[comb(i, jj) * (-1.0) ** (i - jj) if jj <= i else 0.0 for i in range(Q + 1)]
+             for jj in range(Q + 1)]
+        )
+        powers = np.array([[half**jj for jj in range(Q + 1)] for half in 2.0 / theta])
+        self._aff = signed[None, :, :] * powers[:, :, None]
         self._cache = None
 
-    def _interior(self, l: int):
-        """E, alpha, beta and the data-quadrature maps for slab l."""
-        family, grid, part = self.family, self.grid, self.partition
-        N, M = grid.N, family.basis.M
-        tau = part.tau
-        mu0 = family.basis.mu
-        t_star = part.slab_times(l, grid)
+    def _interior(self, t_star: np.ndarray, t_loc: np.ndarray):
+        """Frozen eigenvalues, E, alpha and the quadrature maps R_k of one slab.
+
+        ``t_star`` are the slab's node times and ``t_loc`` its sample times,
+        shape (N, data_degree + 1); for a constant family the result does
+        not depend on them.
+        """
+        family, grid = self.family, self.grid
+        N, M, Q = grid.N, family.basis.M, self.data_degree
+        tau = self.partition.tau
         mu_frozen = np.empty((N, M))
         E = np.empty((N, M))
-        alpha = np.zeros((N, N + 1, M))
-        beta = np.empty((N, N + 1, M))
-        plen = self._poly_len
-        Q = self.data_degree
-        s_all = max(plen - 1, Q)
-        data_maps = []
-        data_snodes = []
-        lagrange_at_snodes = []
-
-        if not family.is_constant:
-            t_mid = part.map_to_slab(l, 0.0)
-            a_hat = _affine_compose(family.a_coeffs, t_mid, 0.5 * tau)
-            c_hat = _affine_compose(family.c_coeffs, t_mid, 0.5 * tau)
+        alpha = np.empty((N, N + 1, M))
+        maps = np.empty((N, M, Q + 1))
         for k in range(1, N + 1):
-            tk = t_star[k]
-            mu_t = family.frozen_eigenvalues(tk)
+            mu_t = family.frozen_eigenvalues(t_star[k])
             mu_frozen[k - 1] = mu_t
             nu = 0.5 * tau * mu_t
             theta = grid.spacings[k - 1]
             E[k - 1] = np.exp(-nu * theta)
-            J = exp_sigma_moments(nu, theta, s_all)
-            Tk = self._shifts[k - 1]
-            kernel_scale = family.a(tk) * mu0 * family.basis.lift_coeffs
-            if not family.is_constant:
-                da = P.polyadd(np.array([P.polyval(grid.nodes[k], a_hat)]), -a_hat)
-                dc = P.polyadd(np.array([P.polyval(grid.nodes[k], c_hat)]), -c_hat)
-            for j in range(N + 1):
-                lj = np.zeros(plen)
-                lj[: N + 1] = self._lag[j]
-                b_int = 0.5 * tau * (J[:, :plen] @ (Tk @ lj))
-                beta[k - 1, j] = -kernel_scale * b_int
-                if not family.is_constant:
-                    pa = np.zeros(plen)
-                    raw = P.polymul(da, self._lag[j])
-                    pa[: min(plen, raw.shape[0])] = raw[:plen]
-                    pc = np.zeros(plen)
-                    raw = P.polymul(dc, self._lag[j])
-                    pc[: min(plen, raw.shape[0])] = raw[:plen]
-                    alpha[k - 1, j] = 0.5 * tau * (
-                        mu0 * (J[:, :plen] @ (Tk @ pa)) + (J[:, :plen] @ (Tk @ pc))
-                    )
-            # sigma-monomial moments composed with the local Chebyshev fit:
-            # row n, column q of the map integrates e^{-nu_n sigma} against
-            # the local Lagrange function of sample point sigma_q.
-            aff = np.zeros((Q + 1, Q + 1))
-            half = 2.0 / theta
-            for i in range(Q + 1):
-                for jj in range(i + 1):
-                    aff[jj, i] = comb(i, jj) * (-1.0) ** (i - jj) * half**jj
-            data_maps.append(J[:, : Q + 1] @ aff @ self._c2p @ self._vinv)
-            s_loc = grid.nodes[k] - 0.5 * theta * (1.0 + self._zq)
-            data_snodes.append(s_loc)
-            lagrange_at_snodes.append(
-                np.stack([lagrange_eval(grid, j, s_loc) for j in range(N + 1)])
-            )
-        return t_star, mu_frozen, E, alpha, beta, data_maps, data_snodes, lagrange_at_snodes
+            J = exp_sigma_moments(nu, theta, Q)
+            # row n, column q integrates e^{-nu_n sigma} against the local
+            # Lagrange function of sample point s_q; kept in this order,
+            # since folding aff @ c2p @ vinv first loses two digits
+            R = J @ self._aff[k - 1] @ self._c2p @ self._vinv
+            maps[k - 1] = R
+            mu_q = np.stack([family.frozen_eigenvalues(t) for t in t_loc[k - 1]], axis=1)
+            alpha[k - 1] = 0.5 * tau * ((R * (mu_t[:, None] - mu_q)) @ self._lag_loc[k - 1].T).T
+        return mu_frozen, E, alpha, maps
 
     def slab(
         self,
@@ -307,51 +262,46 @@ class CoefficientAssembler:
     ) -> CollocationCoefficients:
         """Assemble the coefficients of slab ``l``.
 
-        ``g`` and ``f`` are sampled on each subinterval at data_degree + 1
-        local Chebyshev points and integrated through the moment recurrence,
+        ``g``, ``f`` and ``b`` are sampled on each subinterval at the
+        data_degree + 1 local Chebyshev points and integrated through R_k,
         exact for polynomial data up to that degree and at roundoff level
-        for analytic data.  ``b`` is treated the same way inside the
-        products b L_j that weight the boundary-trace unknowns; when it is
-        omitted the bare coefficients are reused (b identically one).
+        for analytic data.  ``b`` rides inside the products b L_j that
+        weight the boundary-trace unknowns; when it is omitted b is
+        identically one.
         """
-        if self.family.is_constant:
-            if self._cache is None:
-                self._cache = self._interior(1)
-            _, mu_frozen, E, alpha, beta, data_maps, data_snodes, lag_loc = self._cache
-            t_star = self.partition.slab_times(l, self.grid)
-        else:
-            t_star, mu_frozen, E, alpha, beta, data_maps, data_snodes, lag_loc = (
-                self._interior(l)
-            )
+        t_star = self.partition.slab_times(l, self.grid)
+        t_loc = self.partition.map_to_slab(l, self._s_loc)
+        interior = self._cache
+        if interior is None:
+            interior = self._interior(t_star, t_loc)
+            if self.family.is_constant:
+                self._cache = interior
+        mu_frozen, E, alpha, maps = interior
         N, M = E.shape
         tau = self.partition.tau
         mu0 = self.family.basis.mu
         lift = self.family.basis.lift_coeffs
         phi = np.zeros((N, M))
-        beta_weighted = beta if b is None else np.empty_like(beta)
+        beta_weighted = np.empty((N, N + 1, M))
         for k in range(1, N + 1):
-            if g is None and f is None and b is None:
-                break
-            t_loc = np.array([self.partition.map_to_slab(l, s) for s in data_snodes[k - 1]])
-            R = data_maps[k - 1]
+            R = maps[k - 1]
             kernel_scale = self.family.a(t_star[k]) * mu0 * lift
             if g is not None:
-                g_loc = np.array([float(g(t)) for t in t_loc])
+                g_loc = np.array([float(g(t)) for t in t_loc[k - 1]])
                 phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc)
             if f is not None:
-                f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc])
+                f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k - 1]])
                 phi[k - 1] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
+            lag = self._lag_loc[k - 1]
             if b is not None:
-                b_loc = np.array([float(b(t)) for t in t_loc])
-                weighted = (R @ (lag_loc[k - 1] * b_loc[None, :]).T).T
-                beta_weighted[k - 1] = -0.5 * tau * weighted * kernel_scale[None, :]
+                lag = lag * np.array([float(b(t)) for t in t_loc[k - 1]])[None, :]
+            beta_weighted[k - 1] = -0.5 * tau * (R @ lag.T).T * kernel_scale[None, :]
         return CollocationCoefficients(
             slab=l,
             t_star=t_star,
             mu_frozen=mu_frozen,
             E=E,
             alpha=alpha,
-            beta=beta,
             beta_weighted=beta_weighted,
             phi=phi,
         )

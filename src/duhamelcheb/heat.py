@@ -281,7 +281,6 @@ def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 
         "K": trace.partition.K,
         "M": trace.config.M,
         "T": trace.config.T,
-        "gamma": trace.config.gamma,
         "mode": trace.config.mode,
         "problem": problem.name,
         "probe_x": probe_x,

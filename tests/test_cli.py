@@ -112,11 +112,6 @@ def test_solve_structured_matches_library_bit_for_bit(capsys, tmp_path):
         assert row[1] == e1
 
 
-def test_solve_rejects_out_of_range_gamma(capsys):
-    code = main(["solve", "--gamma", "1.5"])
-    assert code == EXIT_CONFIG
-
-
 def test_solve_rejects_bad_mode_count(capsys):
     code = main(["solve", "--M", "0"])
     assert code == EXIT_CONFIG

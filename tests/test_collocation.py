@@ -98,15 +98,15 @@ def test_beta_against_quadrature(small_setup):
         for j in (0, 2, 4):
             for n in (0, 1, 7, 29):
                 oracle = beta_quadrature_oracle(family, grid, partition, 2, k, j, n)
-                assert abs(coeffs.beta[k - 1, j, n] - oracle) <= 1e-9
+                assert abs(coeffs.beta_weighted[k - 1, j, n] - oracle) <= 1e-9
 
 
 def test_beta_weighted_reduces_to_beta_for_unit_multiplier(small_setup):
     family, grid, partition = small_setup
     bare = assemble_coefficients(family, grid, partition, l=1)
     unit = assemble_coefficients(family, grid, partition, l=1, b=lambda t: 1.0)
-    assert bare.beta_weighted is bare.beta
-    assert np.abs(unit.beta_weighted - unit.beta).max() <= 1e-12 * np.abs(unit.beta).max()
+    scale = np.abs(bare.beta_weighted).max()
+    assert np.abs(unit.beta_weighted - bare.beta_weighted).max() <= 1e-12 * scale
 
 
 def test_beta_weighted_against_quadrature(small_setup):
@@ -188,9 +188,47 @@ def test_phi_polynomial_forcing_exact(small_setup):
 
 
 def test_data_degree_floor_validated(small_setup):
+    """The alpha integrands have degree N + deg(a, c); a lower data degree is rejected."""
     family, grid, partition = small_setup
-    with pytest.raises(ValueError):
-        CoefficientAssembler(family, grid, partition, data_degree=2)
+    varying = OperatorFamily(basis=family.basis, c_coeffs=np.array([0.3, 0.0, 0.2]))
+    for fam, floor in ((family, 4), (varying, 6)):
+        with pytest.raises(ValueError, match=f"data degree {floor - 1} .* {floor}"):
+            CoefficientAssembler(fam, grid, partition, data_degree=floor - 1)
+        assert CoefficientAssembler(fam, grid, partition, data_degree=floor).data_degree == floor
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_varying_family_marches_to_roundoff(N):
+    """Manufactured solution e^{-kappa t} sin(pi x / 2) under a = 1 + 0.5 t,
+    c = 0.3 t: mode 1 carries the forcing, g = b u(1, .).  The frozen-operator
+    defect must be integrated as accurately as the data at every degree."""
+    M, kappa, rate_b = 128, 2.5, np.pi**2 / 2.0
+    basis = heat_basis(M)
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.0, 0.3]))
+    u0 = np.zeros(M)
+    u0[0] = 1.0
+
+    def forcing(t):
+        out = np.zeros(M)
+        out[0] = (family.frozen_eigenvalues(t)[0] - kappa) * np.exp(-kappa * t)
+        return out
+
+    prob = HeatProblem(
+        family=family,
+        b=ExpDecay(1.0, rate_b),
+        g=ExpDecay(1.0, rate_b + kappa),
+        u0=u0,
+        T=1.0,
+        forcing=forcing,
+        exact=SeparableSolution(
+            rate=kappa,
+            profile=lambda x: np.sin(0.5 * np.pi * np.asarray(x, dtype=float)),
+            dprofile_at_1=0.0,
+        ),
+        name="varying-manufactured",
+    )
+    trace = march(prob, SolverConfig(N=N, K=8, M=M), auto_refine=False)
+    assert compute_errors(trace, prob).max_eps1 <= 1e-13
 
 
 @pytest.mark.parametrize("N", [4, 8, 16])
@@ -477,8 +515,6 @@ def test_fixed_point_iteration_cap_raises(reference_problem):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(N=0)
-    with pytest.raises(ValueError):
-        SolverConfig(gamma=1.0)
     with pytest.raises(ValueError):
         SolverConfig(mode="secant")
     with pytest.raises(ValueError):
