@@ -12,9 +12,10 @@ import numpy as np
 
 from duhamelcheb import (
     SolverConfig,
-    baseline_backward_euler,
+    baseline_sweep,
     build_reference_example,
     compute_errors,
+    equal_budget_baseline,
     march,
 )
 
@@ -33,17 +34,12 @@ def main() -> None:
     args = parser.parse_args()
 
     problem = build_reference_example(M=args.M, T=args.T)
-    rows = []
-    for steps in args.steps:
-        report = baseline_backward_euler(problem, steps)
-        rows.append((steps, report.max_eps1, report.max_eps2, report.config["wall_time_s"]))
-        print(
-            f"euler steps={steps:5d}: max eps1 = {report.max_eps1:.6e}, "
-            f"wall {report.config['wall_time_s'] * 1e3:.2f} ms"
-        )
-    if len(rows) >= 2:
-        hs = np.log([args.T / r[0] for r in rows])
-        es = np.log([r[1] for r in rows])
+    table = baseline_sweep(problem, args.steps)
+    for steps, eps1, _, wall in table.rows:
+        print(f"euler steps={steps:5d}: max eps1 = {eps1:.6e}, wall {wall * 1e3:.2f} ms")
+    if len(table.rows) >= 2:
+        hs = np.log([args.T / r[0] for r in table.rows])
+        es = np.log([r[1] for r in table.rows])
         order = float(np.polyfit(hs, es, 1)[0])
         print(f"fitted euler order: {order:.3f}")
 
@@ -52,22 +48,16 @@ def main() -> None:
     budget = trace.solve_seconds
     print(f"collocation N={args.N}: max eps1 = {colloc_err:.6e}, solve {budget * 1e3:.2f} ms")
 
-    steps = 16
-    report = baseline_backward_euler(problem, steps)
-    while report.config["wall_time_s"] < budget and steps < 2**16:
-        steps *= 2
-        report = baseline_backward_euler(problem, steps)
+    report = equal_budget_baseline(problem, budget)
     ratio = report.max_eps1 / colloc_err
     print(
-        f"equal-budget euler ({steps} steps, {report.config['wall_time_s'] * 1e3:.2f} ms): "
+        f"equal-budget euler ({report.config['steps']} steps, "
+        f"{report.config['wall_time_s'] * 1e3:.2f} ms): "
         f"max eps1 = {report.max_eps1:.6e}, ratio {ratio:.3g}x"
     )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["steps,max_eps1,max_eps2,wall_time_s"]
-    for steps, e1, e2, w in rows:
-        lines.append(f"{steps},{e1!r},{e2!r},{w!r}")
-    args.out.write_text("\n".join(lines) + "\n")
+    args.out.write_text(table.to_csv())
     print(f"table -> {args.out}")
 
 

@@ -28,7 +28,7 @@ def main() -> None:
     problem = build_reference_example(M=args.M, T=args.T)
     result = run_convergence_study(problem, args.Ns, args.Ks, mode=args.mode)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(result.to_csv(notes=(f"reference rod, M={args.M}, T={args.T}",)))
+    args.out.write_text(result.table(notes=(f"reference rod, M={args.M}, T={args.T}",)).to_csv())
 
     for row in result.rows:
         print(

@@ -39,7 +39,7 @@ def main() -> None:
             f"single slab, degree N={n}, M={args.M} modes, T={args.T}",
             "rows are the non-initial collocation node times",
         )
-        path.write_text(report.to_csv(include_initial=False, notes=notes))
+        path.write_text(report.table(include_initial=False, notes=notes).to_csv())
         status = "in" if lo <= report.max_eps1 <= hi else "OUTSIDE"
         print(
             f"n={n}: max eps1 = {report.max_eps1:.6e} "

@@ -30,6 +30,7 @@ from .collocation import (
 from .heat import (
     HeatProblem,
     SeparableSolution,
+    Table,
     ExpDecay,
     ErrorReport,
     IntegralResidual,
@@ -41,7 +42,15 @@ from .heat import (
     residual_of_exact_in_integral_equations,
     residual_tail_bound,
 )
-from .harness import StudyResult, RateSummary, run_convergence_study, baseline_backward_euler, fit_rates
+from .harness import (
+    StudyResult,
+    RateSummary,
+    run_convergence_study,
+    baseline_backward_euler,
+    baseline_sweep,
+    equal_budget_baseline,
+    fit_rates,
+)
 
 __all__ = [
     "CGLGrid",
@@ -76,6 +85,7 @@ __all__ = [
     "march",
     "HeatProblem",
     "SeparableSolution",
+    "Table",
     "ExpDecay",
     "ErrorReport",
     "IntegralResidual",
@@ -90,5 +100,7 @@ __all__ = [
     "RateSummary",
     "run_convergence_study",
     "baseline_backward_euler",
+    "baseline_sweep",
+    "equal_budget_baseline",
     "fit_rates",
 ]

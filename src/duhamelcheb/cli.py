@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .collocation import (
     FixedPointDivergenceError,
     NonFiniteStageError,
@@ -21,10 +23,10 @@ from .collocation import (
     SolverConfig,
     march,
 )
-from .harness import baseline_backward_euler, run_convergence_study
+from .harness import baseline_sweep, run_convergence_study
 from .heat import (
     HeatProblem,
-    _format_float,
+    Table,
     build_decay_example,
     build_neumann_example,
     build_reference_example,
@@ -108,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text_csv: str, structured: dict, fmt: str, out: str | None) -> None:
-    payload = text_csv if fmt == "csv" else json.dumps(structured, indent=2) + "\n"
+def _emit(table: Table, fmt: str, out: str | None) -> None:
+    payload = table.to_csv() if fmt == "csv" else json.dumps(table.to_structured(), indent=2) + "\n"
     if out is None:
         sys.stdout.write(payload)
     else:
@@ -137,34 +139,21 @@ def _cmd_tables(args) -> int:
     config = SolverConfig(N=args.n, K=1, M=args.M, T=args.T)
     problem = build_reference_example(M=args.M, T=args.T)
     trace = march(problem, config)
-    report = compute_errors(trace, problem)
     notes = (
         f"single slab, degree N={args.n}, M={args.M} modes, T={args.T}",
         "rows are the non-initial collocation node times",
         "compare error magnitudes; tabulated abscissae depend on the node family",
     )
-    csv_text = report.to_csv(include_initial=False, notes=notes)
-    structured = report.to_structured()
-    structured["rows"] = structured["rows"][1:]
-    structured["notes"] = list(notes)
-    _emit(csv_text, structured, args.format, args.out)
+    report = compute_errors(trace, problem)
+    _emit(report.table(include_initial=False, notes=notes), args.format, args.out)
     return EXIT_OK
 
 
-def _trace_document(trace, problem: HeatProblem) -> tuple[str, dict]:
-    basis = problem.basis
-    times = trace.node_times()
+def _trace_table(trace, problem: HeatProblem) -> Table:
     modes = trace.node_modes()
-    yvals = trace.node_boundary_values()
-    u1 = modes @ basis.boundary_trace
+    u1 = modes @ problem.basis.boundary_trace
+    rows = np.column_stack([trace.node_times(), trace.node_boundary_values(), u1, modes]).tolist()
     columns = ["t", "y", "u1"] + [f"mode_{i + 1}" for i in range(modes.shape[1])]
-    rows = [
-        [float(t), float(y), float(u)] + [float(c) for c in mode_row]
-        for t, y, u, mode_row in zip(times, yvals, u1, modes)
-    ]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_float(v) for v in row))
     config = {
         "N": trace.config.N,
         "K": trace.partition.K,
@@ -176,8 +165,7 @@ def _trace_document(trace, problem: HeatProblem) -> tuple[str, dict]:
         "contraction_max": trace.contraction_max,
         "solve_seconds": trace.solve_seconds,
     }
-    structured = {"kind": "solution_trace", "config": config, "columns": columns, "rows": rows}
-    return "\n".join(lines) + "\n", structured
+    return Table("solution_trace", config, columns, rows)
 
 
 def _cmd_solve(args) -> int:
@@ -188,14 +176,12 @@ def _cmd_solve(args) -> int:
     )
     problem = _BUILDERS[args.problem](M=args.M, T=args.T)
     trace = march(problem, config)
-    csv_text, structured = _trace_document(trace, problem)
-    _emit(csv_text, structured, args.format, args.out)
-    report = compute_errors(trace, problem)
+    _emit(_trace_table(trace, problem), args.format, args.out)
     errors_out = args.errors_out
     if errors_out is None and args.out is not None:
         stem, dot, suffix = args.out.rpartition(".")
         errors_out = f"{stem}_errors.{suffix}" if dot else f"{args.out}_errors"
-    _emit(report.to_csv(), report.to_structured(), args.format, errors_out)
+    _emit(compute_errors(trace, problem).table(), args.format, errors_out)
     return EXIT_OK
 
 
@@ -205,53 +191,23 @@ def _cmd_convergence(args) -> int:
     result = run_convergence_study(
         problem, args.Ns, args.Ks, mode=mode, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter
     )
-    _emit(result.to_csv(), result.to_structured(), args.format, args.out)
+    _emit(result.table(), args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_baseline(args) -> int:
     problem = build_reference_example(M=args.M, T=args.T)
-    rows = []
-    for steps in args.steps:
-        report = baseline_backward_euler(problem, steps)
-        rows.append(
-            [int(steps), report.max_eps1, report.max_eps2, report.config["wall_time_s"]]
-        )
-    columns = ["steps", "max_eps1", "max_eps2", "wall_time_s"]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join([str(row[0])] + [_format_float(v) for v in row[1:]]))
-    structured = {
-        "kind": "baseline",
-        "config": {"problem": problem.name, "M": args.M, "T": args.T, "method": "backward_euler"},
-        "columns": columns,
-        "rows": rows,
-    }
-    _emit("\n".join(lines) + "\n", structured, args.format, args.out)
+    _emit(baseline_sweep(problem, args.steps), args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_kernels(args) -> int:
     if any(t <= 0 for t in args.t):
         raise ValueError("kernel times must be positive")
-    basis = heat_basis(args.M)
-    series = KernelSeries(basis)
-    columns = ["t", "K", "K1_at_x"]
-    rows = [
-        [float(t), float(series.K(t)), float(series.K1(t, args.x))]
-        for t in args.t
-    ]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_float(v) for v in row))
-    report = series.truncation_report(delta=min(args.t))
-    structured = {
-        "kind": "kernels",
-        "config": {"M": args.M, "x": args.x, **report},
-        "columns": columns,
-        "rows": rows,
-    }
-    _emit("\n".join(lines) + "\n", structured, args.format, args.out)
+    series = KernelSeries(heat_basis(args.M))
+    rows = [[t, float(series.K(t)), float(series.K1(t, args.x))] for t in args.t]
+    config = {"M": args.M, "x": args.x, **series.truncation_report(delta=min(args.t))}
+    _emit(Table("kernels", config, ["t", "K", "K1_at_x"], rows), args.format, args.out)
     return EXIT_OK
 
 

@@ -8,14 +8,13 @@ profile, so the comparison isolates the time discretization.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .collocation import SolverConfig, march
-from .heat import ErrorReport, HeatProblem, _format_float, compute_errors
+from .heat import ErrorReport, HeatProblem, Table, compute_errors
 
 __all__ = [
     "StudyRow",
@@ -23,6 +22,8 @@ __all__ = [
     "RateSummary",
     "run_convergence_study",
     "baseline_backward_euler",
+    "baseline_sweep",
+    "equal_budget_baseline",
     "fit_rates",
 ]
 
@@ -42,29 +43,11 @@ class StudyResult:
     rows: list[StudyRow]
     config: dict
 
-    def to_csv(self, notes: tuple[str, ...] = ()) -> str:
-        lines = [f"# {n}" for n in notes]
-        lines.append("N,K,M,max_eps1,max_eps2,wall_time_s")
-        for r in self.rows:
-            lines.append(
-                f"{r.N},{r.K},{r.M},{_format_float(r.max_eps1)},"
-                f"{_format_float(r.max_eps2)},{_format_float(r.wall_time_s)}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_structured(self) -> dict:
-        return {
-            "kind": "study",
-            "config": self.config,
-            "columns": ["N", "K", "M", "max_eps1", "max_eps2", "wall_time_s"],
-            "rows": [
-                [r.N, r.K, r.M, float(r.max_eps1), float(r.max_eps2), float(r.wall_time_s)]
-                for r in self.rows
-            ],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_structured(), **kwargs)
+    def table(self, notes: tuple[str, ...] = ()) -> Table:
+        return Table(
+            "study", self.config, [f.name for f in fields(StudyRow)],
+            [list(astuple(r)) for r in self.rows], tuple(notes),
+        )
 
 
 def run_convergence_study(
@@ -221,3 +204,27 @@ def baseline_backward_euler(
             "wall_time_s": wall,
         },
     )
+
+
+def baseline_sweep(problem: HeatProblem, steps_list) -> Table:
+    """Backward-Euler max errors and stepping wall time at each step count."""
+    rows = []
+    for steps in steps_list:
+        report = baseline_backward_euler(problem, steps)
+        rows.append([int(steps), report.max_eps1, report.max_eps2, report.config["wall_time_s"]])
+    config = {"problem": problem.name, "M": problem.basis.M, "T": problem.T, "method": "backward_euler"}
+    return Table("baseline", config, ["steps", "max_eps1", "max_eps2", "wall_time_s"], rows)
+
+
+def equal_budget_baseline(problem: HeatProblem, budget: float) -> ErrorReport:
+    """Backward Euler at the first step count whose wall time reaches ``budget``.
+
+    Step counts double from 16; at 2**16 steps the search stops and that
+    report is returned whether or not it reached the budget.
+    """
+    steps = 16
+    report = baseline_backward_euler(problem, steps)
+    while report.config["wall_time_s"] < budget and steps < 2**16:
+        steps *= 2
+        report = baseline_backward_euler(problem, steps)
+    return report

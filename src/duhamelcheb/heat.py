@@ -11,20 +11,20 @@ integral equations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family
-from .kernels import KernelSeries, homogeneous_v
+from .kernels import KernelSeries, exp_integral, homogeneous_v
 from .collocation import SolutionTrace
 
 __all__ = [
     "ExpDecay",
     "SeparableSolution",
     "HeatProblem",
+    "Table",
     "ErrorReport",
     "IntegralResidual",
     "build_reference_example",
@@ -214,8 +214,34 @@ def build_decay_example(M: int = 128, T: float = 1.0) -> HeatProblem:
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+@dataclass(frozen=True)
+class Table:
+    """One tabular result: named columns and rows, with a config echo.
+
+    Renders as CSV, with the notes as leading ``# `` lines, or as the
+    structured ``{kind, config, columns, rows[, notes]}`` document.  CSV
+    cells print ints with ``str`` and everything else as the ``repr`` of
+    a float, so every value round-trips bit for bit.
+    """
+
+    kind: str
+    config: dict
+    columns: list[str]
+    rows: list[list]
+    notes: tuple[str, ...] = ()
+
+    def to_csv(self) -> str:
+        lines = [f"# {n}" for n in self.notes]
+        lines.append(",".join(self.columns))
+        for row in self.rows:
+            lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
+        return "\n".join(lines) + "\n"
+
+    def to_structured(self) -> dict:
+        doc = {"kind": self.kind, "config": self.config, "columns": self.columns, "rows": self.rows}
+        if self.notes:
+            doc["notes"] = list(self.notes)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -240,27 +266,10 @@ class ErrorReport:
     def max_eps2(self) -> float:
         return float(self.eps2[1:].max()) if self.eps2.shape[0] > 1 else float(self.eps2.max())
 
-    def to_csv(self, include_initial: bool = True, notes: tuple[str, ...] = ()) -> str:
-        lines = [f"# {n}" for n in notes]
-        lines.append("t,eps1,eps2")
+    def table(self, include_initial: bool = True, notes: tuple[str, ...] = ()) -> Table:
+        rows = np.column_stack([self.times, self.eps1, self.eps2]).tolist()
         start = 0 if include_initial else 1
-        for t, e1, e2 in zip(self.times[start:], self.eps1[start:], self.eps2[start:]):
-            lines.append(f"{_format_float(t)},{_format_float(e1)},{_format_float(e2)}")
-        return "\n".join(lines) + "\n"
-
-    def to_structured(self) -> dict:
-        return {
-            "kind": "error_report",
-            "config": self.config,
-            "columns": ["t", "eps1", "eps2"],
-            "rows": [
-                [float(t), float(e1), float(e2)]
-                for t, e1, e2 in zip(self.times, self.eps1, self.eps2)
-            ],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_structured(), **kwargs)
+        return Table("error_report", self.config, ["t", "eps1", "eps2"], rows[start:], tuple(notes))
 
 
 def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 0.5) -> ErrorReport:
@@ -289,21 +298,9 @@ def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 
     return ErrorReport(times=times, eps1=eps1, eps2=eps2, config=cfg)
 
 
-def _exp_integral(d: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t exp(-d sigma) dsigma, stable for d of any sign and size."""
-    d = np.asarray(d, dtype=float)
-    m = d * t
-    small = np.abs(m) < 1e-8
-    safe = np.where(small, 1.0, d)
-    series = t * (1.0 - m / 2.0 + m * m / 6.0 - m**3 / 24.0)
-    with np.errstate(over="ignore"):
-        closed = -np.expm1(-m) / safe
-    return np.where(small, series, closed)
-
-
 def _modal_convolution(basis: EigenBasis, data: ExpDecay, t: float) -> np.ndarray:
     """q_n(t) = int_0^t exp(-mu_n (t - lam)) data(lam) dlam for all modes."""
-    return data.coef * np.exp(-data.rate * t) * _exp_integral(basis.mu - data.rate, t)
+    return data.coef * np.exp(-data.rate * t) * exp_integral(basis.mu - data.rate, t)
 
 
 @dataclass(frozen=True)

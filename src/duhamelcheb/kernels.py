@@ -23,6 +23,7 @@ __all__ = [
     "MomentTable",
     "KernelSeries",
     "exp_sigma_moments",
+    "exp_integral",
     "moment_integrals",
     "kernel_K",
     "kernel_K1",
@@ -30,16 +31,21 @@ __all__ = [
 ]
 
 SMALL_ARGUMENT = 1e-6
-"""Below this value of mu * delta the zeroth moment switches to a Taylor
+"""Below this value of |mu * delta| the zeroth moment switches to a Taylor
 polynomial; above it the expm1-based closed form is exact to roundoff."""
 
 
-def _moments_zero(nu: np.ndarray, delta: float) -> np.ndarray:
-    """J_0 = int_0^delta exp(-nu sigma) dsigma with a small-argument branch."""
+def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:
+    """J_0 = int_0^delta exp(-nu sigma) dsigma for rates nu of either sign.
+
+    A Taylor polynomial serves |nu delta| < SMALL_ARGUMENT; a large
+    negative rate overflows to inf rather than warning.
+    """
     m = nu * delta
-    small = m < SMALL_ARGUMENT
+    small = np.abs(m) < SMALL_ARGUMENT
     safe_nu = np.where(small, 1.0, nu)
-    analytic = -np.expm1(-m) / safe_nu
+    with np.errstate(over="ignore"):
+        analytic = -np.expm1(-m) / safe_nu
     taylor = delta * (1.0 - m / 2.0 + m * m / 6.0 - m**3 / 24.0)
     return np.where(small, taylor, analytic)
 
@@ -77,7 +83,7 @@ def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
         raise ValueError(f"integration length must be positive, got {delta}")
     M = nu.shape[0]
     J = np.zeros((M, s_max + 1))
-    J[:, 0] = _moments_zero(nu, delta)
+    J[:, 0] = exp_integral(nu, delta)
     if s_max == 0:
         return J
 

@@ -99,20 +99,7 @@ def lagrange_eval(grid: CGLGrid, j: int, s) -> np.ndarray | float:
     """
     if not 0 <= j <= grid.N:
         raise ValueError(f"basis index {j} outside 0..{grid.N}")
-    s_arr = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(s_arr).ravel()
-    diff = flat[:, None] - grid.nodes
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = grid.barycentric_weights / diff
-        vals = terms[:, j] / terms.sum(axis=1)
-    # a zero or subnormal distance overflows the reciprocal; both mean s
-    # is the node to double precision, so return the Kronecker value
-    exact = (diff == 0.0) | ~np.isfinite(terms)
-    hit = exact.any(axis=1)
-    vals = np.where(hit, exact[:, j].astype(float), vals)
-    if np.ndim(s) == 0:
-        return float(vals[0])
-    return vals.reshape(s_arr.shape)
+    return interpolate(grid, np.eye(grid.N + 1)[j], s)
 
 
 def interpolate(grid: CGLGrid, values, s) -> np.ndarray | float:

@@ -23,6 +23,7 @@ from duhamelcheb import (
     build_reference_example,
     compute_errors,
     constant_family,
+    equal_budget_baseline,
     fit_rates,
     heat_basis,
     march,
@@ -201,11 +202,8 @@ def test_criterion_8_collocation_beats_backward_euler():
     colloc_err = compute_errors(trace, problem).max_eps1
     budget = trace.solve_seconds
 
-    steps = 16
-    report = baseline_backward_euler(problem, steps)
-    while report.config["wall_time_s"] < budget and steps < 2**16:
-        steps *= 2
-        report = baseline_backward_euler(problem, steps)
+    report = equal_budget_baseline(problem, budget)
+    steps = report.config["steps"]
     assert report.config["wall_time_s"] >= budget or steps >= 2**16
     assert report.max_eps1 >= 100.0 * colloc_err
 

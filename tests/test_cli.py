@@ -197,6 +197,35 @@ def test_kernels_structured_carries_truncation_bound(capsys):
     assert "off_coincidence_tail" in doc["config"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["tables", "--n", "4"], id="tables"),
+        pytest.param(["solve", "--N", "4", "--K", "2", "--M", "16"], id="solve"),
+        pytest.param(["convergence", "--Ns", "2,4", "--Ks", "1,2", "--M", "32"], id="convergence"),
+        pytest.param(["baseline", "--steps", "8,16", "--M", "32"], id="baseline"),
+        pytest.param(["kernels", "--t", "0.1,0.5", "--M", "32"], id="kernels"),
+    ],
+)
+def test_csv_and_structured_outputs_agree(tmp_path, argv):
+    for fmt, name in (("csv", "out.csv"), ("structured", "out.json")):
+        assert main(argv + ["--format", fmt, "--out", str(tmp_path / name)]) == EXIT_OK
+    stems = ["out", "out_errors"] if argv[0] == "solve" else ["out"]
+    for stem in stems:
+        text = (tmp_path / f"{stem}.csv").read_text()
+        doc = load_structured(str(tmp_path / f"{stem}.json"))
+        header, rows = parse_csv(text)
+        assert header == doc["columns"]
+        keep = [i for i, name in enumerate(header) if name != "wall_time_s"]
+        csv_vals = np.array(rows)[:, keep]
+        doc_vals = np.array(doc["rows"], dtype=float)[:, keep]
+        assert csv_vals.shape == doc_vals.shape
+        assert csv_vals.tobytes() == doc_vals.tobytes()
+        notes = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+        assert notes == doc.get("notes", [])
+        assert bool(notes) == (argv[0] == "tables")
+
+
 def test_load_structured_validates_fields(tmp_path):
     with pytest.raises(ValueError):
         load_structured(json.dumps({"kind": "x"}))

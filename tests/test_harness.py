@@ -37,7 +37,7 @@ def test_study_errors_collapse_spectrally(reference_problem):
 
 def test_study_csv_schema(reference_problem):
     result = run_convergence_study(reference_problem, Ns=(2, 4), Ks=(1,))
-    text = result.to_csv(notes=("sweep",))
+    text = result.table(notes=("sweep",)).to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "# sweep"
     assert lines[1] == "N,K,M,max_eps1,max_eps2,wall_time_s"
@@ -51,8 +51,9 @@ def test_study_csv_schema(reference_problem):
 
 def test_study_structured_round_trip(reference_problem):
     result = run_convergence_study(reference_problem, Ns=(2,), Ks=(1, 2))
-    payload = json.loads(result.to_json())
-    assert payload == result.to_structured()
+    doc = result.table().to_structured()
+    payload = json.loads(json.dumps(doc))
+    assert payload == doc
     assert payload["kind"] == "study"
     assert payload["columns"] == ["N", "K", "M", "max_eps1", "max_eps2", "wall_time_s"]
     assert len(payload["rows"]) == 2

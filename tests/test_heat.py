@@ -81,14 +81,14 @@ def test_error_report_is_deterministic(reference_problem):
     b = compute_errors(march(reference_problem, cfg), reference_problem)
     assert np.array_equal(a.eps1, b.eps1)
     assert np.array_equal(a.eps2, b.eps2)
-    assert a.to_csv() == b.to_csv()
+    assert a.table().to_csv() == b.table().to_csv()
 
 
 def test_error_report_csv_round_trips(reference_problem):
     report = compute_errors(
         march(reference_problem, SolverConfig(N=4, K=1, M=128)), reference_problem
     )
-    text = report.to_csv(notes=("demo",))
+    text = report.table(notes=("demo",)).to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "# demo"
     assert lines[1] == "t,eps1,eps2"
@@ -98,7 +98,7 @@ def test_error_report_csv_round_trips(reference_problem):
         assert t == report.times[i]
         assert e1 == report.eps1[i]
         assert e2 == report.eps2[i]
-    body = report.to_csv(include_initial=False)
+    body = report.table(include_initial=False).to_csv()
     assert len(body.strip().split("\n")) == 1 + report.times.shape[0] - 1
 
 
@@ -106,8 +106,9 @@ def test_error_report_structured_round_trip(reference_problem):
     report = compute_errors(
         march(reference_problem, SolverConfig(N=4, K=1, M=128)), reference_problem
     )
-    payload = json.loads(report.to_json())
-    assert payload == report.to_structured()
+    doc = report.table().to_structured()
+    payload = json.loads(json.dumps(doc))
+    assert payload == doc
     assert payload["kind"] == "error_report"
     assert payload["columns"] == ["t", "eps1", "eps2"]
     assert payload["config"]["N"] == 4
