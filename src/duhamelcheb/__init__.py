@@ -4,9 +4,9 @@ Robin boundary conditions.
 The solver rewrites du/dt + A(t)u = f with boundary condition
 d1(u) + b(t) d0(u) = g as a Volterra system via the variation-of-constants
 formula and a stationary boundary lift, then collocates each time slab at
-Chebyshev-Gauss-Lobatto nodes.  Coefficient integrals are evaluated exactly
-through moment recurrences, so the error decays exponentially in the number
-of nodes per slab.
+Chebyshev-Gauss-Lobatto nodes.  Coefficient integrals are evaluated to
+roundoff by Gauss rules, so the error decays exponentially in the number of
+nodes per slab.
 """
 
 from .mesh import CGLGrid, TimePartition, build_grid, interpolate, lagrange_eval, lebesgue_constant

@@ -7,10 +7,10 @@ the boundary trace values w_k at the CGL nodes; the weighted boundary
 values y_k = b(t_k) w_k are recovered afterwards.  Interpolating the trace
 rather than the product keeps the interpolation error governed by the
 smoother of the two factors, while the multiplier b rides inside the
-coefficient integrals, which are evaluated exactly via exponential moment
-recurrences.  One quadrature map per node subinterval, built from samples
-at local Chebyshev points, integrates every coefficient: the data g and f,
-the products b L_j, and the frozen-operator defect that multiplies L_j.
+coefficient integrals, which are evaluated to roundoff by Gauss rules.  One
+quadrature map per node subinterval, built from samples at local Chebyshev
+points, integrates every coefficient: the data g and f, the products b L_j,
+and the frozen-operator defect that multiplies L_j.
 The interior block matrix is bidiagonal with elementwise-exponential
 subdiagonal blocks.  The direct solve reduces the trace unknowns to one
 N x N system through a single interior solve per slab: a forward sweep over
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Callable
 
 import numpy as np
 
 from .mesh import CGLGrid, TimePartition, build_grid, interpolate
 from .operators import OperatorFamily
-from .kernels import exp_sigma_moments
+from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tracing.py reads it here
 
 __all__ = [
     "SolverConfig",
@@ -111,25 +110,21 @@ class SolverConfig:
     fp_max_iter: int = 400
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"collocation degree must be >= 1, got N={self.N}")
-        if self.K < 1:
-            raise ValueError(f"slab count must be >= 1, got K={self.K}")
-        if self.M < 1:
-            raise ValueError(f"mode count must be >= 1, got M={self.M}")
+        for name in ("N", "K", "M", "fp_max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not np.isfinite(self.T) or self.T <= 0:
             raise ValueError(f"final time must be finite and positive, got T={self.T}")
         if self.mode not in ("direct", "fixed_point"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
-        if self.fp_tol <= 0:
-            raise ValueError(f"fixed-point tolerance must be positive, got {self.fp_tol}")
-        if self.fp_max_iter < 1:
-            raise ValueError(f"fixed-point iteration cap must be >= 1, got {self.fp_max_iter}")
+        if not np.isfinite(self.fp_tol) or self.fp_tol <= 0:
+            raise ValueError(f"fixed-point tolerance must be finite and positive, got {self.fp_tol}")
 
 
 @dataclass(frozen=True)
 class CollocationCoefficients:
-    """Exactly integrated slab coefficients, stored per mode.
+    """Slab coefficients integrated to roundoff, stored per mode.
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
@@ -168,14 +163,14 @@ class CoefficientAssembler:
     Every coefficient integrates the exponential kernel against a
     polynomial on one node subinterval, and one map does all of them: R_k
     takes values at the data_degree + 1 local Chebyshev points of
-    subinterval k to the exact kernel integrals of their interpolant (the
-    moment recurrence composed with the local Chebyshev fit).  It is
-    applied to samples of g and f, of b L_j for beta, and of
-    (mu(t_k) - mu(t)) L_j for alpha.  The unknowns enter through their
-    degree-N interpolants (that is the scheme), but the data are
-    integrated to roundoff: a shared degree-N treatment of data and
-    unknowns would cancel the interpolation defect of the boundary values
-    node-for-node and report spurious exactness on resolved problems.
+    subinterval k to the kernel integrals of their interpolant, evaluated
+    to roundoff by Gauss rules (see ``_interior``).  It is applied to
+    samples of g and f, of b L_j for beta, and of (mu(t_k) - mu(t)) L_j for
+    alpha.  The unknowns enter through their degree-N interpolants (that
+    is the scheme), but the data are integrated to roundoff: a shared
+    degree-N treatment of data and unknowns would cancel the interpolation
+    defect of the boundary values node-for-node and report spurious
+    exactness on resolved problems.
     The alpha integrands have degree N + deg(a, c), so ``data_degree``
     may not be lower.
     """
@@ -198,29 +193,24 @@ class CoefficientAssembler:
                 f"data degree {Q} is below N + deg(a, c) = {floor}, the degree of the alpha integrands"
             )
         self.data_degree = Q
-        zq = build_grid(Q).nodes
-        self._vinv = np.linalg.inv(np.polynomial.chebyshev.chebvander(zq, Q))
-        c2p = np.zeros((Q + 1, Q + 1))
-        for m in range(Q + 1):
-            unit = np.zeros(m + 1)
-            unit[m] = 1.0
-            mono = np.polynomial.chebyshev.cheb2poly(unit)
-            c2p[: mono.shape[0], m] = mono
-        self._c2p = c2p
+        self._split = Q + 20
+        self._qgrid = build_grid(Q)
+        zq = self._qgrid.nodes
         # local sample points s_q of subinterval k, and the Lagrange basis there
         theta = grid.spacings
         self._s_loc = grid.nodes[1:, None] - 0.5 * theta[:, None] * (1.0 + zq)
         self._lag_loc = np.ascontiguousarray(
             interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
         )
-        # aff[k-1] takes z-monomial coefficients of the local fit to
-        # sigma-monomial ones, sigma = s_k - s = (theta_k / 2)(1 + z)
-        signed = np.array(
-            [[comb(i, jj) * (-1.0) ** (i - jj) if jj <= i else 0.0 for i in range(Q + 1)]
-             for jj in range(Q + 1)]
-        )
-        powers = np.array([[half**jj for jj in range(Q + 1)] for half in 2.0 / theta])
-        self._aff = signed[None, :, :] * powers[:, :, None]
+        # Gauss-Legendre nodes z_g with the weights folded into l_q(z_g)
+        z, w = np.polynomial.legendre.leggauss(Q + 40)
+        self._legendre = z, w[:, None] * interpolate(self._qgrid, np.eye(Q + 1), z)
+        # Gauss-Laguerre in u = lam (1 + z): sum_i omega_i l_q(u_i h - 1) is a
+        # degree-Q polynomial in h = 1 / lam, tabulated at the Chebyshev
+        # points of [0, 1 / split] and interpolated per mode
+        u, omega = np.polynomial.laguerre.laggauss(Q // 2 + 1)
+        h = (1.0 + zq) / (2.0 * self._split)
+        self._laguerre = omega @ interpolate(self._qgrid, np.eye(Q + 1), u * h[:, None] - 1.0)
         self._cache = None
 
     def _interior(self, t_star: np.ndarray, t_loc: np.ndarray):
@@ -228,29 +218,35 @@ class CoefficientAssembler:
 
         ``t_star`` are the slab's node times and ``t_loc`` its sample times,
         shape (N, data_degree + 1); for a constant family the result does
-        not depend on them.
+        not depend on them.  maps[k-1, n, q] is the integral over
+        0 <= sigma <= theta_k of e^{-nu_n sigma} l_q(z), z = 2 sigma /
+        theta_k - 1, with l_q the local Lagrange function of sample point
+        s_q.  With lam = nu theta_k / 2 it is taken by Gauss-Legendre up to
+        lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
+        z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
+        is below e^{-2 lam} e^{data_degree / 2}.
         """
-        family, grid = self.family, self.grid
+        family, grid, split = self.family, self.grid, self._split
         N, M, Q = grid.N, family.basis.M, self.data_degree
         tau = self.partition.tau
-        mu_frozen = np.empty((N, M))
-        E = np.empty((N, M))
+        mu_frozen = family.frozen_eigenvalues(t_star[1:, None])
+        if np.any(mu_frozen < 0):
+            raise ValueError(f"operator family is not positive on the slab starting at t={t_star[0]}")
+        nu = 0.5 * tau * mu_frozen
+        E = np.exp(-nu * grid.spacings[:, None])
         alpha = np.empty((N, N + 1, M))
         maps = np.empty((N, M, Q + 1))
-        for k in range(1, N + 1):
-            mu_t = family.frozen_eigenvalues(t_star[k])
-            mu_frozen[k - 1] = mu_t
-            nu = 0.5 * tau * mu_t
-            theta = grid.spacings[k - 1]
-            E[k - 1] = np.exp(-nu * theta)
-            J = exp_sigma_moments(nu, theta, Q)
-            # row n, column q integrates e^{-nu_n sigma} against the local
-            # Lagrange function of sample point s_q; kept in this order,
-            # since folding aff @ c2p @ vinv first loses two digits
-            R = J @ self._aff[k - 1] @ self._c2p @ self._vinv
-            maps[k - 1] = R
-            mu_q = np.stack([family.frozen_eigenvalues(t) for t in t_loc[k - 1]], axis=1)
-            alpha[k - 1] = 0.5 * tau * ((R * (mu_t[:, None] - mu_q)) @ self._lag_loc[k - 1].T).T
+        z, w_lag = self._legendre
+        for k in range(N):
+            half = 0.5 * grid.spacings[k]
+            lam = half * nu[k]
+            fast = lam > split
+            R = maps[k]
+            R[~fast] = half * (np.exp(-lam[~fast, None] * (1.0 + z)) @ w_lag)
+            h = 1.0 / lam[fast]
+            R[fast] = (half * h)[:, None] * interpolate(self._qgrid, self._laguerre, 2.0 * split * h - 1.0)
+            mu_q = family.frozen_eigenvalues(t_loc[k][:, None])
+            alpha[k] = 0.5 * tau * (self._lag_loc[k] @ (R.T * (mu_frozen[k] - mu_q)))
         return mu_frozen, E, alpha, maps
 
     def slab(
@@ -264,7 +260,7 @@ class CoefficientAssembler:
 
         ``g``, ``f`` and ``b`` are sampled on each subinterval at the
         data_degree + 1 local Chebyshev points and integrated through R_k,
-        exact for polynomial data up to that degree and at roundoff level
+        to roundoff by Gauss rules for polynomial data up to that degree and
         for analytic data.  ``b`` rides inside the products b L_j that
         weight the boundary-trace unknowns; when it is omitted b is
         identically one.

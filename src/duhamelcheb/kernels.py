@@ -1,13 +1,15 @@
 """Exponential moment integrals and boundary-kernel series.
 
-The collocation coefficients reduce to moments
+The moments
 
-    I_s(mu; a, b) = int_a^b exp(-mu (b - lam)) lam^s dlam,
+    I_s(mu; a, b) = int_a^b exp(-mu (b - lam)) lam^s dlam
 
-evaluated here through recurrences in the shifted variable sigma = b - lam,
-so production assembly never calls a quadrature routine.  The module also
-tabulates the truncated boundary kernels of the constant-coefficient heat
-operator, used by the integral-equation residual oracle.
+are evaluated here through recurrences in the shifted variable
+sigma = b - lam; they serve as a closed-form reference for exponential
+integrals (collocation assembly itself integrates by Gauss rules).  The
+module also tabulates the truncated boundary kernels of the
+constant-coefficient heat operator, used by the integral-equation residual
+oracle.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
     nu : ndarray, shape (M,)
         Nonnegative decay rates (one per eigenmode).
     delta : float
-        Positive integration length; in collocation use this is a node
-        spacing, so delta <= 2.
+        Positive integration length.
     s_max : int
         Highest power required.
 
@@ -219,7 +220,7 @@ def kernel_K(series, t) -> np.ndarray | float:
     """
     basis = _as_basis(series)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):
         raise ValueError("kernel K is singular at t = 0; need t > 0")
     kappa = basis.mu * basis.lift_coeffs * basis.boundary_trace
     out = np.tensordot(kappa, np.exp(-np.multiply.outer(basis.mu, t_arr)), axes=(0, 0))
@@ -235,8 +236,10 @@ def kernel_K1(series, t, x) -> np.ndarray | float:
     basis = _as_basis(series)
     t_arr = np.asarray(t, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):
         raise ValueError("kernel K1 is singular at t = 0; need t > 0")
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError(f"kernel K1 needs a finite probe point, got x={x}")
     coeff = basis.mu * basis.lift_coeffs
     t_flat = np.atleast_1d(t_arr).ravel()
     phis = basis.eigenfunctions(x_arr).reshape(basis.M, -1)

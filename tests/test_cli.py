@@ -125,6 +125,13 @@ def test_solve_reports_solver_failure(capsys):
     assert code == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_fp_tol_is_a_config_error(capsys, tol):
+    code = main(["solve", "--problem", "reference", "--mode", "picard", "--fp-tol", tol])
+    assert code == EXIT_CONFIG
+    assert "finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["solve"], ["tables", "--n", "2"], ["convergence"], ["baseline"]]
 )
@@ -183,8 +190,11 @@ def test_kernels_table_matches_series(capsys):
 
 
 def test_kernels_reject_nonpositive_times(capsys):
-    code = main(["kernels", "--t", "0.0,1.0"])
-    assert code == EXIT_CONFIG
+    for argv in (["--t", "0.0,1.0"], ["--t", "nan"], ["--x", "nan"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["kernels"] + argv)
+        assert code == EXIT_CONFIG, argv
 
 
 def test_kernels_structured_carries_truncation_bound(capsys):

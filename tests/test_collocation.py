@@ -1,8 +1,8 @@
 """Coefficient assembly, the block system, and both stage solvers.
 
 The beta oracle integrates the assembled integrand directly with adaptive
-quadrature, mode by mode, so any sign or scaling slip in the moment route
-shows up immediately.
+quadrature, mode by mode, so any sign or scaling slip in the assembly's
+Gauss rules shows up immediately.
 """
 
 import numpy as np
@@ -96,6 +96,20 @@ def test_beta_against_quadrature(small_setup):
     coeffs = assemble_coefficients(family, grid, partition, l=2)
     for k in (1, 3, 4):
         for j in (0, 2, 4):
+            for n in (0, 1, 7, 29):
+                oracle = beta_quadrature_oracle(family, grid, partition, 2, k, j, n)
+                assert abs(coeffs.beta_weighted[k - 1, j, n] - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("N", [32, 40, 48])
+def test_beta_against_quadrature_at_high_degree(small_setup, N):
+    """The same oracle at degrees where a monomial route to the kernel
+    integrals loses digits."""
+    family, _, partition = small_setup
+    grid = build_grid(N)
+    coeffs = assemble_coefficients(family, grid, partition, l=2)
+    for k in (1, N // 2, N):
+        for j in (0, N // 2, N):
             for n in (0, 1, 7, 29):
                 oracle = beta_quadrature_oracle(family, grid, partition, 2, k, j, n)
                 assert abs(coeffs.beta_weighted[k - 1, j, n] - oracle) <= 1e-9
@@ -197,7 +211,14 @@ def test_data_degree_floor_validated(small_setup):
         assert CoefficientAssembler(fam, grid, partition, data_degree=floor).data_degree == floor
 
 
-@pytest.mark.parametrize("N", [16, 24])
+def test_negative_frozen_eigenvalues_rejected(small_setup):
+    family, grid, partition = small_setup
+    growing = constant_family(family.basis, c=-10.0)
+    with pytest.raises(ValueError, match="not positive"):
+        assemble_coefficients(growing, grid, partition, l=1)
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
 def test_varying_family_marches_to_roundoff(N):
     """Manufactured solution e^{-kappa t} sin(pi x / 2) under a = 1 + 0.5 t,
     c = 0.3 t: mode 1 carries the forcing, g = b u(1, .).  The frozen-operator
@@ -229,6 +250,14 @@ def test_varying_family_marches_to_roundoff(N):
     )
     trace = march(prob, SolverConfig(N=N, K=8, M=M), auto_refine=False)
     assert compute_errors(trace, prob).max_eps1 <= 1e-13
+
+
+@pytest.mark.parametrize("N", [32, 40, 48, 64])
+def test_reference_problem_reaches_roundoff_at_high_degree(reference_problem, N):
+    """One slab, no refinement: the kernel integrals must stay accurate at
+    every degree, not only where a monomial route still holds."""
+    trace = march(reference_problem, SolverConfig(N=N, K=1, M=128), auto_refine=False)
+    assert compute_errors(trace, reference_problem).max_eps1 <= 1e-13
 
 
 @pytest.mark.parametrize("N", [4, 8, 16])
@@ -519,6 +548,14 @@ def test_config_validation():
         SolverConfig(mode="secant")
     with pytest.raises(ValueError):
         SolverConfig(fp_tol=0.0)
+    for bad_tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(fp_tol=bad_tol)
+    for field in ("N", "K", "M", "fp_max_iter"):
+        for bad in (2.5, 2.0, "4"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SolverConfig(**{field: bad})
+        assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
 
 
 def test_march_validates_problem_shape(reference_problem):

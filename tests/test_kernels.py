@@ -131,6 +131,12 @@ def test_kernel_K_rejects_nonpositive_time(series):
         kernel_K(series, 0.0)
     with pytest.raises(ValueError):
         kernel_K1(series, -0.5, 0.5)
+    with pytest.raises(ValueError):
+        kernel_K(series, np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
+        kernel_K1(series, np.nan, 0.5)
+    with pytest.raises(ValueError):
+        kernel_K1(series, 0.5, np.nan)
 
 
 def test_K1_boundary_trace_equals_K(series):
