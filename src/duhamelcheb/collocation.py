@@ -29,6 +29,7 @@ import numpy as np
 
 from .mesh import CGLGrid, TimePartition, build_grid, interpolate
 from .operators import OperatorFamily
+from .kernels import ExpDecay
 from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tracing.py reads it here
 
 __all__ = [
@@ -157,6 +158,22 @@ class CollocationCoefficients:
         return self.E.shape[1]
 
 
+def _sample(fn: Callable[[float], float], times: np.ndarray) -> np.ndarray:
+    """Values of the scalar data ``fn`` at ``times``, in an array of their shape.
+
+    An ``ExpDecay`` broadcasts, so it takes one array call; every other
+    callable gets one scalar float time per call, point by point.
+    """
+    if isinstance(fn, ExpDecay):
+        values = fn(times)
+        if np.shape(values) != times.shape:
+            raise ValueError(
+                f"{fn!r} returned shape {np.shape(values)} for times of shape {times.shape}"
+            )
+        return values
+    return np.array([float(fn(t)) for t in times.ravel()]).reshape(times.shape)
+
+
 class CoefficientAssembler:
     """Per-slab coefficient assembly with caching for constant families.
 
@@ -263,7 +280,10 @@ class CoefficientAssembler:
         to roundoff by Gauss rules for polynomial data up to that degree and
         for analytic data.  ``b`` rides inside the products b L_j that
         weight the boundary-trace unknowns; when it is omitted b is
-        identically one.
+        identically one.  A ``g`` or ``b`` that is an
+        :class:`~duhamelcheb.kernels.ExpDecay` is sampled at all the slab's
+        sample times in one array call; any other ``g`` or ``b``, and every
+        ``f``, is called once per sample time with a scalar float.
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)
@@ -277,20 +297,22 @@ class CoefficientAssembler:
         tau = self.partition.tau
         mu0 = self.family.basis.mu
         lift = self.family.basis.lift_coeffs
+        a_star = self.family.a(t_star[1:])
+        g_loc = None if g is None else _sample(g, t_loc)
+        b_loc = None if b is None else _sample(b, t_loc)
         phi = np.zeros((N, M))
         beta_weighted = np.empty((N, N + 1, M))
         for k in range(1, N + 1):
             R = maps[k - 1]
-            kernel_scale = self.family.a(t_star[k]) * mu0 * lift
+            kernel_scale = a_star[k - 1] * mu0 * lift
             if g is not None:
-                g_loc = np.array([float(g(t)) for t in t_loc[k - 1]])
-                phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc)
+                phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc[k - 1])
             if f is not None:
                 f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k - 1]])
                 phi[k - 1] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
             lag = self._lag_loc[k - 1]
             if b is not None:
-                lag = lag * np.array([float(b(t)) for t in t_loc[k - 1]])[None, :]
+                lag = lag * b_loc[k - 1][None, :]
             beta_weighted[k - 1] = -0.5 * tau * (R @ lag.T).T * kernel_scale[None, :]
         return CollocationCoefficients(
             slab=l,
@@ -410,12 +432,15 @@ def assemble_block_system(
     ``boundary_multiplier`` only supplies the nodal values used to recover
     y = b w; the coupling itself comes from ``coeffs.beta_weighted``, so the
     coefficients must have been assembled with the same multiplier (or with
-    none, for b identically one).
+    none, for b identically one).  An
+    :class:`~duhamelcheb.kernels.ExpDecay` multiplier is sampled at the N + 1
+    slab nodes in one array call; any other callable once per node with a
+    scalar float.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     N, M = coeffs.N, coeffs.M
-    bvals = np.array([float(boundary_multiplier(t)) for t in coeffs.t_star])
+    bvals = _sample(boundary_multiplier, coeffs.t_star)
     subdiag = np.zeros((N, M))
     subdiag[1:] = coeffs.E[1:]
     Cmat, D = coeffs.alpha[:, 1:, :], coeffs.beta_weighted[:, 1:, :]
@@ -548,7 +573,12 @@ def solve_stage_fixed_point(
     Iterates x <- S~^{-1} (C~ x + D W Lambda (I - S~ + C~) x) + const with
     W = [I - Lambda D]^{-1}; converges geometrically when the combined
     coupling is a contraction, with ratio shrinking as the slab shortens.
+    ``tol`` must be finite and positive and ``max_iter`` an integer >= 1.
     """
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     N, M = system.N, system.M
     Pmat = system.lambda_d_matrix()
     rho = float(np.abs(Pmat).sum(axis=1).max())

@@ -12,12 +12,13 @@ integral equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family
-from .kernels import KernelSeries, exp_integral, homogeneous_v
+from .kernels import ExpDecay, KernelSeries, exp_integral, homogeneous_v
 from .collocation import SolutionTrace
 
 __all__ = [
@@ -35,22 +36,6 @@ __all__ = [
     "residual_of_exact_in_integral_equations",
     "residual_tail_bound",
 ]
-
-
-@dataclass(frozen=True)
-class ExpDecay:
-    """The exponential profile coef * exp(-rate * t).
-
-    Boundary data of this closed form lets the residual oracle integrate
-    the kernel series mode by mode without quadrature.
-    """
-
-    coef: float
-    rate: float = 0.0
-
-    def __call__(self, t):
-        val = self.coef * np.exp(-self.rate * np.asarray(t, dtype=float))
-        return float(val) if np.ndim(t) == 0 else val
 
 
 @dataclass(frozen=True)
@@ -221,7 +206,9 @@ class Table:
     Renders as CSV, with the notes as leading ``# `` lines, or as the
     structured ``{kind, config, columns, rows[, notes]}`` document.  CSV
     cells print ints with ``str`` and everything else as the ``repr`` of
-    a float, so every value round-trips bit for bit.
+    a float, so every value round-trips bit for bit.  A table of Python
+    floats only is joined row by row with ``repr``; otherwise the choice is
+    made once per column whose cells share it.
     """
 
     kind: str
@@ -233,8 +220,10 @@ class Table:
     def to_csv(self) -> str:
         lines = [f"# {n}" for n in self.notes]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
+        if set(map(type, chain.from_iterable(self.rows))) <= {float}:
+            lines += [",".join(map(repr, row)) for row in self.rows]
+        else:
+            lines += map(",".join, zip(*map(_csv_cells, zip(*self.rows, strict=True))))
         return "\n".join(lines) + "\n"
 
     def to_structured(self) -> dict:
@@ -242,6 +231,16 @@ class Table:
         if self.notes:
             doc["notes"] = list(self.notes)
         return doc
+
+
+def _csv_cells(column: tuple) -> Iterable[str]:
+    """CSV text of one column's cells: ``str`` of an int, ``repr`` of a float."""
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return map(repr, column)
+    if all(issubclass(kind, int) for kind in kinds):
+        return map(str, column)
+    return (str(v) if isinstance(v, int) else repr(float(v)) for v in column)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ The moments
 are evaluated here through recurrences in the shifted variable
 sigma = b - lam; they serve as a closed-form reference for exponential
 integrals (collocation assembly itself integrates by Gauss rules).  The
-module also tabulates the truncated boundary kernels of the
-constant-coefficient heat operator, used by the integral-equation residual
-oracle.
+module also defines the exponential data profile ``ExpDecay`` and tabulates
+the truncated boundary kernels of the constant-coefficient heat operator,
+used by the integral-equation residual oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .operators import EigenBasis
 
 __all__ = [
+    "ExpDecay",
     "MomentTable",
     "KernelSeries",
     "exp_sigma_moments",
@@ -35,6 +36,25 @@ __all__ = [
 SMALL_ARGUMENT = 1e-6
 """Below this value of |mu * delta| the zeroth moment switches to a Taylor
 polynomial; above it the expm1-based closed form is exact to roundoff."""
+
+
+@dataclass(frozen=True)
+class ExpDecay:
+    """The exponential profile coef * exp(-rate * t).
+
+    Broadcasts over an array of times, so collocation samples it with one
+    array call per slab; every other data callable gets scalar float times
+    one point at a time.  Boundary data of this closed form lets the
+    residual oracle integrate the kernel series mode by mode without
+    quadrature.
+    """
+
+    coef: float
+    rate: float = 0.0
+
+    def __call__(self, t):
+        val = self.coef * np.exp(-self.rate * np.asarray(t, dtype=float))
+        return float(val) if np.ndim(t) == 0 else val
 
 
 def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:

@@ -5,6 +5,9 @@ quadrature, mode by mode, so any sign or scaling slip in the assembly's
 Gauss rules shows up immediately.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,6 +24,7 @@ from duhamelcheb import (
     assemble_coefficients,
     build_decay_example,
     build_grid,
+    build_neumann_example,
     build_reference_example,
     build_zero_example,
     compute_errors,
@@ -29,8 +33,9 @@ from duhamelcheb import (
     lagrange_eval,
     march,
     solve_stage_direct,
+    solve_stage_fixed_point,
 )
-from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
+from duhamelcheb.collocation import CoefficientAssembler, _sample, block_matrix_inf_norm
 from duhamelcheb.mesh import TimePartition
 from duhamelcheb.operators import OperatorFamily
 
@@ -218,12 +223,10 @@ def test_negative_frozen_eigenvalues_rejected(small_setup):
         assemble_coefficients(growing, grid, partition, l=1)
 
 
-@pytest.mark.parametrize("N", [16, 24, 32])
-def test_varying_family_marches_to_roundoff(N):
+def varying_manufactured_problem(M=128):
     """Manufactured solution e^{-kappa t} sin(pi x / 2) under a = 1 + 0.5 t,
-    c = 0.3 t: mode 1 carries the forcing, g = b u(1, .).  The frozen-operator
-    defect must be integrated as accurately as the data at every degree."""
-    M, kappa, rate_b = 128, 2.5, np.pi**2 / 2.0
+    c = 0.3 t, kappa = 2.5: mode 1 carries the forcing, g = b u(1, .)."""
+    kappa, rate_b = 2.5, np.pi**2 / 2.0
     basis = heat_basis(M)
     family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.0, 0.3]))
     u0 = np.zeros(M)
@@ -234,7 +237,7 @@ def test_varying_family_marches_to_roundoff(N):
         out[0] = (family.frozen_eigenvalues(t)[0] - kappa) * np.exp(-kappa * t)
         return out
 
-    prob = HeatProblem(
+    return HeatProblem(
         family=family,
         b=ExpDecay(1.0, rate_b),
         g=ExpDecay(1.0, rate_b + kappa),
@@ -248,7 +251,14 @@ def test_varying_family_marches_to_roundoff(N):
         ),
         name="varying-manufactured",
     )
-    trace = march(prob, SolverConfig(N=N, K=8, M=M), auto_refine=False)
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
+def test_varying_family_marches_to_roundoff(N):
+    """The frozen-operator defect must be integrated as accurately as the
+    data at every degree."""
+    prob = varying_manufactured_problem()
+    trace = march(prob, SolverConfig(N=N, K=8, M=128), auto_refine=False)
     assert compute_errors(trace, prob).max_eps1 <= 1e-13
 
 
@@ -646,3 +656,110 @@ def test_non_finite_final_time_rejected(T):
         SolverConfig(T=T)
     with pytest.raises(ValueError, match="T="):
         TimePartition(T, 2)
+
+
+@pytest.mark.parametrize(
+    "controls, name",
+    [
+        ({"tol": np.nan}, "tol"),
+        ({"tol": np.inf}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"max_iter": 0}, "max_iter"),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero"],
+)
+def test_fixed_point_rejects_bad_controls(reference_problem, controls, name):
+    """Called directly, the fixed-point solver validates what SolverConfig would."""
+    family = reference_problem.family
+    coeffs = CoefficientAssembler(family, build_grid(8), TimePartition(1.0, 2)).slab(
+        1, reference_problem.g, None, reference_problem.b
+    )
+    system = assemble_block_system(coeffs, family, reference_problem.b)
+    x0 = reference_problem.u0
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_stage_fixed_point(system, x0, float(x0 @ family.basis.boundary_trace), **controls)
+
+
+@dataclasses.dataclass(frozen=True)
+class MathExpDecay(ExpDecay):
+    """An ExpDecay evaluated through math.exp point by point, recording the
+    shape of the times it is called with."""
+
+    shapes: list = dataclasses.field(default_factory=list, compare=False)
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        arg = -self.rate * np.asarray(t, dtype=float)
+        return self.coef * np.array([math.exp(v) for v in arg.ravel()]).reshape(arg.shape)
+
+
+def test_expdecay_data_is_sampled_once_per_slab():
+    """An ExpDecay g and b take one array call per slab each, plus one for
+    the nodal b values, and no scalar call; a scalar-only callable with the
+    same values marches to the same bytes point by point."""
+    N, K, M = 16, 32, 128
+    ref = build_reference_example(M)
+    g, b = MathExpDecay(ref.g.coef, ref.g.rate), MathExpDecay(ref.b.coef, ref.b.rate)
+    config = SolverConfig(N=N, K=K, M=M)
+    trace = march(dataclasses.replace(ref, g=g, b=b), config)
+    assert trace.refinements == 0
+    samples = (N, 17)  # (N, data_degree + 1) local sample times, data_degree = max(12, N)
+    assert g.shapes == [samples] * K
+    assert b.shapes == [samples, (N + 1,)] * K
+
+    def scalar_only(profile):
+        return lambda t: profile.coef * math.exp(-profile.rate * t)
+
+    with pytest.raises(TypeError):
+        scalar_only(g)(np.array([0.0, 0.5]))
+    scalar = march(dataclasses.replace(ref, g=scalar_only(g), b=scalar_only(b)), config)
+    assert scalar.node_modes().tobytes() == trace.node_modes().tobytes()
+    assert scalar.node_boundary_values().tobytes() == trace.node_boundary_values().tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, N, K",
+    [
+        (build_reference_example, 16, 32),
+        (build_neumann_example, 12, 1),
+        (varying_manufactured_problem, 12, 8),
+    ],
+    ids=["reference", "neumann", "varcoef-forced"],
+)
+def test_expdecay_array_sampling_matches_scalar_calls(build, N, K):
+    """The one array call per slab must give the scalar calls' values bit for
+    bit at every time march samples g and b (Neumann refines to K=4 here).
+    Traced and untraced runs take the two paths, so their outputs are
+    byte-identical only while this holds."""
+    problem = build()
+    times = []
+
+    def recorded(fn):
+        def sample(t):
+            times.append(t)
+            return fn(t)
+
+        return sample
+
+    recording = dataclasses.replace(problem, g=recorded(problem.g), b=recorded(problem.b))
+    march(recording, SolverConfig(N=N, K=K, M=128))
+    times = np.array(times)
+    for fn in (problem.g, problem.b):
+        array = _sample(fn, times)
+        scalar = np.array([fn(t) for t in times])
+        differ = np.flatnonzero(array.view(np.uint64) != scalar.view(np.uint64))
+        assert differ.size == 0, (
+            f"{fn!r}: np.exp on an array differs from the scalar call at {differ.size} of "
+            f"{times.size} times, first t={times[differ[0]]!r}: {array[differ[0]]!r} != "
+            f"{scalar[differ[0]]!r}; the array and point-by-point sampling paths no longer agree"
+        )
+
+
+def test_sample_checks_the_shape_of_an_array_call():
+    class Flat(ExpDecay):
+        def __call__(self, t):
+            return super().__call__(np.ravel(t))
+
+    with pytest.raises(ValueError, match=r"shape \(6,\) for times of shape \(2, 3\)"):
+        _sample(Flat(1.0, 1.0), np.zeros((2, 3)))

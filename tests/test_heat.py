@@ -10,6 +10,7 @@ from duhamelcheb import (
     ExpDecay,
     SeparableSolution,
     SolverConfig,
+    Table,
     build_decay_example,
     build_neumann_example,
     build_reference_example,
@@ -115,6 +116,34 @@ def test_error_report_structured_round_trip(reference_problem):
     assert payload["config"]["problem"] == "reference"
     assert len(payload["rows"]) == report.times.shape[0]
     assert payload["rows"][1][1] == report.eps1[1]
+
+
+def test_table_csv_bytes_are_pinned():
+    """ints print through str (bool included), every other cell as the repr
+    of a float (numpy integers included), in all-float and mixed tables."""
+    mixed = Table(
+        "mixed", {}, ["i", "b", "ni", "f", "nf", "mix"],
+        [
+            [1, True, np.int64(3), 0.1, np.float64(1 / 3), 7],
+            [-2, False, np.int64(-4), -0.0, np.float64(-0.0), 2.5],
+            [0, True, np.int64(0), float("nan"), np.float64("nan"), np.float64(5e-324)],
+            [10**20, False, np.int64(2**62), float("inf"), np.float64("-inf"), False],
+        ],
+        notes=("first note", "second, with a comma"),
+    )
+    assert mixed.to_csv() == (
+        "# first note\n# second, with a comma\ni,b,ni,f,nf,mix\n"
+        "1,True,3.0,0.1,0.3333333333333333,7\n"
+        "-2,False,-4.0,-0.0,-0.0,2.5\n"
+        "0,True,0.0,nan,nan,5e-324\n"
+        "100000000000000000000,False,4.611686018427388e+18,inf,-inf,False\n"
+    )
+    floats = Table(
+        "floats", {}, ["a", "b", "c"],
+        [[0.1, -0.0, 5e-324], [float("nan"), float("inf"), -float("inf")], [1e300, 2.0, -1.5e-310]],
+    )
+    assert floats.to_csv() == "a,b,c\n0.1,-0.0,5e-324\nnan,inf,-inf\n1e+300,2.0,-1.5e-310\n"
+    assert Table("empty", {}, ["x"], []).to_csv() == "x\n"
 
 
 def test_max_eps_properties_skip_initial_row():
