@@ -12,8 +12,7 @@ integral equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -206,9 +205,7 @@ class Table:
     Renders as CSV, with the notes as leading ``# `` lines, or as the
     structured ``{kind, config, columns, rows[, notes]}`` document.  CSV
     cells print ints with ``str`` and everything else as the ``repr`` of
-    a float, so every value round-trips bit for bit.  A table of Python
-    floats only is joined row by row with ``repr``; otherwise the choice is
-    made once per column whose cells share it.
+    a float, so every value round-trips bit for bit.
     """
 
     kind: str
@@ -220,10 +217,8 @@ class Table:
     def to_csv(self) -> str:
         lines = [f"# {n}" for n in self.notes]
         lines.append(",".join(self.columns))
-        if set(map(type, chain.from_iterable(self.rows))) <= {float}:
-            lines += [",".join(map(repr, row)) for row in self.rows]
-        else:
-            lines += map(",".join, zip(*map(_csv_cells, zip(*self.rows, strict=True))))
+        for row in self.rows:
+            lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
     def to_structured(self) -> dict:
@@ -231,16 +226,6 @@ class Table:
         if self.notes:
             doc["notes"] = list(self.notes)
         return doc
-
-
-def _csv_cells(column: tuple) -> Iterable[str]:
-    """CSV text of one column's cells: ``str`` of an int, ``repr`` of a float."""
-    kinds = set(map(type, column))
-    if kinds <= {float}:
-        return map(repr, column)
-    if all(issubclass(kind, int) for kind in kinds):
-        return map(str, column)
-    return (str(v) if isinstance(v, int) else repr(float(v)) for v in column)
 
 
 @dataclass(frozen=True)
