@@ -29,7 +29,7 @@ import numpy as np
 
 from .mesh import CGLGrid, TimePartition, build_grid, interpolate
 from .operators import OperatorFamily
-from .kernels import ExpDecay
+from .kernels import sample_data
 from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tracing.py reads it here
 
 __all__ = [
@@ -158,22 +158,6 @@ class CollocationCoefficients:
         return self.E.shape[1]
 
 
-def _sample(fn: Callable[[float], float], times: np.ndarray) -> np.ndarray:
-    """Values of the scalar data ``fn`` at ``times``, in an array of their shape.
-
-    An ``ExpDecay`` broadcasts, so it takes one array call; every other
-    callable gets one scalar float time per call, point by point.
-    """
-    if isinstance(fn, ExpDecay):
-        values = fn(times)
-        if np.shape(values) != times.shape:
-            raise ValueError(
-                f"{fn!r} returned shape {np.shape(values)} for times of shape {times.shape}"
-            )
-        return values
-    return np.array([float(fn(t)) for t in times.ravel()]).reshape(times.shape)
-
-
 class CoefficientAssembler:
     """Per-slab coefficient assembly with caching for constant families.
 
@@ -298,8 +282,8 @@ class CoefficientAssembler:
         mu0 = self.family.basis.mu
         lift = self.family.basis.lift_coeffs
         a_star = self.family.a(t_star[1:])
-        g_loc = None if g is None else _sample(g, t_loc)
-        b_loc = None if b is None else _sample(b, t_loc)
+        g_loc = None if g is None else sample_data(g, t_loc)
+        b_loc = None if b is None else sample_data(b, t_loc)
         phi = np.zeros((N, M))
         beta_weighted = np.empty((N, N + 1, M))
         for k in range(1, N + 1):
@@ -440,7 +424,7 @@ def assemble_block_system(
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     N, M = coeffs.N, coeffs.M
-    bvals = _sample(boundary_multiplier, coeffs.t_star)
+    bvals = sample_data(boundary_multiplier, coeffs.t_star)
     subdiag = np.zeros((N, M))
     subdiag[1:] = coeffs.E[1:]
     Cmat, D = coeffs.alpha[:, 1:, :], coeffs.beta_weighted[:, 1:, :]
@@ -652,9 +636,15 @@ class SolutionTrace:
     contraction_max: float
 
     def node_times(self) -> np.ndarray:
-        """Distinct node times: t = 0 followed by nodes 1..N of each slab."""
-        slabs = [self.partition.slab_times(stage.slab, self.grid)[1:] for stage in self.stages]
-        return np.concatenate([[0.0]] + slabs)
+        """Distinct node times: t = 0 followed by nodes 1..N of each slab.
+
+        One array expression with the products of
+        :meth:`~duhamelcheb.mesh.TimePartition.map_to_slab`, so the times
+        equal its per-slab values bit for bit.
+        """
+        l = np.array([stage.slab for stage in self.stages])[:, None]
+        slabs = 0.5 * self.partition.tau * (self.grid.nodes[1:] + (2 * l - 1))
+        return np.concatenate([[0.0], slabs.ravel()])
 
     def _nodal(self, field: str) -> np.ndarray:
         """Stage values of ``field`` at :meth:`node_times`, junctions kept once."""

@@ -3,7 +3,9 @@
 The baseline is backward Euler with the same boundary-lift splitting as
 the collocation solver: each step solves the frozen implicit system in the
 eigenbasis and recovers the boundary value through the closed-form lift
-profile, so the comparison isolates the time discretization.
+profile, so the comparison isolates the time discretization.  It samples
+its data once per sweep and, for a constant family, builds the frozen step
+operator once; its wall time counts that sampling.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .collocation import SolverConfig, march
 from .heat import ErrorReport, HeatProblem, Table, compute_errors
+from .kernels import sample_data
 
 __all__ = [
     "StudyRow",
@@ -143,9 +146,19 @@ def baseline_backward_euler(
     split representation (interior series plus closed-form lift), so the
     reported errors measure the time discretization rather than series
     truncation.
+
+    The data are sampled once per sweep: a(t) and c(t) at all step times in
+    one array call each, and b and g through
+    :func:`~duhamelcheb.kernels.sample_data` (one array call for an
+    ``ExpDecay``).  A constant family builds the frozen step operator once;
+    the forcing is called once per step.  ``wall_time_s`` covers the
+    sampling and the stepping.  ``steps`` must be an integer >= 1 and
+    ``probe_x`` finite, or ``ValueError`` is raised.
     """
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    if not np.isfinite(probe_x):
+        raise ValueError(f"probe point must be finite, got probe_x={probe_x}")
     if problem.exact is None:
         raise ValueError("baseline error report needs an exact solution")
     family = problem.family
@@ -155,7 +168,6 @@ def baseline_backward_euler(
     phi_probe = basis.eigenfunctions(probe_x)
     lift1 = basis.lift_boundary_value
     lift_probe = float(basis.lift_profile(probe_x))
-    mu0 = basis.mu
     b_lift = basis.lift_coeffs
 
     u = problem.u0.copy()
@@ -167,25 +179,31 @@ def baseline_backward_euler(
     valsp[0] = float(u @ phi_probe)
 
     t0 = time.perf_counter()
-    for m in range(steps):
-        t_new = (m + 1) * h
-        mu_t = family.frozen_eigenvalues(t_new)
-        c_t = float(family.c(t_new))
-        denom = 1.0 + h * mu_t
+    times[1:] = np.arange(1, steps + 1) * h
+    step_data = zip(
+        times[1:].tolist(),
+        family.a(times[1:]).tolist(),
+        family.c(times[1:]).tolist(),
+        sample_data(problem.b, times[1:]).tolist(),
+        sample_data(problem.g, times[1:]).tolist(),
+    )
+    rebuild = not family.is_constant
+    for m, (t_new, a_t, c_t, b_t, g_t) in enumerate(step_data):
+        if m == 0 or rebuild:
+            denom = 1.0 + h * (a_t * basis.mu + c_t)
+            q = (1.0 + h * c_t) * b_lift / denom
+            Q = float(q @ trace1)
+            Q_probe = float(q @ phi_probe)
+            lift_rest = b_lift - q
         rhs = u
         if problem.forcing is not None:
             rhs = u + h * np.asarray(problem.forcing(t_new), dtype=float)
         p = rhs / denom
-        q = (1.0 + h * c_t) * b_lift / denom
         P = float(p @ trace1)
-        Q = float(q @ trace1)
-        b_t = float(problem.b(t_new))
-        g_t = float(problem.g(t_new))
         y = (g_t - b_t * P) / (1.0 + b_t * (lift1 - Q))
-        u = p + (b_lift - q) * y
-        times[m + 1] = t_new
+        u = p + lift_rest * y
         vals1[m + 1] = P - Q * y + lift1 * y
-        valsp[m + 1] = float(p @ phi_probe) - float(q @ phi_probe) * y + lift_probe * y
+        valsp[m + 1] = float(p @ phi_probe) - Q_probe * y + lift_probe * y
     wall = time.perf_counter() - t0
 
     exact1 = np.asarray(problem.exact.boundary_value(times), dtype=float)
@@ -196,7 +214,7 @@ def baseline_backward_euler(
         eps2=np.abs(exactp - valsp),
         config={
             "method": "backward_euler",
-            "steps": steps,
+            "steps": int(steps),
             "M": basis.M,
             "T": problem.T,
             "problem": problem.name,

@@ -257,9 +257,15 @@ class ErrorReport:
 
 
 def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 0.5) -> ErrorReport:
-    """Error report of a marched trace at all distinct node times."""
+    """Error report of a marched trace at all distinct node times.
+
+    Raises ``ValueError`` without an exact solution or for a non-finite
+    ``probe_x``.
+    """
     if problem.exact is None:
         raise ValueError("error report needs a problem with an exact solution")
+    if not np.isfinite(probe_x):
+        raise ValueError(f"probe point must be finite, got probe_x={probe_x}")
     basis = problem.basis
     times = trace.node_times()
     modes = trace.node_modes()

@@ -7,8 +7,9 @@ The moments
 are evaluated here through recurrences in the shifted variable
 sigma = b - lam; they serve as a closed-form reference for exponential
 integrals (collocation assembly itself integrates by Gauss rules).  The
-module also defines the exponential data profile ``ExpDecay`` and tabulates
-the truncated boundary kernels of the constant-coefficient heat operator,
+module also defines the exponential data profile ``ExpDecay``, the sampler
+``sample_data`` that gives it one array call, and tabulates the truncated
+boundary kernels of the constant-coefficient heat operator,
 used by the integral-equation residual oracle.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .operators import EigenBasis
 
 __all__ = [
     "ExpDecay",
+    "sample_data",
     "MomentTable",
     "KernelSeries",
     "exp_sigma_moments",
@@ -42,9 +45,10 @@ polynomial; above it the expm1-based closed form is exact to roundoff."""
 class ExpDecay:
     """The exponential profile coef * exp(-rate * t).
 
-    Broadcasts over an array of times, so collocation samples it with one
-    array call per slab; every other data callable gets scalar float times
-    one point at a time.  Boundary data of this closed form lets the
+    Broadcasts over an array of times, so ``sample_data`` samples it with
+    one array call (per slab in collocation, per sweep in the backward
+    Euler baseline); every other data callable gets scalar float times one
+    point at a time.  Boundary data of this closed form lets the
     residual oracle integrate the kernel series mode by mode without
     quadrature.
     """
@@ -55,6 +59,22 @@ class ExpDecay:
     def __call__(self, t):
         val = self.coef * np.exp(-self.rate * np.asarray(t, dtype=float))
         return float(val) if np.ndim(t) == 0 else val
+
+
+def sample_data(fn: Callable[[float], float], times: np.ndarray) -> np.ndarray:
+    """Values of the scalar data ``fn`` at ``times``, in an array of their shape.
+
+    An ``ExpDecay`` broadcasts, so it takes one array call; every other
+    callable gets one scalar float time per call, point by point.
+    """
+    if isinstance(fn, ExpDecay):
+        values = fn(times)
+        if np.shape(values) != times.shape:
+            raise ValueError(
+                f"{fn!r} returned shape {np.shape(values)} for times of shape {times.shape}"
+            )
+        return values
+    return np.array([float(fn(t)) for t in times.ravel()]).reshape(times.shape)
 
 
 def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:

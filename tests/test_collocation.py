@@ -35,7 +35,8 @@ from duhamelcheb import (
     solve_stage_direct,
     solve_stage_fixed_point,
 )
-from duhamelcheb.collocation import CoefficientAssembler, _sample, block_matrix_inf_norm
+from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
+from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition
 from duhamelcheb.operators import OperatorFamily
 
@@ -746,7 +747,7 @@ def test_expdecay_array_sampling_matches_scalar_calls(build, N, K):
     march(recording, SolverConfig(N=N, K=K, M=128))
     times = np.array(times)
     for fn in (problem.g, problem.b):
-        array = _sample(fn, times)
+        array = sample_data(fn, times)
         scalar = np.array([fn(t) for t in times])
         differ = np.flatnonzero(array.view(np.uint64) != scalar.view(np.uint64))
         assert differ.size == 0, (
@@ -762,4 +763,18 @@ def test_sample_checks_the_shape_of_an_array_call():
             return super().__call__(np.ravel(t))
 
     with pytest.raises(ValueError, match=r"shape \(6,\) for times of shape \(2, 3\)"):
-        _sample(Flat(1.0, 1.0), np.zeros((2, 3)))
+        sample_data(Flat(1.0, 1.0), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, N, K",
+    [(build_reference_example, 8, 3), (build_reference_example, 16, 32), (build_neumann_example, 12, 1)],
+    ids=["reference-8-3", "reference-16-32", "neumann-refined"],
+)
+def test_node_times_equal_per_slab_map_to_slab(build, N, K):
+    """node_times is one array expression; it must give the per-slab
+    map_to_slab times bit for bit (Neumann refines to K=4 here)."""
+    trace = march(build(), SolverConfig(N=N, K=K, M=128))
+    slabs = [trace.partition.map_to_slab(l, trace.grid.nodes)[1:] for l in range(1, trace.partition.K + 1)]
+    expected = np.concatenate([[0.0]] + slabs)
+    assert trace.node_times().tobytes() == expected.tobytes()

@@ -1,6 +1,8 @@
 """Convergence studies, rate fitting, and the backward Euler baseline."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,15 +11,21 @@ from duhamelcheb import (
     ExpDecay,
     HeatProblem,
     SeparableSolution,
+    SolverConfig,
     StudyResult,
     baseline_backward_euler,
+    build_neumann_example,
+    build_reference_example,
     build_zero_example,
+    compute_errors,
     constant_family,
     fit_rates,
     heat_basis,
+    march,
     run_convergence_study,
 )
 from duhamelcheb.harness import StudyRow
+from test_collocation import varying_manufactured_problem
 
 
 def test_study_rows_follow_requested_sweep(reference_problem):
@@ -157,3 +165,123 @@ def test_baseline_handles_forcing():
     fine = baseline_backward_euler(prob, 200)
     assert fine.max_eps1 < 0.01
     assert 1.8 <= coarse.max_eps1 / fine.max_eps1 <= 2.2
+
+
+def per_step_oracle(problem, steps, probe_x=0.5):
+    """Backward Euler one step at a time: the frozen operator, c, b and g are
+    evaluated afresh with scalar calls at every step.  Returns the times and
+    the boundary and probe errors."""
+    family = problem.family
+    basis = family.basis
+    h = problem.T / steps
+    trace1 = basis.boundary_trace
+    phi_probe = basis.eigenfunctions(probe_x)
+    lift1 = basis.lift_boundary_value
+    lift_probe = float(basis.lift_profile(probe_x))
+    b_lift = basis.lift_coeffs
+    u = problem.u0.copy()
+    times, vals1, valsp = [0.0], [float(u @ trace1)], [float(u @ phi_probe)]
+    for m in range(steps):
+        t_new = (m + 1) * h
+        mu_t = family.frozen_eigenvalues(t_new)
+        c_t = float(family.c(t_new))
+        denom = 1.0 + h * mu_t
+        rhs = u
+        if problem.forcing is not None:
+            rhs = u + h * np.asarray(problem.forcing(t_new), dtype=float)
+        p = rhs / denom
+        q = (1.0 + h * c_t) * b_lift / denom
+        P = float(p @ trace1)
+        Q = float(q @ trace1)
+        b_t = float(problem.b(t_new))
+        g_t = float(problem.g(t_new))
+        y = (g_t - b_t * P) / (1.0 + b_t * (lift1 - Q))
+        u = p + (b_lift - q) * y
+        times.append(t_new)
+        vals1.append(P - Q * y + lift1 * y)
+        valsp.append(float(p @ phi_probe) - float(q @ phi_probe) * y + lift_probe * y)
+    times = np.array(times)
+    exact1 = np.asarray(problem.exact.boundary_value(times), dtype=float)
+    exactp = np.asarray(problem.exact(probe_x, times), dtype=float)
+    return times, np.abs(exact1 - np.array(vals1)), np.abs(exactp - np.array(valsp))
+
+
+def with_plain_callables(problem):
+    """The problem with its ExpDecay b and g replaced by scalar-only lambdas."""
+    def plain(profile):
+        return lambda t: profile.coef * math.exp(-profile.rate * t)
+
+    return dataclasses.replace(problem, b=plain(problem.b), g=plain(problem.g))
+
+
+def assert_matches_oracle(report, problem, steps, probe_x=0.5):
+    times, eps1, eps2 = per_step_oracle(problem, steps, probe_x)
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.eps1, eps1)
+    assert np.array_equal(report.eps2, eps2)
+
+
+@pytest.mark.parametrize("steps", [7, 1024])
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_reference_example,
+        build_neumann_example,
+        varying_manufactured_problem,
+        lambda: with_plain_callables(build_reference_example()),
+    ],
+    ids=["reference", "neumann", "varcoef-forced", "plain-callables"],
+)
+def test_baseline_matches_per_step_oracle(build, steps):
+    """Sampling the data once per sweep and building a constant family's step
+    operator once must leave every output bit unchanged."""
+    problem = build()
+    assert_matches_oracle(baseline_backward_euler(problem, steps), problem, steps)
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingExpDecay(ExpDecay):
+    """An ExpDecay that records the shape of the times of every call."""
+
+    shapes: list = dataclasses.field(default_factory=list, compare=False)
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return super().__call__(t)
+
+
+def test_baseline_samples_expdecay_data_once_per_sweep():
+    """Neumann (b identically one) is the problem whose errors move when q
+    does by one ulp, so it also checks the values."""
+    steps = 1024
+    problem = build_neumann_example()
+    g = CountingExpDecay(problem.g.coef, problem.g.rate)
+    b = CountingExpDecay(problem.b.coef, problem.b.rate)
+    report = baseline_backward_euler(dataclasses.replace(problem, g=g, b=b), steps)
+    assert g.shapes == [(steps,)]
+    assert b.shapes == [(steps,)]
+    assert_matches_oracle(report, problem, steps)
+
+
+def test_baseline_accepts_numpy_integer_steps():
+    problem = build_neumann_example()
+    report = baseline_backward_euler(problem, np.int64(1024))
+    assert type(report.config["steps"]) is int and report.config["steps"] == 1024
+    assert_matches_oracle(report, problem, 1024)
+
+
+@pytest.mark.parametrize(
+    "steps", [0, -3, 2.5, np.float64(8.0), "8", True, None], ids=repr
+)
+def test_baseline_rejects_non_integral_steps(reference_problem, steps):
+    with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
+        baseline_backward_euler(reference_problem, steps)
+
+
+@pytest.mark.parametrize("probe_x", [float("nan"), float("inf"), -float("inf")])
+def test_error_reports_reject_non_finite_probe(reference_problem, probe_x):
+    with pytest.raises(ValueError, match="^probe point must be finite"):
+        baseline_backward_euler(reference_problem, 8, probe_x=probe_x)
+    trace = march(reference_problem, SolverConfig(N=4, K=1, M=128))
+    with pytest.raises(ValueError, match="^probe point must be finite"):
+        compute_errors(trace, reference_problem, probe_x=probe_x)
