@@ -10,7 +10,9 @@ smoother of the two factors, while the multiplier b rides inside the
 coefficient integrals, which are evaluated to roundoff by Gauss rules.  One
 quadrature map per node subinterval, built from samples at local Chebyshev
 points, integrates every coefficient: the data g and f, the products b L_j,
-and the frozen-operator defect that multiplies L_j.
+and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
+those maps depend on the data degree alone and are built once per data
+degree per process, on first use, and shared read-only by every assembler.
 The interior block matrix is bidiagonal with elementwise-exponential
 subdiagonal blocks.  The direct solve reduces the trace unknowns to one
 N x N system through a single interior solve per slab: a forward sweep over
@@ -21,13 +23,14 @@ splitting is available as an alternative to the direct elimination.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .mesh import CGLGrid, TimePartition, build_grid, interpolate
+from .mesh import CGLGrid, TimePartition, build_grid, check_count, interpolate
 from .operators import OperatorFamily
 from .kernels import sample_data
 from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tracing.py reads it here
@@ -112,9 +115,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("N", "K", "M", "fp_max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
         if not np.isfinite(self.T) or self.T <= 0:
             raise ValueError(f"final time must be finite and positive, got T={self.T}")
         if self.mode not in ("direct", "fixed_point"):
@@ -158,6 +159,32 @@ class CollocationCoefficients:
         return self.E.shape[1]
 
 
+@functools.cache
+def _gauss_tables(Q: int):
+    """The quadrature tables of data degree ``Q``, which depend on ``Q`` alone.
+
+    Returns the Gauss-Legendre/Gauss-Laguerre split ``Q + 20``, the
+    degree-``Q`` CGL grid of local sample points, the Gauss-Legendre nodes
+    z_g with the weights folded into l_q(z_g), and the Gauss-Laguerre table.
+    Built once per ``Q`` per process and shared by every assembler, so every
+    array is read-only.
+    """
+    split = Q + 20
+    qgrid = build_grid(Q)
+    eye = np.eye(Q + 1)
+    z, w = np.polynomial.legendre.leggauss(Q + 40)
+    legendre = z, w[:, None] * interpolate(qgrid, eye, z)
+    # Gauss-Laguerre in u = lam (1 + z): sum_i omega_i l_q(u_i h - 1) is a
+    # degree-Q polynomial in h = 1 / lam, tabulated at the Chebyshev
+    # points of [0, 1 / split] and interpolated per mode
+    u, omega = np.polynomial.laguerre.laggauss(Q // 2 + 1)
+    h = (1.0 + qgrid.nodes) / (2.0 * split)
+    laguerre = omega @ interpolate(qgrid, eye, u * h[:, None] - 1.0)
+    for table in (qgrid.nodes, qgrid.spacings, qgrid.barycentric_weights, *legendre, laguerre):
+        table.flags.writeable = False
+    return split, qgrid, legendre, laguerre
+
+
 class CoefficientAssembler:
     """Per-slab coefficient assembly with caching for constant families.
 
@@ -173,7 +200,11 @@ class CoefficientAssembler:
     defect of the boundary values node-for-node and report spurious
     exactness on resolved problems.
     The alpha integrands have degree N + deg(a, c), so ``data_degree``
-    may not be lower.
+    may not be lower; it must be an integer (numpy integers included, bools
+    not), or ``ValueError`` is raised.  The Gauss tables depend on the data degree
+    alone: they are built once per data degree per process and shared
+    read-only by every assembler of that degree.  The local sample points
+    and their Lagrange values depend on the grid and stay per assembler.
     """
 
     def __init__(
@@ -188,30 +219,21 @@ class CoefficientAssembler:
         self.partition = partition
         N = grid.N
         floor = N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0], 1) - 1
+        if data_degree is not None:
+            check_count("data degree", data_degree)
         Q = max(12, floor) if data_degree is None else int(data_degree)
         if Q < floor:
             raise ValueError(
                 f"data degree {Q} is below N + deg(a, c) = {floor}, the degree of the alpha integrands"
             )
         self.data_degree = Q
-        self._split = Q + 20
-        self._qgrid = build_grid(Q)
-        zq = self._qgrid.nodes
+        self._split, self._qgrid, self._legendre, self._laguerre = _gauss_tables(Q)
         # local sample points s_q of subinterval k, and the Lagrange basis there
         theta = grid.spacings
-        self._s_loc = grid.nodes[1:, None] - 0.5 * theta[:, None] * (1.0 + zq)
+        self._s_loc = grid.nodes[1:, None] - 0.5 * theta[:, None] * (1.0 + self._qgrid.nodes)
         self._lag_loc = np.ascontiguousarray(
             interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
         )
-        # Gauss-Legendre nodes z_g with the weights folded into l_q(z_g)
-        z, w = np.polynomial.legendre.leggauss(Q + 40)
-        self._legendre = z, w[:, None] * interpolate(self._qgrid, np.eye(Q + 1), z)
-        # Gauss-Laguerre in u = lam (1 + z): sum_i omega_i l_q(u_i h - 1) is a
-        # degree-Q polynomial in h = 1 / lam, tabulated at the Chebyshev
-        # points of [0, 1 / split] and interpolated per mode
-        u, omega = np.polynomial.laguerre.laggauss(Q // 2 + 1)
-        h = (1.0 + zq) / (2.0 * self._split)
-        self._laguerre = omega @ interpolate(self._qgrid, np.eye(Q + 1), u * h[:, None] - 1.0)
         self._cache = None
 
     def _interior(self, t_star: np.ndarray, t_loc: np.ndarray):
@@ -366,13 +388,22 @@ class BlockSystem:
     def M(self) -> int:
         return self.subdiag.shape[1]
 
+    @functools.cached_property
+    def _lambda_d(self) -> np.ndarray:
+        lambda_d = np.einsum("km,kjm->kj", self.lam_weights, self.D)
+        lambda_d.flags.writeable = False
+        return lambda_d
+
     def lambda_d_matrix(self) -> np.ndarray:
-        """The N x N scalar matrix of the eliminated boundary system."""
-        return np.einsum("km,kjm->kj", self.lam_weights, self.D)
+        """The N x N scalar matrix of the eliminated boundary system.
+
+        Computed once per system and returned read-only.
+        """
+        return self._lambda_d
 
     def contraction_norm(self) -> float:
         """Infinity norm of Lambda D; below 1 the elimination is solvable."""
-        return float(np.abs(self.lambda_d_matrix()).sum(axis=1).max())
+        return float(np.abs(self._lambda_d).sum(axis=1).max())
 
     def s_tilde_blocks(self) -> np.ndarray:
         N, M = self.N, self.M
@@ -561,11 +592,10 @@ def solve_stage_fixed_point(
     """
     if not np.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_count("max_iter", max_iter)
     N, M = system.N, system.M
     Pmat = system.lambda_d_matrix()
-    rho = float(np.abs(Pmat).sum(axis=1).max())
+    rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
     W = np.linalg.inv(np.eye(N) - Pmat)

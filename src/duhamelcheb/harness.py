@@ -18,6 +18,7 @@ import numpy as np
 from .collocation import SolverConfig, march
 from .heat import ErrorReport, HeatProblem, Table, compute_errors
 from .kernels import sample_data
+from .mesh import check_count
 
 __all__ = [
     "StudyRow",
@@ -145,7 +146,8 @@ def baseline_backward_euler(
     the exact lift trace.  Boundary and probe values are recorded from the
     split representation (interior series plus closed-form lift), so the
     reported errors measure the time discretization rather than series
-    truncation.
+    truncation; the report keeps them as ``boundary_values`` and
+    ``probe_values``.
 
     The data are sampled once per sweep: a(t) and c(t) at all step times in
     one array call each, and b and g through
@@ -155,8 +157,7 @@ def baseline_backward_euler(
     sampling and the stepping.  ``steps`` must be an integer >= 1 and
     ``probe_x`` finite, or ``ValueError`` is raised.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    check_count("steps", steps)
     if not np.isfinite(probe_x):
         raise ValueError(f"probe point must be finite, got probe_x={probe_x}")
     if problem.exact is None:
@@ -221,6 +222,8 @@ def baseline_backward_euler(
             "probe_x": probe_x,
             "wall_time_s": wall,
         },
+        boundary_values=vals1,
+        probe_values=valsp,
     )
 
 

@@ -234,13 +234,17 @@ class ErrorReport:
 
     eps1 is the boundary-value error |u(1, t) - u_N(1, t)|, eps2 the error
     at the probe point (x = 1/2 by default).  The first row is the initial
-    time.
+    time.  boundary_values and probe_values, when given, are the approximate
+    values u_N(1, t) and u_N(probe_x, t) the errors were taken from; the
+    table does not render them.
     """
 
     times: np.ndarray
     eps1: np.ndarray
     eps2: np.ndarray
     config: dict
+    boundary_values: np.ndarray | None = None
+    probe_values: np.ndarray | None = None
 
     @property
     def max_eps1(self) -> float:
@@ -285,7 +289,14 @@ def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 
         "probe_x": probe_x,
         "refinements": trace.refinements,
     }
-    return ErrorReport(times=times, eps1=eps1, eps2=eps2, config=cfg)
+    return ErrorReport(
+        times=times,
+        eps1=eps1,
+        eps2=eps2,
+        config=cfg,
+        boundary_values=approx_boundary,
+        probe_values=approx_probe,
+    )
 
 
 def _modal_convolution(basis: EigenBasis, data: ExpDecay, t: float) -> np.ndarray:

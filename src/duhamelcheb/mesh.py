@@ -20,7 +20,18 @@ __all__ = [
     "lagrange_eval",
     "interpolate",
     "lebesgue_constant",
+    "check_count",
 ]
+
+
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``value`` unless it is an integer >= 1.
+
+    Python and numpy integers are accepted; bools, floats (even integral
+    ones) and strings are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ def build_grid(N: int) -> CGLGrid:
     Parameters
     ----------
     N : int
-        Polynomial degree, at least 1.
+        Polynomial degree, an integer >= 1 (see :func:`check_count`).
 
     Returns
     -------
@@ -67,8 +78,7 @@ def build_grid(N: int) -> CGLGrid:
     stability requirements of the exponential quadratures (the spacing
     bound ``pi / N`` only holds for N >= 2).
     """
-    if N < 1:
-        raise ValueError(f"grid degree must be >= 1, got {N}")
+    check_count("grid degree", N)
     k = np.arange(N + 1)
     nodes = np.cos((N - k) * np.pi / N)
     nodes[0] = -1.0
@@ -173,7 +183,11 @@ def lebesgue_constant(grid: CGLGrid, samples: int = 2001) -> float:
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Uniform partition of [0, T] into K slabs of width tau = T / K."""
+    """Uniform partition of [0, T] into K slabs of width tau = T / K.
+
+    T must be finite and positive and K an integer >= 1, or ``ValueError``
+    is raised.
+    """
 
     T: float
     K: int
@@ -181,8 +195,7 @@ class TimePartition:
     def __post_init__(self):
         if not np.isfinite(self.T) or self.T <= 0:
             raise ValueError(f"final time must be finite and positive, got T={self.T}")
-        if self.K < 1:
-            raise ValueError(f"slab count must be >= 1, got {self.K}")
+        check_count("slab count", self.K)
 
     @property
     def tau(self) -> float:

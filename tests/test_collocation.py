@@ -7,6 +7,11 @@ Gauss rules shows up immediately.
 
 import dataclasses
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from duhamelcheb import (
     solve_stage_direct,
     solve_stage_fixed_point,
 )
+from duhamelcheb import collocation
 from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition
@@ -215,6 +221,14 @@ def test_data_degree_floor_validated(small_setup):
         with pytest.raises(ValueError, match=f"data degree {floor - 1} .* {floor}"):
             CoefficientAssembler(fam, grid, partition, data_degree=floor - 1)
         assert CoefficientAssembler(fam, grid, partition, data_degree=floor).data_degree == floor
+
+
+@pytest.mark.parametrize("data_degree", [12.7, 14.0, np.float64(14.0), "13", True], ids=repr)
+def test_data_degree_must_be_an_integer(small_setup, data_degree):
+    family, grid, partition = small_setup
+    with pytest.raises(ValueError, match=f"^data degree must be an integer >= 1, got {re.escape(repr(data_degree))}$"):
+        CoefficientAssembler(family, grid, partition, data_degree=data_degree)
+    assert CoefficientAssembler(family, grid, partition, data_degree=np.int64(14)).data_degree == 14
 
 
 def test_negative_frozen_eigenvalues_rejected(small_setup):
@@ -563,7 +577,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite and positive"):
             SolverConfig(fp_tol=bad_tol)
     for field in ("N", "K", "M", "fp_max_iter"):
-        for bad in (2.5, 2.0, "4"):
+        for bad in (2.5, 2.0, "4", True):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 SolverConfig(**{field: bad})
         assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
@@ -778,3 +792,94 @@ def test_node_times_equal_per_slab_map_to_slab(build, N, K):
     slabs = [trace.partition.map_to_slab(l, trace.grid.nodes)[1:] for l in range(1, trace.partition.K + 1)]
     expected = np.concatenate([[0.0]] + slabs)
     assert trace.node_times().tobytes() == expected.tobytes()
+
+
+def test_assemblers_of_one_data_degree_share_read_only_tables(reference_problem):
+    """Grids of degree 4 and 8 both assemble at data degree 12: the second
+    assembler reuses the first one's Gauss tables, which nobody may write."""
+    family = reference_problem.family
+    first = CoefficientAssembler(family, build_grid(4), TimePartition(1.0, 2))
+    second = CoefficientAssembler(family, build_grid(8), TimePartition(1.0, 3))
+    assert first.data_degree == second.data_degree == 12
+    assert second._qgrid is first._qgrid
+    assert second._legendre is first._legendre
+    assert second._laguerre is first._laguerre
+    qgrid = first._qgrid
+    tables = [qgrid.nodes, qgrid.spacings, qgrid.barycentric_weights, *first._legendre, first._laguerre]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "build, N, K",
+    [(build_reference_example, 8, 2), (varying_manufactured_problem, 12, 3)],
+    ids=["reference", "varying"],
+)
+def test_shared_tables_assemble_the_same_bits_as_fresh_ones(build, N, K, monkeypatch):
+    problem = build()
+    grid, partition = build_grid(N), TimePartition(problem.T, K)
+    cached = CoefficientAssembler(problem.family, grid, partition)
+    monkeypatch.setattr(collocation, "_gauss_tables", collocation._gauss_tables.__wrapped__)
+    fresh = CoefficientAssembler(problem.family, grid, partition)
+    assert fresh._laguerre is not cached._laguerre
+    data = (problem.g, problem.forcing, problem.b)
+    for l in range(1, K + 1):
+        a, b = cached.slab(l, *data), fresh.slab(l, *data)
+        for name in ("t_star", "mu_frozen", "E", "alpha", "beta_weighted", "phi"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (l, name)
+
+
+def test_neumann_restarts_build_the_gauss_tables_once(monkeypatch):
+    """Neumann at (12, 1, 128) refines twice, and so builds three assemblers
+    of data degree 12; only the first computes a Gauss-Legendre rule."""
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    collocation._gauss_tables.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    trace = march(build_neumann_example(M=128), SolverConfig(N=12, K=1, M=128))
+    assert (trace.refinements, trace.partition.K) == (2, 4)
+    assert calls == [52]
+
+
+def test_importing_the_package_builds_no_gauss_tables():
+    """The tables are built on first use, so ``import duhamelcheb`` stays cheap."""
+    src = pathlib.Path(collocation.__file__).parents[1]
+    code = "import duhamelcheb.collocation as c; print(c._gauss_tables.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_lambda_d_is_computed_once_per_system(reference_problem, monkeypatch):
+    """march reads ||Lambda D|| and both stage solvers read it again: one
+    (N, N, M) contraction per system serves them all, read-only."""
+    grid, partition = build_grid(8), TimePartition(1.0, 2)
+    coeffs = assemble_coefficients(reference_problem.family, grid, partition, 1, g=reference_problem.g)
+    system = assemble_block_system(coeffs, reference_problem.family, reference_problem.b)
+    expected = np.einsum("km,kjm->kj", system.lam_weights, system.D)
+    calls = []
+    einsum = np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        if any(op is system.D for op in operands) and subscripts == "km,kjm->kj":
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    rho = system.contraction_norm()
+    x0, w0 = reference_problem.u0, float(reference_problem.u0 @ reference_problem.basis.boundary_trace)
+    direct = solve_stage_direct(system, x0, w0)
+    fixed = solve_stage_fixed_point(system, x0, w0)
+    assert len(calls) == 1
+    assert np.array_equal(system.lambda_d_matrix(), expected)
+    assert rho == direct.contraction == fixed.contraction == float(np.abs(expected).sum(axis=1).max())
+    with pytest.raises(ValueError, match="read-only"):
+        system.lambda_d_matrix()[0, 0] = 1.0

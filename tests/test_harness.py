@@ -169,8 +169,8 @@ def test_baseline_handles_forcing():
 
 def per_step_oracle(problem, steps, probe_x=0.5):
     """Backward Euler one step at a time: the frozen operator, c, b and g are
-    evaluated afresh with scalar calls at every step.  Returns the times and
-    the boundary and probe errors."""
+    evaluated afresh with scalar calls at every step.  Returns the times, the
+    boundary and probe errors, and the approximate boundary and probe values."""
     family = problem.family
     basis = family.basis
     h = problem.T / steps
@@ -200,10 +200,10 @@ def per_step_oracle(problem, steps, probe_x=0.5):
         times.append(t_new)
         vals1.append(P - Q * y + lift1 * y)
         valsp.append(float(p @ phi_probe) - float(q @ phi_probe) * y + lift_probe * y)
-    times = np.array(times)
+    times, vals1, valsp = np.array(times), np.array(vals1), np.array(valsp)
     exact1 = np.asarray(problem.exact.boundary_value(times), dtype=float)
     exactp = np.asarray(problem.exact(probe_x, times), dtype=float)
-    return times, np.abs(exact1 - np.array(vals1)), np.abs(exactp - np.array(valsp))
+    return times, np.abs(exact1 - vals1), np.abs(exactp - valsp), vals1, valsp
 
 
 def with_plain_callables(problem):
@@ -215,10 +215,12 @@ def with_plain_callables(problem):
 
 
 def assert_matches_oracle(report, problem, steps, probe_x=0.5):
-    times, eps1, eps2 = per_step_oracle(problem, steps, probe_x)
+    times, eps1, eps2, vals1, valsp = per_step_oracle(problem, steps, probe_x)
     assert np.array_equal(report.times, times)
     assert np.array_equal(report.eps1, eps1)
     assert np.array_equal(report.eps2, eps2)
+    assert np.array_equal(report.boundary_values, vals1)
+    assert np.array_equal(report.probe_values, valsp)
 
 
 @pytest.mark.parametrize("steps", [7, 1024])
@@ -234,7 +236,8 @@ def assert_matches_oracle(report, problem, steps, probe_x=0.5):
 )
 def test_baseline_matches_per_step_oracle(build, steps):
     """Sampling the data once per sweep and building a constant family's step
-    operator once must leave every output bit unchanged."""
+    operator once must leave every output bit unchanged, the approximate
+    boundary and probe values included."""
     problem = build()
     assert_matches_oracle(baseline_backward_euler(problem, steps), problem, steps)
 

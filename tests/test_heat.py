@@ -103,6 +103,20 @@ def test_error_report_csv_round_trips(reference_problem):
     assert len(body.strip().split("\n")) == 1 + report.times.shape[0] - 1
 
 
+def test_compute_errors_keeps_the_approximate_values(reference_problem):
+    """The report carries u_N(1, t) and u_N(probe_x, t) bit for bit, and its
+    table still renders t, eps1 and eps2 only."""
+    trace = march(reference_problem, SolverConfig(N=6, K=2, M=128))
+    report = compute_errors(trace, reference_problem, probe_x=0.25)
+    basis = reference_problem.basis
+    modes = trace.node_modes()
+    assert np.array_equal(report.boundary_values, modes @ basis.boundary_trace)
+    assert np.array_equal(report.probe_values, modes @ basis.eigenfunctions(0.25))
+    exact = reference_problem.exact.boundary_value(report.times)
+    assert np.array_equal(report.eps1, np.abs(exact - report.boundary_values))
+    assert report.table().columns == ["t", "eps1", "eps2"]
+
+
 def test_error_report_structured_round_trip(reference_problem):
     report = compute_errors(
         march(reference_problem, SolverConfig(N=4, K=1, M=128)), reference_problem

@@ -1,5 +1,7 @@
 """Grid construction, barycentric interpolation, and the slab map."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +39,19 @@ def test_nodes_n4():
 def test_rejects_degenerate_grid():
     with pytest.raises(ValueError):
         build_grid(0)
+
+
+@pytest.mark.parametrize("count", [0, -2, 2.5, 2.0, np.float64(3.0), "3", True, None], ids=repr)
+def test_grid_degree_and_slab_count_must_be_integers(count):
+    with pytest.raises(ValueError, match=f"^grid degree must be an integer >= 1, got {re.escape(repr(count))}"):
+        build_grid(count)
+    with pytest.raises(ValueError, match=f"^slab count must be an integer >= 1, got {re.escape(repr(count))}"):
+        TimePartition(1.0, count)
+
+
+def test_grid_degree_and_slab_count_accept_numpy_integers():
+    assert np.array_equal(build_grid(np.int64(6)).nodes, build_grid(6).nodes)
+    assert TimePartition(1.0, np.int32(4)).tau == TimePartition(1.0, 4).tau
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8, 13])
