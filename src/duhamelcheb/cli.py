@@ -50,12 +50,20 @@ _BUILDERS = {
 }
 
 
+def _parts(text: str) -> list[str]:
+    """Non-blank comma-separated parts; argparse exits 2 naming the flag when there are none."""
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"expected a non-empty comma-separated list, got {text!r}")
+    return parts
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [int(part) for part in _parts(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [float(part) for part in _parts(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,6 +23,7 @@ splitting is available as an alternative to the direct elimination.
 
 from __future__ import annotations
 
+import copy
 import functools
 import time
 from dataclasses import dataclass
@@ -204,7 +205,12 @@ class CoefficientAssembler:
     not), or ``ValueError`` is raised.  The Gauss tables depend on the data degree
     alone: they are built once per data degree per process and shared
     read-only by every assembler of that degree.  The local sample points
-    and their Lagrange values depend on the grid and stay per assembler.
+    and their Lagrange values depend on the grid alone: they are built once
+    per assembler, and ``march`` carries them over its restarts.  For a
+    constant family alpha is exactly zero and is not integrated, and the
+    slab's interior (E, alpha and the maps R_k) is computed once and
+    cached.  Every beta[k-1] and alpha[k-1] is written in place into its
+    output row.
     """
 
     def __init__(
@@ -247,7 +253,10 @@ class CoefficientAssembler:
         s_q.  With lam = nu theta_k / 2 it is taken by Gauss-Legendre up to
         lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
         z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
-        is below e^{-2 lam} e^{data_degree / 2}.
+        is below e^{-2 lam} e^{data_degree / 2}.  A constant family has
+        mu(t_k) - mu(t) = 0 exactly, so its alpha is returned as exact zeros
+        without being integrated; a varying family samples a(t) and c(t) at
+        all of the slab's sample times in one polynomial evaluation each.
         """
         family, grid, split = self.family, self.grid, self._split
         N, M, Q = grid.N, family.basis.M, self.data_degree
@@ -257,9 +266,12 @@ class CoefficientAssembler:
             raise ValueError(f"operator family is not positive on the slab starting at t={t_star[0]}")
         nu = 0.5 * tau * mu_frozen
         E = np.exp(-nu * grid.spacings[:, None])
-        alpha = np.empty((N, N + 1, M))
+        alpha = np.zeros((N, N + 1, M))
         maps = np.empty((N, M, Q + 1))
         z, w_lag = self._legendre
+        varying = not family.is_constant
+        if varying:
+            a_loc, c_loc = family.a(t_loc), family.c(t_loc)
         for k in range(N):
             half = 0.5 * grid.spacings[k]
             lam = half * nu[k]
@@ -268,9 +280,21 @@ class CoefficientAssembler:
             R[~fast] = half * (np.exp(-lam[~fast, None] * (1.0 + z)) @ w_lag)
             h = 1.0 / lam[fast]
             R[fast] = (half * h)[:, None] * interpolate(self._qgrid, self._laguerre, 2.0 * split * h - 1.0)
-            mu_q = family.frozen_eigenvalues(t_loc[k][:, None])
-            alpha[k] = 0.5 * tau * (self._lag_loc[k] @ (R.T * (mu_frozen[k] - mu_q)))
+            if varying:
+                mu_q = a_loc[k][:, None] * family.basis.mu + c_loc[k][:, None]
+                np.matmul(self._lag_loc[k], R.T * (mu_frozen[k] - mu_q), out=alpha[k])
+                alpha[k] *= 0.5 * tau
         return mu_frozen, E, alpha, maps
+
+    def _repartitioned(self, partition: TimePartition) -> CoefficientAssembler:
+        """This assembler on another partition of the same grid.
+
+        The Gauss tables, sample points and Lagrange values depend on the
+        grid alone and are shared, not rebuilt; the interior cache is not.
+        """
+        other = copy.copy(self)
+        other.partition, other._cache = partition, None
+        return other
 
     def slab(
         self,
@@ -319,7 +343,9 @@ class CoefficientAssembler:
             lag = self._lag_loc[k - 1]
             if b is not None:
                 lag = lag * b_loc[k - 1][None, :]
-            beta_weighted[k - 1] = -0.5 * tau * (R @ lag.T).T * kernel_scale[None, :]
+            beta = np.matmul(lag, R.T, out=beta_weighted[k - 1])
+            beta *= -0.5 * tau
+            beta *= kernel_scale
         return CollocationCoefficients(
             slab=l,
             t_star=t_star,
@@ -354,7 +380,10 @@ class BlockSystem:
     operator, exposed for conditioning diagnostics.  The solution is
     independent of gamma up to roundoff.  At gamma = 0 the coupling blocks
     are views of the coefficient arrays, which constant families share
-    across slabs, so solvers must not write to them.
+    across slabs, so solvers must not write to them.  Whether C~ vanishes
+    (always so for a constant family) is scanned once per system and kept
+    in the read-only ``has_interior_coupling``; both stage solvers skip
+    every C~ contraction when it is False.
 
     subdiag[i]     coupling of block row i to row i-1 (i >= 1; entry 0 unused)
     Cmat, D        (N, N, M) interior and boundary-trace coupling, columns
@@ -387,6 +416,11 @@ class BlockSystem:
     @property
     def M(self) -> int:
         return self.subdiag.shape[1]
+
+    @functools.cached_property
+    def has_interior_coupling(self) -> bool:
+        """Whether C~ has a nonzero entry (never for a constant family); scanned once."""
+        return bool(self.Cmat.any())
 
     @functools.cached_property
     def _lambda_d(self) -> np.ndarray:
@@ -512,9 +546,16 @@ def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
     return system.F_x * x0[None, :] + system.F_y * w0 + system.f_x
 
 
+def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
+    """C~ w for a block vector w of shape (N, M); zeros, uncontracted, when C~ vanishes."""
+    if system.has_interior_coupling:
+        return np.einsum("kjm,jm->km", system.Cmat, w)
+    return np.zeros(w.shape)
+
+
 def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     """(I - S~ + C~) w for a block vector w of shape (N, M)."""
-    out = np.einsum("kjm,jm->km", system.Cmat, w)
+    out = _c_apply(system, w)
     if system.N > 1:
         out[1:] += system.subdiag[1:] * w[:-1]
     return out
@@ -547,16 +588,18 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     into the trace rows they leave w = Lambda x~.  One interior solve
     Z = A^{-1} [D | Phi] therefore reduces the traces to the N x N system
     (I - Lambda Z_D) w = Lambda Z_Phi, and then x~ = Z_Phi + Z_D w.  When
-    C~ vanishes (constant families) A is unit lower bidiagonal and Z comes
-    from a forward sweep over all modes and columns at once; otherwise from
-    M batched N x N LU factorisations, each shared by the N + 1 columns.
+    C~ vanishes (``system.has_interior_coupling`` is False, as for every
+    constant family) A is unit lower bidiagonal, Z comes from a forward
+    sweep over all modes and columns at once, and the residual check skips
+    the C~ contraction; otherwise Z comes from M batched N x N LU
+    factorisations, each shared by the N + 1 columns.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
     Phi = _phi_blocks(system, x0, w0)
     rhs = np.concatenate([system.D, Phi[:, None, :]], axis=1)
-    if system.Cmat.any():
+    if system.has_interior_coupling:
         A = (system.s_tilde_blocks() - system.Cmat).transpose(2, 0, 1)
         Z = np.linalg.solve(A, rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
     else:
@@ -608,8 +651,7 @@ def solve_stage_fixed_point(
     converged = False
     for it in range(1, max_iter + 1):
         z = _lam_apply(system, _imsc(system, x))
-        cx = np.einsum("kjm,jm->km", system.Cmat, x)
-        x_new = _forward_sub(system, cx + _d_apply(system, W @ z)) + const
+        x_new = _forward_sub(system, _c_apply(system, x) + _d_apply(system, W @ z)) + const
         d = float(np.abs(x_new - x).max())
         if not np.isfinite(d):
             raise NonFiniteStageError(d, system.slab)
@@ -722,9 +764,9 @@ def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTr
     grid = build_grid(config.N)
     K = config.K
     refinements = 0
+    assembler = CoefficientAssembler(family, grid, TimePartition(config.T, K))
     while True:
-        partition = TimePartition(config.T, K)
-        assembler = CoefficientAssembler(family, grid, partition)
+        partition = assembler.partition
         stages: list[StageSolution] = []
         x_prev = u0
         w_prev = float(u0 @ basis.boundary_trace)
@@ -755,6 +797,7 @@ def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTr
         if refine:
             K *= 2
             refinements += 1
+            assembler = assembler._repartitioned(TimePartition(config.T, K))
             continue
         return SolutionTrace(
             config=config,

@@ -54,6 +54,16 @@ class StudyResult:
         )
 
 
+def _counts(name: str, values) -> list[int]:
+    """``values`` as Python ints; ``ValueError`` if empty or if one is not an integer >= 1."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"need at least one value of {name}, got an empty list")
+    for value in values:
+        check_count(name, value)
+    return [int(value) for value in values]
+
+
 def run_convergence_study(
     problem: HeatProblem,
     Ns,
@@ -66,21 +76,24 @@ def run_convergence_study(
     """March the problem for every (N, K) pair and collect max errors.
 
     Wall time per row covers the stage solves only, so rows are comparable
-    across N at fixed assembly cost.
+    across N at fixed assembly cost.  ``Ns`` and ``Ks`` must be non-empty
+    lists of integers >= 1 (see :func:`~duhamelcheb.mesh.check_count`), or
+    ``ValueError`` is raised before anything is marched.
     """
+    Ns, Ks = _counts("N", Ns), _counts("K", Ks)
     M = problem.basis.M
     rows = []
     for N in Ns:
         for K in Ks:
             config = SolverConfig(
-                N=int(N), K=int(K), M=M, T=problem.T, mode=mode,
+                N=N, K=K, M=M, T=problem.T, mode=mode,
                 fp_tol=fp_tol, fp_max_iter=fp_max_iter,
             )
             trace = march(problem, config)
             report = compute_errors(trace, problem, probe_x=probe_x)
             rows.append(
                 StudyRow(
-                    N=int(N),
+                    N=N,
                     K=trace.partition.K,
                     M=M,
                     max_eps1=report.max_eps1,
@@ -228,11 +241,15 @@ def baseline_backward_euler(
 
 
 def baseline_sweep(problem: HeatProblem, steps_list) -> Table:
-    """Backward-Euler max errors and stepping wall time at each step count."""
+    """Backward-Euler max errors and stepping wall time at each step count.
+
+    ``steps_list`` must be a non-empty list of integers >= 1, or
+    ``ValueError`` is raised before any sweep runs.
+    """
     rows = []
-    for steps in steps_list:
+    for steps in _counts("steps", steps_list):
         report = baseline_backward_euler(problem, steps)
-        rows.append([int(steps), report.max_eps1, report.max_eps2, report.config["wall_time_s"]])
+        rows.append([steps, report.max_eps1, report.max_eps2, report.config["wall_time_s"]])
     config = {"problem": problem.name, "M": problem.basis.M, "T": problem.T, "method": "backward_euler"}
     return Table("baseline", config, ["steps", "max_eps1", "max_eps2", "wall_time_s"], rows)
 

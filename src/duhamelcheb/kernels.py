@@ -253,6 +253,13 @@ def _as_basis(series_or_basis) -> EigenBasis:
     return series_or_basis
 
 
+def _check_positive_times(kernel: str, t_arr: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first t that is not > 0 (NaN included)."""
+    bad = t_arr[~(t_arr > 0)]
+    if bad.size:
+        raise ValueError(f"kernel {kernel} needs t > 0 (it is singular at t = 0), got t={float(bad[0])}")
+
+
 def kernel_K(series, t) -> np.ndarray | float:
     """Boundary trace kernel K(t) = sum_n mu_n b_n phi_n(1) exp(-mu_n t).
 
@@ -260,8 +267,7 @@ def kernel_K(series, t) -> np.ndarray | float:
     """
     basis = _as_basis(series)
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0):
-        raise ValueError("kernel K is singular at t = 0; need t > 0")
+    _check_positive_times("K", t_arr)
     kappa = basis.mu * basis.lift_coeffs * basis.boundary_trace
     out = np.tensordot(kappa, np.exp(-np.multiply.outer(basis.mu, t_arr)), axes=(0, 0))
     return float(out) if np.ndim(t) == 0 else out
@@ -276,8 +282,7 @@ def kernel_K1(series, t, x) -> np.ndarray | float:
     basis = _as_basis(series)
     t_arr = np.asarray(t, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(t_arr > 0):
-        raise ValueError("kernel K1 is singular at t = 0; need t > 0")
+    _check_positive_times("K1", t_arr)
     if not np.all(np.isfinite(x_arr)):
         raise ValueError(f"kernel K1 needs a finite probe point, got x={x}")
     coeff = basis.mu * basis.lift_coeffs

@@ -253,3 +253,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "t,eps1,eps2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["convergence", "--Ns", ","], "--Ns"),
+        (["convergence", "--Ks", " , "], "--Ks"),
+        (["baseline", "--steps", ","], "--steps"),
+        (["kernels", "--t", ","], "--t"),
+    ],
+    ids=["Ns", "Ks", "steps", "t"],
+)
+def test_empty_lists_exit_2_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {flag}: expected a non-empty comma-separated list" in capsys.readouterr().err
+
+
+def test_kernels_name_the_first_nonpositive_time(capsys):
+    code = main(["kernels", "--t", "0.5,-1,0"])
+    assert code == EXIT_CONFIG
+    assert "got t=-1.0" in capsys.readouterr().err

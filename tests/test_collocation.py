@@ -43,7 +43,7 @@ from duhamelcheb import (
 from duhamelcheb import collocation
 from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
-from duhamelcheb.mesh import TimePartition
+from duhamelcheb.mesh import TimePartition, interpolate
 from duhamelcheb.operators import OperatorFamily
 
 
@@ -831,8 +831,9 @@ def test_shared_tables_assemble_the_same_bits_as_fresh_ones(build, N, K, monkeyp
 
 
 def test_neumann_restarts_build_the_gauss_tables_once(monkeypatch):
-    """Neumann at (12, 1, 128) refines twice, and so builds three assemblers
-    of data degree 12; only the first computes a Gauss-Legendre rule."""
+    """Neumann at (12, 1, 128) refines twice, and so assembles on three
+    partitions at data degree 12; only the first computes a Gauss-Legendre
+    rule."""
     calls = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -883,3 +884,155 @@ def test_lambda_d_is_computed_once_per_system(reference_problem, monkeypatch):
     assert rho == direct.contraction == fixed.contraction == float(np.abs(expected).sum(axis=1).max())
     with pytest.raises(ValueError, match="read-only"):
         system.lambda_d_matrix()[0, 0] = 1.0
+
+
+def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
+    """E, alpha, beta_weighted and phi of slab ``l`` by the earlier loop:
+    alpha integrated for every family with the frozen eigenvalues sampled
+    per subinterval, beta built as a transposed product scaled out of place."""
+    family, grid, partition = assembler.family, assembler.grid, assembler.partition
+    N, M, Q, split = grid.N, family.basis.M, assembler.data_degree, assembler._split
+    tau = partition.tau
+    t_star = partition.slab_times(l, grid)
+    t_loc = partition.map_to_slab(l, assembler._s_loc)
+    mu_frozen = family.frozen_eigenvalues(t_star[1:, None])
+    nu = 0.5 * tau * mu_frozen
+    E = np.exp(-nu * grid.spacings[:, None])
+    alpha = np.empty((N, N + 1, M))
+    maps = np.empty((N, M, Q + 1))
+    z, w_lag = assembler._legendre
+    for k in range(N):
+        half = 0.5 * grid.spacings[k]
+        lam = half * nu[k]
+        fast = lam > split
+        R = maps[k]
+        R[~fast] = half * (np.exp(-lam[~fast, None] * (1.0 + z)) @ w_lag)
+        h = 1.0 / lam[fast]
+        R[fast] = (half * h)[:, None] * interpolate(assembler._qgrid, assembler._laguerre, 2.0 * split * h - 1.0)
+        mu_q = family.frozen_eigenvalues(t_loc[k][:, None])
+        alpha[k] = 0.5 * tau * (assembler._lag_loc[k] @ (R.T * (mu_frozen[k] - mu_q)))
+    mu0, lift = family.basis.mu, family.basis.lift_coeffs
+    a_star = family.a(t_star[1:])
+    g_loc = None if g is None else sample_data(g, t_loc)
+    b_loc = None if b is None else sample_data(b, t_loc)
+    phi = np.zeros((N, M))
+    beta_weighted = np.empty((N, N + 1, M))
+    for k in range(1, N + 1):
+        R = maps[k - 1]
+        kernel_scale = a_star[k - 1] * mu0 * lift
+        if g is not None:
+            phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc[k - 1])
+        if f is not None:
+            f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k - 1]])
+            phi[k - 1] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
+        lag = assembler._lag_loc[k - 1]
+        if b is not None:
+            lag = lag * b_loc[k - 1][None, :]
+        beta_weighted[k - 1] = -0.5 * tau * (R @ lag.T).T * kernel_scale[None, :]
+    return E, alpha, beta_weighted, phi
+
+
+@pytest.mark.parametrize(
+    "build, N, K, M",
+    [
+        (build_reference_example, 16, 32, 128),
+        (build_reference_example, 12, 4, 4096),
+        (build_reference_example, 8, 3, 128),
+        (build_neumann_example, 12, 4, 128),
+        (varying_manufactured_problem, 12, 8, 128),
+        (varying_manufactured_problem, 12, 3, 128),
+    ],
+    ids=["reference-16-32", "reference-12-4-4096", "reference-8-3", "neumann", "varcoef-forced", "varcoef-forced-3"],
+)
+def test_slab_matches_the_per_subinterval_oracle(build, N, K, M):
+    """In-place rows, the constant-family zeros and the per-slab sampling of
+    a(t) and c(t) must give the earlier loop's coefficients bit for bit, on
+    every slab (a constant family's slabs after the first reuse the cache).
+    With K = 3 the slab width is not a power of two, so the order of the two
+    in-place scalings shows."""
+    problem = build(M=M)
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    data = (problem.g, problem.forcing, problem.b)
+    for l in range(1, K + 1):
+        coeffs = assembler.slab(l, *data)
+        expected = per_subinterval_oracle(assembler, l, *data)
+        for name, want in zip(("E", "alpha", "beta_weighted", "phi"), expected):
+            assert getattr(coeffs, name).tobytes() == want.tobytes(), (l, name)
+
+
+def count_interior_contractions(monkeypatch) -> list:
+    calls = []
+    einsum = np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        if subscripts == "kjm,jm->km":
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_constant_family_skips_the_interior_coupling(reference_problem, mode, monkeypatch):
+    """alpha is exact zeros, computed without sampling the family at the
+    sample times; the system flags C~ as absent, and neither stage solver
+    contracts it."""
+    family = reference_problem.family
+    frozen_shapes = []
+    frozen = OperatorFamily.frozen_eigenvalues
+
+    def recording(self, t):
+        frozen_shapes.append(np.shape(t))
+        return frozen(self, t)
+
+    monkeypatch.setattr(OperatorFamily, "frozen_eigenvalues", recording)
+    assembler = CoefficientAssembler(family, build_grid(8), TimePartition(1.0, 2))
+    coeffs = assembler.slab(1, reference_problem.g, None, reference_problem.b)
+    assert frozen_shapes == [(8, 1)]
+    assert not coeffs.alpha.any() and not np.signbit(coeffs.alpha).any()
+    system = assemble_block_system(coeffs, family, reference_problem.b)
+    assert system.has_interior_coupling is False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.has_interior_coupling = True
+
+    calls = count_interior_contractions(monkeypatch)
+    trace = march(reference_problem, SolverConfig(N=8, K=2, M=128, mode=mode))
+    assert compute_errors(trace, reference_problem).max_eps1 <= 1e-10
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_varying_family_keeps_the_interior_coupling(mode, monkeypatch):
+    problem = varying_manufactured_problem()
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(1.0, 8))
+    coeffs = assembler.slab(1, problem.g, problem.forcing, problem.b)
+    assert assemble_block_system(coeffs, problem.family, problem.b).has_interior_coupling is True
+
+    calls = count_interior_contractions(monkeypatch)
+    trace = march(problem, SolverConfig(N=12, K=8, M=128, mode=mode))
+    assert compute_errors(trace, problem).max_eps1 <= 1e-13
+    assert len(calls) >= trace.partition.K
+
+
+def test_neumann_restarts_build_the_sample_tables_once(monkeypatch):
+    """Neumann at (12, 1, 128) refines twice to K = 4.  The local sample
+    points and their Lagrange values depend on the grid alone, so one march
+    builds them once; the refined march still gives the bits of a march
+    started at K = 4."""
+    grids = []
+    interp = collocation.interpolate
+
+    def recording(grid, values, s):
+        grids.append(grid)
+        return interp(grid, values, s)
+
+    monkeypatch.setattr(collocation, "interpolate", recording)
+    problem = build_neumann_example(M=128)
+    trace = march(problem, SolverConfig(N=12, K=1, M=128))
+    assert (trace.refinements, trace.partition.K) == (2, 4)
+    assert sum(grid is trace.grid for grid in grids) == 1
+    started = march(problem, SolverConfig(N=12, K=4, M=128))
+    assert started.refinements == 0
+    assert trace.node_modes().tobytes() == started.node_modes().tobytes()
+    assert trace.node_boundary_values().tobytes() == started.node_boundary_values().tobytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from duhamelcheb import (
     march,
     run_convergence_study,
 )
-from duhamelcheb.harness import StudyRow
+from duhamelcheb import harness
+from duhamelcheb.harness import StudyRow, baseline_sweep
 from test_collocation import varying_manufactured_problem
 
 
@@ -288,3 +290,51 @@ def test_error_reports_reject_non_finite_probe(reference_problem, probe_x):
     trace = march(reference_problem, SolverConfig(N=4, K=1, M=128))
     with pytest.raises(ValueError, match="^probe point must be finite"):
         compute_errors(trace, reference_problem, probe_x=probe_x)
+
+
+@pytest.mark.parametrize(
+    "Ns, Ks, message",
+    [
+        ([2.7], [1], "N must be an integer >= 1, got 2.7"),
+        ([2], [1.9], "K must be an integer >= 1, got 1.9"),
+        ([True], [1], "N must be an integer >= 1, got True"),
+        ([2], ["1"], "K must be an integer >= 1, got '1'"),
+        ([2, 0], [1], "N must be an integer >= 1, got 0"),
+        ([], [1], "need at least one value of N"),
+        ([2], (), "need at least one value of K"),
+    ],
+    ids=["N-float", "K-float", "N-bool", "K-str", "N-zero", "N-empty", "K-empty"],
+)
+def test_study_rejects_bad_counts_before_marching(reference_problem, Ns, Ks, message, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before the counts were checked")
+
+    monkeypatch.setattr(harness, "march", no_march)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        run_convergence_study(reference_problem, Ns, Ks)
+
+
+def test_study_accepts_numpy_integer_counts(reference_problem):
+    result = run_convergence_study(reference_problem, np.array([2, 4]), [np.int64(1)])
+    assert [(r.N, r.K) for r in result.rows] == [(2, 1), (4, 1)]
+    assert all(type(r.N) is int and type(r.K) is int for r in result.rows)
+
+
+@pytest.mark.parametrize(
+    "steps_list, message",
+    [([], "need at least one value of steps"), ([100, 2.5], "steps must be an integer >= 1, got 2.5")],
+    ids=["empty", "float"],
+)
+def test_baseline_sweep_rejects_bad_counts_before_stepping(reference_problem, steps_list, message, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("stepped before the counts were checked")
+
+    monkeypatch.setattr(harness, "baseline_backward_euler", no_sweep)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        baseline_sweep(reference_problem, steps_list)
+
+
+def test_baseline_sweep_accepts_numpy_integer_counts(reference_problem):
+    table = baseline_sweep(reference_problem, np.array([8, 16]))
+    assert [row[0] for row in table.rows] == [8, 16]
+    assert all(type(row[0]) is int for row in table.rows)

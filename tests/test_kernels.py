@@ -203,3 +203,14 @@ def test_truncation_report_fields(series):
     assert rep["modes"] == 128
     assert rep["integrated_tail"] > 0
     assert rep["off_coincidence_tail"] < rep["integrated_tail"]
+
+
+@pytest.mark.parametrize(
+    "t, first",
+    [(0.0, "0.0"), (-1.0, "-1.0"), (np.array([[0.5, -2.0], [0.0, 1.0]]), "-2.0"), (np.array([0.5, np.nan]), "nan")],
+    ids=["zero", "negative", "array", "nan"],
+)
+def test_kernels_name_the_first_offending_time(series, t, first):
+    for name, call in (("K", lambda: kernel_K(series, t)), ("K1", lambda: kernel_K1(series, t, 0.5))):
+        with pytest.raises(ValueError, match=rf"^kernel {name} needs t > 0 .*, got t={first}$"):
+            call()
