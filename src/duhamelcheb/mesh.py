@@ -126,7 +126,8 @@ def interpolate(grid: CGLGrid, values, s) -> np.ndarray | float:
     Returns
     -------
     float or ndarray
-        Shape is ``s.shape + values.shape[1:]``.
+        Shape is ``s.shape + values.shape[1:]``.  At a grid node the nodal
+        value is returned exactly; at a NaN point the result is NaN.
     """
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != grid.N + 1:
@@ -141,13 +142,15 @@ def interpolate(grid: CGLGrid, values, s) -> np.ndarray | float:
         den = terms.sum(axis=1)
         num = np.tensordot(terms, vals, axes=(1, 0))
         out = num / (den[:, None] if vals.ndim > 1 else den)
-    exact = (diff == 0.0) | ~np.isfinite(terms)
-    hit = exact.any(axis=1)
-    if np.any(hit):
-        idx = np.argmax(exact, axis=1)
-        nodal = vals[idx]
-        mask = hit[:, None] if vals.ndim > 1 else hit
-        out = np.where(mask, nodal, out)
+    # A point on a node, or so close to one that its term overflows, has an
+    # infinite term and so a non-finite denominator; it takes the nodal
+    # value.  A NaN point has a NaN denominator but no infinite term, so
+    # it stays NaN.
+    rows = np.flatnonzero(~np.isfinite(den))
+    if rows.size:
+        exact = np.isinf(terms[rows])
+        hit = exact.any(axis=1)
+        out[rows[hit]] = vals[np.argmax(exact[hit], axis=1)]
     if np.ndim(s) == 0:
         return out[0] if vals.ndim > 1 else float(out[0])
     return out.reshape(s_arr.shape + vals.shape[1:])

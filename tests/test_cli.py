@@ -112,6 +112,18 @@ def test_solve_structured_matches_library_bit_for_bit(capsys, tmp_path):
         assert row[1] == e1
 
 
+def test_many_slabs_solve_bytes_equal_per_cell_rendering(capsys, per_cell_csv):
+    """The CSV of a 513-row trace, mostly repeated roundoff values, is the
+    per-cell rendering of the trace and error tables, byte for byte."""
+    code, out = run_cli(capsys, "solve", "--N", "16", "--K", "32", "--M", "128")
+    assert code == EXIT_OK
+    problem = build_reference_example(M=128, T=1.0)
+    trace = march(problem, SolverConfig(N=16, K=32, M=128, T=1.0))
+    trace_table = cli._trace_table(trace, problem)
+    assert len(trace_table.rows) == 513
+    assert out == per_cell_csv(trace_table) + per_cell_csv(compute_errors(trace, problem).table())
+
+
 def test_solve_rejects_bad_mode_count(capsys):
     code = main(["solve", "--M", "0"])
     assert code == EXIT_CONFIG

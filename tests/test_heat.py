@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from duhamelcheb import (
     ErrorReport,
@@ -158,6 +159,50 @@ def test_table_csv_bytes_are_pinned():
     )
     assert floats.to_csv() == "a,b,c\n0.1,-0.0,5e-324\nnan,inf,-inf\n1e+300,2.0,-1.5e-310\n"
     assert Table("empty", {}, ["x"], []).to_csv() == "x\n"
+
+
+def nan_with_payload(negative: bool, payload: int) -> np.float64:
+    bits = (0x7FF << 52) | payload
+    return np.int64(bits - 2**63 if negative else bits).view(np.float64)
+
+
+AWKWARD = [
+    0.0, -0.0, 2.0**-69, -(2.0**-69), -(2.0**-68), 5e-324, -1.5e-310,
+    float("inf"), -float("inf"), float("nan"),
+    nan_with_payload(False, 1), nan_with_payload(True, 1), nan_with_payload(True, 2**51 + 7),
+    10**20, 7, True, False, np.int64(-3), np.float64(-0.0), np.float32(0.1),
+]
+CELLS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.builds(nan_with_payload, st.booleans(), st.integers(1, 2**52 - 1)),
+    st.builds(float, st.builds(nan_with_payload, st.booleans(), st.integers(1, 2**52 - 1))),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.int32, st.integers(-(2**31), 2**31 - 1)),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.float32, st.floats(width=32)),
+)
+
+
+@st.composite
+def tables(draw):
+    """Ragged tables (empty rows and the empty table included) whose rows
+    draw from a small pool, so values repeat; the pool mixes awkward values
+    (±0.0, signed NaN payloads, ±inf, subnormals, ints, bools, numpy
+    scalars) with arbitrary ones."""
+    pool = draw(st.lists(st.sampled_from(AWKWARD), min_size=1, max_size=8))
+    pool += draw(st.lists(CELLS, max_size=4))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), max_size=9), max_size=7))
+    notes = draw(st.lists(st.sampled_from(["a note", "x, y"]), max_size=2))
+    return Table("t", {}, ["c0", "c1"], rows, tuple(notes))
+
+
+@given(table=tables())
+@example(table=Table("t", {}, ["c"], [AWKWARD, [], AWKWARD[::-1], [0.0, -0.0] * 40]))
+@example(table=Table("t", {}, ["c"], []))
+def test_table_csv_matches_per_cell_rendering(per_cell_csv, table):
+    assert table.to_csv() == per_cell_csv(table)
 
 
 def test_max_eps_properties_skip_initial_row():

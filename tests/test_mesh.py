@@ -140,6 +140,41 @@ def test_interpolate_rejects_length_mismatch():
         interpolate(g, np.ones(3), 0.0)
 
 
+def test_nan_point_interpolates_to_nan():
+    g = build_grid(4)
+    assert np.isnan(interpolate(g, [10, 20, 30, 40, 50], np.nan))
+    assert np.isnan(lagrange_eval(g, 0, np.nan))
+    out = interpolate(g, np.arange(10.0).reshape(5, 2), [0.0, np.nan, 1.0])
+    assert np.array_equal(out[[0, 2]], [[4.0, 5.0], [8.0, 9.0]])
+    assert np.isnan(out[1]).all()
+    assert np.isnan(interpolate(g, np.ones((5, 3)), np.nan)).all()
+
+
+def plain_barycentric(grid, vals, s):
+    """The second barycentric form with no node-hit handling."""
+    terms = grid.barycentric_weights / (np.asarray(s)[:, None] - grid.nodes)
+    return (terms @ vals) / terms.sum(axis=1)
+
+
+@pytest.mark.parametrize("N", [1, 4, 7, 16])
+def test_points_on_and_next_to_nodes_keep_their_bits(N):
+    """Node hits, and points so close to the centre node 0.0 that its term
+    overflows, take the nodal value; the neighbouring floats of every other
+    node take the plain formula."""
+    g = build_grid(N)
+    vals = np.cos(3.0 * g.nodes + 0.25)
+    assert interpolate(g, vals, g.nodes).tobytes() == vals.tobytes()
+    for j, node in enumerate(g.nodes):
+        assert interpolate(g, vals, node) == vals[j]
+        if node == 0.0:
+            continue
+        near = np.array([np.nextafter(node, -2.0), np.nextafter(node, 2.0)])
+        assert interpolate(g, vals, near).tobytes() == plain_barycentric(g, vals, near).tobytes()
+    if N % 2 == 0:
+        centre = np.array([1e-310, -1e-310, 5e-324, -5e-324])  # w / s overflows
+        assert np.array_equal(interpolate(g, vals, centre), [vals[N // 2]] * 4)
+
+
 def test_exp_interpolation_error_within_lebesgue_bound():
     g = build_grid(8)
     vals = np.exp(g.nodes)
