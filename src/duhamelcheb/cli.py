@@ -160,7 +160,7 @@ def _cmd_tables(args) -> int:
 def _trace_table(trace, problem: HeatProblem) -> Table:
     modes = trace.node_modes()
     u1 = modes @ problem.basis.boundary_trace
-    rows = np.column_stack([trace.node_times(), trace.node_boundary_values(), u1, modes]).tolist()
+    rows = np.column_stack([trace.node_times(), trace.node_boundary_values(), u1, modes])
     columns = ["t", "y", "u1"] + [f"mode_{i + 1}" for i in range(modes.shape[1])]
     config = {
         "N": trace.config.N,
@@ -211,7 +211,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_kernels(args) -> int:
     series = KernelSeries(heat_basis(args.M))
-    rows = [[t, float(series.K(t)), float(series.K1(t, args.x))] for t in args.t]
+    rows = np.array([[t, float(series.K(t)), float(series.K1(t, args.x))] for t in args.t])
     config = {"M": args.M, "x": args.x, **series.truncation_report(delta=min(args.t))}
     _emit(Table("kernels", config, ["t", "K", "K1_at_x"], rows), args.format, args.out)
     return EXIT_OK

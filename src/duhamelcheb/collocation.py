@@ -372,34 +372,28 @@ def assemble_coefficients(
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled block system of one slab, optionally gamma-scaled.
+    """Assembled block system of one slab.
 
-    All blocks are diagonal per mode except the boundary functional.  With
-    gamma = 0 this is the system the marching solver uses; gamma > 0
-    applies the similarity scaling by fractional powers of the frozen
-    operator, exposed for conditioning diagnostics.  The solution is
-    independent of gamma up to roundoff.  At gamma = 0 the coupling blocks
-    are views of the coefficient arrays, which constant families share
-    across slabs, so solvers must not write to them.  Whether C~ vanishes
-    (always so for a constant family) is scanned once per system and kept
-    in the read-only ``has_interior_coupling``; both stage solvers skip
-    every C~ contraction when it is False.
+    All blocks are diagonal per mode except the boundary functional.  The
+    coupling blocks are views of the coefficient arrays, which constant
+    families share across slabs, so solvers must not write to them.
+    Whether C~ vanishes (always so for a constant family) is scanned once
+    per system and kept in the read-only ``has_interior_coupling``; both
+    stage solvers skip every C~ contraction when it is False.
 
     subdiag[i]     coupling of block row i to row i-1 (i >= 1; entry 0 unused)
     Cmat, D        (N, N, M) interior and boundary-trace coupling, columns
                    j = 1..N; D carries the multiplier b inside its integrals
     F_x, F_y, f_x  previous-slab coupling and data, rows k = 1..N
-    lam_weights    (N, M) trace functional on scaled blocks:
+    lam_weights    (N, M) trace functional:
                    w_k = sum_n lam_weights[k-1, n] x~_{k,n}
     bvals          (N+1,) multiplier values b(t_k) at the slab nodes, used
                    to recover the weighted boundary values y = b w
     """
 
     slab: int
-    gamma: float
     t_star: np.ndarray
     mu_frozen: np.ndarray
-    scale: np.ndarray
     subdiag: np.ndarray
     Cmat: np.ndarray
     D: np.ndarray
@@ -474,9 +468,8 @@ def assemble_block_system(
     coeffs: CollocationCoefficients,
     family: OperatorFamily,
     boundary_multiplier: Callable[[float], float],
-    gamma: float = 0.0,
 ) -> BlockSystem:
-    """Scale and arrange the slab coefficients into the block system.
+    """Arrange the slab coefficients into the block system.
 
     ``boundary_multiplier`` only supplies the nodal values used to recover
     y = b w; the coupling itself comes from ``coeffs.beta_weighted``, so the
@@ -486,8 +479,6 @@ def assemble_block_system(
     slab nodes in one array call; any other callable once per node with a
     scalar float.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     N, M = coeffs.N, coeffs.M
     bvals = sample_data(boundary_multiplier, coeffs.t_star)
     subdiag = np.zeros((N, M))
@@ -497,20 +488,10 @@ def assemble_block_system(
     F_x[0] += coeffs.E[0]
     F_y, f_x = coeffs.beta_weighted[:, 0, :], coeffs.phi
     lam_weights = np.broadcast_to(family.basis.boundary_trace[None, :], (N, M))
-    scale = np.ones((N, M))
-    if gamma != 0.0:
-        scale = coeffs.mu_frozen**gamma
-        subdiag[1:] *= scale[1:] / scale[:-1]
-        Cmat = Cmat * scale[:, None, :] / scale[None, :, :]
-        D = D * scale[:, None, :]
-        F_x, F_y, f_x = F_x * scale, F_y * scale, f_x * scale
-        lam_weights = lam_weights / scale
     return BlockSystem(
         slab=coeffs.slab,
-        gamma=gamma,
         t_star=coeffs.t_star,
         mu_frozen=coeffs.mu_frozen,
-        scale=scale,
         subdiag=subdiag,
         Cmat=Cmat,
         D=D,
@@ -611,7 +592,7 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     residual = _stage_residual(system, xt, w, Phi)
     return StageSolution(
         slab=system.slab,
-        x=np.vstack([x0[None, :], xt / system.scale]),
+        x=np.vstack([x0[None, :], xt]),
         y=system.bvals * w,
         boundary_traces=w,
         residual=residual,
@@ -680,7 +661,7 @@ def solve_stage_fixed_point(
     ratios = hist[1:] / hist[:-1] if hist.shape[0] > 1 else np.empty(0)
     return StageSolution(
         slab=system.slab,
-        x=np.vstack([x0[None, :], x / system.scale]),
+        x=np.vstack([x0[None, :], x]),
         y=system.bvals * w,
         boundary_traces=w,
         residual=residual,
@@ -775,7 +756,7 @@ def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTr
         refine = False
         for l in range(1, K + 1):
             coeffs = assembler.slab(l, problem.g, problem.forcing, problem.b)
-            system = assemble_block_system(coeffs, family, problem.b, gamma=0.0)
+            system = assemble_block_system(coeffs, family, problem.b)
             rho = system.contraction_norm()
             contraction_max = max(contraction_max, rho)
             if auto_refine and rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:

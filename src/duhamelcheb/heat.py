@@ -12,6 +12,7 @@ integral equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -198,57 +199,82 @@ def build_decay_example(M: int = 128, T: float = 1.0) -> HeatProblem:
     )
 
 
+_CSV_BLOCK_CELLS = 8192
+
+
+def _csv_lines(values: np.ndarray, widths: list[int], ints: dict[int, str]) -> list[str]:
+    """Rows of ``widths`` cells from the flat float64 ``values``, one ``repr``
+    per distinct bit pattern (``np.unique`` on the int64 view keeps ±0.0
+    and differently signed NaNs apart); ``ints`` holds int cell texts."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in distinct.view(float).tolist()], dtype=object)[inverse].tolist()
+    for i, s in ints.items():
+        text[i] = s
+    return [",".join(text[end - width:end]) for width, end in zip(widths, accumulate(widths))]
+
+
 @dataclass(frozen=True)
 class Table:
     """One tabular result: named columns and rows, with a config echo.
 
     Renders as CSV, with the notes as leading ``# `` lines, or as the
-    structured ``{kind, config, columns, rows[, notes]}`` document.  CSV
-    cells print ints with ``str`` (bool included) and everything else as
-    the ``repr`` of a float, so every value round-trips bit for bit.
+    structured ``{kind, config, columns, rows[, notes]}`` document.  Rows
+    are lists, whose CSV cells print ints with ``str`` (bool included) and
+    everything else as the ``repr`` of a float, or one 2-D array, kept as
+    float64 (``ValueError`` for another ndim).  Values round-trip bit for bit.
 
-    ``to_csv`` formats each distinct float64 bit pattern once (``np.unique``
-    on the int64 view keeps ±0.0 and differently signed NaNs apart) and
-    maps the strings back to the cells.  A solution trace is mostly a few
-    repeated roundoff values: the 513 × 131 trace of ``solve --N 16 --K 32
-    --M 128`` has 2,429 distinct values in 67,203 cells, and renders in
-    25 ms instead of 126 ms with one ``repr`` per cell.  A table of
-    all-distinct values pays about 150 ns more per cell (a random
-    513 × 131 table: 50 → 60 ms), and holds all its cell strings at once
-    (peak 4.0 → 8.3 MB).
+    ``to_csv`` works through blocks of whole rows of about
+    ``_CSV_BLOCK_CELLS`` cells, calling ``repr`` once per distinct float64
+    bit pattern of a block, so one block's strings are alive at a time.
+    The 513 × 131 array trace of ``solve --N 16 --K 32 --M 128`` (2,429
+    distinct values in 67,203 cells) renders in about 8 ms, against 13 ms
+    as one block of list rows; a random 513 × 131 table peaks at 4.0 MB,
+    as with one ``repr`` per cell, against 8.3 MB as one block.
     """
 
     kind: str
     config: dict
     columns: list[str]
-    rows: list[list]
+    rows: list[list] | np.ndarray
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if isinstance(self.rows, np.ndarray):
+            if self.rows.ndim != 2:
+                raise ValueError(f"array rows must be 2-D, got shape {self.rows.shape}")
+            object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
+
+    def _csv_blocks(self):
+        """Flat float64 values, row widths and int cell texts of each block."""
+        rows = self.rows
+        if isinstance(rows, np.ndarray):
+            step = max(1, _CSV_BLOCK_CELLS // max(rows.shape[1], 1))
+            for start in range(0, rows.shape[0], step):
+                block = rows[start:start + step]
+                yield block.ravel(), [block.shape[1]] * block.shape[0], {}
+            return
+        start = 0
+        while start < len(rows):
+            cells, widths = [], []
+            while start < len(rows) and len(cells) < _CSV_BLOCK_CELLS:
+                cells.extend(rows[start])
+                widths.append(len(rows[start]))
+                start += 1
+            ints = {i: str(v) for i, v in enumerate(cells) if isinstance(v, int)}
+            for i in ints:
+                cells[i] = 0.0
+            yield np.array(cells, dtype=float), widths, ints
 
     def to_csv(self) -> str:
         lines = [f"# {n}" for n in self.notes]
         lines.append(",".join(self.columns))
-        cells = [v for row in self.rows for v in row]
-        ints = {i: str(v) for i, v in enumerate(cells) if isinstance(v, int)}
-        for i in ints:
-            cells[i] = 0.0
-        bits = np.array(cells, dtype=float).view(np.int64)
-        del cells
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        del bits
-        text = np.array([repr(x) for x in distinct.view(float).tolist()], dtype=object)[inverse]
-        del inverse
-        for i, s in ints.items():
-            text[i] = s
-        start = 0
-        for row in self.rows:
-            stop = start + len(row)
-            lines.append(",".join(text[start:stop].tolist()))
-            start = stop
-        del text
+        for block in self._csv_blocks():
+            lines += _csv_lines(*block)
         return "\n".join(lines) + "\n"
 
     def to_structured(self) -> dict:
-        doc = {"kind": self.kind, "config": self.config, "columns": self.columns, "rows": self.rows}
+        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        doc = {"kind": self.kind, "config": self.config, "columns": self.columns, "rows": rows}
         if self.notes:
             doc["notes"] = list(self.notes)
         return doc
@@ -281,7 +307,7 @@ class ErrorReport:
         return float(self.eps2[1:].max()) if self.eps2.shape[0] > 1 else float(self.eps2.max())
 
     def table(self, include_initial: bool = True, notes: tuple[str, ...] = ()) -> Table:
-        rows = np.column_stack([self.times, self.eps1, self.eps2]).tolist()
+        rows = np.column_stack([self.times, self.eps1, self.eps2])
         start = 0 if include_initial else 1
         return Table("error_report", self.config, ["t", "eps1", "eps2"], rows[start:], tuple(notes))
 

@@ -23,7 +23,6 @@ __all__ = [
     "heat_basis",
     "constant_family",
     "apply_exponential",
-    "apply_fractional_power",
     "lift",
     "lift_derivative_trace",
     "project_initial",
@@ -159,14 +158,6 @@ def apply_exponential(family: OperatorFamily, t: float, v: np.ndarray, lam: floa
         raise ValueError(f"exponential requires a nonnegative duration, got {lam}")
     return v * np.exp(-lam * family.frozen_eigenvalues(t))
 
-
-def apply_fractional_power(family: OperatorFamily, t: float, v: np.ndarray, gamma: float) -> np.ndarray:
-    """Apply A(t)^gamma modewise for gamma >= 0."""
-    if gamma < 0:
-        raise ValueError(f"fractional power requires gamma >= 0, got {gamma}")
-    if gamma == 0:
-        return v.copy()
-    return v * family.frozen_eigenvalues(t) ** gamma
 
 def lift(basis: EigenBasis, y: float) -> np.ndarray:
     """Eigenbasis coefficients of the boundary lift B y."""

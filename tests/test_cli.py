@@ -112,6 +112,32 @@ def test_solve_structured_matches_library_bit_for_bit(capsys, tmp_path):
         assert row[1] == e1
 
 
+@pytest.mark.parametrize("problem_name,N,K", [("reference", 16, 32), ("neumann", 12, 1)])
+def test_solve_structured_text_equals_list_rows_json(tmp_path, problem_name, N, K):
+    """The structured trace and error documents are the JSON text of the
+    tables written with list-of-lists rows of Python floats."""
+    out_path = tmp_path / "trace.json"
+    argv = ["solve", "--problem", problem_name, "--N", str(N), "--K", str(K),
+            "--format", "structured", "--out", str(out_path)]
+    assert main(argv) == EXIT_OK
+    problem = cli._BUILDERS[problem_name](M=128, T=1.0)
+    trace = march(problem, SolverConfig(N=N, K=K, M=128, T=1.0))
+    modes = trace.node_modes()
+    trace_rows = np.column_stack(
+        [trace.node_times(), trace.node_boundary_values(), modes @ problem.basis.boundary_trace, modes]
+    ).tolist()
+    report = compute_errors(trace, problem)
+    error_rows = np.column_stack([report.times, report.eps1, report.eps2]).tolist()
+    for path, kind, columns, rows in (
+        (out_path, "solution_trace", ["t", "y", "u1"] + [f"mode_{i + 1}" for i in range(128)], trace_rows),
+        (tmp_path / "trace_errors.json", "error_report", ["t", "eps1", "eps2"], error_rows),
+    ):
+        text = path.read_text()
+        config = json.loads(text)["config"]
+        doc = {"kind": kind, "config": config, "columns": columns, "rows": rows}
+        assert text == json.dumps(doc, indent=2) + "\n"
+
+
 def test_many_slabs_solve_bytes_equal_per_cell_rendering(capsys, per_cell_csv):
     """The CSV of a 513-row trace, mostly repeated roundoff values, is the
     per-cell rendering of the trace and error tables, byte for byte."""

@@ -286,14 +286,13 @@ def test_reference_problem_reaches_roundoff_at_high_degree(reference_problem, N)
 
 
 @pytest.mark.parametrize("N", [4, 8, 16])
-@pytest.mark.parametrize("gamma", [0.0, 0.5])
-def test_s_tilde_explicit_inverse(N, gamma):
+def test_s_tilde_explicit_inverse(N):
     basis = heat_basis(40)
     family = constant_family(basis)
     grid = build_grid(N)
     partition = TimePartition(1.0, 1)
     coeffs = assemble_coefficients(family, grid, partition, l=1)
-    system = assemble_block_system(coeffs, family, lambda t: 1.0, gamma=gamma)
+    system = assemble_block_system(coeffs, family, lambda t: 1.0)
     S = system.s_tilde_blocks()
     Sinv = system.s_tilde_inverse_blocks()
     prod = np.einsum("ikm,kjm->ijm", Sinv, S)
@@ -308,7 +307,7 @@ def test_s_tilde_inverse_varying_family():
     grid = build_grid(8)
     partition = TimePartition(1.0, 2)
     coeffs = assemble_coefficients(family, grid, partition, l=2)
-    system = assemble_block_system(coeffs, family, lambda t: 1.0, gamma=0.5)
+    system = assemble_block_system(coeffs, family, lambda t: 1.0)
     prod = np.einsum(
         "ikm,kjm->ijm", system.s_tilde_inverse_blocks(), system.s_tilde_blocks()
     )
@@ -504,24 +503,6 @@ def test_zero_order_term_via_exponential_shift():
     assert errs[1] < errs[0] / 50.0
     assert errs[2] < errs[1] / 50.0
     assert errs[2] <= 1e-10
-
-
-def test_gamma_scaling_leaves_solution_unchanged(reference_problem):
-    family = reference_problem.family
-    grid = build_grid(8)
-    partition = TimePartition(1.0, 1)
-    assembler = CoefficientAssembler(family, grid, partition)
-    coeffs = assembler.slab(1, reference_problem.g, None, reference_problem.b)
-    x0 = reference_problem.u0
-    w0 = float(x0 @ family.basis.boundary_trace)
-    base = solve_stage_direct(
-        assemble_block_system(coeffs, family, reference_problem.b, gamma=0.0), x0, w0
-    )
-    scaled = solve_stage_direct(
-        assemble_block_system(coeffs, family, reference_problem.b, gamma=0.5), x0, w0
-    )
-    assert np.abs(base.x - scaled.x).max() <= 1e-10
-    assert np.abs(base.y - scaled.y).max() <= 1e-10
 
 
 def test_contraction_error_raised_for_strong_coupling():

@@ -1,6 +1,7 @@
 """Benchmark problem builders, error reports, and the integral-equation residual."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,56 @@ def tables(draw):
 @example(table=Table("t", {}, ["c"], []))
 def test_table_csv_matches_per_cell_rendering(per_cell_csv, table):
     assert table.to_csv() == per_cell_csv(table)
+
+
+FLOAT_POOL = [float(v) for v in AWKWARD if not isinstance(v, (int, np.integer))]
+
+
+@st.composite
+def array_rows(draw):
+    """(r, c) arrays, r and c from 0, drawn from a small float pool of
+    awkward values, as contiguous float64, as a non-contiguous view, or as
+    an int64 or bool array."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["float", "strided", "int", "bool"]))
+    if kind == "int":
+        cells = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=r * c, max_size=r * c)
+        return np.array(draw(cells), dtype=np.int64).reshape(r, c)
+    if kind == "bool":
+        cells = st.lists(st.booleans(), min_size=r * c, max_size=r * c)
+        return np.array(draw(cells), dtype=bool).reshape(r, c)
+    pool = draw(st.lists(st.sampled_from(FLOAT_POOL), min_size=1, max_size=8))
+    pool += draw(st.lists(st.floats(allow_subnormal=True), max_size=4))
+    n = r * c * (2 if kind == "strided" else 1)
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=float)
+    if kind == "strided":
+        return values.reshape(c, 2 * r)[:, ::2].T
+    return values.reshape(r, c)
+
+
+@given(rows=array_rows())
+@example(rows=np.resize(np.array(FLOAT_POOL), (300, 131)))
+@example(rows=np.linspace(-1.0, 1.0, 200 * 131).reshape(131, 200)[:, ::-1].T)
+def test_array_table_csv_matches_per_cell_rendering(per_cell_csv, rows):
+    """Array rows render as their numpy scalars do under the per-cell rule,
+    also across several row blocks (the two explicit examples)."""
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    table = Table("t", {}, columns, rows, ("a note",))
+    oracle = SimpleNamespace(notes=("a note",), columns=columns, rows=rows)
+    assert table.to_csv() == per_cell_csv(oracle)
+
+
+def test_list_table_csv_across_blocks_matches_per_cell_rendering(per_cell_csv):
+    rows = [[i, -0.0, i / 7, bool(i % 2), np.int64(i)] * (i % 11) for i in range(3000)]
+    table = Table("t", {}, ["c"], rows)
+    for got, want in zip(table.to_csv().split("\n"), per_cell_csv(table).split("\n"), strict=True):
+        assert got == want
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_array_rows_must_be_two_dimensional(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        Table("t", {}, ["c"], np.zeros(shape))
 
 
 def test_max_eps_properties_skip_initial_row():

@@ -8,7 +8,6 @@ from duhamelcheb import heat_basis, constant_family, verify_assumptions
 from duhamelcheb.operators import (
     OperatorFamily,
     apply_exponential,
-    apply_fractional_power,
     lift,
     lift_derivative_trace,
     project_initial,
@@ -107,24 +106,11 @@ def test_exponential_decay_bound(family, basis):
         assert np.abs(out).max() <= np.exp(-basis.omega * lam) * (1 + 1e-15)
 
 
-def test_fractional_power_limits(family):
-    v = np.arange(1.0, 33.0)
-    assert np.array_equal(apply_fractional_power(family, 0.2, v, 0.0), v)
-    full = apply_fractional_power(family, 0.2, v, 1.0)
-    assert np.allclose(full, family.frozen_eigenvalues(0.2) * v, rtol=1e-15)
-
-
-def test_fractional_power_half_first_mode(family):
-    v = np.zeros(32)
-    v[0] = 1.0
-    out = apply_fractional_power(family, 0.0, v, 0.5)
-    assert out[0] == pytest.approx(np.pi / 2, rel=1e-14)
-
-
 def test_power_and_exponential_commute(family):
     v = np.sin(np.arange(1.0, 33.0))
-    a = apply_fractional_power(family, 0.4, apply_exponential(family, 0.4, v, 0.2), 0.5)
-    b = apply_exponential(family, 0.4, apply_fractional_power(family, 0.4, v, 0.5), 0.2)
+    root = family.frozen_eigenvalues(0.4) ** 0.5
+    a = root * apply_exponential(family, 0.4, v, 0.2)
+    b = apply_exponential(family, 0.4, root * v, 0.2)
     assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
 
 
