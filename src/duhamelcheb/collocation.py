@@ -13,12 +13,17 @@ points, integrates every coefficient: the data g and f, the products b L_j,
 and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
 those maps depend on the data degree alone and are built once per data
 degree per process, on first use, and shared read-only by every assembler.
+The boundary coupling is kept factored, as the samples of b L_j and the
+maps, and multiplied out only for a reader that needs the dense blocks.
 The interior block matrix is bidiagonal with elementwise-exponential
 subdiagonal blocks.  The direct solve reduces the trace unknowns to one
-N x N system through a single interior solve per slab: a forward sweep over
-all modes when the interior coupling vanishes (constant families), M
-batched N x N LU solves otherwise.  A fixed-point sweep over the same
-splitting is available as an alternative to the direct elimination.
+N x N system per slab.  When the interior coupling vanishes (constant
+families) it works on the factors: the trace images of the maps, built once
+per slab length, give the N x N matrix, and the data and coupling terms are
+swept through the bidiagonal inverse in mode space, so no (N, N+1, M) array
+is built.  Otherwise M batched N x N LU solves do the interior solve.  A
+fixed-point sweep over the same splitting is available as an alternative to
+the direct elimination.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tra
 
 __all__ = [
     "SolverConfig",
+    "SlabInterior",
     "CollocationCoefficients",
     "BlockSystem",
     "StageSolution",
@@ -126,29 +132,94 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class SlabInterior:
+    """What a slab's coefficients take from the operator family and the slab length.
+
+    One per slab for a varying family; for a constant family it does not
+    depend on the slab, and every slab of one length shares it read-only.
+    Index k-1 stands for node subinterval k = 1..N, trailing axis modes.
+
+    mu_frozen[k-1]      frozen eigenvalues mu~(t*_k)
+    E[k-1]              propagator exp(-mu~(t*_k) (tau/2) theta_k)
+    alpha               (N, N+1, M) frozen-operator correction, or None for
+                        a constant family, where it is exactly zero
+    maps[k-1]           (M, Q+1) quadrature map R_k of subinterval k
+    kernel_scale[k-1]   a(t*_k) mu0 lift, which scales beta and the g term
+    trace               boundary trace functional of the modes
+    """
+
+    tau: float
+    mu_frozen: np.ndarray
+    E: np.ndarray
+    alpha: np.ndarray | None
+    maps: np.ndarray
+    kernel_scale: np.ndarray
+    trace: np.ndarray
+
+    @functools.cached_property
+    def coupling_scale(self) -> np.ndarray:
+        """s = -(tau/2) a mu0 lift, so that beta[k-1, j] = s_k (R_k V_k[j])."""
+        return -0.5 * self.tau * self.kernel_scale
+
+    @functools.cached_property
+    def trace_weights(self) -> np.ndarray:
+        """H[k-1, q] = sum_m t_m s_{k,m} R_k[m, q]: Lambda D is H V."""
+        ts = self.trace * self.coupling_scale
+        return np.matmul(ts[:, None, :], self.maps)[:, 0]
+
+    @functools.cached_property
+    def trace_images(self) -> np.ndarray:
+        """G[k-1, i-1, q] = sum_m t_m (S~^{-1})_{k,i,m} s_{i,m} R_i[m, q]: Lambda S~^{-1} D is G V.
+
+        (S~^{-1})_{k,i} is the product of the propagators E_{i+1} .. E_k for
+        k >= i and zero above the diagonal, so column i is built by one
+        running product from the trace functional.
+        """
+        N, M, Q1 = self.maps.shape
+        s = self.coupling_scale
+        G = np.zeros((N, N, Q1))
+        weights = np.empty((N, M))
+        for i in range(N):
+            weights[i] = self.trace
+            for k in range(i + 1, N):
+                np.multiply(weights[k - 1], self.E[k], out=weights[k])
+            G[i:, i] = (weights[i:] * s[i]) @ self.maps[i]
+        return G
+
+    def modes(self, c: np.ndarray) -> np.ndarray:
+        """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M)."""
+        return self.coupling_scale * np.matmul(self.maps, c[:, :, None])[:, :, 0]
+
+
+@dataclass(frozen=True)
 class CollocationCoefficients:
     """Slab coefficients integrated to roundoff, stored per mode.
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
     alpha, beta_weighted and phi all come from the same per-subinterval
-    quadrature map.
+    quadrature maps R_k of ``interior``.
 
     E[k-1]            propagator exp(-mu~(t*_k) (tau/2) theta_k)
     alpha[k-1, j]     frozen-operator correction, diagonal per mode
+    lag_b[k-1, j, q]  V_k = L_j(s_q) b(t_q): the trace basis times the
+                      multiplier b (one when omitted) at the data_degree + 1
+                      local sample points s_q of subinterval k
     beta_weighted     boundary-lift coupling against the interpolated trace,
-      [k-1, j]        with the multiplier b (one when omitted) inside the
-                      integrand; the marching solver couples to the
-                      boundary trace through these
+      [k-1, j]        s_k (R_k V_k[j]) with s = -(tau/2) a mu0 lift, so b
+                      rides inside the integrand; the marching solver
+                      couples to the boundary trace through these
     phi[k-1]          data term (forcing plus boundary data)
+
+    The coupling is kept factored as V and the maps: beta_weighted and
+    alpha (exact zeros for a constant family) are built on first read and
+    then kept, read-only.
     """
 
     slab: int
     t_star: np.ndarray
-    mu_frozen: np.ndarray
-    E: np.ndarray
-    alpha: np.ndarray
-    beta_weighted: np.ndarray
+    interior: SlabInterior
+    lag_b: np.ndarray
     phi: np.ndarray
 
     @property
@@ -158,6 +229,36 @@ class CollocationCoefficients:
     @property
     def M(self) -> int:
         return self.E.shape[1]
+
+    @property
+    def mu_frozen(self) -> np.ndarray:
+        return self.interior.mu_frozen
+
+    @property
+    def E(self) -> np.ndarray:
+        return self.interior.E
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        alpha = self.interior.alpha
+        if alpha is None:
+            alpha = np.zeros((self.N, self.N + 1, self.M))
+            alpha.flags.writeable = False
+        return alpha
+
+    def coupling(self) -> np.ndarray:
+        """A new, writable copy of beta_weighted, multiplied out from the factors."""
+        interior = self.interior
+        beta = np.matmul(self.lag_b, interior.maps.transpose(0, 2, 1))
+        beta *= -0.5 * interior.tau
+        beta *= interior.kernel_scale[:, None, :]
+        return beta
+
+    @functools.cached_property
+    def beta_weighted(self) -> np.ndarray:
+        beta = self.coupling()
+        beta.flags.writeable = False
+        return beta
 
 
 @functools.cache
@@ -187,7 +288,7 @@ def _gauss_tables(Q: int):
 
 
 class CoefficientAssembler:
-    """Per-slab coefficient assembly with caching for constant families.
+    """Per-slab coefficient assembly, with one shared interior per slab length for constant families.
 
     Every coefficient integrates the exponential kernel against a
     polynomial on one node subinterval, and one map does all of them: R_k
@@ -208,9 +309,13 @@ class CoefficientAssembler:
     and their Lagrange values depend on the grid alone: they are built once
     per assembler, and ``march`` carries them over its restarts.  For a
     constant family alpha is exactly zero and is not integrated, and the
-    slab's interior (E, alpha and the maps R_k) is computed once and
-    cached.  Every beta[k-1] and alpha[k-1] is written in place into its
-    output row.
+    slab's interior (E, the maps R_k, the kernel scale and the trace
+    images that the direct solve reads, see :class:`SlabInterior`) does not
+    depend on the slab: it is built once per slab length, on the first
+    slab, and shared by every later one.  An assembler's partition has one
+    slab length, and ``_repartitioned`` starts a new store.  Each slab then
+    keeps its boundary coupling factored, as the samples V_k = L_j b; beta
+    is multiplied out only when something reads it.
     """
 
     def __init__(
@@ -240,10 +345,10 @@ class CoefficientAssembler:
         self._lag_loc = np.ascontiguousarray(
             interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
         )
-        self._cache = None
+        self._store = None
 
-    def _interior(self, t_star: np.ndarray, t_loc: np.ndarray):
-        """Frozen eigenvalues, E, alpha and the quadrature maps R_k of one slab.
+    def _interior(self, t_star: np.ndarray, t_loc: np.ndarray) -> SlabInterior:
+        """Frozen eigenvalues, E, alpha, the quadrature maps R_k and the kernel scale of one slab.
 
         ``t_star`` are the slab's node times and ``t_loc`` its sample times,
         shape (N, data_degree + 1); for a constant family the result does
@@ -254,9 +359,9 @@ class CoefficientAssembler:
         lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
         z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
         is below e^{-2 lam} e^{data_degree / 2}.  A constant family has
-        mu(t_k) - mu(t) = 0 exactly, so its alpha is returned as exact zeros
-        without being integrated; a varying family samples a(t) and c(t) at
-        all of the slab's sample times in one polynomial evaluation each.
+        mu(t_k) - mu(t) = 0 exactly, so its alpha is not integrated (None);
+        a varying family samples a(t) and c(t) at all of the slab's sample
+        times in one polynomial evaluation each.
         """
         family, grid, split = self.family, self.grid, self._split
         N, M, Q = grid.N, family.basis.M, self.data_degree
@@ -266,10 +371,10 @@ class CoefficientAssembler:
             raise ValueError(f"operator family is not positive on the slab starting at t={t_star[0]}")
         nu = 0.5 * tau * mu_frozen
         E = np.exp(-nu * grid.spacings[:, None])
-        alpha = np.zeros((N, N + 1, M))
         maps = np.empty((N, M, Q + 1))
         z, w_lag = self._legendre
         varying = not family.is_constant
+        alpha = np.zeros((N, N + 1, M)) if varying else None
         if varying:
             a_loc, c_loc = family.a(t_loc), family.c(t_loc)
         for k in range(N):
@@ -284,16 +389,19 @@ class CoefficientAssembler:
                 mu_q = a_loc[k][:, None] * family.basis.mu + c_loc[k][:, None]
                 np.matmul(self._lag_loc[k], R.T * (mu_frozen[k] - mu_q), out=alpha[k])
                 alpha[k] *= 0.5 * tau
-        return mu_frozen, E, alpha, maps
+        basis = family.basis
+        kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
+        return SlabInterior(tau, mu_frozen, E, alpha, maps, kernel_scale, basis.boundary_trace)
 
     def _repartitioned(self, partition: TimePartition) -> CoefficientAssembler:
         """This assembler on another partition of the same grid.
 
         The Gauss tables, sample points and Lagrange values depend on the
-        grid alone and are shared, not rebuilt; the interior cache is not.
+        grid alone and are shared, not rebuilt; the interior store, which
+        depends on the slab length, is not.
         """
         other = copy.copy(self)
-        other.partition, other._cache = partition, None
+        other.partition, other._store = partition, None
         return other
 
     def slab(
@@ -317,44 +425,25 @@ class CoefficientAssembler:
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)
-        interior = self._cache
+        interior = self._store
         if interior is None:
             interior = self._interior(t_star, t_loc)
             if self.family.is_constant:
-                self._cache = interior
-        mu_frozen, E, alpha, maps = interior
-        N, M = E.shape
+                self._store = interior
+        N, M = interior.E.shape
         tau = self.partition.tau
-        mu0 = self.family.basis.mu
-        lift = self.family.basis.lift_coeffs
-        a_star = self.family.a(t_star[1:])
         g_loc = None if g is None else sample_data(g, t_loc)
         b_loc = None if b is None else sample_data(b, t_loc)
         phi = np.zeros((N, M))
-        beta_weighted = np.empty((N, N + 1, M))
-        for k in range(1, N + 1):
-            R = maps[k - 1]
-            kernel_scale = a_star[k - 1] * mu0 * lift
+        for k in range(N):
+            R = interior.maps[k]
             if g is not None:
-                phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc[k - 1])
+                phi[k] += 0.5 * tau * interior.kernel_scale[k] * (R @ g_loc[k])
             if f is not None:
-                f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k - 1]])
-                phi[k - 1] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
-            lag = self._lag_loc[k - 1]
-            if b is not None:
-                lag = lag * b_loc[k - 1][None, :]
-            beta = np.matmul(lag, R.T, out=beta_weighted[k - 1])
-            beta *= -0.5 * tau
-            beta *= kernel_scale
-        return CollocationCoefficients(
-            slab=l,
-            t_star=t_star,
-            mu_frozen=mu_frozen,
-            E=E,
-            alpha=alpha,
-            beta_weighted=beta_weighted,
-            phi=phi,
-        )
+                f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k]])
+                phi[k] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
+        lag_b = self._lag_loc if b is None else self._lag_loc * b_loc[:, None, :]
+        return CollocationCoefficients(slab=l, t_star=t_star, interior=interior, lag_b=lag_b, phi=phi)
 
 
 def assemble_coefficients(
@@ -375,11 +464,14 @@ class BlockSystem:
     """Assembled block system of one slab.
 
     All blocks are diagonal per mode except the boundary functional.  The
-    coupling blocks are views of the coefficient arrays, which constant
-    families share across slabs, so solvers must not write to them.
-    Whether C~ vanishes (always so for a constant family) is scanned once
-    per system and kept in the read-only ``has_interior_coupling``; both
-    stage solvers skip every C~ contraction when it is False.
+    coupling blocks C~, D and F_y are views of the coefficient arrays,
+    built from the factored coupling on first read (see
+    :class:`CollocationCoefficients`), and a constant family's slabs share
+    E and the maps, so solvers must not write to them.
+    Whether C~ vanishes (always so for a constant family, without a scan)
+    is decided once per system and kept in the read-only
+    ``has_interior_coupling``; both stage solvers skip every C~ contraction
+    when it is False.
 
     subdiag[i]     coupling of block row i to row i-1 (i >= 1; entry 0 unused)
     Cmat, D        (N, N, M) interior and boundary-trace coupling, columns
@@ -389,19 +481,17 @@ class BlockSystem:
                    w_k = sum_n lam_weights[k-1, n] x~_{k,n}
     bvals          (N+1,) multiplier values b(t_k) at the slab nodes, used
                    to recover the weighted boundary values y = b w
+    coeffs         the slab's coefficients, whose factored coupling the
+                   direct solve of a system without C~ reads instead of D
     """
 
     slab: int
-    t_star: np.ndarray
-    mu_frozen: np.ndarray
     subdiag: np.ndarray
-    Cmat: np.ndarray
-    D: np.ndarray
     F_x: np.ndarray
-    F_y: np.ndarray
     f_x: np.ndarray
     lam_weights: np.ndarray
     bvals: np.ndarray
+    coeffs: CollocationCoefficients
 
     @property
     def N(self) -> int:
@@ -411,21 +501,35 @@ class BlockSystem:
     def M(self) -> int:
         return self.subdiag.shape[1]
 
+    @property
+    def Cmat(self) -> np.ndarray:
+        return self.coeffs.alpha[:, 1:, :]
+
+    @property
+    def D(self) -> np.ndarray:
+        return self.coeffs.beta_weighted[:, 1:, :]
+
+    @property
+    def F_y(self) -> np.ndarray:
+        return self.coeffs.beta_weighted[:, 0, :]
+
     @functools.cached_property
     def has_interior_coupling(self) -> bool:
-        """Whether C~ has a nonzero entry (never for a constant family); scanned once."""
-        return bool(self.Cmat.any())
+        """Whether C~ has a nonzero entry (never for a constant family); decided once."""
+        return self.coeffs.interior.alpha is not None and bool(self.Cmat.any())
 
     @functools.cached_property
     def _lambda_d(self) -> np.ndarray:
-        lambda_d = np.einsum("km,kjm->kj", self.lam_weights, self.D)
+        lag_b = self.coeffs.lag_b[:, 1:]
+        lambda_d = np.matmul(lag_b, self.coeffs.interior.trace_weights[:, :, None])[:, :, 0]
         lambda_d.flags.writeable = False
         return lambda_d
 
     def lambda_d_matrix(self) -> np.ndarray:
         """The N x N scalar matrix of the eliminated boundary system.
 
-        Computed once per system and returned read-only.
+        Computed once per system from the factored coupling, as H V (see
+        :attr:`SlabInterior.trace_weights`), and returned read-only.
         """
         return self._lambda_d
 
@@ -472,7 +576,7 @@ def assemble_block_system(
     """Arrange the slab coefficients into the block system.
 
     ``boundary_multiplier`` only supplies the nodal values used to recover
-    y = b w; the coupling itself comes from ``coeffs.beta_weighted``, so the
+    y = b w; the coupling itself comes from ``coeffs``, so the
     coefficients must have been assembled with the same multiplier (or with
     none, for b identically one).  An
     :class:`~duhamelcheb.kernels.ExpDecay` multiplier is sampled at the N + 1
@@ -483,23 +587,18 @@ def assemble_block_system(
     bvals = sample_data(boundary_multiplier, coeffs.t_star)
     subdiag = np.zeros((N, M))
     subdiag[1:] = coeffs.E[1:]
-    Cmat, D = coeffs.alpha[:, 1:, :], coeffs.beta_weighted[:, 1:, :]
-    F_x = coeffs.alpha[:, 0, :].copy()
+    alpha = coeffs.interior.alpha
+    F_x = np.zeros((N, M)) if alpha is None else alpha[:, 0, :].copy()
     F_x[0] += coeffs.E[0]
-    F_y, f_x = coeffs.beta_weighted[:, 0, :], coeffs.phi
     lam_weights = np.broadcast_to(family.basis.boundary_trace[None, :], (N, M))
     return BlockSystem(
         slab=coeffs.slab,
-        t_star=coeffs.t_star,
-        mu_frozen=coeffs.mu_frozen,
         subdiag=subdiag,
-        Cmat=Cmat,
-        D=D,
         F_x=F_x,
-        F_y=F_y,
-        f_x=f_x,
+        f_x=coeffs.phi,
         lam_weights=lam_weights,
         bvals=bvals,
+        coeffs=coeffs,
     )
 
 
@@ -557,9 +656,45 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _stage_residual(system: BlockSystem, xt: np.ndarray, w: np.ndarray, Phi: np.ndarray) -> float:
-    rhs = _imsc(system, xt) + _d_apply(system, w[1:]) + Phi
+def _stage_residual(
+    system: BlockSystem, xt: np.ndarray, w: np.ndarray, Phi: np.ndarray, Dw: np.ndarray
+) -> float:
+    """Max-norm defect of the collocation equations, given the product ``Dw`` = D w[1:]."""
+    rhs = _imsc(system, xt) + Dw + Phi
     return float(max(np.abs(xt - rhs).max(), np.abs(w[1:] - _lam_apply(system, rhs)).max()))
+
+
+def _eliminate_lu(system: BlockSystem, x0: np.ndarray, w0: float):
+    """Phi, w, x~ and D w of one slab by M batched LU solves of A = S~ - C~.
+
+    Column 0 of the coupling is F_y, which only enters Phi, so Phi takes its
+    place and [Phi | D] is solved at once; each LU factorisation is shared
+    by the N + 1 columns.
+    """
+    N = system.N
+    rhs = system.coeffs.coupling()
+    Phi = system.F_x * x0[None, :] + rhs[:, 0] * w0 + system.f_x
+    rhs[:, 0] = Phi
+    A = -system.Cmat  # S~ - C~, without a temporary S~
+    A[np.arange(N), np.arange(N)] += 1.0
+    A[np.arange(1, N), np.arange(N - 1)] -= system.subdiag[1:]
+    Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
+    LZ = np.einsum("km,kjm->kj", system.lam_weights, Z)
+    w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])
+    xt = Z[:, 0] + w_int @ Z[:, 1:]
+    return Phi, w_int, xt, np.einsum("kjm,j->km", rhs[:, 1:], w_int)
+
+
+def _eliminate_factored(system: BlockSystem, x0: np.ndarray, w0: float):
+    """Phi, w, x~ and D w of one slab without C~, from the factored coupling."""
+    N = system.N
+    interior, lag_b = system.coeffs.interior, system.coeffs.lag_b
+    Phi = system.F_x * x0[None, :] + interior.modes(w0 * lag_b[:, 0]) + system.f_x
+    Z_phi = _forward_sub(system, Phi.copy())
+    LZ_D = interior.trace_images.reshape(N, -1) @ lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
+    w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
+    Dw = interior.modes(np.einsum("kjq,j->kq", lag_b[:, 1:], w_int))
+    return Phi, w_int, Z_phi + _forward_sub(system, Dw.copy()), Dw
 
 
 def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
@@ -567,29 +702,30 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
 
     With A = S~ - C~ the interior rows read A x~ = D w + Phi; substituted
     into the trace rows they leave w = Lambda x~.  One interior solve
-    Z = A^{-1} [D | Phi] therefore reduces the traces to the N x N system
-    (I - Lambda Z_D) w = Lambda Z_Phi, and then x~ = Z_Phi + Z_D w.  When
-    C~ vanishes (``system.has_interior_coupling`` is False, as for every
-    constant family) A is unit lower bidiagonal, Z comes from a forward
-    sweep over all modes and columns at once, and the residual check skips
-    the C~ contraction; otherwise Z comes from M batched N x N LU
-    factorisations, each shared by the N + 1 columns.
+    therefore reduces the traces to the N x N system
+    (I - Lambda A^{-1} D) w = Lambda A^{-1} Phi, and then
+    x~ = A^{-1} Phi + A^{-1} D w.
+
+    When C~ vanishes (``system.has_interior_coupling`` is False, as for
+    every constant family) A = S~ is unit lower bidiagonal and D is used in
+    its factored form D_k = s_k R_k V_k (see
+    :class:`CollocationCoefficients`): Lambda S~^{-1} D is G V with the
+    trace images G of the slab's interior (:class:`SlabInterior`), Phi and
+    D w are formed in mode space at O(N M Q) cost, and each is swept
+    through S~^{-1} on its own and the two added only at the end.  Summing
+    them before the sweep would turn the trace's quantised cancellation
+    remainders into smooth noise, which the CSV output pays for in
+    distinct values.  Neither the (N, N+1, M) coupling nor the residual
+    check is ever multiplied out.  Otherwise [Phi | D] is solved by M
+    batched N x N LU factorisations.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    Phi = _phi_blocks(system, x0, w0)
-    rhs = np.concatenate([system.D, Phi[:, None, :]], axis=1)
-    if system.has_interior_coupling:
-        A = (system.s_tilde_blocks() - system.Cmat).transpose(2, 0, 1)
-        Z = np.linalg.solve(A, rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
-    else:
-        Z = _forward_sub(system, rhs)
-    LZ = np.einsum("km,kjm->kj", system.lam_weights, Z)
-    w_int = np.linalg.solve(np.eye(system.N) - LZ[:, :-1], LZ[:, -1])
-    xt = Z[:, -1] + w_int @ Z[:, :-1]
+    eliminate = _eliminate_lu if system.has_interior_coupling else _eliminate_factored
+    Phi, w_int, xt, Dw = eliminate(system, x0, w0)
     w = np.concatenate([[w0], w_int])
-    residual = _stage_residual(system, xt, w, Phi)
+    residual = _stage_residual(system, xt, w, Phi, Dw)
     return StageSolution(
         slab=system.slab,
         x=np.vstack([x0[None, :], xt]),
@@ -656,7 +792,7 @@ def solve_stage_fixed_point(
 
     w_int = W @ (_lam_apply(system, _imsc(system, x)) + lamPhi)
     w = np.concatenate([[w0], w_int])
-    residual = _stage_residual(system, x, w, Phi)
+    residual = _stage_residual(system, x, w, Phi, _d_apply(system, w_int))
     hist = np.array(history)
     ratios = hist[1:] / hist[:-1] if hist.shape[0] > 1 else np.empty(0)
     return StageSolution(

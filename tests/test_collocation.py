@@ -6,6 +6,7 @@ Gauss rules shows up immediately.
 """
 
 import dataclasses
+import functools
 import math
 import os
 import pathlib
@@ -840,31 +841,146 @@ def test_importing_the_package_builds_no_gauss_tables():
     assert out.stdout.strip() == "0"
 
 
+def dense_contraction_norm(system) -> float:
+    """||Lambda D||_inf contracted from the materialised D, mode by mode."""
+    return float(np.abs(np.einsum("km,kjm->kj", system.lam_weights, system.D)).sum(axis=1).max())
+
+
+def assert_few_ulps(rho, dense, ulps=8):
+    """The factored and the dense contraction sum the same products in
+    another order: they agree within a few ulps of the norm."""
+    assert abs(rho - dense) <= ulps * np.spacing(dense), (rho, dense)
+
+
 def test_lambda_d_is_computed_once_per_system(reference_problem, monkeypatch):
-    """march reads ||Lambda D|| and both stage solvers read it again: one
-    (N, N, M) contraction per system serves them all, read-only."""
-    grid, partition = build_grid(8), TimePartition(1.0, 2)
-    coeffs = assemble_coefficients(reference_problem.family, grid, partition, 1, g=reference_problem.g)
-    system = assemble_block_system(coeffs, reference_problem.family, reference_problem.b)
-    expected = np.einsum("km,kjm->kj", system.lam_weights, system.D)
+    """march reads ||Lambda D|| and both stage solvers read Lambda D again:
+    one factored contraction H V per system serves them all, read-only,
+    within a few ulps of the dense norm."""
     calls = []
-    einsum = np.einsum
+    original = collocation.BlockSystem.__dict__["_lambda_d"].func
 
-    def counting(subscripts, *operands, **kwargs):
-        if any(op is system.D for op in operands) and subscripts == "km,kjm->kj":
-            calls.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
+    def counting(system):
+        calls.append(system)
+        return original(system)
 
-    monkeypatch.setattr(np, "einsum", counting)
-    rho = system.contraction_norm()
-    x0, w0 = reference_problem.u0, float(reference_problem.u0 @ reference_problem.basis.boundary_trace)
-    direct = solve_stage_direct(system, x0, w0)
-    fixed = solve_stage_fixed_point(system, x0, w0)
-    assert len(calls) == 1
-    assert np.array_equal(system.lambda_d_matrix(), expected)
-    assert rho == direct.contraction == fixed.contraction == float(np.abs(expected).sum(axis=1).max())
-    with pytest.raises(ValueError, match="read-only"):
-        system.lambda_d_matrix()[0, 0] = 1.0
+    counted = functools.cached_property(counting)
+    counted.__set_name__(collocation.BlockSystem, "_lambda_d")
+    monkeypatch.setattr(collocation.BlockSystem, "_lambda_d", counted)
+    for mode in ("direct", "fixed_point"):
+        calls.clear()
+        systems = []
+        solve = getattr(collocation, f"solve_stage_{mode}")
+
+        def recording(system, *args, solve=solve, **kwargs):
+            systems.append(system)
+            return solve(system, *args, **kwargs)
+
+        monkeypatch.setattr(collocation, f"solve_stage_{mode}", recording)
+        trace = march(reference_problem, SolverConfig(N=8, K=2, M=128, mode=mode))
+        assert len(systems) == 2
+        assert [id(system) for system in calls] == [id(system) for system in systems]
+        for system, stage in zip(systems, trace.stages):
+            assert stage.contraction == system.contraction_norm()
+            assert system.lambda_d_matrix() is system.lambda_d_matrix()
+            with pytest.raises(ValueError, match="read-only"):
+                system.lambda_d_matrix()[0, 0] = 1.0
+            assert_few_ulps(stage.contraction, dense_contraction_norm(system))
+        assert len(calls) == 2
+
+
+def constant_forced_problem(M=16):
+    """A constant family with forcing in two modes and plain-callable b and g."""
+    basis = heat_basis(M)
+    direction = np.zeros(M)
+    direction[[0, 3]] = [1.0, -0.5]
+    return HeatProblem(
+        family=constant_family(basis, a=1.2, c=0.3),
+        b=lambda t: 0.5 + 0.25 * math.cos(3.0 * t),
+        g=lambda t: math.sin(2.0 * t) - 0.5,
+        u0=np.linspace(1.0, -1.0, M) / np.arange(1, M + 1),
+        T=1.0,
+        forcing=lambda t: math.exp(-t) * direction,
+        name="constant-forced",
+    )
+
+
+@pytest.mark.parametrize(
+    "build, N, K, l",
+    [
+        (lambda: build_reference_example(M=6), 1, 1, 1),
+        (lambda: build_reference_example(M=6), 8, 2, 2),
+        (constant_forced_problem, 6, 3, 2),
+        (constant_forced_problem, 1, 2, 2),
+        (lambda: dataclasses.replace(build_neumann_example(M=6), b=lambda t: 1.0, g=lambda t: 0.0), 5, 1, 1),
+    ],
+    ids=["reference-N1", "reference", "forced-plain-callables", "forced-N1", "neumann-plain-callables"],
+)
+def test_factored_direct_solve_matches_dense_coupled_system(build, N, K, l):
+    """A constant family's direct solve reads only the factored coupling;
+    the dense solve of the same system's materialised arrays agrees with it,
+    and so does ||Lambda D|| contracted from the materialised D."""
+    problem = build()
+    family = problem.family
+    assert family.is_constant
+    assembler = CoefficientAssembler(family, build_grid(N), TimePartition(problem.T, K))
+    system = assemble_block_system(assembler.slab(l, problem.g, problem.forcing, problem.b), family, problem.b)
+    assert system.has_interior_coupling is False
+    x0 = np.random.default_rng(N).standard_normal(family.basis.M)
+    w0 = float(x0 @ family.basis.boundary_trace)
+    stage = solve_stage_direct(system, x0, w0)
+    assert "beta_weighted" not in system.coeffs.__dict__
+    xt, w = dense_stage_solve(system, x0, w0)
+    scale = max(1.0, np.abs(xt).max())
+    assert np.abs(stage.x[1:] - xt).max() <= 1e-13 * scale
+    assert np.abs(stage.boundary_traces[1:] - w).max() <= 1e-13 * scale
+    assert stage.boundary_traces[0] == w0
+    assert stage.residual <= 1e-13 * scale
+    assert_few_ulps(stage.contraction, dense_contraction_norm(system))
+
+
+def test_neumann_contraction_matches_the_dense_norm_on_every_restart():
+    """Neumann at (12, 1) sits above the refinement threshold at K = 1 and
+    2 (0.72 and 0.51) and below it at K = 4 (0.36); the factored norm must
+    make the same decisions as the dense one, so the march still refines
+    exactly twice."""
+    problem = build_neumann_example(M=128)
+    grid = build_grid(12)
+    for K, refines in ((1, True), (2, True), (4, False)):
+        assembler = CoefficientAssembler(problem.family, grid, TimePartition(1.0, K))
+        for l in range(1, K + 1):
+            coeffs = assembler.slab(l, problem.g, problem.forcing, problem.b)
+            system = assemble_block_system(coeffs, problem.family, problem.b)
+            dense = dense_contraction_norm(system)
+            assert_few_ulps(system.contraction_norm(), dense)
+            if l == 1:
+                assert (dense >= collocation.CONTRACTION_REFINE) == refines
+    trace = march(problem, SolverConfig(N=12, K=1, M=128))
+    assert (trace.refinements, trace.partition.K) == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "build, N, K, M",
+    [
+        (build_reference_example, 12, 4, 4096),
+        (build_neumann_example, 12, 1, 128),
+        (build_decay_example, 4, 2, 12),
+        (constant_forced_problem, 6, 3, 16),
+    ],
+    ids=["many-modes", "neumann-refined", "decay", "forced-plain-callables"],
+)
+def test_constant_family_direct_march_never_multiplies_out_the_coupling(build, N, K, M, monkeypatch):
+    """Neither beta_weighted nor the zero alpha of a constant family is
+    built in a direct march: no (N, N + 1, M) array, only the factors."""
+
+    def refuse(self):
+        raise AssertionError("the dense coupling was multiplied out")
+
+    monkeypatch.setattr(collocation.CollocationCoefficients, "coupling", refuse)
+    monkeypatch.setattr(collocation.CollocationCoefficients, "alpha", property(refuse))
+    problem = build(M=M)
+    trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
+    assert len(trace.stages) == trace.partition.K
+    assert all(np.isfinite(stage.residual) for stage in trace.stages)
 
 
 def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):

@@ -4,15 +4,20 @@ CLI solve, and of the CSV of a table whose values are all distinct.
 The reference problem at N = 12, K = 4, M = 4096 marched and evaluated
 (``march`` plus ``compute_errors``) under ``tracemalloc``.  Before the
 constant-family shortcut the peak was 26 081 636 bytes (numpy 2.4.6,
-x86-64), and the bound allows 5% above that.  Assembly temporaries of
-shape (N, ., M) break it: scaling beta for all subintervals at once, with
-two (N, N + 1, M) temporaries, raises the peak to 35.2 MB.
+x86-64), and 25 687 514 with the dense (N, N + 1, M) boundary coupling
+built and swept on every slab.  The factored constant-family solve builds
+no array of that shape, not even the zero alpha, and peaks at 11 563 220
+bytes; the bound allows 5% above that, so one (N, N + 1, M) array
+(5.1 MB) breaks it.
 
 The CLI ``solve --N 16 --K 32 --M 128``, stdout captured in memory, peaked
 at 7 219 681 bytes with one ``repr`` per CSV cell and at 7 242 021 with
 one ``repr`` per distinct value of the whole table as Python lists.  With
-the trace kept as one float array and rendered in row blocks it peaks at
-5 592 448, and the bound allows 5% above that.
+the trace kept as one float array and rendered in row blocks it peaked at
+5 592 448.  The peak is set by the CSV text, not by the march: after the
+factored constant-family solve it reads 5 594 164, because the values'
+reprs are 562 characters longer in all (4 bytes each in the captured
+``io.StringIO``).  The bound allows 5% above that.
 
 A random 513 × 131 array table must render within 1.1 times the peak of
 the per-cell renderer on the same table, measured in the same test: about
@@ -28,8 +33,8 @@ import numpy as np
 
 from duhamelcheb import SolverConfig, Table, build_reference_example, cli, compute_errors, march
 
-MEASURED_PEAK_BYTES = 26_081_636
-MEASURED_CLI_PEAK_BYTES = 5_592_448
+MEASURED_PEAK_BYTES = 11_563_220
+MEASURED_CLI_PEAK_BYTES = 5_594_164
 
 
 def test_many_modes_march_peak_stays_within_five_percent():
