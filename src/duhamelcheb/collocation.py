@@ -288,7 +288,7 @@ def _gauss_tables(Q: int):
 
 
 class CoefficientAssembler:
-    """Per-slab coefficient assembly, with one shared interior per slab length for constant families.
+    """Per-slab coefficient assembly; a constant family shares one interior per slab length.
 
     Every coefficient integrates the exponential kernel against a
     polynomial on one node subinterval, and one map does all of them: R_k
