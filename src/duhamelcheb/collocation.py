@@ -14,16 +14,15 @@ and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
 those maps depend on the data degree alone and are built once per data
 degree per process, on first use, and shared read-only by every assembler.
 The boundary coupling is kept factored, as the samples of b L_j and the
-maps, and multiplied out only for a reader that needs the dense blocks.
-The interior block matrix is bidiagonal with elementwise-exponential
-subdiagonal blocks.  The direct solve reduces the trace unknowns to one
-N x N system per slab.  When the interior coupling vanishes (constant
-families) it works on the factors: the trace images of the maps, built once
-per slab length, give the N x N matrix, and the data and coupling terms are
-swept through the bidiagonal inverse in mode space, so no (N, N+1, M) array
-is built.  Otherwise M batched N x N LU solves do the interior solve.  A
-fixed-point sweep over the same splitting is available as an alternative to
-the direct elimination.
+maps, and every stage solver applies it so: V y is formed in sample space
+and taken through the maps once, at O(N M Q) cost.  The interior block
+matrix is bidiagonal with elementwise-exponential subdiagonal blocks.  The
+direct solve reduces the trace unknowns to one N x N system per slab.  When
+the interior coupling vanishes (constant families) the trace images of the
+maps, built once per slab length, give that matrix, so no (N, N+1, M) array
+is built; otherwise M batched N x N LU solves, whose right-hand side is the
+one multiplied-out coupling, do the interior solve.  A fixed-point sweep
+over the same splitting is an alternative to the direct elimination.
 """
 
 from __future__ import annotations
@@ -187,7 +186,10 @@ class SlabInterior:
         return G
 
     def modes(self, c: np.ndarray) -> np.ndarray:
-        """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M)."""
+        """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
+
+        The one map to modes for every coupling term: phi's g, F_y w0 and D y.
+        """
         return self.coupling_scale * np.matmul(self.maps, c[:, :, None])[:, :, 0]
 
 
@@ -207,13 +209,12 @@ class CollocationCoefficients:
                       local sample points s_q of subinterval k
     beta_weighted     boundary-lift coupling against the interpolated trace,
       [k-1, j]        s_k (R_k V_k[j]) with s = -(tau/2) a mu0 lift, so b
-                      rides inside the integrand; the marching solver
-                      couples to the boundary trace through these
+                      rides inside the integrand
     phi[k-1]          data term (forcing plus boundary data)
 
-    The coupling is kept factored as V and the maps: beta_weighted and
-    alpha (exact zeros for a constant family) are built on first read and
-    then kept, read-only.
+    The coupling is kept factored as V and the maps, and the solvers apply
+    it so: beta_weighted and alpha (exact zeros for a constant family) are
+    built on first read and then kept, read-only.
     """
 
     slab: int
@@ -430,19 +431,13 @@ class CoefficientAssembler:
             interior = self._interior(t_star, t_loc)
             if self.family.is_constant:
                 self._store = interior
-        N, M = interior.E.shape
-        tau = self.partition.tau
-        g_loc = None if g is None else sample_data(g, t_loc)
-        b_loc = None if b is None else sample_data(b, t_loc)
-        phi = np.zeros((N, M))
-        for k in range(N):
-            R = interior.maps[k]
-            if g is not None:
-                phi[k] += 0.5 * tau * interior.kernel_scale[k] * (R @ g_loc[k])
-            if f is not None:
+        # s = -(tau/2) kernel_scale, so the g term (tau/2) kernel_scale R g is -s R g
+        phi = np.zeros(interior.E.shape) if g is None else -interior.modes(sample_data(g, t_loc))
+        if f is not None:
+            for k in range(self.grid.N):
                 f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k]])
-                phi[k] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
-        lag_b = self._lag_loc if b is None else self._lag_loc * b_loc[:, None, :]
+                phi[k] += 0.5 * self.partition.tau * np.einsum("mq,qm->m", interior.maps[k], f_loc)
+        lag_b = self._lag_loc if b is None else self._lag_loc * sample_data(b, t_loc)[:, None, :]
         return CollocationCoefficients(slab=l, t_star=t_star, interior=interior, lag_b=lag_b, phi=phi)
 
 
@@ -463,26 +458,24 @@ def assemble_coefficients(
 class BlockSystem:
     """Assembled block system of one slab.
 
-    All blocks are diagonal per mode except the boundary functional.  The
-    coupling blocks C~, D and F_y are views of the coefficient arrays,
-    built from the factored coupling on first read (see
-    :class:`CollocationCoefficients`), and a constant family's slabs share
-    E and the maps, so solvers must not write to them.
+    All blocks are diagonal per mode except the boundary functional.  D and
+    F_y (beta's columns 1..N and 0) stay factored in ``coeffs``; C~ is a
+    view of its alpha, and a constant family's slabs share E and the maps,
+    so solvers must not write to them.
     Whether C~ vanishes (always so for a constant family, without a scan)
     is decided once per system and kept in the read-only
     ``has_interior_coupling``; both stage solvers skip every C~ contraction
     when it is False.
 
     subdiag[i]     coupling of block row i to row i-1 (i >= 1; entry 0 unused)
-    Cmat, D        (N, N, M) interior and boundary-trace coupling, columns
-                   j = 1..N; D carries the multiplier b inside its integrals
-    F_x, F_y, f_x  previous-slab coupling and data, rows k = 1..N
+    Cmat           (N, N, M) interior coupling, columns j = 1..N
+    F_x, f_x       previous-slab coupling and data, rows k = 1..N
     lam_weights    (N, M) trace functional:
                    w_k = sum_n lam_weights[k-1, n] x~_{k,n}
     bvals          (N+1,) multiplier values b(t_k) at the slab nodes, used
                    to recover the weighted boundary values y = b w
-    coeffs         the slab's coefficients, whose factored coupling the
-                   direct solve of a system without C~ reads instead of D
+    coeffs         the slab's coefficients, whose factored coupling gives
+                   D and F_y; D carries the multiplier b inside its integrals
     """
 
     slab: int
@@ -504,14 +497,6 @@ class BlockSystem:
     @property
     def Cmat(self) -> np.ndarray:
         return self.coeffs.alpha[:, 1:, :]
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.coeffs.beta_weighted[:, 1:, :]
-
-    @property
-    def F_y(self) -> np.ndarray:
-        return self.coeffs.beta_weighted[:, 0, :]
 
     @functools.cached_property
     def has_interior_coupling(self) -> bool:
@@ -538,6 +523,10 @@ class BlockSystem:
         return float(np.abs(self._lambda_d).sum(axis=1).max())
 
     def s_tilde_blocks(self) -> np.ndarray:
+        """S~ as dense (N, N, M) blocks, which no solver reads.
+
+        Acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
+        """
         N, M = self.N, self.M
         S = np.zeros((N, N, M))
         S[np.arange(N), np.arange(N)] = 1.0
@@ -623,7 +612,9 @@ class StageSolution:
 
 
 def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
-    return system.F_x * x0[None, :] + system.F_y * w0 + system.f_x
+    """Phi = F_x x0 + F_y w0 + f_x, with F_y w0 taken through the maps from V[0] w0."""
+    coupling = system.coeffs.interior.modes(w0 * system.coeffs.lag_b[:, 0])
+    return system.F_x * x0[None, :] + coupling + system.f_x
 
 
 def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
@@ -646,7 +637,8 @@ def _lam_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
 
 
 def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
-    return np.einsum("kjm,j->km", system.D, y)
+    """D y for trace values y of shape (N,): V y in sample space, then through the maps."""
+    return system.coeffs.interior.modes(np.einsum("kjq,j->kq", system.coeffs.lag_b[:, 1:], y))
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
@@ -664,8 +656,8 @@ def _stage_residual(
     return float(max(np.abs(xt - rhs).max(), np.abs(w[1:] - _lam_apply(system, rhs)).max()))
 
 
-def _eliminate_lu(system: BlockSystem, x0: np.ndarray, w0: float):
-    """Phi, w, x~ and D w of one slab by M batched LU solves of A = S~ - C~.
+def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
+    """w, x~ and D w of one slab by M batched LU solves of A = S~ - C~.
 
     Column 0 of the coupling is F_y, which only enters Phi, so Phi takes its
     place and [Phi | D] is solved at once; each LU factorisation is shared
@@ -673,7 +665,6 @@ def _eliminate_lu(system: BlockSystem, x0: np.ndarray, w0: float):
     """
     N = system.N
     rhs = system.coeffs.coupling()
-    Phi = system.F_x * x0[None, :] + rhs[:, 0] * w0 + system.f_x
     rhs[:, 0] = Phi
     A = -system.Cmat  # S~ - C~, without a temporary S~
     A[np.arange(N), np.arange(N)] += 1.0
@@ -681,20 +672,18 @@ def _eliminate_lu(system: BlockSystem, x0: np.ndarray, w0: float):
     Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
     LZ = np.einsum("km,kjm->kj", system.lam_weights, Z)
     w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])
-    xt = Z[:, 0] + w_int @ Z[:, 1:]
-    return Phi, w_int, xt, np.einsum("kjm,j->km", rhs[:, 1:], w_int)
+    return w_int, Z[:, 0] + w_int @ Z[:, 1:], _d_apply(system, w_int)
 
 
-def _eliminate_factored(system: BlockSystem, x0: np.ndarray, w0: float):
-    """Phi, w, x~ and D w of one slab without C~, from the factored coupling."""
+def _eliminate_factored(system: BlockSystem, Phi: np.ndarray):
+    """w, x~ and D w of one slab without C~, from the factored coupling."""
     N = system.N
     interior, lag_b = system.coeffs.interior, system.coeffs.lag_b
-    Phi = system.F_x * x0[None, :] + interior.modes(w0 * lag_b[:, 0]) + system.f_x
     Z_phi = _forward_sub(system, Phi.copy())
     LZ_D = interior.trace_images.reshape(N, -1) @ lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
     w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
-    Dw = interior.modes(np.einsum("kjq,j->kq", lag_b[:, 1:], w_int))
-    return Phi, w_int, Z_phi + _forward_sub(system, Dw.copy()), Dw
+    Dw = _d_apply(system, w_int)
+    return w_int, Z_phi + _forward_sub(system, Dw.copy()), Dw
 
 
 def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
@@ -706,13 +695,13 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     (I - Lambda A^{-1} D) w = Lambda A^{-1} Phi, and then
     x~ = A^{-1} Phi + A^{-1} D w.
 
-    When C~ vanishes (``system.has_interior_coupling`` is False, as for
-    every constant family) A = S~ is unit lower bidiagonal and D is used in
-    its factored form D_k = s_k R_k V_k (see
-    :class:`CollocationCoefficients`): Lambda S~^{-1} D is G V with the
-    trace images G of the slab's interior (:class:`SlabInterior`), Phi and
-    D w are formed in mode space at O(N M Q) cost, and each is swept
-    through S~^{-1} on its own and the two added only at the end.  Summing
+    Phi and D w are formed from the factored coupling D_k = s_k R_k V_k
+    (see :class:`CollocationCoefficients`) at O(N M Q) cost.  When C~
+    vanishes (``system.has_interior_coupling`` is False, as for every
+    constant family) A = S~ is unit lower bidiagonal: Lambda S~^{-1} D is
+    G V with the trace images G of the slab's interior
+    (:class:`SlabInterior`), and Phi and D w are each swept through
+    S~^{-1} on its own and the two added only at the end.  Summing
     them before the sweep would turn the trace's quantised cancellation
     remainders into smooth noise, which the CSV output pays for in
     distinct values.  Neither the (N, N+1, M) coupling nor the residual
@@ -723,7 +712,8 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
     eliminate = _eliminate_lu if system.has_interior_coupling else _eliminate_factored
-    Phi, w_int, xt, Dw = eliminate(system, x0, w0)
+    Phi = _phi_blocks(system, x0, w0)
+    w_int, xt, Dw = eliminate(system, Phi)
     w = np.concatenate([[w0], w_int])
     residual = _stage_residual(system, xt, w, Phi, Dw)
     return StageSolution(
@@ -748,6 +738,8 @@ def solve_stage_fixed_point(
     Iterates x <- S~^{-1} (C~ x + D W Lambda (I - S~ + C~) x) + const with
     W = [I - Lambda D]^{-1}; converges geometrically when the combined
     coupling is a contraction, with ratio shrinking as the slab shortens.
+    Lambda D is the factored H V, and Phi and D y go through the maps as in
+    :func:`solve_stage_direct`, so no (N, N+1, M) coupling is built.
     ``tol`` must be finite and positive and ``max_iter`` an integer >= 1.
     """
     if not np.isfinite(tol) or tol <= 0:

@@ -427,8 +427,9 @@ def residual_of_exact_in_integral_equations(
         rate=problem.b.rate + exact.rate,
     )
     ts = np.asarray(times, dtype=float)
-    if np.any(ts <= 0):
-        raise ValueError("residual is evaluated at strictly positive times")
+    bad = ts[~(ts > 0)]
+    if bad.size:
+        raise ValueError(f"residual is evaluated at strictly positive times, got t={float(bad[0])}")
     kappa = basis.mu * basis.lift_coeffs
     xs = np.asarray(x_probes, dtype=float)
     phis = basis.eigenfunctions(xs)

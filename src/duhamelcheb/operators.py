@@ -16,6 +16,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from .mesh import check_count
+
 __all__ = [
     "EigenBasis",
     "OperatorFamily",
@@ -86,8 +88,7 @@ def heat_basis(M: int) -> EigenBasis:
     mu_n = omega_n^2.  The unit lift is B(1)(x) = x, whose sine-series
     coefficients are b_n = 2 (-1)^{n+1} / mu_n.
     """
-    if M < 1:
-        raise ValueError(f"need at least one mode, got M={M}")
+    check_count("mode count", M)
     n = np.arange(1, M + 1)
     omega = 0.5 * np.pi * (2 * n - 1)
     mu = omega**2
@@ -201,14 +202,12 @@ class AssumptionReport:
     max_boundary_multiplier: sup of |b| over sampled t (None if b not given).
     holder_ratio: max over sampled pairs of the relative operator increment
         ||(A(t) - A(s)) A(t)^{-1}|| / |t - s|.
-    power_ratio: same for the fractional-power increment with beta = 1/2.
     positive: True when a(t) > 0 and omega > 0 at every sample.
     """
 
     omega: float
     max_boundary_multiplier: float | None
     holder_ratio: float
-    power_ratio: float
     positive: bool
 
 
@@ -232,7 +231,6 @@ def verify_assumptions(
     max_b = float(np.abs([b(t) for t in ts]).max()) if b is not None else None
 
     holder = 0.0
-    power = 0.0
     for i in range(0, samples, 4):
         for j in range(i + 1, samples, 4):
             dt = abs(ts[j] - ts[i])
@@ -240,11 +238,9 @@ def verify_assumptions(
                 continue
             fi, fj = frozen[i], frozen[j]
             holder = max(holder, float(np.abs((fj - fi) / fj).max()) / dt)
-            power = max(power, float(np.abs(np.sqrt(fj / fi) - 1.0).max()) / dt)
     return AssumptionReport(
         omega=omega,
         max_boundary_multiplier=max_b,
         holder_ratio=holder,
-        power_ratio=power,
         positive=positive,
     )

@@ -46,6 +46,7 @@ from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition, interpolate
 from duhamelcheb.operators import OperatorFamily
+from problems import varying_manufactured_problem
 
 
 def beta_quadrature_oracle(family, grid, partition, l, k, j, n):
@@ -237,36 +238,6 @@ def test_negative_frozen_eigenvalues_rejected(small_setup):
     growing = constant_family(family.basis, c=-10.0)
     with pytest.raises(ValueError, match="not positive"):
         assemble_coefficients(growing, grid, partition, l=1)
-
-
-def varying_manufactured_problem(M=128):
-    """Manufactured solution e^{-kappa t} sin(pi x / 2) under a = 1 + 0.5 t,
-    c = 0.3 t, kappa = 2.5: mode 1 carries the forcing, g = b u(1, .)."""
-    kappa, rate_b = 2.5, np.pi**2 / 2.0
-    basis = heat_basis(M)
-    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.0, 0.3]))
-    u0 = np.zeros(M)
-    u0[0] = 1.0
-
-    def forcing(t):
-        out = np.zeros(M)
-        out[0] = (family.frozen_eigenvalues(t)[0] - kappa) * np.exp(-kappa * t)
-        return out
-
-    return HeatProblem(
-        family=family,
-        b=ExpDecay(1.0, rate_b),
-        g=ExpDecay(1.0, rate_b + kappa),
-        u0=u0,
-        T=1.0,
-        forcing=forcing,
-        exact=SeparableSolution(
-            rate=kappa,
-            profile=lambda x: np.sin(0.5 * np.pi * np.asarray(x, dtype=float)),
-            dprofile_at_1=0.0,
-        ),
-        name="varying-manufactured",
-    )
 
 
 @pytest.mark.parametrize("N", [16, 24, 32])
@@ -580,9 +551,11 @@ def dense_stage_solve(system, x0, w0):
         x~ = (I - A) x~ + D w + Phi,
         w  = Lambda ((I - A) x~ + D w + Phi),
     with I - A = C~ plus the subdiagonal blocks, all read straight from the
-    assembled blocks rather than through the solver's helpers.
+    assembled blocks rather than through the solver's helpers; D and F_y
+    are columns 1..N and 0 of the materialised ``beta_weighted``.
     """
     N, M = system.N, system.M
+    D, F_y = system.coeffs.beta_weighted[:, 1:], system.coeffs.beta_weighted[:, 0]
     n = N * M
     ImA = np.zeros((n, n))
     Dmat = np.zeros((n, N))
@@ -592,11 +565,11 @@ def dense_stage_solve(system, x0, w0):
             row = k * M + m
             for j in range(N):
                 ImA[row, j * M + m] += system.Cmat[k, j, m]
-                Dmat[row, j] = system.D[k, j, m]
+                Dmat[row, j] = D[k, j, m]
             if k > 0:
                 ImA[row, (k - 1) * M + m] += system.subdiag[k, m]
             Lam[k, row] = system.lam_weights[k, m]
-    Phi = (system.F_x * x0[None, :] + system.F_y * w0 + system.f_x).ravel()
+    Phi = (system.F_x * x0[None, :] + F_y * w0 + system.f_x).ravel()
     big = np.zeros((n + N, n + N))
     big[:n, :n] = np.eye(n) - ImA
     big[:n, n:] = -Dmat
@@ -843,7 +816,8 @@ def test_importing_the_package_builds_no_gauss_tables():
 
 def dense_contraction_norm(system) -> float:
     """||Lambda D||_inf contracted from the materialised D, mode by mode."""
-    return float(np.abs(np.einsum("km,kjm->kj", system.lam_weights, system.D)).sum(axis=1).max())
+    D = system.coeffs.beta_weighted[:, 1:]
+    return float(np.abs(np.einsum("km,kjm->kj", system.lam_weights, D)).sum(axis=1).max())
 
 
 def assert_few_ulps(rho, dense, ulps=8):
@@ -968,9 +942,11 @@ def test_neumann_contraction_matches_the_dense_norm_on_every_restart():
     ],
     ids=["many-modes", "neumann-refined", "decay", "forced-plain-callables"],
 )
-def test_constant_family_direct_march_never_multiplies_out_the_coupling(build, N, K, M, monkeypatch):
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_constant_family_march_never_multiplies_out_the_coupling(build, N, K, M, mode, monkeypatch):
     """Neither beta_weighted nor the zero alpha of a constant family is
-    built in a direct march: no (N, N + 1, M) array, only the factors."""
+    built in a march, direct or fixed-point: no (N, N + 1, M) array, only
+    the factors."""
 
     def refuse(self):
         raise AssertionError("the dense coupling was multiplied out")
@@ -978,7 +954,7 @@ def test_constant_family_direct_march_never_multiplies_out_the_coupling(build, N
     monkeypatch.setattr(collocation.CollocationCoefficients, "coupling", refuse)
     monkeypatch.setattr(collocation.CollocationCoefficients, "alpha", property(refuse))
     problem = build(M=M)
-    trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
+    trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T, mode=mode))
     assert len(trace.stages) == trace.partition.K
     assert all(np.isfinite(stage.residual) for stage in trace.stages)
 
@@ -1101,15 +1077,28 @@ def test_constant_family_skips_the_interior_coupling(reference_problem, mode, mo
 
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])
 def test_varying_family_keeps_the_interior_coupling(mode, monkeypatch):
+    """C~ is contracted in both solvers; the dense boundary coupling is
+    multiplied out once per solved slab, for the LU right-hand side of the
+    direct solve, and never by the fixed-point sweep."""
     problem = varying_manufactured_problem()
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(1.0, 8))
     coeffs = assembler.slab(1, problem.g, problem.forcing, problem.b)
     assert assemble_block_system(coeffs, problem.family, problem.b).has_interior_coupling is True
 
+    couplings = []
+    coupling = collocation.CollocationCoefficients.coupling
+
+    def counting(self):
+        couplings.append(self.slab)
+        return coupling(self)
+
+    monkeypatch.setattr(collocation.CollocationCoefficients, "coupling", counting)
     calls = count_interior_contractions(monkeypatch)
     trace = march(problem, SolverConfig(N=12, K=8, M=128, mode=mode))
     assert compute_errors(trace, problem).max_eps1 <= 1e-13
     assert len(calls) >= trace.partition.K
+    solved = [stage.slab for stage in trace.stages] if mode == "direct" else []
+    assert couplings == solved
 
 
 def test_neumann_restarts_build_the_sample_tables_once(monkeypatch):

@@ -27,7 +27,7 @@ from duhamelcheb import (
 )
 from duhamelcheb import harness
 from duhamelcheb.harness import StudyRow, baseline_sweep
-from test_collocation import varying_manufactured_problem
+from problems import varying_manufactured_problem
 
 
 def test_study_rows_follow_requested_sweep(reference_problem):

@@ -330,6 +330,16 @@ def test_residual_tail_bound_positive_for_truncated_initial_data():
     assert bound < 0.1
 
 
+@pytest.mark.parametrize(
+    "times, bad", [((0.0, 0.5), "0.0"), ((0.5, float("nan")), "nan"), ((0.5, -1.0), "-1.0")]
+)
+def test_residual_rejects_times_that_are_not_positive(reference_problem, times, bad):
+    """A NaN time used to pass the check and return zero residuals under a
+    NaN bound; every time that is not > 0 is named."""
+    with pytest.raises(ValueError, match=f"strictly positive times, got t={bad}$"):
+        residual_of_exact_in_integral_equations(reference_problem, times)
+
+
 def test_residual_rejects_bad_inputs(reference_problem):
     with pytest.raises(ValueError):
         residual_of_exact_in_integral_equations(reference_problem, (0.0, 0.5))

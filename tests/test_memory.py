@@ -1,5 +1,6 @@
-"""Peak memory of one march of the many-modes shape, of one many-slabs
-CLI solve, and of the CSV of a table whose values are all distinct.
+"""Peak memory of one march of the many-modes shape, of one march of a
+varying family, of one many-slabs CLI solve, and of the CSV of a table
+whose values are all distinct.
 
 The reference problem at N = 12, K = 4, M = 4096 marched and evaluated
 (``march`` plus ``compute_errors``) under ``tracemalloc``.  Before the
@@ -9,6 +10,13 @@ built and swept on every slab.  The factored constant-family solve builds
 no array of that shape, not even the zero alpha, and peaks at 11 563 220
 bytes; the bound allows 5% above that, so one (N, N + 1, M) array
 (5.1 MB) breaks it.
+
+The varying manufactured problem at N = 12, K = 8, M = 128 marched and
+evaluated the same way takes the batched LU path, whose right-hand side is
+the one (N, N + 1, M) array a solve builds (160 kB).  With Phi and every
+D w applied through the maps it peaks at 1 083 808 bytes, against
+1 083 134 with both read off the dense coupling; the bound allows 5% above
+that, so one more (N, N + 1, M) or (N, N, M) array breaks it.
 
 The CLI ``solve --N 16 --K 32 --M 128``, stdout captured in memory, peaked
 at 7 219 681 bytes with one ``repr`` per CSV cell and at 7 242 021 with
@@ -32,23 +40,33 @@ import tracemalloc
 import numpy as np
 
 from duhamelcheb import SolverConfig, Table, build_reference_example, cli, compute_errors, march
+from problems import varying_manufactured_problem
 
 MEASURED_PEAK_BYTES = 11_563_220
+MEASURED_VARYING_PEAK_BYTES = 1_083_808
 MEASURED_CLI_PEAK_BYTES = 5_594_164
 
 
-def test_many_modes_march_peak_stays_within_five_percent():
-    problem = build_reference_example(M=4096)
-    config = SolverConfig(N=12, K=4, M=4096)
+def march_peak(problem, config) -> int:
+    """Traced peak of one march plus compute_errors, after a warm-up march."""
     march(problem, config)  # first use builds the shared Gauss tables
     gc.collect()
     tracemalloc.start()
     try:
         compute_errors(march(problem, config), problem)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_many_modes_march_peak_stays_within_five_percent():
+    peak = march_peak(build_reference_example(M=4096), SolverConfig(N=12, K=4, M=4096))
     assert peak <= 1.05 * MEASURED_PEAK_BYTES, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_varying_family_march_peak_stays_within_five_percent():
+    peak = march_peak(varying_manufactured_problem(M=128), SolverConfig(N=12, K=8, M=128))
+    assert peak <= 1.05 * MEASURED_VARYING_PEAK_BYTES, f"peak {peak / 1e6:.3f} MB"
 
 
 def test_all_distinct_array_table_csv_peak_stays_near_per_cell_rendering(per_cell_csv):

@@ -1,10 +1,12 @@
 """Eigenbasis data, operator calculus, and the lift."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from duhamelcheb import heat_basis, constant_family, verify_assumptions
+from duhamelcheb import build_reference_example, heat_basis, constant_family, verify_assumptions
 from duhamelcheb.operators import (
     OperatorFamily,
     apply_exponential,
@@ -37,6 +39,22 @@ def test_heat_basis_closed_forms(basis):
 def test_basis_rejects_empty():
     with pytest.raises(ValueError):
         heat_basis(0)
+
+
+@pytest.mark.parametrize("M", [0, 2.5, True, "4"])
+def test_basis_rejects_a_mode_count_that_is_not_a_positive_integer(M):
+    """2.5 used to build 3 modes, True 1 mode, and build_reference_example
+    with M = 2.5 failed with a TypeError inside numpy."""
+    message = f"^mode count must be an integer >= 1, got {re.escape(repr(M))}$"
+    with pytest.raises(ValueError, match=message):
+        heat_basis(M)
+    with pytest.raises(ValueError, match=message):
+        build_reference_example(M=M)
+
+
+def test_basis_accepts_a_numpy_integer_mode_count():
+    basis = heat_basis(np.int64(8))
+    assert basis.M == 8 and basis.mu.shape == (8,)
 
 
 def test_lift_coefficients_match_quadrature(basis):
