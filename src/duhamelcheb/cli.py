@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -187,8 +188,9 @@ def _cmd_solve(args) -> int:
     _emit(_trace_table(trace, problem), args.format, args.out)
     errors_out = args.errors_out
     if errors_out is None and args.out is not None:
-        stem, dot, suffix = args.out.rpartition(".")
-        errors_out = f"{stem}_errors.{suffix}" if dot else f"{args.out}_errors"
+        head, name = os.path.split(args.out)
+        stem, dot, suffix = name.rpartition(".")
+        errors_out = os.path.join(head, f"{stem}_errors.{suffix}" if dot else f"{name}_errors")
     _emit(compute_errors(trace, problem).table(), args.format, errors_out)
     return EXIT_OK
 

@@ -15,13 +15,15 @@ those maps depend on the data degree alone and are built once per data
 degree per process, on first use, and shared read-only by every assembler.
 The boundary coupling is kept factored, as the samples of b L_j and the
 maps, and every stage solver applies it so: V y is formed in sample space
-and taken through the maps once, at O(N M Q) cost.  The interior block
-matrix is bidiagonal with elementwise-exponential subdiagonal blocks.  The
-direct solve reduces the trace unknowns to one N x N system per slab.  When
-the interior coupling vanishes (constant families) the trace images of the
-maps, built once per slab length, give that matrix, so no (N, N+1, M) array
-is built; otherwise M batched N x N LU solves, whose right-hand side is the
-one multiplied-out coupling, do the interior solve.  A fixed-point sweep
+and taken through the maps once, at O(N M Q) cost.  A slab's block system
+is its coefficients and b at its nodes: the solvers read every block (E,
+alpha, phi, the trace functional) from the coefficients.  The direct solve
+reduces the trace unknowns to one N x N system per slab.  When the
+interior coupling vanishes (constant families, whose alpha is never
+integrated) the trace images of the maps, built once per slab length,
+give that matrix, so no (N, N+1, M) array is built; otherwise M batched
+N x N LU solves, whose right-hand side is the one multiplied-out
+coupling, do the interior solve.  A fixed-point sweep
 over the same splitting is an alternative to the direct elimination.
 """
 
@@ -138,7 +140,6 @@ class SlabInterior:
     depend on the slab, and every slab of one length shares it read-only.
     Index k-1 stands for node subinterval k = 1..N, trailing axis modes.
 
-    mu_frozen[k-1]      frozen eigenvalues mu~(t*_k)
     E[k-1]              propagator exp(-mu~(t*_k) (tau/2) theta_k)
     alpha               (N, N+1, M) frozen-operator correction, or None for
                         a constant family, where it is exactly zero
@@ -148,7 +149,6 @@ class SlabInterior:
     """
 
     tau: float
-    mu_frozen: np.ndarray
     E: np.ndarray
     alpha: np.ndarray | None
     maps: np.ndarray
@@ -230,10 +230,6 @@ class CollocationCoefficients:
     @property
     def M(self) -> int:
         return self.E.shape[1]
-
-    @property
-    def mu_frozen(self) -> np.ndarray:
-        return self.interior.mu_frozen
 
     @property
     def E(self) -> np.ndarray:
@@ -330,7 +326,7 @@ class CoefficientAssembler:
         self.grid = grid
         self.partition = partition
         N = grid.N
-        floor = N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0], 1) - 1
+        floor = N if family.is_constant else N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0]) - 1
         if data_degree is not None:
             check_count("data degree", data_degree)
         Q = max(12, floor) if data_degree is None else int(data_degree)
@@ -349,7 +345,7 @@ class CoefficientAssembler:
         self._store = None
 
     def _interior(self, t_star: np.ndarray, t_loc: np.ndarray) -> SlabInterior:
-        """Frozen eigenvalues, E, alpha, the quadrature maps R_k and the kernel scale of one slab.
+        """E, alpha, the quadrature maps R_k and the kernel scale of one slab.
 
         ``t_star`` are the slab's node times and ``t_loc`` its sample times,
         shape (N, data_degree + 1); for a constant family the result does
@@ -392,7 +388,7 @@ class CoefficientAssembler:
                 alpha[k] *= 0.5 * tau
         basis = family.basis
         kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
-        return SlabInterior(tau, mu_frozen, E, alpha, maps, kernel_scale, basis.boundary_trace)
+        return SlabInterior(tau, E, alpha, maps, kernel_scale, basis.boundary_trace)
 
     def _repartitioned(self, partition: TimePartition) -> CoefficientAssembler:
         """This assembler on another partition of the same grid.
@@ -456,52 +452,44 @@ def assemble_coefficients(
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled block system of one slab.
+    """The stage system of one slab: its coefficients and b at its nodes.
 
-    All blocks are diagonal per mode except the boundary functional.  D and
-    F_y (beta's columns 1..N and 0) stay factored in ``coeffs``; C~ is a
-    view of its alpha, and a constant family's slabs share E and the maps,
-    so solvers must not write to them.
-    Whether C~ vanishes (always so for a constant family, without a scan)
-    is decided once per system and kept in the read-only
-    ``has_interior_coupling``; both stage solvers skip every C~ contraction
-    when it is False.
+    Every block is read from ``coeffs``, where the solvers use it, and all
+    are diagonal per mode except the boundary functional Lambda:
 
-    subdiag[i]     coupling of block row i to row i-1 (i >= 1; entry 0 unused)
-    Cmat           (N, N, M) interior coupling, columns j = 1..N
-    F_x, f_x       previous-slab coupling and data, rows k = 1..N
-    lam_weights    (N, M) trace functional:
-                   w_k = sum_n lam_weights[k-1, n] x~_{k,n}
-    bvals          (N+1,) multiplier values b(t_k) at the slab nodes, used
-                   to recover the weighted boundary values y = b w
-    coeffs         the slab's coefficients, whose factored coupling gives
-                   D and F_y; D carries the multiplier b inside its integrals
+    S~        unit lower bidiagonal, subdiagonal block i the propagator E[i]
+    C~, F_x   alpha's columns 1..N and 0, with E[0] added to F_x's row 1;
+              a constant family's alpha is not integrated, so
+              ``has_interior_coupling`` is False and no solver contracts C~
+    f_x       phi
+    Lambda    w_k = sum_n interior.trace[n] x~_{k,n} in every row
+    D, F_y    beta's columns 1..N and 0, kept factored; D carries the
+              multiplier b inside its integrals
+    bvals     (N+1,) b(t_k) at the slab nodes, to recover y = b w
+
+    A constant family's slabs share E, the maps and the trace, so solvers
+    must not write to them.
     """
 
-    slab: int
-    subdiag: np.ndarray
-    F_x: np.ndarray
-    f_x: np.ndarray
-    lam_weights: np.ndarray
-    bvals: np.ndarray
     coeffs: CollocationCoefficients
+    bvals: np.ndarray
+
+    @property
+    def slab(self) -> int:
+        return self.coeffs.slab
 
     @property
     def N(self) -> int:
-        return self.subdiag.shape[0]
+        return self.coeffs.N
 
     @property
     def M(self) -> int:
-        return self.subdiag.shape[1]
+        return self.coeffs.M
 
     @property
-    def Cmat(self) -> np.ndarray:
-        return self.coeffs.alpha[:, 1:, :]
-
-    @functools.cached_property
     def has_interior_coupling(self) -> bool:
-        """Whether C~ has a nonzero entry (never for a constant family); decided once."""
-        return self.coeffs.interior.alpha is not None and bool(self.Cmat.any())
+        """Whether C~ was integrated, i.e. the family is not constant."""
+        return self.coeffs.interior.alpha is not None
 
     @functools.cached_property
     def _lambda_d(self) -> np.ndarray:
@@ -531,7 +519,7 @@ class BlockSystem:
         S = np.zeros((N, N, M))
         S[np.arange(N), np.arange(N)] = 1.0
         if N > 1:
-            S[np.arange(1, N), np.arange(N - 1)] = -self.subdiag[1:]
+            S[np.arange(1, N), np.arange(N - 1)] = -self.coeffs.E[1:]
         return S
 
     def s_tilde_inverse_blocks(self) -> np.ndarray:
@@ -541,13 +529,13 @@ class BlockSystem:
         between the two positions; no division is involved, so underflowed
         propagators are handled exactly.
         """
-        N, M = self.N, self.M
+        N, M, E = self.N, self.M, self.coeffs.E
         T = np.zeros((N, N, M))
         for k in range(N):
             acc = np.ones(M)
             T[k, k] = acc
             for i in range(k + 1, N):
-                acc = acc * self.subdiag[i]
+                acc = acc * E[i]
                 T[i, k] = acc
         return T
 
@@ -562,33 +550,17 @@ def assemble_block_system(
     family: OperatorFamily,
     boundary_multiplier: Callable[[float], float],
 ) -> BlockSystem:
-    """Arrange the slab coefficients into the block system.
+    """The stage system of one slab, whose blocks are read from ``coeffs``.
 
-    ``boundary_multiplier`` only supplies the nodal values used to recover
-    y = b w; the coupling itself comes from ``coeffs``, so the
-    coefficients must have been assembled with the same multiplier (or with
-    none, for b identically one).  An
+    Only the nodal values of ``boundary_multiplier``, used to recover
+    y = b w, are sampled here; the coupling itself comes from ``coeffs``,
+    so the coefficients must have been assembled from ``family`` with the
+    same multiplier (or with none, for b identically one).  An
     :class:`~duhamelcheb.kernels.ExpDecay` multiplier is sampled at the N + 1
     slab nodes in one array call; any other callable once per node with a
     scalar float.
     """
-    N, M = coeffs.N, coeffs.M
-    bvals = sample_data(boundary_multiplier, coeffs.t_star)
-    subdiag = np.zeros((N, M))
-    subdiag[1:] = coeffs.E[1:]
-    alpha = coeffs.interior.alpha
-    F_x = np.zeros((N, M)) if alpha is None else alpha[:, 0, :].copy()
-    F_x[0] += coeffs.E[0]
-    lam_weights = np.broadcast_to(family.basis.boundary_trace[None, :], (N, M))
-    return BlockSystem(
-        slab=coeffs.slab,
-        subdiag=subdiag,
-        F_x=F_x,
-        f_x=coeffs.phi,
-        lam_weights=lam_weights,
-        bvals=bvals,
-        coeffs=coeffs,
-    )
+    return BlockSystem(coeffs=coeffs, bvals=sample_data(boundary_multiplier, coeffs.t_star))
 
 
 @dataclass(frozen=True)
@@ -612,15 +584,24 @@ class StageSolution:
 
 
 def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
-    """Phi = F_x x0 + F_y w0 + f_x, with F_y w0 taken through the maps from V[0] w0."""
-    coupling = system.coeffs.interior.modes(w0 * system.coeffs.lag_b[:, 0])
-    return system.F_x * x0[None, :] + coupling + system.f_x
+    """Phi = F_x x0 + F_y w0 + f_x, with F_y w0 taken through the maps from V[0] w0.
+
+    F_x (see :class:`BlockSystem`) is formed here, its zero rows included,
+    and the terms are summed left to right: 0 * x0 carries the sign of x0
+    into a sum of zeros, and a reordered sum rounds differently, so either
+    shortcut could change printed values.
+    """
+    coeffs = system.coeffs
+    alpha = coeffs.interior.alpha
+    F_x = np.zeros(coeffs.E.shape) if alpha is None else alpha[:, 0].copy()
+    F_x[0] += coeffs.E[0]
+    return F_x * x0[None, :] + coeffs.interior.modes(w0 * coeffs.lag_b[:, 0]) + coeffs.phi
 
 
 def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     """C~ w for a block vector w of shape (N, M); zeros, uncontracted, when C~ vanishes."""
     if system.has_interior_coupling:
-        return np.einsum("kjm,jm->km", system.Cmat, w)
+        return np.einsum("kjm,jm->km", system.coeffs.interior.alpha[:, 1:], w)
     return np.zeros(w.shape)
 
 
@@ -628,12 +609,12 @@ def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     """(I - S~ + C~) w for a block vector w of shape (N, M)."""
     out = _c_apply(system, w)
     if system.N > 1:
-        out[1:] += system.subdiag[1:] * w[:-1]
+        out[1:] += system.coeffs.E[1:] * w[:-1]
     return out
 
 
 def _lam_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    return np.einsum("km,km->k", system.lam_weights, w)
+    return np.einsum("m,km->k", system.coeffs.interior.trace, w)
 
 
 def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
@@ -643,17 +624,10 @@ def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     """Apply the inverse of S~ to r of shape (N, ..., M) in place, by forward substitution."""
+    E = system.coeffs.E
     for k in range(1, system.N):
-        r[k] += system.subdiag[k] * r[k - 1]
+        r[k] += E[k] * r[k - 1]
     return r
-
-
-def _stage_residual(
-    system: BlockSystem, xt: np.ndarray, w: np.ndarray, Phi: np.ndarray, Dw: np.ndarray
-) -> float:
-    """Max-norm defect of the collocation equations, given the product ``Dw`` = D w[1:]."""
-    rhs = _imsc(system, xt) + Dw + Phi
-    return float(max(np.abs(xt - rhs).max(), np.abs(w[1:] - _lam_apply(system, rhs)).max()))
 
 
 def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
@@ -663,14 +637,14 @@ def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
     place and [Phi | D] is solved at once; each LU factorisation is shared
     by the N + 1 columns.
     """
-    N = system.N
-    rhs = system.coeffs.coupling()
+    N, coeffs = system.N, system.coeffs
+    rhs = coeffs.coupling()
     rhs[:, 0] = Phi
-    A = -system.Cmat  # S~ - C~, without a temporary S~
+    A = -coeffs.interior.alpha[:, 1:]  # S~ - C~, without a temporary S~
     A[np.arange(N), np.arange(N)] += 1.0
-    A[np.arange(1, N), np.arange(N - 1)] -= system.subdiag[1:]
+    A[np.arange(1, N), np.arange(N - 1)] -= coeffs.E[1:]
     Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
-    LZ = np.einsum("km,kjm->kj", system.lam_weights, Z)
+    LZ = np.einsum("m,kjm->kj", coeffs.interior.trace, Z)
     w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])
     return w_int, Z[:, 0] + w_int @ Z[:, 1:], _d_apply(system, w_int)
 
@@ -686,6 +660,28 @@ def _eliminate_factored(system: BlockSystem, Phi: np.ndarray):
     return w_int, Z_phi + _forward_sub(system, Dw.copy()), Dw
 
 
+def _stage_solution(
+    system: BlockSystem, x0: np.ndarray, w0: float, xt: np.ndarray, w_int: np.ndarray,
+    Phi: np.ndarray, Dw: np.ndarray, rho: float, **fixed_point,
+) -> StageSolution:
+    """The slab's solution from x~ and w_1..w_N, given ``Dw`` = D w_int.
+
+    Its residual is the max-norm defect of the collocation equations.
+    """
+    rhs = _imsc(system, xt) + Dw + Phi
+    residual = float(max(np.abs(xt - rhs).max(), np.abs(w_int - _lam_apply(system, rhs)).max()))
+    w = np.concatenate([[w0], w_int])
+    return StageSolution(
+        slab=system.slab,
+        x=np.vstack([x0[None, :], xt]),
+        y=system.bvals * w,
+        boundary_traces=w,
+        residual=residual,
+        contraction=rho,
+        **fixed_point,
+    )
+
+
 def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
     """Direct elimination solve of one slab.
 
@@ -695,18 +691,19 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     (I - Lambda A^{-1} D) w = Lambda A^{-1} Phi, and then
     x~ = A^{-1} Phi + A^{-1} D w.
 
-    Phi and D w are formed from the factored coupling D_k = s_k R_k V_k
-    (see :class:`CollocationCoefficients`) at O(N M Q) cost.  When C~
-    vanishes (``system.has_interior_coupling`` is False, as for every
-    constant family) A = S~ is unit lower bidiagonal: Lambda S~^{-1} D is
-    G V with the trace images G of the slab's interior
-    (:class:`SlabInterior`), and Phi and D w are each swept through
-    S~^{-1} on its own and the two added only at the end.  Summing
-    them before the sweep would turn the trace's quantised cancellation
-    remainders into smooth noise, which the CSV output pays for in
-    distinct values.  Neither the (N, N+1, M) coupling nor the residual
-    check is ever multiplied out.  Otherwise [Phi | D] is solved by M
-    batched N x N LU factorisations.
+    Every block is read from the slab's coefficients (see
+    :class:`BlockSystem`).  Phi and D w are formed from the factored
+    coupling D_k = s_k R_k V_k (see :class:`CollocationCoefficients`) at
+    O(N M Q) cost.  When C~ vanishes (a constant family, whose alpha is not
+    integrated, so ``system.has_interior_coupling`` is False) A = S~ is
+    unit lower bidiagonal: Lambda S~^{-1} D is G V with the trace images G
+    of the slab's interior (:class:`SlabInterior`), and Phi and D w are
+    each swept through S~^{-1} on its own and the two added only at the
+    end.  Summing them before the sweep would turn the trace's quantised
+    cancellation remainders into smooth noise, which the CSV output pays
+    for in distinct values.  Neither the (N, N+1, M) coupling nor the
+    residual check is ever multiplied out.  Otherwise [Phi | D] is solved
+    by M batched N x N LU factorisations.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
@@ -714,16 +711,7 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     eliminate = _eliminate_lu if system.has_interior_coupling else _eliminate_factored
     Phi = _phi_blocks(system, x0, w0)
     w_int, xt, Dw = eliminate(system, Phi)
-    w = np.concatenate([[w0], w_int])
-    residual = _stage_residual(system, xt, w, Phi, Dw)
-    return StageSolution(
-        slab=system.slab,
-        x=np.vstack([x0[None, :], xt]),
-        y=system.bvals * w,
-        boundary_traces=w,
-        residual=residual,
-        contraction=rho,
-    )
+    return _stage_solution(system, x0, w0, xt, w_int, Phi, Dw, rho)
 
 
 def solve_stage_fixed_point(
@@ -757,7 +745,6 @@ def solve_stage_fixed_point(
 
     x = np.zeros((N, M))
     history: list[float] = []
-    converged = False
     for it in range(1, max_iter + 1):
         z = _lam_apply(system, _imsc(system, x))
         x_new = _forward_sub(system, _c_apply(system, x) + _d_apply(system, W @ z)) + const
@@ -767,7 +754,6 @@ def solve_stage_fixed_point(
         history.append(d)
         x = x_new
         if d < tol:
-            converged = True
             break
         if len(history) >= 4:
             inc = all(history[-i] > history[-i - 1] for i in (1, 2, 3))
@@ -776,26 +762,17 @@ def solve_stage_fixed_point(
                 raise FixedPointDivergenceError(
                     ratio, it, "growing successive differences", system.slab
                 )
-    if not converged:
+    else:
         ratio = history[-1] / history[-2] if len(history) > 1 else np.inf
         raise FixedPointDivergenceError(
             ratio, max_iter, "iteration cap reached before tolerance", system.slab
         )
 
     w_int = W @ (_lam_apply(system, _imsc(system, x)) + lamPhi)
-    w = np.concatenate([[w0], w_int])
-    residual = _stage_residual(system, x, w, Phi, _d_apply(system, w_int))
     hist = np.array(history)
-    ratios = hist[1:] / hist[:-1] if hist.shape[0] > 1 else np.empty(0)
-    return StageSolution(
-        slab=system.slab,
-        x=np.vstack([x0[None, :], x]),
-        y=system.bvals * w,
-        boundary_traces=w,
-        residual=residual,
-        contraction=rho,
-        fp_iterations=len(history),
-        fp_ratios=ratios,
+    return _stage_solution(
+        system, x0, w0, x, w_int, Phi, _d_apply(system, w_int), rho,
+        fp_iterations=len(history), fp_ratios=hist[1:] / hist[:-1],
     )
 
 
@@ -845,7 +822,7 @@ class SolutionTrace:
         return self._nodal("boundary_traces")
 
 
-def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTrace:
+def march(problem, config: SolverConfig) -> SolutionTrace:
     """March the collocation solver across [0, T].
 
     ``problem`` provides the operator family, boundary multiplier b,
@@ -887,7 +864,7 @@ def march(problem, config: SolverConfig, auto_refine: bool = True) -> SolutionTr
             system = assemble_block_system(coeffs, family, problem.b)
             rho = system.contraction_norm()
             contraction_max = max(contraction_max, rho)
-            if auto_refine and rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
+            if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
                 refine = True
                 break
             t0 = time.perf_counter()

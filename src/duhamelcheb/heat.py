@@ -368,6 +368,19 @@ class IntegralResidual:
     modes: int
 
 
+def _residual_times(times) -> np.ndarray:
+    """``times`` (a scalar or any array) as a flat float array.
+
+    ``ValueError`` unless it holds one or more times, all finite and > 0.
+    """
+    ts = np.asarray(times, dtype=float).ravel()
+    bad = ts[~((ts > 0) & np.isfinite(ts))]
+    if bad.size or not ts.size:
+        got = f"t={float(bad[0])}" if bad.size else "no times"
+        raise ValueError(f"residual is evaluated at finite, strictly positive times, got {got}")
+    return ts
+
+
 def residual_tail_bound(problem: HeatProblem, times) -> float:
     """Truncation bound documented for the integral-equation residual.
 
@@ -375,10 +388,12 @@ def residual_tail_bound(problem: HeatProblem, times) -> float:
     convolutions, bounded by sup(|g|) + sup(|b u(1,.)|) times the
     integrated kernel tail, and through the initial layer, bounded by the
     dropped initial coefficients decayed by exp(-mu_{M+1} t_min).
+    ``times`` must hold one or more times, all finite and > 0, or
+    ``ValueError`` is raised.
     """
     basis = problem.basis
     series = KernelSeries(basis)
-    ts = np.asarray(times, dtype=float)
+    ts = _residual_times(times)
     if problem.exact is None:
         raise ValueError("residual bound needs an exact solution")
     lam = np.linspace(0.0, float(ts.max()), 101)
@@ -414,7 +429,8 @@ def residual_of_exact_in_integral_equations(
 
     Requires ExpDecay boundary data so the modal convolutions are closed
     forms; every integral is then evaluated to roundoff, leaving the mode
-    truncation as the only residual source.
+    truncation as the only residual source.  ``times`` are checked as in
+    :func:`residual_tail_bound`.
     """
     if problem.exact is None:
         raise ValueError("residual oracle needs an exact solution")
@@ -426,10 +442,7 @@ def residual_of_exact_in_integral_equations(
         coef=problem.b.coef * float(exact.profile(1.0)),
         rate=problem.b.rate + exact.rate,
     )
-    ts = np.asarray(times, dtype=float)
-    bad = ts[~(ts > 0)]
-    if bad.size:
-        raise ValueError(f"residual is evaluated at strictly positive times, got t={float(bad[0])}")
+    ts = _residual_times(times)
     kappa = basis.mu * basis.lift_coeffs
     xs = np.asarray(x_probes, dtype=float)
     phis = basis.eigenfunctions(xs)

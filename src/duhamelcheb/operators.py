@@ -142,7 +142,8 @@ class OperatorFamily:
 
     @property
     def is_constant(self) -> bool:
-        return self.a_coeffs.shape[0] <= 1 and self.c_coeffs.shape[0] <= 1
+        """Whether every coefficient past degree 0 is zero, so A(t) = A(0) for all t."""
+        return not (self.a_coeffs[1:].any() or self.c_coeffs[1:].any())
 
 
 def constant_family(basis: EigenBasis, a: float = 1.0, c: float = 0.0) -> OperatorFamily:

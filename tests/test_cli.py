@@ -6,6 +6,7 @@ through ``python -m`` to cover the installed entry point.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -289,6 +290,19 @@ def test_csv_and_structured_outputs_agree(tmp_path, argv):
         notes = [line[2:] for line in text.splitlines() if line.startswith("# ")]
         assert notes == doc.get("notes", [])
         assert bool(notes) == (argv[0] == "tables")
+
+
+@pytest.mark.parametrize("folder", ["", "run.1"])
+@pytest.mark.parametrize("name, errors_name", [("trace.csv", "trace_errors.csv"), ("trace", "trace_errors")])
+def test_errors_path_is_derived_from_the_file_name_only(tmp_path, monkeypatch, folder, name, errors_name):
+    """A dot in a directory name used to split the path there: ``--out
+    run.1/trace`` wrote the trace, then failed to write run_errors.1/trace."""
+    monkeypatch.chdir(tmp_path)
+    if folder:
+        (tmp_path / folder).mkdir()
+    out = str(pathlib.Path(folder, name))
+    assert main(["solve", "--N", "4", "--M", "16", "--out", out]) == EXIT_OK
+    assert sorted(path.name for path in (tmp_path / folder).iterdir()) == sorted([name, errors_name])
 
 
 def test_load_structured_validates_fields(tmp_path):

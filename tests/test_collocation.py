@@ -245,7 +245,8 @@ def test_varying_family_marches_to_roundoff(N):
     """The frozen-operator defect must be integrated as accurately as the
     data at every degree."""
     prob = varying_manufactured_problem()
-    trace = march(prob, SolverConfig(N=N, K=8, M=128), auto_refine=False)
+    trace = march(prob, SolverConfig(N=N, K=8, M=128))
+    assert trace.refinements == 0
     assert compute_errors(trace, prob).max_eps1 <= 1e-13
 
 
@@ -253,7 +254,8 @@ def test_varying_family_marches_to_roundoff(N):
 def test_reference_problem_reaches_roundoff_at_high_degree(reference_problem, N):
     """One slab, no refinement: the kernel integrals must stay accurate at
     every degree, not only where a monomial route still holds."""
-    trace = march(reference_problem, SolverConfig(N=N, K=1, M=128), auto_refine=False)
+    trace = march(reference_problem, SolverConfig(N=N, K=1, M=128))
+    assert trace.refinements == 0
     assert compute_errors(trace, reference_problem).max_eps1 <= 1e-13
 
 
@@ -434,7 +436,9 @@ def test_exact_on_polynomially_resolved_data():
         forcing=lambda t: modes_dt(t) + basis.mu * modes_at(t),
         name="resolved",
     )
-    trace = march(prob, SolverConfig(N=N, K=1, M=M), auto_refine=False)
+    # ||Lambda D|| is 0.89 at K = 1 and 0.63 at K = 2, so march would refine to K = 4
+    trace = march(prob, SolverConfig(N=N, K=4, M=M))
+    assert trace.refinements == 0
     times = trace.node_times()
     expect = np.stack([modes_at(t) for t in times])
     assert np.abs(trace.node_modes() - expect).max() <= 1e-10
@@ -488,10 +492,12 @@ def test_contraction_error_raised_for_strong_coupling():
         T=1.0,
         name="stiff-robin",
     )
+    coeffs = assemble_coefficients(family, build_grid(8), TimePartition(1.0, 1), 1, prob.g, None, prob.b)
+    system = assemble_block_system(coeffs, family, prob.b)
     with pytest.raises(SlabContractionError) as exc:
-        march(prob, SolverConfig(N=8, K=1, M=64), auto_refine=False)
+        solve_stage_direct(system, prob.u0, 0.0)
     assert exc.value.norm >= 1.0
-    assert "slab" in str(exc.value)
+    assert "on slab 1:" in str(exc.value)
 
 
 def test_auto_refine_splits_slabs():
@@ -551,11 +557,16 @@ def dense_stage_solve(system, x0, w0):
         x~ = (I - A) x~ + D w + Phi,
         w  = Lambda ((I - A) x~ + D w + Phi),
     with I - A = C~ plus the subdiagonal blocks, all read straight from the
-    assembled blocks rather than through the solver's helpers; D and F_y
-    are columns 1..N and 0 of the materialised ``beta_weighted``.
+    slab's coefficients rather than through the solver's helpers: C~ and
+    F_x from alpha's columns 1..N and 0 (F_x plus E[0] in row 1), the
+    subdiagonal from E, Lambda from the trace functional, f_x from phi,
+    and D and F_y from columns 1..N and 0 of the materialised
+    ``beta_weighted``.
     """
     N, M = system.N, system.M
-    D, F_y = system.coeffs.beta_weighted[:, 1:], system.coeffs.beta_weighted[:, 0]
+    coeffs = system.coeffs
+    E, alpha, trace = coeffs.E, coeffs.alpha, coeffs.interior.trace
+    D, F_y = coeffs.beta_weighted[:, 1:], coeffs.beta_weighted[:, 0]
     n = N * M
     ImA = np.zeros((n, n))
     Dmat = np.zeros((n, N))
@@ -564,12 +575,14 @@ def dense_stage_solve(system, x0, w0):
         for m in range(M):
             row = k * M + m
             for j in range(N):
-                ImA[row, j * M + m] += system.Cmat[k, j, m]
+                ImA[row, j * M + m] += alpha[k, j + 1, m]
                 Dmat[row, j] = D[k, j, m]
             if k > 0:
-                ImA[row, (k - 1) * M + m] += system.subdiag[k, m]
-            Lam[k, row] = system.lam_weights[k, m]
-    Phi = (system.F_x * x0[None, :] + F_y * w0 + system.f_x).ravel()
+                ImA[row, (k - 1) * M + m] += E[k, m]
+            Lam[k, row] = trace[m]
+    Phi = alpha[:, 0] * x0[None, :] + F_y * w0 + coeffs.phi
+    Phi[0] += E[0] * x0
+    Phi = Phi.ravel()
     big = np.zeros((n + N, n + N))
     big[:n, :n] = np.eye(n) - ImA
     big[:n, n:] = -Dmat
@@ -594,7 +607,7 @@ def test_direct_solve_matches_dense_coupled_system(a_coeffs, c_coeffs, sweep):
     partition = TimePartition(1.0, 2)
     coeffs = CoefficientAssembler(family, grid, partition).slab(2, ref.g, None, ref.b)
     system = assemble_block_system(coeffs, family, ref.b)
-    assert system.Cmat.any() != sweep
+    assert system.coeffs.alpha[:, 1:].any() != sweep
     x0 = np.random.default_rng(7).standard_normal(M)
     w0 = float(x0 @ family.basis.boundary_trace)
     stage = solve_stage_direct(system, x0, w0)
@@ -781,7 +794,7 @@ def test_shared_tables_assemble_the_same_bits_as_fresh_ones(build, N, K, monkeyp
     data = (problem.g, problem.forcing, problem.b)
     for l in range(1, K + 1):
         a, b = cached.slab(l, *data), fresh.slab(l, *data)
-        for name in ("t_star", "mu_frozen", "E", "alpha", "beta_weighted", "phi"):
+        for name in ("t_star", "E", "alpha", "beta_weighted", "phi"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (l, name)
 
 
@@ -817,7 +830,7 @@ def test_importing_the_package_builds_no_gauss_tables():
 def dense_contraction_norm(system) -> float:
     """||Lambda D||_inf contracted from the materialised D, mode by mode."""
     D = system.coeffs.beta_weighted[:, 1:]
-    return float(np.abs(np.einsum("km,kjm->kj", system.lam_weights, D)).sum(axis=1).max())
+    return float(np.abs(np.einsum("m,kjm->kj", system.coeffs.interior.trace, D)).sum(axis=1).max())
 
 
 def assert_few_ulps(rho, dense, ulps=8):
@@ -1044,6 +1057,29 @@ def count_interior_contractions(monkeypatch) -> list:
 
     monkeypatch.setattr(np, "einsum", counting)
     return calls
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_zero_higher_coefficients_make_a_constant_family(reference_problem, mode, monkeypatch):
+    """a = [1, 0] is the constant a = 1: the family reports so, its slabs
+    share one interior, and it marches to the bits of the a = [1] family."""
+    family = reference_problem.family
+    padded = OperatorFamily(basis=family.basis, a_coeffs=np.array([1.0, 0.0]), c_coeffs=family.c_coeffs)
+    assert padded.is_constant
+    interiors = []
+    slab = CoefficientAssembler.slab
+
+    def recording(self, *args):
+        coeffs = slab(self, *args)
+        interiors.append(coeffs.interior)
+        return coeffs
+
+    monkeypatch.setattr(CoefficientAssembler, "slab", recording)
+    config = SolverConfig(N=12, K=3, M=128, mode=mode)
+    trace = march(dataclasses.replace(reference_problem, family=padded), config)
+    assert len(interiors) == 3 and all(interior is interiors[0] for interior in interiors)
+    plain = march(reference_problem, config)
+    assert trace.node_modes().tobytes() == plain.node_modes().tobytes()
 
 
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])

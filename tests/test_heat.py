@@ -340,6 +340,29 @@ def test_residual_rejects_times_that_are_not_positive(reference_problem, times, 
         residual_of_exact_in_integral_equations(reference_problem, times)
 
 
+@pytest.mark.parametrize("residual", [residual_tail_bound, residual_of_exact_in_integral_equations])
+@pytest.mark.parametrize(
+    "times, got",
+    [((0.5, float("nan")), "t=nan"), ((-1.0,), "t=-1.0"), ((), "no times"), ((0.5, float("inf")), "t=inf")],
+)
+def test_residual_functions_share_one_time_check(residual, times, got):
+    """The bound used to return nan for a NaN or infinite time and inf for
+    a negative one, and both ended in numpy's zero-size reduction error
+    without times."""
+    match = f"^residual is evaluated at finite, strictly positive times, got {got}$"
+    with pytest.raises(ValueError, match=match):
+        residual(build_neumann_example(M=64), times)
+
+
+def test_residual_functions_take_a_scalar_time():
+    """A scalar time is one time: the oracle used to fail iterating a 0-d array."""
+    problem = build_neumann_example(M=64)
+    assert residual_tail_bound(problem, 0.5) == residual_tail_bound(problem, [0.5])
+    scalar, listed = (residual_of_exact_in_integral_equations(problem, t) for t in (0.5, [0.5]))
+    assert scalar.times.tolist() == listed.times.tolist() == [0.5]
+    assert (scalar.max_field, scalar.max_boundary, scalar.bound) == (listed.max_field, listed.max_boundary, listed.bound)
+
+
 def test_residual_rejects_bad_inputs(reference_problem):
     with pytest.raises(ValueError):
         residual_of_exact_in_integral_equations(reference_problem, (0.0, 0.5))

@@ -1,6 +1,7 @@
 """Package layout rules checked on the source text."""
 
 import ast
+import importlib
 import pathlib
 
 import duhamelcheb
@@ -32,3 +33,17 @@ def test_modules_import_no_private_names_from_each_other():
     assert len(modules) >= 8
     found = [hit for path in modules for hit in private_imports(path)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    """Every name in the ``__all__`` of the package and of each of its
+    modules is an attribute of that module, so a deleted name cannot stay
+    exported."""
+    modules = [duhamelcheb] + [
+        importlib.import_module(f"duhamelcheb.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+    assert all(hasattr(module, "__all__") for module in modules)
+    missing = [f"{module.__name__}.{name}" for module in modules for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -7,16 +7,20 @@ The reference problem at N = 12, K = 4, M = 4096 marched and evaluated
 constant-family shortcut the peak was 26 081 636 bytes (numpy 2.4.6,
 x86-64), and 25 687 514 with the dense (N, N + 1, M) boundary coupling
 built and swept on every slab.  The factored constant-family solve builds
-no array of that shape, not even the zero alpha, and peaks at 11 563 220
-bytes; the bound allows 5% above that, so one (N, N + 1, M) array
-(5.1 MB) breaks it.
+no array of that shape, not even the zero alpha, and peaked at 11 563 220
+bytes.  With the block system reduced to the coefficients and b at the
+nodes, so that no (N, M) copy of E, alpha's column 0 or the trace is kept
+per slab, it peaks at 10 383 556; the bound allows 5% above that, so one
+(N, N + 1, M) array (5.1 MB) breaks it.
 
 The varying manufactured problem at N = 12, K = 8, M = 128 marched and
 evaluated the same way takes the batched LU path, whose right-hand side is
 the one (N, N + 1, M) array a solve builds (160 kB).  With Phi and every
-D w applied through the maps it peaks at 1 083 808 bytes, against
-1 083 134 with both read off the dense coupling; the bound allows 5% above
-that, so one more (N, N + 1, M) or (N, N, M) array breaks it.
+D w applied through the maps it peaked at 1 083 808 bytes, against
+1 083 134 with both read off the dense coupling, and with the block
+system reading its blocks from the coefficients it peaks at 1 045 720; the
+bound allows 5% above that, so one more (N, N + 1, M) or (N, N, M) array
+breaks it.
 
 The CLI ``solve --N 16 --K 32 --M 128``, stdout captured in memory, peaked
 at 7 219 681 bytes with one ``repr`` per CSV cell and at 7 242 021 with
@@ -42,8 +46,8 @@ import numpy as np
 from duhamelcheb import SolverConfig, Table, build_reference_example, cli, compute_errors, march
 from problems import varying_manufactured_problem
 
-MEASURED_PEAK_BYTES = 11_563_220
-MEASURED_VARYING_PEAK_BYTES = 1_083_808
+MEASURED_PEAK_BYTES = 10_383_556
+MEASURED_VARYING_PEAK_BYTES = 1_045_720
 MEASURED_CLI_PEAK_BYTES = 5_594_164
 
 
