@@ -12,7 +12,10 @@ quadrature map per node subinterval, built from samples at local Chebyshev
 points, integrates every coefficient: the data g and f, the products b L_j,
 and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
 those maps depend on the data degree alone and are built once per data
-degree per process, on first use, and shared read-only by every assembler.
+degree per process, on first use, and shared read-only by every assembler;
+the Gauss-Laguerre table is kept as Chebyshev coefficients, so the maps of
+a block of subintervals take one three-term recurrence and one matrix
+product.
 The boundary coupling is kept factored, as the samples of b L_j and the
 maps, and every stage solver applies it so: V y is formed in sample space
 and taken through the maps once, at O(N M Q) cost.  A slab's block system
@@ -258,15 +261,24 @@ class CollocationCoefficients:
         return beta
 
 
+_MAP_BLOCK_MODES = 512
+"""``_interior`` evaluates the maps in blocks of whole subintervals of about
+this many modes, one subinterval per block from M = 512 up.  Chosen by
+measurement on a varying family at (N, K, M) = (12, 8, 128): blocks of
+1,024 modes or more raise the peak allocation of a march, and blocks of
+256 or fewer slow it."""
+
+
 @functools.cache
 def _gauss_tables(Q: int):
     """The quadrature tables of data degree ``Q``, which depend on ``Q`` alone.
 
     Returns the Gauss-Legendre/Gauss-Laguerre split ``Q + 20``, the
     degree-``Q`` CGL grid of local sample points, the Gauss-Legendre nodes
-    z_g with the weights folded into l_q(z_g), and the Gauss-Laguerre table.
-    Built once per ``Q`` per process and shared by every assembler, so every
-    array is read-only.
+    z_g with the weights folded into l_q(z_g), and the Chebyshev
+    coefficients of the Gauss-Laguerre table, shape (Q+1, Q+1): row n
+    multiplies T_n(x) at x = 2 split h - 1.  Built once per ``Q`` per
+    process and shared by every assembler, so every array is read-only.
     """
     split = Q + 20
     qgrid = build_grid(Q)
@@ -274,14 +286,32 @@ def _gauss_tables(Q: int):
     z, w = np.polynomial.legendre.leggauss(Q + 40)
     legendre = z, w[:, None] * interpolate(qgrid, eye, z)
     # Gauss-Laguerre in u = lam (1 + z): sum_i omega_i l_q(u_i h - 1) is a
-    # degree-Q polynomial in h = 1 / lam, tabulated at the Chebyshev
-    # points of [0, 1 / split] and interpolated per mode
+    # degree-Q polynomial in h = 1 / lam, sampled at the Chebyshev points
+    # of [0, 1 / split]
     u, omega = np.polynomial.laguerre.laggauss(Q // 2 + 1)
     h = (1.0 + qgrid.nodes) / (2.0 * split)
-    laguerre = omega @ interpolate(qgrid, eye, u * h[:, None] - 1.0)
+    samples = omega @ interpolate(qgrid, eye, u * h[:, None] - 1.0)
+    # its Chebyshev coefficients by a DCT-I, with T_n(x_j) = cos(n (Q - j) pi / Q)
+    # reduced to an angle in [0, 2 pi) exactly, in integers
+    n = np.arange(Q + 1)
+    cosines = np.cos(np.pi * ((n[:, None] * (Q - n)) % (2 * Q)) / Q)
+    cosines[:, [0, Q]] *= 0.5
+    laguerre = (2.0 / Q) * (cosines @ samples)
+    laguerre[[0, Q]] *= 0.5
     for table in (qgrid.nodes, qgrid.spacings, qgrid.barycentric_weights, *legendre, laguerre):
         table.flags.writeable = False
     return split, qgrid, legendre, laguerre
+
+
+def _chebyshev_basis(x: np.ndarray, Q: int) -> np.ndarray:
+    """T_0(x) .. T_Q(x) for Q >= 1, shape (Q+1, x.size), by the three-term recurrence."""
+    T = np.empty((Q + 1, x.size))
+    T[0], T[1] = 1.0, x
+    twice = 2.0 * x
+    for n in range(2, Q + 1):
+        np.multiply(twice, T[n - 1], out=T[n])
+        T[n] -= T[n - 2]
+    return T
 
 
 class CoefficientAssembler:
@@ -291,7 +321,8 @@ class CoefficientAssembler:
     polynomial on one node subinterval, and one map does all of them: R_k
     takes values at the data_degree + 1 local Chebyshev points of
     subinterval k to the kernel integrals of their interpolant, evaluated
-    to roundoff by Gauss rules (see ``_interior``).  It is applied to
+    to roundoff by Gauss rules (see ``_interior``), the Gauss-Laguerre one
+    from the Chebyshev coefficients of its table.  It is applied to
     samples of g and f, of b L_j for beta, and of (mu(t_k) - mu(t)) L_j for
     alpha.  The unknowns enter through their degree-N interpolants (that
     is the scheme), but the data are integrated to roundoff: a shared
@@ -355,7 +386,13 @@ class CoefficientAssembler:
         s_q.  With lam = nu theta_k / 2 it is taken by Gauss-Legendre up to
         lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
         z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
-        is below e^{-2 lam} e^{data_degree / 2}.  A constant family has
+        is below e^{-2 lam} e^{data_degree / 2}.  The Gauss-Laguerre rows
+        are a degree-Q polynomial in h = 1 / lam, evaluated from its stored
+        Chebyshev coefficients for every mode of a block of whole
+        subintervals (about ``_MAP_BLOCK_MODES`` modes) at once: with
+        h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
+        where the basis is finite, and their rows are then overwritten by
+        the Gauss-Legendre rule one subinterval at a time.  A constant family has
         mu(t_k) - mu(t) = 0 exactly, so its alpha is not integrated (None);
         a varying family samples a(t) and c(t) at all of the slab's sample
         times in one polynomial evaluation each.
@@ -374,18 +411,26 @@ class CoefficientAssembler:
         alpha = np.zeros((N, N + 1, M)) if varying else None
         if varying:
             a_loc, c_loc = family.a(t_loc), family.c(t_loc)
-        for k in range(N):
-            half = 0.5 * grid.spacings[k]
-            lam = half * nu[k]
-            fast = lam > split
-            R = maps[k]
-            R[~fast] = half * (np.exp(-lam[~fast, None] * (1.0 + z)) @ w_lag)
-            h = 1.0 / lam[fast]
-            R[fast] = (half * h)[:, None] * interpolate(self._qgrid, self._laguerre, 2.0 * split * h - 1.0)
-            if varying:
-                mu_q = a_loc[k][:, None] * family.basis.mu + c_loc[k][:, None]
-                np.matmul(self._lag_loc[k], R.T * (mu_frozen[k] - mu_q), out=alpha[k])
-                alpha[k] *= 0.5 * tau
+        width = max(1, _MAP_BLOCK_MODES // M)
+        for first in range(0, N, width):
+            block = slice(first, first + width)
+            half = 0.5 * grid.spacings[block, None]
+            lam = half * nu[block]
+            h = 1.0 / np.maximum(lam, split)
+            # the basis is a temporary, so it is freed before alpha's products
+            np.matmul(
+                _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q).T, self._laguerre,
+                out=maps[block].reshape(-1, Q + 1),
+            )
+            maps[block] *= (half * h)[:, :, None]
+            for k, lam_k in enumerate(lam, start=first):
+                slow = lam_k <= split
+                R = maps[k]
+                R[slow] = 0.5 * grid.spacings[k] * (np.exp(-lam_k[slow, None] * (1.0 + z)) @ w_lag)
+                if varying:
+                    mu_q = a_loc[k][:, None] * family.basis.mu + c_loc[k][:, None]
+                    np.matmul(self._lag_loc[k], R.T * (mu_frozen[k] - mu_q), out=alpha[k])
+                    alpha[k] *= 0.5 * tau
         basis = family.basis
         kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
         return SlabInterior(tau, E, alpha, maps, kernel_scale, basis.boundary_trace)

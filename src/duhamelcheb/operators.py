@@ -123,12 +123,21 @@ class OperatorFamily:
     ``a_coeffs`` and ``c_coeffs`` hold polynomial coefficients in
     increasing-degree order (numpy convention).  a(t) must stay positive
     and a(t) mu_1 + c(t) must stay positive on the time interval of
-    interest; :func:`verify_assumptions` reports on both.
+    interest; :func:`verify_assumptions` reports on both.  Both are kept
+    as float arrays; a NaN or infinite coefficient raises ``ValueError``
+    naming its array.
     """
 
     basis: EigenBasis
     a_coeffs: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     c_coeffs: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+
+    def __post_init__(self):
+        for name in ("a_coeffs", "c_coeffs"):
+            coeffs = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(coeffs).all():
+                raise ValueError(f"{name} must be finite, got {coeffs}")
+            object.__setattr__(self, name, coeffs)
 
     def a(self, t):
         return P.polyval(t, self.a_coeffs)

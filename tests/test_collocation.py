@@ -972,12 +972,40 @@ def test_constant_family_march_never_multiplies_out_the_coupling(build, N, K, M,
     assert all(np.isfinite(stage.residual) for stage in trace.stages)
 
 
+@functools.cache
+def nodal_laguerre_table(Q, split):
+    """The Gauss-Laguerre table sum_i omega_i l_q(u_i h - 1) at the degree-Q
+    CGL points of h in [0, 1 / split], on the degree-Q grid of l_q."""
+    qgrid = build_grid(Q)
+    u, omega = np.polynomial.laguerre.laggauss(Q // 2 + 1)
+    h = (1.0 + qgrid.nodes) / (2.0 * split)
+    return qgrid, omega @ interpolate(qgrid, np.eye(Q + 1), u * h[:, None] - 1.0)
+
+
+def barycentric_map(assembler, k, nu_k):
+    """R_k of the 0-based subinterval ``k`` for modes of rate ``nu_k``:
+    Gauss-Legendre up to the split, beyond it the nodal Gauss-Laguerre
+    table interpolated barycentrically, one mode at a time."""
+    Q, split = assembler.data_degree, assembler._split
+    qgrid, laguerre = nodal_laguerre_table(Q, split)
+    z, w_lag = assembler._legendre
+    half = 0.5 * assembler.grid.spacings[k]
+    lam = half * nu_k
+    fast = lam > split
+    R = np.empty((lam.size, Q + 1))
+    R[~fast] = half * (np.exp(-lam[~fast, None] * (1.0 + z)) @ w_lag)
+    h = 1.0 / lam[fast]
+    R[fast] = (half * h)[:, None] * interpolate(qgrid, laguerre, 2.0 * split * h - 1.0)
+    return R
+
+
 def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
     """E, alpha, beta_weighted and phi of slab ``l`` by the earlier loop:
-    alpha integrated for every family with the frozen eigenvalues sampled
-    per subinterval, beta built as a transposed product scaled out of place."""
+    the maps of :func:`barycentric_map`, alpha integrated for every family
+    with the frozen eigenvalues sampled per subinterval, beta built as a
+    transposed product scaled out of place."""
     family, grid, partition = assembler.family, assembler.grid, assembler.partition
-    N, M, Q, split = grid.N, family.basis.M, assembler.data_degree, assembler._split
+    N, M, Q = grid.N, family.basis.M, assembler.data_degree
     tau = partition.tau
     t_star = partition.slab_times(l, grid)
     t_loc = partition.map_to_slab(l, assembler._s_loc)
@@ -986,15 +1014,8 @@ def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
     E = np.exp(-nu * grid.spacings[:, None])
     alpha = np.empty((N, N + 1, M))
     maps = np.empty((N, M, Q + 1))
-    z, w_lag = assembler._legendre
     for k in range(N):
-        half = 0.5 * grid.spacings[k]
-        lam = half * nu[k]
-        fast = lam > split
-        R = maps[k]
-        R[~fast] = half * (np.exp(-lam[~fast, None] * (1.0 + z)) @ w_lag)
-        h = 1.0 / lam[fast]
-        R[fast] = (half * h)[:, None] * interpolate(assembler._qgrid, assembler._laguerre, 2.0 * split * h - 1.0)
+        R = maps[k] = barycentric_map(assembler, k, nu[k])
         mu_q = family.frozen_eigenvalues(t_loc[k][:, None])
         alpha[k] = 0.5 * tau * (assembler._lag_loc[k] @ (R.T * (mu_frozen[k] - mu_q)))
     mu0, lift = family.basis.mu, family.basis.lift_coeffs
@@ -1032,18 +1053,120 @@ def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
 )
 def test_slab_matches_the_per_subinterval_oracle(build, N, K, M):
     """In-place rows, the constant-family zeros and the per-slab sampling of
-    a(t) and c(t) must give the earlier loop's coefficients bit for bit, on
-    every slab (a constant family's slabs after the first reuse the cache).
-    With K = 3 the slab width is not a power of two, so the order of the two
-    in-place scalings shows."""
+    a(t) and c(t) must give the earlier loop's coefficients on every slab
+    (a constant family's slabs after the first reuse the cache).  With
+    K = 3 the slab width is not a power of two, so the order of the two
+    in-place scalings shows.  E must match bit for bit.  The assembler
+    evaluates the Gauss-Laguerre table from its Chebyshev coefficients,
+    which rounds differently from the oracle's barycentric interpolation,
+    so alpha, beta_weighted and phi must match within 4e-15 of the largest
+    |.| of each row (the mode axis)."""
     problem = build(M=M)
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
     data = (problem.g, problem.forcing, problem.b)
     for l in range(1, K + 1):
         coeffs = assembler.slab(l, *data)
-        expected = per_subinterval_oracle(assembler, l, *data)
-        for name, want in zip(("E", "alpha", "beta_weighted", "phi"), expected):
-            assert getattr(coeffs, name).tobytes() == want.tobytes(), (l, name)
+        E, *expected = per_subinterval_oracle(assembler, l, *data)
+        assert coeffs.E.tobytes() == E.tobytes(), l
+        for name, want in zip(("alpha", "beta_weighted", "phi"), expected):
+            bound = 4e-15 * np.abs(want).max(axis=-1, keepdims=True)
+            assert (np.abs(getattr(coeffs, name) - want) <= bound).all(), (l, name)
+
+
+@pytest.mark.parametrize("M", [128, 4096])
+@pytest.mark.parametrize("N", [1, 2, 12, 16, 32, 64])
+def test_maps_match_the_barycentric_table(N, M):
+    """Each row R_k[m] of the maps agrees with the barycentric evaluation of
+    the nodal Gauss-Laguerre table within 4e-15 of its largest |.|, at
+    data degrees from 12 to 64."""
+    problem = build_reference_example(M=M)
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, 4))
+    coeffs = assembler.slab(1)
+    nu = 0.5 * assembler.partition.tau * problem.family.frozen_eigenvalues(coeffs.t_star[1:, None])
+    for k, R in enumerate(coeffs.interior.maps):
+        want = barycentric_map(assembler, k, nu[k])
+        bound = 4e-15 * np.abs(want).max(axis=1)
+        assert (np.abs(R - want).max(axis=1) <= bound).all(), k
+
+
+def quad_map_row(theta, nu, Q):
+    """[int_0^theta e^{-nu sigma} l_q(2 sigma / theta - 1) d sigma, q = 0..Q]
+    by adaptive quadrature, split at the kernel's layer near sigma = 0, to
+    an absolute 1e-14 of the row's scale min(theta, 1 / nu)."""
+    qgrid = build_grid(Q)
+    cut = theta if nu * theta <= 40.0 else 40.0 / nu
+    tol = 1e-14 * (theta if nu * theta <= 1.0 else 1.0 / nu)
+    row = np.zeros(Q + 1)
+    for q in range(Q + 1):
+        def integrand(s, q=q):
+            return math.exp(-nu * s) * lagrange_eval(qgrid, q, 2.0 * s / theta - 1.0)
+
+        for lo, hi in ((0.0, cut), (cut, theta)):
+            if hi > lo:
+                row[q] += quad(integrand, lo, hi, epsabs=tol, epsrel=0.0, limit=200)[0]
+    return row
+
+
+def test_maps_match_adaptive_quadrature_near_the_split():
+    """R_k against ``scipy.integrate.quad`` within 1e-13 of each row's
+    largest |.|, for lam = nu theta_k / 2 on either side of the
+    Gauss-Legendre/Gauss-Laguerre split, at 2 split (where x = 0 is a CGL
+    point of the table at even data degree), for one slow mode and at 1e3.
+    At N = 2, K = 1 and T = 1 both subintervals have theta_k = 1 and
+    lam = mu / 4 exactly."""
+    M = 6
+    grid, Q = build_grid(2), 12
+    split = Q + 20
+    lam = np.array([0.5, split * (1 - 1e-12), split, split * (1 + 1e-12), 2.0 * split, 1e3])
+    basis = dataclasses.replace(heat_basis(M), mu=4.0 * lam)
+    assembler = CoefficientAssembler(constant_family(basis), grid, TimePartition(1.0, 1))
+    assert (assembler.data_degree, assembler._split) == (Q, split)
+    maps = assembler.slab(1).interior.maps
+    for m in range(M):
+        want = quad_map_row(1.0, 2.0 * lam[m], Q)
+        for R in maps:
+            assert np.abs(R[m] - want).max() <= 1e-13 * np.abs(want).max(), lam[m]
+
+
+def test_zero_frozen_eigenvalue_gives_finite_maps():
+    """c = -a mu_1 freezes mode 1 at eigenvalue zero, which the assembler
+    accepts (only negative values are refused): its maps are finite, its row
+    is the integral of l_q itself, and no RuntimeWarning is raised (the
+    suite turns warnings into errors)."""
+    problem = build_reference_example(M=64)
+    basis = problem.family.basis
+    family = constant_family(basis, a=1.0, c=-basis.mu[0])
+    grid = build_grid(8)
+    assembler = CoefficientAssembler(family, grid, TimePartition(problem.T, 2))
+    coeffs = assembler.slab(1, problem.g, None, problem.b)
+    assert coeffs.interior.E[:, 0].tolist() == [1.0] * grid.N
+    for name in ("E", "beta_weighted", "phi"):
+        assert np.isfinite(getattr(coeffs, name)).all(), name
+    for theta, R in zip(grid.spacings, coeffs.interior.maps):
+        assert np.isfinite(R).all()
+        want = quad_map_row(theta, 0.0, assembler.data_degree)
+        assert np.abs(R[0] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "build", [build_reference_example, varying_manufactured_problem], ids=["constant", "varying"]
+)
+def test_slab_makes_no_interpolate_calls(build, monkeypatch):
+    """Once the assembler is built, assembling a slab evaluates the maps
+    from the stored Chebyshev coefficients: no per-point barycentric
+    ``interpolate`` call is left."""
+    problem = build(M=128)
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 2))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr(collocation, "interpolate", counting)
+    for l in (1, 2):
+        assembler.slab(l, problem.g, problem.forcing, problem.b)
+    assert calls == []
 
 
 def count_interior_contractions(monkeypatch) -> list:

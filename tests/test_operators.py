@@ -140,6 +140,29 @@ def test_varying_family_frozen_eigenvalues(basis):
     assert constant_family(basis).is_constant
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["a_coeffs", "c_coeffs"])
+def test_non_finite_operator_coefficients_are_rejected(basis, name, bad):
+    """A NaN passed march's positivity check (NaN <= 0 is False) and ended
+    in a NonFiniteStageError that blamed g, b and f; an infinity ended in
+    a RuntimeWarning.  The family now refuses both, naming the array."""
+    coeffs = {"a_coeffs": np.array([1.0, 0.5]), "c_coeffs": np.array([0.0, 0.3])}
+    coeffs[name][1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        OperatorFamily(basis=basis, **coeffs)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        OperatorFamily(basis=basis, **{name: coeffs[name].tolist()})
+
+
+def test_list_coefficients_are_kept_as_float_arrays(basis):
+    """A list used to be kept as given, and ``is_constant`` then failed
+    with an AttributeError ('list' object has no attribute 'any')."""
+    fam = OperatorFamily(basis=basis, a_coeffs=[1, 0.5], c_coeffs=[2])
+    assert fam.a_coeffs.dtype == fam.c_coeffs.dtype == np.float64
+    assert not fam.is_constant
+    assert np.array_equal(fam.frozen_eigenvalues(1.0), 1.5 * basis.mu + 2.0)
+
+
 def test_project_initial_recovers_first_eigenfunction(basis):
     coeffs = project_initial(basis, lambda x: np.sin(np.pi * x / 2))
     assert coeffs[0] == pytest.approx(1.0, abs=1e-11)
