@@ -202,22 +202,18 @@ class CollocationCoefficients:
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
-    alpha, beta_weighted and phi all come from the same per-subinterval
-    quadrature maps R_k of ``interior``.
+    The coupling and phi come from the same per-subinterval quadrature
+    maps R_k of ``interior``, which also holds E and alpha.
 
-    E[k-1]            propagator exp(-mu~(t*_k) (tau/2) theta_k)
-    alpha[k-1, j]     frozen-operator correction, diagonal per mode
     lag_b[k-1, j, q]  V_k = L_j(s_q) b(t_q): the trace basis times the
                       multiplier b (one when omitted) at the data_degree + 1
                       local sample points s_q of subinterval k
-    beta_weighted     boundary-lift coupling against the interpolated trace,
-      [k-1, j]        s_k (R_k V_k[j]) with s = -(tau/2) a mu0 lift, so b
-                      rides inside the integrand
     phi[k-1]          data term (forcing plus boundary data)
 
-    The coupling is kept factored as V and the maps, and the solvers apply
-    it so: beta_weighted and alpha (exact zeros for a constant family) are
-    built on first read and then kept, read-only.
+    The boundary-lift coupling against the interpolated trace,
+    s_k (R_k V_k[j]) with s = -(tau/2) a mu0 lift, so that b rides inside
+    the integrand, is kept factored as V and the maps, and the solvers
+    apply it so.
     """
 
     slab: int
@@ -238,35 +234,19 @@ class CollocationCoefficients:
     def E(self) -> np.ndarray:
         return self.interior.E
 
-    @functools.cached_property
-    def alpha(self) -> np.ndarray:
-        alpha = self.interior.alpha
-        if alpha is None:
-            alpha = np.zeros((self.N, self.N + 1, self.M))
-            alpha.flags.writeable = False
-        return alpha
-
     def coupling(self) -> np.ndarray:
-        """A new, writable copy of beta_weighted, multiplied out from the factors."""
+        """The (N, N+1, M) coupling multiplied out from its factors, as a new, writable array."""
         interior = self.interior
         beta = np.matmul(self.lag_b, interior.maps.transpose(0, 2, 1))
         beta *= -0.5 * interior.tau
         beta *= interior.kernel_scale[:, None, :]
         return beta
 
-    @functools.cached_property
-    def beta_weighted(self) -> np.ndarray:
-        beta = self.coupling()
-        beta.flags.writeable = False
-        return beta
-
 
 _MAP_BLOCK_MODES = 512
 """``_interior`` evaluates the maps in blocks of whole subintervals of about
-this many modes, one subinterval per block from M = 512 up.  Chosen by
-measurement on a varying family at (N, K, M) = (12, 8, 128): blocks of
-1,024 modes or more raise the peak allocation of a march, and blocks of
-256 or fewer slow it."""
+this many modes, one subinterval per block from M = 512 up: larger blocks
+raise a march's peak memory, smaller ones slow it."""
 
 
 @functools.cache
@@ -329,9 +309,8 @@ class CoefficientAssembler:
     degree-N treatment of data and unknowns would cancel the interpolation
     defect of the boundary values node-for-node and report spurious
     exactness on resolved problems.
-    The alpha integrands have degree N + deg(a, c), so ``data_degree``
-    may not be lower; it must be an integer (numpy integers included, bools
-    not), or ``ValueError`` is raised.  The Gauss tables depend on the data degree
+    The alpha integrands have degree N + deg(a, c), so ``data_degree`` is
+    max(12, N + deg(a, c)).  The Gauss tables depend on the data degree
     alone: they are built once per data degree per process and shared
     read-only by every assembler of that degree.  The local sample points
     and their Lagrange values depend on the grid alone: they are built once
@@ -342,30 +321,16 @@ class CoefficientAssembler:
     depend on the slab: it is built once per slab length, on the first
     slab, and shared by every later one.  An assembler's partition has one
     slab length, and ``_repartitioned`` starts a new store.  Each slab then
-    keeps its boundary coupling factored, as the samples V_k = L_j b; beta
-    is multiplied out only when something reads it.
+    keeps its boundary coupling factored, as the samples V_k = L_j b.
     """
 
-    def __init__(
-        self,
-        family: OperatorFamily,
-        grid: CGLGrid,
-        partition: TimePartition,
-        data_degree: int | None = None,
-    ):
+    def __init__(self, family: OperatorFamily, grid: CGLGrid, partition: TimePartition):
         self.family = family
         self.grid = grid
         self.partition = partition
         N = grid.N
         floor = N if family.is_constant else N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0]) - 1
-        if data_degree is not None:
-            check_count("data degree", data_degree)
-        Q = max(12, floor) if data_degree is None else int(data_degree)
-        if Q < floor:
-            raise ValueError(
-                f"data degree {Q} is below N + deg(a, c) = {floor}, the degree of the alpha integrands"
-            )
-        self.data_degree = Q
+        self.data_degree = Q = max(12, floor)
         self._split, self._qgrid, self._legendre, self._laguerre = _gauss_tables(Q)
         # local sample points s_q of subinterval k, and the Lagrange basis there
         theta = grid.spacings
@@ -537,23 +502,20 @@ class BlockSystem:
         return self.coeffs.interior.alpha is not None
 
     @functools.cached_property
-    def _lambda_d(self) -> np.ndarray:
-        lag_b = self.coeffs.lag_b[:, 1:]
-        lambda_d = np.matmul(lag_b, self.coeffs.interior.trace_weights[:, :, None])[:, :, 0]
+    def lambda_d(self) -> np.ndarray:
+        """The N x N scalar matrix Lambda D of the eliminated boundary system.
+
+        Computed once per system from the factored coupling, as H V (see
+        :attr:`SlabInterior.trace_weights`), and kept read-only.
+        """
+        H = self.coeffs.interior.trace_weights
+        lambda_d = np.matmul(self.coeffs.lag_b[:, 1:], H[:, :, None])[:, :, 0]
         lambda_d.flags.writeable = False
         return lambda_d
 
-    def lambda_d_matrix(self) -> np.ndarray:
-        """The N x N scalar matrix of the eliminated boundary system.
-
-        Computed once per system from the factored coupling, as H V (see
-        :attr:`SlabInterior.trace_weights`), and returned read-only.
-        """
-        return self._lambda_d
-
     def contraction_norm(self) -> float:
         """Infinity norm of Lambda D; below 1 the elimination is solvable."""
-        return float(np.abs(self._lambda_d).sum(axis=1).max())
+        return float(np.abs(self.lambda_d).sum(axis=1).max())
 
     def s_tilde_blocks(self) -> np.ndarray:
         """S~ as dense (N, N, M) blocks, which no solver reads.
@@ -779,7 +741,7 @@ def solve_stage_fixed_point(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     check_count("max_iter", max_iter)
     N, M = system.N, system.M
-    Pmat = system.lambda_d_matrix()
+    Pmat = system.lambda_d
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)

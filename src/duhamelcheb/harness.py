@@ -127,26 +127,27 @@ class RateSummary:
         return self.spectral_slope / np.log(10.0)
 
 
+def _sweep_slope(rows: list[StudyRow], x: str, fixed: str, log_x: bool) -> float | None:
+    """Least-squares slope of ln(max_eps1) against ``x`` (or ln x) over the
+    rows that share the first row's ``fixed``; None with fewer than two
+    distinct values of ``x``."""
+    sweep = [r for r in rows if getattr(r, fixed) == getattr(rows[0], fixed)]
+    xs = np.array([getattr(r, x) for r in sweep], dtype=float)
+    if len(set(xs)) < 2:
+        return None
+    ys = np.log(np.array([r.max_eps1 for r in sweep]))
+    return float(np.polyfit(np.log(xs) if log_x else xs, ys, 1)[0])
+
+
 def fit_rates(result: StudyResult) -> RateSummary:
     rows = [r for r in result.rows if r.max_eps1 > 0]
-    spectral = None
-    algebraic = None
-    if rows:
-        k0 = rows[0].K
-        sweep = [(r.N, r.max_eps1) for r in rows if r.K == k0]
-        ns = sorted({n for n, _ in sweep})
-        if len(ns) >= 2:
-            xs = np.array([n for n, _ in sweep], dtype=float)
-            ys = np.log(np.array([e for _, e in sweep]))
-            spectral = float(np.polyfit(xs, ys, 1)[0])
-        n0 = rows[0].N
-        sweep_k = [(r.K, r.max_eps1) for r in rows if r.N == n0]
-        ks = sorted({k for k, _ in sweep_k})
-        if len(ks) >= 2:
-            xs = np.log(np.array([k for k, _ in sweep_k], dtype=float))
-            ys = np.log(np.array([e for _, e in sweep_k]))
-            algebraic = float(-np.polyfit(xs, ys, 1)[0])
-    return RateSummary(spectral_slope=spectral, algebraic_order=algebraic)
+    if not rows:
+        return RateSummary(spectral_slope=None, algebraic_order=None)
+    slope = _sweep_slope(rows, "K", "N", log_x=True)
+    return RateSummary(
+        spectral_slope=_sweep_slope(rows, "N", "K", log_x=False),
+        algebraic_order=None if slope is None else -slope,
+    )
 
 
 def baseline_backward_euler(

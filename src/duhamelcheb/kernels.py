@@ -4,19 +4,18 @@ The moments
 
     I_s(mu; a, b) = int_a^b exp(-mu (b - lam)) lam^s dlam
 
-are evaluated here through recurrences in the shifted variable
-sigma = b - lam; they serve as a closed-form reference for exponential
-integrals (collocation assembly itself integrates by Gauss rules).  The
-module also defines the exponential data profile ``ExpDecay``, the sampler
-``sample_data`` that gives it one array call, and tabulates the truncated
-boundary kernels of the constant-coefficient heat operator,
-used by the integral-equation residual oracle.
+are evaluated here in closed form in the shifted variable sigma = b - lam;
+they serve as a reference for exponential integrals (collocation assembly
+itself integrates by Gauss rules).  The module also defines the exponential
+data profile ``ExpDecay``, the sampler ``sample_data`` that gives it one
+array call, and tabulates the truncated boundary kernels of the
+constant-coefficient heat operator, used by the integral-equation residual
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable
 
 import numpy as np
@@ -93,62 +92,29 @@ def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:
 
 
 def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
-    """Moments J_i(nu, delta) = int_0^delta exp(-nu sigma) sigma^i dsigma.
+    """Moments J_i(nu, delta) = int_0^delta exp(-nu sigma) sigma^i dsigma, shape (M, s_max + 1).
 
-    Parameters
-    ----------
-    nu : ndarray, shape (M,)
-        Nonnegative decay rates (one per eigenmode).
-    delta : float
-        Positive integration length.
-    s_max : int
-        Highest power required.
-
-    Returns
-    -------
-    ndarray, shape (M, s_max + 1)
-
-    Notes
-    -----
-    The two-term recurrence connecting J_{i-1} and J_i is run in the
-    direction that keeps it cancellation-free: upward (in i) when
-    m = nu delta dominates the largest power, downward from a zero seed
-    otherwise.  The downward sweep is the inhomogeneous Miller recursion;
-    each step damps the seed error by at least m / i, so starting roughly
-    thirty rows above s_max reaches roundoff for every admissible m.
+    ``nu`` holds nonnegative decay rates, one per mode, and ``delta`` is the
+    positive integration length.  With m = nu delta and P the regularised
+    lower incomplete gamma function, J_i = i! P(i + 1, m) / nu^{i+1}; below
+    m = SMALL_ARGUMENT, where nu^{i+1} can underflow, a four-term series in
+    m serves instead.  Column 0 is :func:`exp_integral`.
     """
+    from scipy.special import gamma, gammainc  # lazy, so that importing the package loads no scipy
+
     nu = np.asarray(nu, dtype=float)
     if np.any(nu < 0):
         raise ValueError("decay rates must be nonnegative")
     if delta <= 0:
         raise ValueError(f"integration length must be positive, got {delta}")
-    M = nu.shape[0]
-    J = np.zeros((M, s_max + 1))
+    n = np.arange(1, s_max + 2)  # n = i + 1
+    m = (nu * delta)[:, None]
+    small = m < SMALL_ARGUMENT
+    with np.errstate(over="ignore"):
+        closed = gamma(n) * gammainc(n, m) / np.where(small, 1.0, nu[:, None]) ** n
+    series = delta**n * (1.0 / n - m / (n + 1) + m * m / (2 * (n + 2)) - m**3 / (6 * (n + 3)))
+    J = np.where(small, series, closed)
     J[:, 0] = exp_integral(nu, delta)
-    if s_max == 0:
-        return J
-
-    m = nu * delta
-    em = np.exp(-m)
-    upward = m >= s_max + 2.0
-    if np.any(upward):
-        nu_up = nu[upward]
-        em_up = em[upward]
-        prev = J[upward, 0]
-        for i in range(1, s_max + 1):
-            prev = (i * prev - delta**i * em_up) / nu_up
-            J[upward, i] = prev
-    down = ~upward
-    if np.any(down):
-        nu_d = nu[down]
-        em_d = em[down]
-        top = s_max + 34 + int(2.0 * float(m[down].max()))
-        cur = np.zeros_like(nu_d)
-        for i in range(top, 0, -1):
-            cur = (nu_d * cur + delta**i * em_d) / i
-            if i - 1 <= s_max and i - 1 >= 1:
-                J[down, i - 1] = cur
-        # J_0 keeps its dedicated branch value.
     return J
 
 
@@ -160,10 +126,6 @@ class MomentTable:
     lo: float
     hi: float
     values: np.ndarray
-
-    @property
-    def s_max(self) -> int:
-        return self.values.shape[0] - 1
 
     def value(self, s: int) -> float:
         return float(self.values[s])
@@ -179,13 +141,13 @@ def moment_integrals(mu: float, lo: float, hi: float, s_max: int) -> MomentTable
         raise ValueError(f"decay rate must be nonnegative, got {mu}")
     if hi <= lo:
         raise ValueError(f"empty interval ({lo}, {hi})")
+    from scipy.special import binom
+
     J = exp_sigma_moments(np.array([mu]), hi - lo, s_max)[0]
-    vals = np.empty(s_max + 1)
-    for s in range(s_max + 1):
-        acc = 0.0
-        for i in range(s + 1):
-            acc += comb(s, i) * hi ** (s - i) * (-1.0) ** i * J[i]
-        vals[s] = acc
+    s = np.arange(s_max + 1)
+    # (hi - sigma)^r = sum_i binom(r, i) hi^(r - i) (-sigma)^i, zero for i > r
+    weights = binom(s[:, None], s) * hi ** np.maximum(s[:, None] - s, 0) * (-1.0) ** s
+    vals = weights @ J
     return MomentTable(mu=mu, lo=lo, hi=hi, values=vals)
 
 

@@ -172,16 +172,8 @@ def lebesgue_constant(grid: CGLGrid, samples: int = 2001) -> float:
         grows like ``(2/pi) log N``, so this is a small number for any
         practical degree.
     """
-    samples = max(int(samples), 1000)
-    s = np.linspace(-1.0, 1.0, samples)
-    diff = s[:, None] - grid.nodes
-    exact = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = grid.barycentric_weights / diff
-        den = terms.sum(axis=1)
-        leb = np.abs(terms).sum(axis=1) / np.abs(den)
-    leb[exact.any(axis=1)] = 1.0
-    return float(leb.max())
+    s = np.linspace(-1.0, 1.0, max(int(samples), 1000))
+    return float(np.abs(interpolate(grid, np.eye(grid.N + 1), s)).sum(axis=1).max())
 
 
 @dataclass(frozen=True)

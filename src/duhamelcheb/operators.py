@@ -124,8 +124,8 @@ class OperatorFamily:
     increasing-degree order (numpy convention).  a(t) must stay positive
     and a(t) mu_1 + c(t) must stay positive on the time interval of
     interest; :func:`verify_assumptions` reports on both.  Both are kept
-    as float arrays; a NaN or infinite coefficient raises ``ValueError``
-    naming its array.
+    as float arrays; an array that is not 1-d and non-empty, or that holds
+    a NaN or infinite coefficient, raises ``ValueError`` naming it.
     """
 
     basis: EigenBasis
@@ -135,6 +135,8 @@ class OperatorFamily:
     def __post_init__(self):
         for name in ("a_coeffs", "c_coeffs"):
             coeffs = np.asarray(getattr(self, name), dtype=float)
+            if coeffs.ndim != 1 or coeffs.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-d array, got shape {coeffs.shape}")
             if not np.isfinite(coeffs).all():
                 raise ValueError(f"{name} must be finite, got {coeffs}")
             object.__setattr__(self, name, coeffs)

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import duhamelcheb
 
@@ -47,3 +50,14 @@ def test_every_exported_name_resolves():
     assert all(hasattr(module, "__all__") for module in modules)
     missing = [f"{module.__name__}.{name}" for module in modules for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy is imported inside the functions that use it, so a fresh
+    ``import duhamelcheb`` loads none of it and stays cheap."""
+    code = "import sys, duhamelcheb; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "[]"

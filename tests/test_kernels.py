@@ -5,6 +5,8 @@ adaptive quadrature of the defining integral, or term-by-term summation
 of the series at a different truncation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,16 +104,30 @@ def test_taylor_and_analytic_branches_agree_at_crossover():
 
 
 def test_exp_sigma_moments_against_quadrature():
-    nus = np.array([0.5, 2.0, 40.0, 300.0])
-    delta = 0.4
-    J = exp_sigma_moments(nus, delta, 5)
-    for i, nu in enumerate(nus):
-        for s in range(6):
+    """Every moment up to s_max = 11 within 1e-13 relative: against
+    adaptive quadrature for moderate rates and on both sides of
+    SMALL_ARGUMENT, against the limit delta^(i+1) / (i+1) at nu = 0 and
+    nu = 1e-300, and against i! / nu^(i+1) at m = nu delta = 2e4."""
+    delta, s_max = 0.4, 11
+    i = np.arange(s_max + 1)
+    m_small = [SMALL_ARGUMENT * (1.0 - 1e-9), SMALL_ARGUMENT * (1.0 + 1e-9)]
+    nus = np.array([0.5, 2.0, 40.0, 300.0] + [m / delta for m in m_small])
+    J = exp_sigma_moments(nus, delta, s_max)
+    for row, nu in zip(J, nus):
+        for s in i:
             oracle, _ = quad(
                 lambda sig: np.exp(-nu * sig) * sig**s, 0.0, delta,
-                epsabs=1e-14, epsrel=1e-13,
+                epsabs=0.0, epsrel=2e-14, limit=200,
             )
-            assert abs(J[i, s] - oracle) <= 1e-12 * (1.0 + abs(oracle))
+            assert abs(row[s] - oracle) <= 1e-13 * oracle, (nu, s)
+    limits = [
+        (0.0, delta ** (i + 1) / (i + 1)),
+        (1e-300, delta ** (i + 1) / (i + 1)),
+        (2e4 / delta, np.array([math.factorial(s) for s in i]) / (2e4 / delta) ** (i + 1)),
+    ]
+    for nu, limit in limits:
+        row = exp_sigma_moments(np.array([nu]), delta, s_max)[0]
+        assert (np.abs(row - limit) <= 1e-13 * limit).all(), nu
 
 
 def test_kernel_K_values(series):

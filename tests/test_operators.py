@@ -154,6 +154,17 @@ def test_non_finite_operator_coefficients_are_rejected(basis, name, bad):
         OperatorFamily(basis=basis, **{name: coeffs[name].tolist()})
 
 
+@pytest.mark.parametrize("bad", [2.0, [], [[1.0]]], ids=["scalar", "empty", "2-d"])
+@pytest.mark.parametrize("name", ["a_coeffs", "c_coeffs"])
+def test_coefficient_arrays_must_be_one_dimensional_and_non_empty(basis, name, bad):
+    """A scalar used to fail in ``is_constant`` and an empty list in
+    ``polyval``, both with an IndexError; a 2-d array was accepted, and
+    a(0.5) returned an array.  The family now refuses all three, naming
+    the array."""
+    with pytest.raises(ValueError, match=f"^{name} must be a non-empty 1-d array"):
+        OperatorFamily(basis=basis, **{name: bad})
+
+
 def test_list_coefficients_are_kept_as_float_arrays(basis):
     """A list used to be kept as given, and ``is_constant`` then failed
     with an AttributeError ('list' object has no attribute 'any')."""
