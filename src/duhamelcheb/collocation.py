@@ -16,6 +16,10 @@ degree per process, on first use, and shared read-only by every assembler;
 the Gauss-Laguerre table is kept as Chebyshev coefficients, so the maps of
 a block of subintervals take one three-term recurrence and one matrix
 product.
+The forcing is sampled once per slab on a slab-wide CGL grid, whose degree
+doubles from 16 to 64 until its Chebyshev tail is at roundoff, and
+interpolated to the local sample points; where that fails it is called at
+every local sample time.
 The boundary coupling is kept factored, as the samples of b L_j and the
 maps, and every stage solver applies it so: V y is formed in sample space
 and taken through the maps once, at O(N M Q) cost.  A slab's block system
@@ -68,6 +72,13 @@ CONTRACTION_REFINE = 0.5
 """March doubles the slab count when ||Lambda D|| reaches this value."""
 
 MAX_REFINEMENTS = 6
+
+FORCING_DEGREES = (16, 32, 64)
+"""The degrees P, tried in order, of the slab-wide Chebyshev grid the forcing is sampled on."""
+
+FORCING_TAIL = 64.0
+"""The forcing is resolved at degree P when the last quarter of its Chebyshev
+coefficients is at most this many machine epsilons times the largest one."""
 
 
 class SlabContractionError(RuntimeError):
@@ -271,16 +282,74 @@ def _gauss_tables(Q: int):
     u, omega = np.polynomial.laguerre.laggauss(Q // 2 + 1)
     h = (1.0 + qgrid.nodes) / (2.0 * split)
     samples = omega @ interpolate(qgrid, eye, u * h[:, None] - 1.0)
-    # its Chebyshev coefficients by a DCT-I, with T_n(x_j) = cos(n (Q - j) pi / Q)
-    # reduced to an angle in [0, 2 pi) exactly, in integers
-    n = np.arange(Q + 1)
-    cosines = np.cos(np.pi * ((n[:, None] * (Q - n)) % (2 * Q)) / Q)
-    cosines[:, [0, Q]] *= 0.5
-    laguerre = (2.0 / Q) * (cosines @ samples)
-    laguerre[[0, Q]] *= 0.5
+    laguerre = _chebyshev_coefficients(samples)
     for table in (qgrid.nodes, qgrid.spacings, qgrid.barycentric_weights, *legendre, laguerre):
         table.flags.writeable = False
     return split, qgrid, legendre, laguerre
+
+
+@functools.cache
+def _dct_cosines(P: int) -> np.ndarray:
+    """T_n(x_j) of the degree-``P`` CGL points x_j, end columns halved: the DCT-I matrix.
+
+    T_n(x_j) = cos(n (P - j) pi / P), with the angle reduced to [0, 2 pi)
+    exactly, in integers.  Read-only, built once per ``P`` per process.
+    """
+    n = np.arange(P + 1)
+    cosines = np.cos(np.pi * ((n[:, None] * (P - n)) % (2 * P)) / P)
+    cosines[:, [0, P]] *= 0.5
+    cosines.flags.writeable = False
+    return cosines
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients, row n multiplying T_n, of the interpolant of
+    ``values``, whose P + 1 rows are at the degree-P CGL points in increasing order."""
+    P = values.shape[0] - 1
+    coefficients = (2.0 / P) * (_dct_cosines(P) @ values)
+    coefficients[[0, P]] *= 0.5
+    return coefficients
+
+
+def _local_points(grid: CGLGrid, qgrid: CGLGrid) -> np.ndarray:
+    """s_q of subinterval k, shape (N, Q+1): the points of ``qgrid`` mapped onto
+    each node subinterval of ``grid``."""
+    return grid.nodes[1:, None] - 0.5 * grid.spacings[:, None] * (1.0 + qgrid.nodes)
+
+
+@functools.cache
+def _slab_interpolation(N: int, Q: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-``P`` CGL points of the slab, and their interpolation table to the local sample points.
+
+    Entry [k-1, q, p] of the table, shape (N, Q+1, P+1), is the Lagrange
+    function of point p at sample point s_q of node subinterval k of the
+    degree-``N`` grid at data degree ``Q``.  Built once per (N, Q, P) per
+    process and shared read-only by every assembler.
+    """
+    pgrid = build_grid(P)
+    s_loc = _local_points(build_grid(N), _gauss_tables(Q)[1])
+    table = interpolate(pgrid, np.eye(P + 1), s_loc)
+    for array in (pgrid.nodes, table):
+        array.flags.writeable = False
+    return pgrid.nodes, table
+
+
+def _sample_forcing(f: Callable[[float], np.ndarray], times: np.ndarray) -> np.ndarray:
+    """f at each of ``times``, one scalar call per time, stacked to shape (times.size, M)."""
+    return np.stack([np.asarray(f(t), dtype=float) for t in times])
+
+
+def _resolved(samples: np.ndarray) -> bool:
+    """Whether the last quarter of the Chebyshev coefficients of ``samples`` is at roundoff.
+
+    ``samples`` has shape (P+1, M), at the degree-P CGL points.  The tail,
+    degrees P - P // 4 .. P, must be at most ``FORCING_TAIL`` epsilons
+    times the largest coefficient over all modes, so all-zero samples are
+    resolved.
+    """
+    P = samples.shape[0] - 1
+    coefficients = np.abs(_chebyshev_coefficients(samples))
+    return coefficients[P - P // 4:].max() <= FORCING_TAIL * np.finfo(float).eps * coefficients.max()
 
 
 def _chebyshev_basis(x: np.ndarray, Q: int) -> np.ndarray:
@@ -322,6 +391,20 @@ class CoefficientAssembler:
     slab, and shared by every later one.  An assembler's partition has one
     slab length, and ``_repartitioned`` starts a new store.  Each slab then
     keeps its boundary coupling factored, as the samples V_k = L_j b.
+    The forcing is sampled once per slab on the ladder of slab-wide CGL
+    degrees ``FORCING_DEGREES`` (16, 32, 64), nested so that a doubling
+    reuses every earlier sample.  A degree is accepted when the last
+    quarter of the samples' Chebyshev coefficients is at most
+    ``FORCING_TAIL`` machine epsilons times the largest coefficient over
+    all modes, or when a sample is not finite; the accepted samples go to the
+    local sample points through a (N, data_degree + 1, P + 1)
+    interpolation table, which depends on N, the data degree and P alone
+    and is built once per process.  The assembler fetches every degree's
+    table when it is built, so that ``slab`` makes no interpolation.  The
+    ladder keeps only the degrees with fewer points than the
+    N (data_degree + 1) local sample times, so at N = 1 it is empty; a
+    forcing unresolved at its last degree is called once per local sample
+    time.
     """
 
     def __init__(self, family: OperatorFamily, grid: CGLGrid, partition: TimePartition):
@@ -333,10 +416,13 @@ class CoefficientAssembler:
         self.data_degree = Q = max(12, floor)
         self._split, self._qgrid, self._legendre, self._laguerre = _gauss_tables(Q)
         # local sample points s_q of subinterval k, and the Lagrange basis there
-        theta = grid.spacings
-        self._s_loc = grid.nodes[1:, None] - 0.5 * theta[:, None] * (1.0 + self._qgrid.nodes)
+        self._s_loc = _local_points(grid, self._qgrid)
         self._lag_loc = np.ascontiguousarray(
             interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
+        )
+        # the forcing's ladder: slab-wide CGL points and their interpolation tables
+        self._forcing_ladder = tuple(
+            _slab_interpolation(N, Q, P) for P in FORCING_DEGREES if P + 1 < N * (Q + 1)
         )
         self._store = None
 
@@ -411,6 +497,28 @@ class CoefficientAssembler:
         other.partition, other._store = partition, None
         return other
 
+    def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray], t_loc: np.ndarray):
+        """The forcing at the local sample times of slab ``l``, one (Q+1, M) array per subinterval.
+
+        Each doubling of P samples only the new points: the earlier ones are
+        its even-indexed points bit for bit.  At the first P whose samples
+        are resolved (:func:`_resolved`), or not all finite, they go through
+        that degree's interpolation table; past the last P, ``f`` is called
+        at every local sample time.
+        """
+        samples = None
+        for nodes, table in self._forcing_ladder:
+            times = self.partition.map_to_slab(l, nodes)
+            if samples is None:
+                samples = _sample_forcing(f, times)
+            else:
+                nested = np.empty((nodes.size, samples.shape[1]))
+                nested[::2], nested[1::2] = samples, _sample_forcing(f, times[1::2])
+                samples = nested
+            if not np.isfinite(samples).all() or _resolved(samples):
+                return (table_k @ samples for table_k in table)
+        return (_sample_forcing(f, local) for local in t_loc)
+
     def slab(
         self,
         l: int,
@@ -427,8 +535,11 @@ class CoefficientAssembler:
         weight the boundary-trace unknowns; when it is omitted b is
         identically one.  A ``g`` or ``b`` that is an
         :class:`~duhamelcheb.kernels.ExpDecay` is sampled at all the slab's
-        sample times in one array call; any other ``g`` or ``b``, and every
-        ``f``, is called once per sample time with a scalar float.
+        sample times in one array call; any other ``g`` or ``b`` is called
+        once per sample time with a scalar float.  ``f`` is called with a
+        scalar float at the slab-wide CGL points of the degree ladder and
+        interpolated to the local sample times, or, where no degree resolves
+        it, called once per local sample time (see :class:`CoefficientAssembler`).
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)
@@ -440,8 +551,7 @@ class CoefficientAssembler:
         # s = -(tau/2) kernel_scale, so the g term (tau/2) kernel_scale R g is -s R g
         phi = np.zeros(interior.E.shape) if g is None else -interior.modes(sample_data(g, t_loc))
         if f is not None:
-            for k in range(self.grid.N):
-                f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k]])
+            for k, f_loc in enumerate(self._forcing_samples(l, f, t_loc)):
                 phi[k] += 0.5 * self.partition.tau * np.einsum("mq,qm->m", interior.maps[k], f_loc)
         lag_b = self._lag_loc if b is None else self._lag_loc * sample_data(b, t_loc)[:, None, :]
         return CollocationCoefficients(slab=l, t_star=t_star, interior=interior, lag_b=lag_b, phi=phi)

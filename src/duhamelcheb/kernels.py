@@ -79,15 +79,17 @@ def sample_data(fn: Callable[[float], float], times: np.ndarray) -> np.ndarray:
 def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:
     """J_0 = int_0^delta exp(-nu sigma) dsigma for rates nu of either sign.
 
-    A Taylor polynomial serves |nu delta| < SMALL_ARGUMENT; a large
-    negative rate overflows to inf rather than warning.
+    A Taylor polynomial serves |nu delta| < SMALL_ARGUMENT; it is
+    evaluated at zero elsewhere, so a huge rate cannot overflow it.  A
+    large negative rate overflows to inf rather than warning.
     """
     m = nu * delta
     small = np.abs(m) < SMALL_ARGUMENT
     safe_nu = np.where(small, 1.0, nu)
     with np.errstate(over="ignore"):
         analytic = -np.expm1(-m) / safe_nu
-    taylor = delta * (1.0 - m / 2.0 + m * m / 6.0 - m**3 / 24.0)
+    ms = np.where(small, m, 0.0)
+    taylor = delta * (1.0 - ms / 2.0 + ms * ms / 6.0 - ms**3 / 24.0)
     return np.where(small, taylor, analytic)
 
 
@@ -98,7 +100,8 @@ def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
     positive integration length.  With m = nu delta and P the regularised
     lower incomplete gamma function, J_i = i! P(i + 1, m) / nu^{i+1}; below
     m = SMALL_ARGUMENT, where nu^{i+1} can underflow, a four-term series in
-    m serves instead.  Column 0 is :func:`exp_integral`.
+    m serves instead; like :func:`exp_integral`'s Taylor polynomial it is
+    evaluated at m = 0 elsewhere.  Column 0 is :func:`exp_integral`.
     """
     from scipy.special import gamma, gammainc  # lazy, so that importing the package loads no scipy
 
@@ -112,7 +115,8 @@ def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
     small = m < SMALL_ARGUMENT
     with np.errstate(over="ignore"):
         closed = gamma(n) * gammainc(n, m) / np.where(small, 1.0, nu[:, None]) ** n
-    series = delta**n * (1.0 / n - m / (n + 1) + m * m / (2 * (n + 2)) - m**3 / (6 * (n + 3)))
+    ms = np.where(small, m, 0.0)
+    series = delta**n * (1.0 / n - ms / (n + 1) + ms * ms / (2 * (n + 2)) - ms**3 / (6 * (n + 3)))
     J = np.where(small, series, closed)
     J[:, 0] = exp_integral(nu, delta)
     return J

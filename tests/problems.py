@@ -11,12 +11,13 @@ from duhamelcheb import ExpDecay, HeatProblem, SeparableSolution, heat_basis
 from duhamelcheb.operators import OperatorFamily
 
 
-def varying_manufactured_problem(M=128):
-    """Manufactured solution e^{-kappa t} sin(pi x / 2) under a = 1 + 0.5 t,
-    c = 0.3 t, kappa = 2.5: mode 1 carries the forcing, g = b u(1, .)."""
-    kappa, rate_b = 2.5, np.pi**2 / 2.0
+def varying_manufactured_problem(M=128, a1=0.5, c1=0.3, kappa=2.5):
+    """Manufactured solution e^{-kappa t} sin(pi x / 2) under a = 1 + a1 t,
+    c = c1 t (by default a = 1 + 0.5 t, c = 0.3 t, kappa = 2.5): mode 1
+    carries the forcing, g = b u(1, .)."""
+    rate_b = np.pi**2 / 2.0
     basis = heat_basis(M)
-    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.0, 0.3]))
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, a1]), c_coeffs=np.array([0.0, c1]))
     u0 = np.zeros(M)
     u0[0] = 1.0
 

@@ -6,6 +6,7 @@ Gauss rules shows up immediately.
 """
 
 import dataclasses
+import decimal
 import functools
 import math
 import os
@@ -1293,3 +1294,167 @@ def test_neumann_restarts_build_the_sample_tables_once(monkeypatch):
     assert started.refinements == 0
     assert trace.node_modes().tobytes() == started.node_modes().tobytes()
     assert trace.node_boundary_values().tobytes() == started.node_boundary_values().tobytes()
+
+
+def counting(f, times: list):
+    """``f``, recording every time it is called at in ``times``."""
+
+    def counted(t):
+        times.append(float(t))
+        return f(t)
+
+    return counted
+
+
+def pointwise_assembler(problem, N, K, monkeypatch) -> CoefficientAssembler:
+    """An assembler with no slab-wide degree, which calls f at every local sample time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(collocation, "FORCING_DEGREES", ())
+        return CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+
+
+def mode_one(M, value) -> np.ndarray:
+    out = np.zeros(M)
+    out[0] = value
+    return out
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["manufactured", "zero"])
+def test_smooth_forcing_is_sampled_on_the_slab_grid(zero):
+    """varcoef-forced at (12, 8, 128) is resolved at P = 16 on every slab,
+    and so is an all-zero forcing: at most 17 forcing calls per slab, where
+    the local sample times take N (Q + 1) = 168."""
+    problem = varying_manufactured_problem()
+    M = problem.family.basis.M
+    forcing = (lambda t: np.zeros(M)) if zero else problem.forcing
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 8))
+    for l in range(1, 9):
+        times = []
+        assembler.slab(l, problem.g, counting(forcing, times), problem.b)
+        assert len(times) <= 17, l
+
+
+def test_doubled_slab_grid_nests_the_coarser_one():
+    """The even-indexed points of each doubled degree are the coarser degree's
+    points bit for bit, so the ladder keeps its samples."""
+    for P, doubled in zip(collocation.FORCING_DEGREES, collocation.FORCING_DEGREES[1:]):
+        assert doubled == 2 * P
+        assert build_grid(doubled).nodes[::2].tobytes() == build_grid(P).nodes.tobytes()
+
+
+def test_kinked_forcing_falls_back_on_its_slab(monkeypatch):
+    """|t - 0.3| e_1 at (12, 4, 128) has its kink inside slab 2, which no
+    degree of the ladder resolves.  The ladder samples each of the 65
+    degree-64 points once (17 + 16 + 32 calls), then f is called at every
+    local sample time, so that slab's phi has the pointwise bits.  The
+    other slabs, where f is linear, take at most 17 calls."""
+    problem = varying_manufactured_problem()
+    M = problem.family.basis.M
+
+    def kink(t):
+        return mode_one(M, abs(t - 0.3))
+
+    N, K = 12, 4
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    pointwise = pointwise_assembler(problem, N, K, monkeypatch)
+    local = N * (assembler.data_degree + 1)
+    for l in range(1, K + 1):
+        times = []
+        phi = assembler.slab(l, problem.g, counting(kink, times), problem.b).phi
+        if l != 2:
+            assert len(times) <= 17, l
+            continue
+        assert len(times) == 65 + local
+        ladder_times = assembler.partition.map_to_slab(2, build_grid(64).nodes)
+        assert sorted(times[:65]) == ladder_times.tolist()
+        assert phi.tobytes() == pointwise.slab(l, problem.g, kink, problem.b).phi.tobytes()
+
+
+def test_one_subinterval_samples_the_forcing_pointwise(monkeypatch):
+    """At N = 1 a slab has N (Q + 1) = 13 local sample times, fewer than the
+    17 points of the smallest slab-wide degree, so f is called at each of
+    them and phi has the pointwise bits."""
+    problem = varying_manufactured_problem()
+    assembler = CoefficientAssembler(problem.family, build_grid(1), TimePartition(problem.T, 4))
+    pointwise = pointwise_assembler(problem, 1, 4, monkeypatch)
+    for l in range(1, 5):
+        times = []
+        phi = assembler.slab(l, problem.g, counting(problem.forcing, times), problem.b).phi
+        assert times == assembler.partition.map_to_slab(l, assembler._s_loc).ravel().tolist()
+        assert phi.tobytes() == pointwise.slab(l, problem.g, problem.forcing, problem.b).phi.tobytes()
+
+
+VARCOEF_SEEDS = [
+    (0.5821770123928727, 0.20791468550554815, 1.5819470478723894),
+    (0.507092974820154, 0.4801854785303742, 1.7883192254392675),
+    (0.35696728054958987, 0.21939645736564933, 3.1284514811885606),
+]
+"""(a1, c1, kappa) drawn by seeds 0-2 of the varcoef-forced benchmark (``perfbench/varcoef.py``)."""
+
+
+def correctly_rounded_forcing(problem, kappa: float):
+    """The manufactured forcing (a(t) mu_1 + c(t) - kappa) e^{-kappa t} e_1,
+    evaluated in 40-digit decimal arithmetic and rounded once."""
+    family = problem.family
+    mu1 = decimal.Decimal(float(family.basis.mu[0]))
+    rate = decimal.Decimal(kappa)
+
+    def horner(coeffs, t):
+        value = decimal.Decimal(0)
+        for coef in reversed(coeffs):
+            value = value * t + decimal.Decimal(float(coef))
+        return value
+
+    def forcing(t):
+        with decimal.localcontext() as context:
+            context.prec = 40
+            time = decimal.Decimal(float(t))
+            mu = horner(family.a_coeffs, time) * mu1 + horner(family.c_coeffs, time)
+            value = (mu - rate) * (-rate * time).exp()
+        return mode_one(family.basis.M, float(value))
+
+    return forcing
+
+
+@pytest.mark.parametrize("params", [None, *VARCOEF_SEEDS], ids=["manufactured", "seed-0", "seed-1", "seed-2"])
+def test_interpolated_forcing_matches_the_pointwise_phi(params, monkeypatch):
+    """phi from the slab-wide samples is within 1e-15 of each row's largest
+    |phi| of the pointwise path, at (12, 8, 128).  The varcoef seeds'
+    forcings are correctly rounded here: in double precision a(t) mu_1 +
+    c(t) - kappa cancels up to six bits near its zero, so the two paths,
+    which sample at different times, see different noise (2.5e-15 apart at
+    seed 2), however accurate the interpolation."""
+    if params is None:
+        problem = varying_manufactured_problem()
+        forcing = problem.forcing
+    else:
+        problem = varying_manufactured_problem(128, *params)
+        forcing = correctly_rounded_forcing(problem, params[2])
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 8))
+    pointwise = pointwise_assembler(problem, 12, 8, monkeypatch)
+    for l in range(1, 9):
+        got = assembler.slab(l, problem.g, forcing, problem.b).phi
+        want = pointwise.slab(l, problem.g, forcing, problem.b).phi
+        bound = 1e-15 * np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= bound).all(), l
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_nan_forcing_stops_the_march_on_its_slab(mode):
+    """A forcing that is NaN in mode 1 for t > 0.5 first reaches slab 3 of
+    (8, 4, 128).  Its P = 16 samples are not all finite, which ends the
+    ladder at once: 16 calls past t = 0.5, none point by point."""
+    problem = varying_manufactured_problem()
+    times = []
+
+    def forcing(t):
+        out = problem.forcing(t)
+        if t > 0.5:
+            out[0] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteStageError, match="on slab 3") as exc:
+        config = SolverConfig(N=8, K=4, M=128, mode=mode)
+        march(dataclasses.replace(problem, forcing=counting(forcing, times)), config)
+    assert exc.value.slab == 3
+    assert sum(t > 0.5 for t in times) == 16

@@ -6,6 +6,7 @@ of the series at a different truncation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from duhamelcheb import (
     kernel_K1,
     moment_integrals,
 )
-from duhamelcheb.kernels import SMALL_ARGUMENT, exp_sigma_moments
+from duhamelcheb.kernels import SMALL_ARGUMENT, exp_integral, exp_sigma_moments
 
 
 def moment_quadrature(mu: float, lo: float, hi: float, s: int) -> float:
@@ -101,6 +102,19 @@ def test_taylor_and_analytic_branches_agree_at_crossover():
         assert abs(analytic - taylor) <= 1e-12 * abs(analytic)
         got = exp_sigma_moments(np.array([nu]), delta, 0)[0, 0]
         assert got == pytest.approx(analytic, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1e200, 1e300])
+def test_huge_rates_take_the_analytic_branch_without_overflow(nu):
+    """At m = nu delta far above 5.6e102, m**3 would overflow; the series
+    branches are evaluated at m = 0 there, so no RuntimeWarning is raised
+    and J_i = i! / nu^(i+1) is returned: 1 / nu, then zero by underflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J0 = exp_integral(np.array([nu]), 1.0)
+        J = exp_sigma_moments(np.array([nu]), 1.0, 3)
+    assert J0.tolist() == [1.0 / nu]
+    assert J.tolist() == [[1.0 / nu, 0.0, 0.0, 0.0]]
 
 
 def test_exp_sigma_moments_against_quadrature():
