@@ -16,10 +16,9 @@ degree per process, on first use, and shared read-only by every assembler;
 the Gauss-Laguerre table is kept as Chebyshev coefficients, so the maps of
 a block of subintervals take one three-term recurrence and one matrix
 product.
-The forcing is sampled once per slab on a slab-wide CGL grid, whose degree
-doubles from 16 to 64 until its Chebyshev tail is at roundoff, and
-interpolated to the local sample points; where that fails it is called at
-every local sample time.
+The forcing is sampled once per slab on a slab-wide degree-16 CGL grid and,
+where its Chebyshev tail is at roundoff, interpolated to the local sample
+points; elsewhere it is called at every local sample time.
 The boundary coupling is kept factored, as the samples of b L_j and the
 maps, and every stage solver applies it so: V y is formed in sample space
 and taken through the maps once, at O(N M Q) cost.  A slab's block system
@@ -73,11 +72,11 @@ CONTRACTION_REFINE = 0.5
 
 MAX_REFINEMENTS = 6
 
-FORCING_DEGREES = (16, 32, 64)
-"""The degrees P, tried in order, of the slab-wide Chebyshev grid the forcing is sampled on."""
+FORCING_DEGREE = 16
+"""The degree P of the slab-wide Chebyshev grid the forcing is sampled on."""
 
 FORCING_TAIL = 64.0
-"""The forcing is resolved at degree P when the last quarter of its Chebyshev
+"""The forcing is resolved when the last quarter of its degree-P Chebyshev
 coefficients is at most this many machine epsilons times the largest one."""
 
 
@@ -391,20 +390,18 @@ class CoefficientAssembler:
     slab, and shared by every later one.  An assembler's partition has one
     slab length, and ``_repartitioned`` starts a new store.  Each slab then
     keeps its boundary coupling factored, as the samples V_k = L_j b.
-    The forcing is sampled once per slab on the ladder of slab-wide CGL
-    degrees ``FORCING_DEGREES`` (16, 32, 64), nested so that a doubling
-    reuses every earlier sample.  A degree is accepted when the last
-    quarter of the samples' Chebyshev coefficients is at most
-    ``FORCING_TAIL`` machine epsilons times the largest coefficient over
-    all modes, or when a sample is not finite; the accepted samples go to the
+    The forcing is sampled once per slab at the P + 1 slab-wide CGL points
+    of degree P = ``FORCING_DEGREE``.  The samples are used when the last
+    quarter of their Chebyshev coefficients is at most ``FORCING_TAIL``
+    machine epsilons times the largest coefficient over all modes, or when
+    one of them is not finite (which ``phi`` then carries); they go to the
     local sample points through a (N, data_degree + 1, P + 1)
     interpolation table, which depends on N, the data degree and P alone
-    and is built once per process.  The assembler fetches every degree's
-    table when it is built, so that ``slab`` makes no interpolation.  The
-    ladder keeps only the degrees with fewer points than the
-    N (data_degree + 1) local sample times, so at N = 1 it is empty; a
-    forcing unresolved at its last degree is called once per local sample
-    time.
+    and is built once per process.  The assembler fetches that table when
+    it is built, so that ``slab`` makes no interpolation.  An unresolved
+    forcing is called once per local sample time, and so is every forcing
+    when P + 1 is not below the N (data_degree + 1) local sample times, as
+    at N = 1.
     """
 
     def __init__(self, family: OperatorFamily, grid: CGLGrid, partition: TimePartition):
@@ -420,10 +417,9 @@ class CoefficientAssembler:
         self._lag_loc = np.ascontiguousarray(
             interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
         )
-        # the forcing's ladder: slab-wide CGL points and their interpolation tables
-        self._forcing_ladder = tuple(
-            _slab_interpolation(N, Q, P) for P in FORCING_DEGREES if P + 1 < N * (Q + 1)
-        )
+        # the forcing's slab-wide CGL points and their interpolation table, or None
+        P = FORCING_DEGREE
+        self._forcing_grid = _slab_interpolation(N, Q, P) if P + 1 < N * (Q + 1) else None
         self._store = None
 
     def _interior(self, t_star: np.ndarray, t_loc: np.ndarray) -> SlabInterior:
@@ -500,22 +496,19 @@ class CoefficientAssembler:
     def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray], t_loc: np.ndarray):
         """The forcing at the local sample times of slab ``l``, one (Q+1, M) array per subinterval.
 
-        Each doubling of P samples only the new points: the earlier ones are
-        its even-indexed points bit for bit.  At the first P whose samples
-        are resolved (:func:`_resolved`), or not all finite, they go through
-        that degree's interpolation table; past the last P, ``f`` is called
-        at every local sample time.
+        Samples at the slab-wide points that are resolved
+        (:func:`_resolved`) go through the interpolation table; so do samples
+        that are not all finite, whose interpolants are then not finite
+        either.  Otherwise ``f`` is called at every local sample time.
         """
-        samples = None
-        for nodes, table in self._forcing_ladder:
-            times = self.partition.map_to_slab(l, nodes)
-            if samples is None:
-                samples = _sample_forcing(f, times)
-            else:
-                nested = np.empty((nodes.size, samples.shape[1]))
-                nested[::2], nested[1::2] = samples, _sample_forcing(f, times[1::2])
-                samples = nested
-            if not np.isfinite(samples).all() or _resolved(samples):
+        if self._forcing_grid is not None:
+            nodes, table = self._forcing_grid
+            samples = _sample_forcing(f, self.partition.map_to_slab(l, nodes))
+            if not np.isfinite(samples).all():
+                # an inf sample meets Lagrange weights of both signs: nan, silently
+                with np.errstate(invalid="ignore"):
+                    return [table_k @ samples for table_k in table]
+            if _resolved(samples):
                 return (table_k @ samples for table_k in table)
         return (_sample_forcing(f, local) for local in t_loc)
 
@@ -537,9 +530,9 @@ class CoefficientAssembler:
         :class:`~duhamelcheb.kernels.ExpDecay` is sampled at all the slab's
         sample times in one array call; any other ``g`` or ``b`` is called
         once per sample time with a scalar float.  ``f`` is called with a
-        scalar float at the slab-wide CGL points of the degree ladder and
-        interpolated to the local sample times, or, where no degree resolves
-        it, called once per local sample time (see :class:`CoefficientAssembler`).
+        scalar float at the slab-wide CGL points and interpolated to the
+        local sample times, or, where those samples do not resolve it, called
+        once per local sample time (see :class:`CoefficientAssembler`).
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)

@@ -1306,11 +1306,11 @@ def counting(f, times: list):
     return counted
 
 
-def pointwise_assembler(problem, N, K, monkeypatch) -> CoefficientAssembler:
-    """An assembler with no slab-wide degree, which calls f at every local sample time."""
-    with monkeypatch.context() as patch:
-        patch.setattr(collocation, "FORCING_DEGREES", ())
-        return CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+def pointwise_assembler(problem, N, K) -> CoefficientAssembler:
+    """An assembler with no slab-wide grid, which calls f at every local sample time."""
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    assembler._forcing_grid = None
+    return assembler
 
 
 def mode_one(M, value) -> np.ndarray:
@@ -1334,20 +1334,11 @@ def test_smooth_forcing_is_sampled_on_the_slab_grid(zero):
         assert len(times) <= 17, l
 
 
-def test_doubled_slab_grid_nests_the_coarser_one():
-    """The even-indexed points of each doubled degree are the coarser degree's
-    points bit for bit, so the ladder keeps its samples."""
-    for P, doubled in zip(collocation.FORCING_DEGREES, collocation.FORCING_DEGREES[1:]):
-        assert doubled == 2 * P
-        assert build_grid(doubled).nodes[::2].tobytes() == build_grid(P).nodes.tobytes()
-
-
-def test_kinked_forcing_falls_back_on_its_slab(monkeypatch):
-    """|t - 0.3| e_1 at (12, 4, 128) has its kink inside slab 2, which no
-    degree of the ladder resolves.  The ladder samples each of the 65
-    degree-64 points once (17 + 16 + 32 calls), then f is called at every
-    local sample time, so that slab's phi has the pointwise bits.  The
-    other slabs, where f is linear, take at most 17 calls."""
+def test_kinked_forcing_falls_back_on_its_slab():
+    """|t - 0.3| e_1 at (12, 4, 128) has its kink inside slab 2, which the
+    degree-16 slab grid does not resolve.  f is called at its 17 points,
+    then at every local sample time, so that slab's phi has the pointwise
+    bits.  The other slabs, where f is linear, take at most 17 calls."""
     problem = varying_manufactured_problem()
     M = problem.family.basis.M
 
@@ -1356,7 +1347,7 @@ def test_kinked_forcing_falls_back_on_its_slab(monkeypatch):
 
     N, K = 12, 4
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
-    pointwise = pointwise_assembler(problem, N, K, monkeypatch)
+    pointwise = pointwise_assembler(problem, N, K)
     local = N * (assembler.data_degree + 1)
     for l in range(1, K + 1):
         times = []
@@ -1364,19 +1355,18 @@ def test_kinked_forcing_falls_back_on_its_slab(monkeypatch):
         if l != 2:
             assert len(times) <= 17, l
             continue
-        assert len(times) == 65 + local
-        ladder_times = assembler.partition.map_to_slab(2, build_grid(64).nodes)
-        assert sorted(times[:65]) == ladder_times.tolist()
+        assert len(times) == 17 + local
+        assert times[:17] == assembler.partition.map_to_slab(2, build_grid(16).nodes).tolist()
         assert phi.tobytes() == pointwise.slab(l, problem.g, kink, problem.b).phi.tobytes()
 
 
-def test_one_subinterval_samples_the_forcing_pointwise(monkeypatch):
+def test_one_subinterval_samples_the_forcing_pointwise():
     """At N = 1 a slab has N (Q + 1) = 13 local sample times, fewer than the
     17 points of the smallest slab-wide degree, so f is called at each of
     them and phi has the pointwise bits."""
     problem = varying_manufactured_problem()
     assembler = CoefficientAssembler(problem.family, build_grid(1), TimePartition(problem.T, 4))
-    pointwise = pointwise_assembler(problem, 1, 4, monkeypatch)
+    pointwise = pointwise_assembler(problem, 1, 4)
     for l in range(1, 5):
         times = []
         phi = assembler.slab(l, problem.g, counting(problem.forcing, times), problem.b).phi
@@ -1417,7 +1407,7 @@ def correctly_rounded_forcing(problem, kappa: float):
 
 
 @pytest.mark.parametrize("params", [None, *VARCOEF_SEEDS], ids=["manufactured", "seed-0", "seed-1", "seed-2"])
-def test_interpolated_forcing_matches_the_pointwise_phi(params, monkeypatch):
+def test_interpolated_forcing_matches_the_pointwise_phi(params):
     """phi from the slab-wide samples is within 1e-15 of each row's largest
     |phi| of the pointwise path, at (12, 8, 128).  The varcoef seeds'
     forcings are correctly rounded here: in double precision a(t) mu_1 +
@@ -1431,7 +1421,7 @@ def test_interpolated_forcing_matches_the_pointwise_phi(params, monkeypatch):
         problem = varying_manufactured_problem(128, *params)
         forcing = correctly_rounded_forcing(problem, params[2])
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 8))
-    pointwise = pointwise_assembler(problem, 12, 8, monkeypatch)
+    pointwise = pointwise_assembler(problem, 12, 8)
     for l in range(1, 9):
         got = assembler.slab(l, problem.g, forcing, problem.b).phi
         want = pointwise.slab(l, problem.g, forcing, problem.b).phi
@@ -1439,18 +1429,20 @@ def test_interpolated_forcing_matches_the_pointwise_phi(params, monkeypatch):
         assert (np.abs(got - want) <= bound).all(), l
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])
-def test_nan_forcing_stops_the_march_on_its_slab(mode):
-    """A forcing that is NaN in mode 1 for t > 0.5 first reaches slab 3 of
-    (8, 4, 128).  Its P = 16 samples are not all finite, which ends the
-    ladder at once: 16 calls past t = 0.5, none point by point."""
+def test_non_finite_forcing_stops_the_march_on_its_slab(mode, bad):
+    """A forcing that is NaN (or inf) in mode 1 for t > 0.5 first reaches
+    slab 3 of (8, 4, 128).  Its slab-grid samples are not all finite, so
+    they are interpolated as they are, with no warning: 16 calls past
+    t = 0.5, none point by point."""
     problem = varying_manufactured_problem()
     times = []
 
     def forcing(t):
         out = problem.forcing(t)
         if t > 0.5:
-            out[0] = np.nan
+            out[0] = bad
         return out
 
     with pytest.raises(NonFiniteStageError, match="on slab 3") as exc:
