@@ -14,7 +14,6 @@ from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family, 
 from .kernels import KernelSeries, MomentTable, moment_integrals, kernel_K, kernel_K1, homogeneous_v
 from .collocation import (
     SolverConfig,
-    CollocationCoefficients,
     BlockSystem,
     StageSolution,
     SolutionTrace,
@@ -71,7 +70,6 @@ __all__ = [
     "kernel_K1",
     "homogeneous_v",
     "SolverConfig",
-    "CollocationCoefficients",
     "BlockSystem",
     "StageSolution",
     "SolutionTrace",

@@ -11,34 +11,29 @@ coefficient integrals, which are evaluated to roundoff by Gauss rules.  One
 quadrature map per node subinterval, built from samples at local Chebyshev
 points, integrates every coefficient: the data g and f, the products b L_j,
 and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
-those maps depend on the data degree alone and are built once per data
-degree per process, on first use, and shared read-only by every assembler;
-the Gauss-Laguerre table is kept as Chebyshev coefficients, so the maps of
-a block of subintervals take one three-term recurrence and one matrix
-product.
+those maps depend on the data degree alone, and the local sample points on
+the degree and the data degree: both are built once per process, on first
+use, and shared read-only by every assembler.  The Gauss-Laguerre table is
+kept as Chebyshev coefficients, so the maps of a block of subintervals take
+one three-term recurrence and one matrix product.
 The forcing is sampled once per slab on a slab-wide degree-16 CGL grid and,
 where its Chebyshev tail is at roundoff, interpolated to the local sample
 points; elsewhere it is called at every local sample time.
-The boundary coupling is kept factored, as the samples of b L_j and the
-maps, and every stage solver applies it so: V y is formed in sample space
-and taken through the maps once, at O(N M Q) cost.  A slab's block system
-is its coefficients and b at its nodes: the solvers read every block (E,
-alpha, phi, the trace functional) from the coefficients.  The direct solve
-reduces the trace unknowns to one N x N system per slab.  When the
-interior coupling vanishes (constant families, whose alpha is never
-integrated) the trace images of the maps, built once per slab length,
-give that matrix, so no (N, N+1, M) array is built; otherwise M batched
-N x N LU solves, whose right-hand side is the one multiplied-out
-coupling, do the interior solve.  A fixed-point sweep
-over the same splitting is an alternative to the direct elimination.
+A slab's block system (:class:`BlockSystem`) is its coefficients and b at
+its nodes; it keeps the boundary coupling factored, and every stage solver
+applies it so.  The direct solve reduces the trace unknowns to one N x N
+system per slab.  When the interior coupling vanishes (constant families,
+whose alpha is never integrated) the trace images of the maps, built once
+per slab length, give that matrix, so no (N, N+1, M) array is built;
+otherwise M batched N x N LU solves, whose right-hand side is the one
+multiplied-out coupling, do the interior solve.  A fixed-point sweep over
+the same splitting is an alternative to the direct elimination.
 """
-
 from __future__ import annotations
 
-import copy
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -51,7 +46,6 @@ from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tra
 __all__ = [
     "SolverConfig",
     "SlabInterior",
-    "CollocationCoefficients",
     "BlockSystem",
     "StageSolution",
     "SolutionTrace",
@@ -207,23 +201,40 @@ class SlabInterior:
 
 
 @dataclass(frozen=True)
-class CollocationCoefficients:
-    """Slab coefficients integrated to roundoff, stored per mode.
+class BlockSystem:
+    """The stage system of one slab: its coefficients, integrated to roundoff, and b at its nodes.
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
-    The coupling and phi come from the same per-subinterval quadrature
-    maps R_k of ``interior``, which also holds E and alpha.
 
+    t_star            (N+1,) the slab's node times
+    interior          E, alpha, the quadrature maps R_k and the trace
+                      functional (see :class:`SlabInterior`)
     lag_b[k-1, j, q]  V_k = L_j(s_q) b(t_q): the trace basis times the
                       multiplier b (one when omitted) at the data_degree + 1
                       local sample points s_q of subinterval k
     phi[k-1]          data term (forcing plus boundary data)
+    bvals             (N+1,) b(t_k) at the slab nodes (one when b is
+                      omitted), to recover y = b w
 
-    The boundary-lift coupling against the interpolated trace,
-    s_k (R_k V_k[j]) with s = -(tau/2) a mu0 lift, so that b rides inside
-    the integrand, is kept factored as V and the maps, and the solvers
-    apply it so.
+    The solvers read every block from these fields.  All are diagonal per
+    mode except the boundary functional Lambda:
+
+    S~        unit lower bidiagonal, subdiagonal block i the propagator E[i]
+    C~, F_x   alpha's columns 1..N and 0, with E[0] added to F_x's row 1;
+              a constant family's alpha is not integrated, so
+              ``has_interior_coupling`` is False and no solver contracts C~
+    f_x       phi
+    Lambda    w_k = sum_n interior.trace[n] x~_{k,n} in every row
+    D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
+              the interpolated trace: beta[k-1, j] = s_k (R_k V_k[j]) with
+              s = -(tau/2) a mu0 lift, so that b rides inside the integrand.
+              It is kept factored as V and the maps: the solvers form V y
+              in sample space and take it through the maps once, at
+              O(N M Q) cost.
+
+    A constant family's slabs share E, the maps and the trace, so solvers
+    must not write to them.
     """
 
     slab: int
@@ -231,6 +242,7 @@ class CollocationCoefficients:
     interior: SlabInterior
     lag_b: np.ndarray
     phi: np.ndarray
+    bvals: np.ndarray
 
     @property
     def N(self) -> int:
@@ -244,6 +256,11 @@ class CollocationCoefficients:
     def E(self) -> np.ndarray:
         return self.interior.E
 
+    @property
+    def has_interior_coupling(self) -> bool:
+        """Whether C~ was integrated, i.e. the family is not constant."""
+        return self.interior.alpha is not None
+
     def coupling(self) -> np.ndarray:
         """The (N, N+1, M) coupling multiplied out from its factors, as a new, writable array."""
         interior = self.interior
@@ -251,6 +268,51 @@ class CollocationCoefficients:
         beta *= -0.5 * interior.tau
         beta *= interior.kernel_scale[:, None, :]
         return beta
+
+    @functools.cached_property
+    def lambda_d(self) -> np.ndarray:
+        """The N x N scalar matrix Lambda D of the eliminated boundary system.
+
+        Computed once per system from the factored coupling, as H V (see
+        :attr:`SlabInterior.trace_weights`), and kept read-only.
+        """
+        H = self.interior.trace_weights
+        lambda_d = np.matmul(self.lag_b[:, 1:], H[:, :, None])[:, :, 0]
+        lambda_d.flags.writeable = False
+        return lambda_d
+
+    def contraction_norm(self) -> float:
+        """Infinity norm of Lambda D; below 1 the elimination is solvable."""
+        return float(np.abs(self.lambda_d).sum(axis=1).max())
+
+    def s_tilde_blocks(self) -> np.ndarray:
+        """S~ as dense (N, N, M) blocks, which no solver reads.
+
+        Acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
+        """
+        N, M = self.N, self.M
+        S = np.zeros((N, N, M))
+        S[np.arange(N), np.arange(N)] = 1.0
+        if N > 1:
+            S[np.arange(1, N), np.arange(N - 1)] = -self.E[1:]
+        return S
+
+    def s_tilde_inverse_blocks(self) -> np.ndarray:
+        """Explicit inverse of the bidiagonal interior matrix.
+
+        Row i, column k holds the product of the subdiagonal blocks
+        between the two positions; no division is involved, so underflowed
+        propagators are handled exactly.
+        """
+        N, M, E = self.N, self.M, self.E
+        T = np.zeros((N, N, M))
+        for k in range(N):
+            acc = np.ones(M)
+            T[k, k] = acc
+            for i in range(k + 1, N):
+                acc = acc * E[i]
+                T[i, k] = acc
+        return T
 
 
 _MAP_BLOCK_MODES = 512
@@ -317,20 +379,28 @@ def _local_points(grid: CGLGrid, qgrid: CGLGrid) -> np.ndarray:
 
 
 @functools.cache
-def _slab_interpolation(N: int, Q: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-``P`` CGL points of the slab, and their interpolation table to the local sample points.
+def _sample_tables(N: int, Q: int):
+    """The local sample points of the degree-``N`` grid at data degree ``Q``, and their tables.
 
-    Entry [k-1, q, p] of the table, shape (N, Q+1, P+1), is the Lagrange
-    function of point p at sample point s_q of node subinterval k of the
-    degree-``N`` grid at data degree ``Q``.  Built once per (N, Q, P) per
-    process and shared read-only by every assembler.
+    Returns s_loc, shape (N, Q+1), the points s_q of each node subinterval
+    k; lag_loc[k-1, j, q] = L_j(s_q), the Lagrange basis of the grid there;
+    and the forcing's slab-wide grid, the degree-``FORCING_DEGREE`` CGL
+    points with their interpolation table to s_loc, shape (N, Q+1, P+1),
+    or None when P + 1 is not below the N (Q + 1) local sample points.
+    Built once per (N, Q) per process and shared by every assembler, so
+    every array is read-only.
     """
-    pgrid = build_grid(P)
-    s_loc = _local_points(build_grid(N), _gauss_tables(Q)[1])
-    table = interpolate(pgrid, np.eye(P + 1), s_loc)
-    for array in (pgrid.nodes, table):
-        array.flags.writeable = False
-    return pgrid.nodes, table
+    grid = build_grid(N)
+    s_loc = _local_points(grid, _gauss_tables(Q)[1])
+    lag_loc = np.ascontiguousarray(interpolate(grid, np.eye(N + 1), s_loc).transpose(0, 2, 1))
+    P = FORCING_DEGREE
+    forcing_grid = None
+    if P + 1 < N * (Q + 1):
+        pgrid = build_grid(P)
+        forcing_grid = pgrid.nodes, interpolate(pgrid, np.eye(P + 1), s_loc)
+    for table in (s_loc, lag_loc, *(forcing_grid or ())):
+        table.flags.writeable = False
+    return s_loc, lag_loc, forcing_grid
 
 
 def _sample_forcing(f: Callable[[float], np.ndarray], times: np.ndarray) -> np.ndarray:
@@ -379,29 +449,25 @@ class CoefficientAssembler:
     exactness on resolved problems.
     The alpha integrands have degree N + deg(a, c), so ``data_degree`` is
     max(12, N + deg(a, c)).  The Gauss tables depend on the data degree
-    alone: they are built once per data degree per process and shared
-    read-only by every assembler of that degree.  The local sample points
-    and their Lagrange values depend on the grid alone: they are built once
-    per assembler, and ``march`` carries them over its restarts.  For a
-    constant family alpha is exactly zero and is not integrated, and the
-    slab's interior (E, the maps R_k, the kernel scale and the trace
-    images that the direct solve reads, see :class:`SlabInterior`) does not
-    depend on the slab: it is built once per slab length, on the first
-    slab, and shared by every later one.  An assembler's partition has one
-    slab length, and ``_repartitioned`` starts a new store.  Each slab then
-    keeps its boundary coupling factored, as the samples V_k = L_j b.
+    alone, and the local sample points, their Lagrange values and the
+    forcing's interpolation table on N and the data degree: each is built
+    once per process and shared read-only by every assembler, so an
+    assembler fetches them when it is built and ``slab`` makes no
+    interpolation.  For a constant family alpha is exactly zero and is not
+    integrated, and the slab's interior (E, the maps R_k, the kernel scale
+    and the trace images that the direct solve reads, see
+    :class:`SlabInterior`) does not depend on the slab: it is built once
+    per assembler, whose partition has one slab length, on the first slab,
+    and shared by every later one.
     The forcing is sampled once per slab at the P + 1 slab-wide CGL points
     of degree P = ``FORCING_DEGREE``.  The samples are used when the last
     quarter of their Chebyshev coefficients is at most ``FORCING_TAIL``
     machine epsilons times the largest coefficient over all modes, or when
     one of them is not finite (which ``phi`` then carries); they go to the
-    local sample points through a (N, data_degree + 1, P + 1)
-    interpolation table, which depends on N, the data degree and P alone
-    and is built once per process.  The assembler fetches that table when
-    it is built, so that ``slab`` makes no interpolation.  An unresolved
-    forcing is called once per local sample time, and so is every forcing
-    when P + 1 is not below the N (data_degree + 1) local sample times, as
-    at N = 1.
+    local sample points through the (N, data_degree + 1, P + 1)
+    interpolation table.  An unresolved forcing is called once per local
+    sample time, and so is every forcing when P + 1 is not below the
+    N (data_degree + 1) local sample times, as at N = 1.
     """
 
     def __init__(self, family: OperatorFamily, grid: CGLGrid, partition: TimePartition):
@@ -412,14 +478,7 @@ class CoefficientAssembler:
         floor = N if family.is_constant else N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0]) - 1
         self.data_degree = Q = max(12, floor)
         self._split, self._qgrid, self._legendre, self._laguerre = _gauss_tables(Q)
-        # local sample points s_q of subinterval k, and the Lagrange basis there
-        self._s_loc = _local_points(grid, self._qgrid)
-        self._lag_loc = np.ascontiguousarray(
-            interpolate(grid, np.eye(N + 1), self._s_loc).transpose(0, 2, 1)
-        )
-        # the forcing's slab-wide CGL points and their interpolation table, or None
-        P = FORCING_DEGREE
-        self._forcing_grid = _slab_interpolation(N, Q, P) if P + 1 < N * (Q + 1) else None
+        self._s_loc, self._lag_loc, self._forcing_grid = _sample_tables(N, Q)
         self._store = None
 
     def _interior(self, t_star: np.ndarray, t_loc: np.ndarray) -> SlabInterior:
@@ -482,17 +541,6 @@ class CoefficientAssembler:
         kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
         return SlabInterior(tau, E, alpha, maps, kernel_scale, basis.boundary_trace)
 
-    def _repartitioned(self, partition: TimePartition) -> CoefficientAssembler:
-        """This assembler on another partition of the same grid.
-
-        The Gauss tables, sample points and Lagrange values depend on the
-        grid alone and are shared, not rebuilt; the interior store, which
-        depends on the slab length, is not.
-        """
-        other = copy.copy(self)
-        other.partition, other._store = partition, None
-        return other
-
     def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray], t_loc: np.ndarray):
         """The forcing at the local sample times of slab ``l``, one (Q+1, M) array per subinterval.
 
@@ -518,21 +566,22 @@ class CoefficientAssembler:
         g: Callable[[float], float] | None = None,
         f: Callable[[float], np.ndarray] | None = None,
         b: Callable[[float], float] | None = None,
-    ) -> CollocationCoefficients:
-        """Assemble the coefficients of slab ``l``.
+    ) -> BlockSystem:
+        """Assemble the block system of slab ``l``.
 
         ``g``, ``f`` and ``b`` are sampled on each subinterval at the
         data_degree + 1 local Chebyshev points and integrated through R_k,
         to roundoff by Gauss rules for polynomial data up to that degree and
         for analytic data.  ``b`` rides inside the products b L_j that
-        weight the boundary-trace unknowns; when it is omitted b is
-        identically one.  A ``g`` or ``b`` that is an
-        :class:`~duhamelcheb.kernels.ExpDecay` is sampled at all the slab's
-        sample times in one array call; any other ``g`` or ``b`` is called
-        once per sample time with a scalar float.  ``f`` is called with a
-        scalar float at the slab-wide CGL points and interpolated to the
-        local sample times, or, where those samples do not resolve it, called
-        once per local sample time (see :class:`CoefficientAssembler`).
+        weight the boundary-trace unknowns, and is also sampled at the slab
+        nodes, to recover y = b w; when it is omitted b is identically one.
+        A ``g`` or ``b`` that is an :class:`~duhamelcheb.kernels.ExpDecay` is
+        sampled at all the slab's sample times in one array call; any other
+        ``g`` or ``b`` is called once per sample time with a scalar float.
+        ``f`` is called with a scalar float at the slab-wide CGL points and
+        interpolated to the local sample times, or, where those samples do
+        not resolve it, called once per local sample time (see
+        :class:`CoefficientAssembler`).
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)
@@ -546,8 +595,11 @@ class CoefficientAssembler:
         if f is not None:
             for k, f_loc in enumerate(self._forcing_samples(l, f, t_loc)):
                 phi[k] += 0.5 * self.partition.tau * np.einsum("mq,qm->m", interior.maps[k], f_loc)
-        lag_b = self._lag_loc if b is None else self._lag_loc * sample_data(b, t_loc)[:, None, :]
-        return CollocationCoefficients(slab=l, t_star=t_star, interior=interior, lag_b=lag_b, phi=phi)
+        if b is None:
+            lag_b, bvals = self._lag_loc, np.ones(t_star.shape)
+        else:
+            lag_b, bvals = self._lag_loc * sample_data(b, t_loc)[:, None, :], sample_data(b, t_star)
+        return BlockSystem(slab=l, t_star=t_star, interior=interior, lag_b=lag_b, phi=phi, bvals=bvals)
 
 
 def assemble_coefficients(
@@ -558,96 +610,9 @@ def assemble_coefficients(
     g: Callable[[float], float] | None = None,
     f: Callable[[float], np.ndarray] | None = None,
     b: Callable[[float], float] | None = None,
-) -> CollocationCoefficients:
-    """One-shot assembly of the slab-``l`` coefficients."""
+) -> BlockSystem:
+    """One-shot assembly of the slab-``l`` block system."""
     return CoefficientAssembler(family, grid, partition).slab(l, g, f, b)
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """The stage system of one slab: its coefficients and b at its nodes.
-
-    Every block is read from ``coeffs``, where the solvers use it, and all
-    are diagonal per mode except the boundary functional Lambda:
-
-    S~        unit lower bidiagonal, subdiagonal block i the propagator E[i]
-    C~, F_x   alpha's columns 1..N and 0, with E[0] added to F_x's row 1;
-              a constant family's alpha is not integrated, so
-              ``has_interior_coupling`` is False and no solver contracts C~
-    f_x       phi
-    Lambda    w_k = sum_n interior.trace[n] x~_{k,n} in every row
-    D, F_y    beta's columns 1..N and 0, kept factored; D carries the
-              multiplier b inside its integrals
-    bvals     (N+1,) b(t_k) at the slab nodes, to recover y = b w
-
-    A constant family's slabs share E, the maps and the trace, so solvers
-    must not write to them.
-    """
-
-    coeffs: CollocationCoefficients
-    bvals: np.ndarray
-
-    @property
-    def slab(self) -> int:
-        return self.coeffs.slab
-
-    @property
-    def N(self) -> int:
-        return self.coeffs.N
-
-    @property
-    def M(self) -> int:
-        return self.coeffs.M
-
-    @property
-    def has_interior_coupling(self) -> bool:
-        """Whether C~ was integrated, i.e. the family is not constant."""
-        return self.coeffs.interior.alpha is not None
-
-    @functools.cached_property
-    def lambda_d(self) -> np.ndarray:
-        """The N x N scalar matrix Lambda D of the eliminated boundary system.
-
-        Computed once per system from the factored coupling, as H V (see
-        :attr:`SlabInterior.trace_weights`), and kept read-only.
-        """
-        H = self.coeffs.interior.trace_weights
-        lambda_d = np.matmul(self.coeffs.lag_b[:, 1:], H[:, :, None])[:, :, 0]
-        lambda_d.flags.writeable = False
-        return lambda_d
-
-    def contraction_norm(self) -> float:
-        """Infinity norm of Lambda D; below 1 the elimination is solvable."""
-        return float(np.abs(self.lambda_d).sum(axis=1).max())
-
-    def s_tilde_blocks(self) -> np.ndarray:
-        """S~ as dense (N, N, M) blocks, which no solver reads.
-
-        Acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
-        """
-        N, M = self.N, self.M
-        S = np.zeros((N, N, M))
-        S[np.arange(N), np.arange(N)] = 1.0
-        if N > 1:
-            S[np.arange(1, N), np.arange(N - 1)] = -self.coeffs.E[1:]
-        return S
-
-    def s_tilde_inverse_blocks(self) -> np.ndarray:
-        """Explicit inverse of the bidiagonal interior matrix.
-
-        Row i, column k holds the product of the subdiagonal blocks
-        between the two positions; no division is involved, so underflowed
-        propagators are handled exactly.
-        """
-        N, M, E = self.N, self.M, self.coeffs.E
-        T = np.zeros((N, N, M))
-        for k in range(N):
-            acc = np.ones(M)
-            T[k, k] = acc
-            for i in range(k + 1, N):
-                acc = acc * E[i]
-                T[i, k] = acc
-        return T
 
 
 def block_matrix_inf_norm(blocks: np.ndarray) -> float:
@@ -656,34 +621,35 @@ def block_matrix_inf_norm(blocks: np.ndarray) -> float:
 
 
 def assemble_block_system(
-    coeffs: CollocationCoefficients,
+    coeffs: BlockSystem,
     family: OperatorFamily,
     boundary_multiplier: Callable[[float], float],
 ) -> BlockSystem:
-    """The stage system of one slab, whose blocks are read from ``coeffs``.
+    """``coeffs`` with b at its nodes taken from ``boundary_multiplier``.
 
-    Only the nodal values of ``boundary_multiplier``, used to recover
-    y = b w, are sampled here; the coupling itself comes from ``coeffs``,
-    so the coefficients must have been assembled from ``family`` with the
-    same multiplier (or with none, for b identically one).  An
-    :class:`~duhamelcheb.kernels.ExpDecay` multiplier is sampled at the N + 1
-    slab nodes in one array call; any other callable once per node with a
-    scalar float.
+    Only the nodal values, used to recover y = b w, are sampled here; the
+    coupling itself is kept, so the coefficients must have been assembled
+    from ``family`` with the same multiplier (or with none, for b
+    identically one).  An :class:`~duhamelcheb.kernels.ExpDecay` multiplier
+    is sampled at the N + 1 slab nodes in one array call; any other
+    callable once per node with a scalar float.
     """
-    return BlockSystem(coeffs=coeffs, bvals=sample_data(boundary_multiplier, coeffs.t_star))
+    return replace(coeffs, bvals=sample_data(boundary_multiplier, coeffs.t_star))
 
 
 @dataclass(frozen=True)
 class StageSolution:
     """Solution of one slab: nodal mode vectors and boundary values.
 
-    x has shape (N+1, M) including the inherited node 0; boundary_traces
-    holds the trace unknowns w and y = b w the weighted boundary values,
-    both of shape (N+1,).  residual is the max-norm defect of the
+    t holds the slab's node times and x, shape (N+1, M), the mode vectors
+    there, including the inherited node 0; boundary_traces holds the trace
+    unknowns w and y = b w the weighted boundary values, both of shape
+    (N+1,).  residual is the max-norm defect of the
     collocation equations, contraction the assembled ||Lambda D||.
     """
 
     slab: int
+    t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     boundary_traces: np.ndarray
@@ -701,17 +667,16 @@ def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
     into a sum of zeros, and a reordered sum rounds differently, so either
     shortcut could change printed values.
     """
-    coeffs = system.coeffs
-    alpha = coeffs.interior.alpha
-    F_x = np.zeros(coeffs.E.shape) if alpha is None else alpha[:, 0].copy()
-    F_x[0] += coeffs.E[0]
-    return F_x * x0[None, :] + coeffs.interior.modes(w0 * coeffs.lag_b[:, 0]) + coeffs.phi
+    alpha = system.interior.alpha
+    F_x = np.zeros(system.E.shape) if alpha is None else alpha[:, 0].copy()
+    F_x[0] += system.E[0]
+    return F_x * x0[None, :] + system.interior.modes(w0 * system.lag_b[:, 0]) + system.phi
 
 
 def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     """C~ w for a block vector w of shape (N, M); zeros, uncontracted, when C~ vanishes."""
     if system.has_interior_coupling:
-        return np.einsum("kjm,jm->km", system.coeffs.interior.alpha[:, 1:], w)
+        return np.einsum("kjm,jm->km", system.interior.alpha[:, 1:], w)
     return np.zeros(w.shape)
 
 
@@ -719,22 +684,22 @@ def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     """(I - S~ + C~) w for a block vector w of shape (N, M)."""
     out = _c_apply(system, w)
     if system.N > 1:
-        out[1:] += system.coeffs.E[1:] * w[:-1]
+        out[1:] += system.E[1:] * w[:-1]
     return out
 
 
 def _lam_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    return np.einsum("m,km->k", system.coeffs.interior.trace, w)
+    return np.einsum("m,km->k", system.interior.trace, w)
 
 
 def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
     """D y for trace values y of shape (N,): V y in sample space, then through the maps."""
-    return system.coeffs.interior.modes(np.einsum("kjq,j->kq", system.coeffs.lag_b[:, 1:], y))
+    return system.interior.modes(np.einsum("kjq,j->kq", system.lag_b[:, 1:], y))
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     """Apply the inverse of S~ to r of shape (N, ..., M) in place, by forward substitution."""
-    E = system.coeffs.E
+    E = system.E
     for k in range(1, system.N):
         r[k] += E[k] * r[k - 1]
     return r
@@ -747,14 +712,14 @@ def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
     place and [Phi | D] is solved at once; each LU factorisation is shared
     by the N + 1 columns.
     """
-    N, coeffs = system.N, system.coeffs
-    rhs = coeffs.coupling()
+    N = system.N
+    rhs = system.coupling()
     rhs[:, 0] = Phi
-    A = -coeffs.interior.alpha[:, 1:]  # S~ - C~, without a temporary S~
+    A = -system.interior.alpha[:, 1:]  # S~ - C~, without a temporary S~
     A[np.arange(N), np.arange(N)] += 1.0
-    A[np.arange(1, N), np.arange(N - 1)] -= coeffs.E[1:]
+    A[np.arange(1, N), np.arange(N - 1)] -= system.E[1:]
     Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
-    LZ = np.einsum("m,kjm->kj", coeffs.interior.trace, Z)
+    LZ = np.einsum("m,kjm->kj", system.interior.trace, Z)
     w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])
     return w_int, Z[:, 0] + w_int @ Z[:, 1:], _d_apply(system, w_int)
 
@@ -762,9 +727,8 @@ def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
 def _eliminate_factored(system: BlockSystem, Phi: np.ndarray):
     """w, x~ and D w of one slab without C~, from the factored coupling."""
     N = system.N
-    interior, lag_b = system.coeffs.interior, system.coeffs.lag_b
     Z_phi = _forward_sub(system, Phi.copy())
-    LZ_D = interior.trace_images.reshape(N, -1) @ lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
+    LZ_D = system.interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
     w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
     Dw = _d_apply(system, w_int)
     return w_int, Z_phi + _forward_sub(system, Dw.copy()), Dw
@@ -783,6 +747,7 @@ def _stage_solution(
     w = np.concatenate([[w0], w_int])
     return StageSolution(
         slab=system.slab,
+        t=system.t_star,
         x=np.vstack([x0[None, :], xt]),
         y=system.bvals * w,
         boundary_traces=w,
@@ -801,10 +766,8 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     (I - Lambda A^{-1} D) w = Lambda A^{-1} Phi, and then
     x~ = A^{-1} Phi + A^{-1} D w.
 
-    Every block is read from the slab's coefficients (see
-    :class:`BlockSystem`).  Phi and D w are formed from the factored
-    coupling D_k = s_k R_k V_k (see :class:`CollocationCoefficients`) at
-    O(N M Q) cost.  When C~ vanishes (a constant family, whose alpha is not
+    Phi and D w are formed from the factored coupling (see
+    :class:`BlockSystem`) at O(N M Q) cost.  When C~ vanishes (a constant family, whose alpha is not
     integrated, so ``system.has_interior_coupling`` is False) A = S~ is
     unit lower bidiagonal: Lambda S~^{-1} D is G V with the trace images G
     of the slab's interior (:class:`SlabInterior`), and Phi and D w are
@@ -904,15 +867,8 @@ class SolutionTrace:
     contraction_max: float
 
     def node_times(self) -> np.ndarray:
-        """Distinct node times: t = 0 followed by nodes 1..N of each slab.
-
-        One array expression with the products of
-        :meth:`~duhamelcheb.mesh.TimePartition.map_to_slab`, so the times
-        equal its per-slab values bit for bit.
-        """
-        l = np.array([stage.slab for stage in self.stages])[:, None]
-        slabs = 0.5 * self.partition.tau * (self.grid.nodes[1:] + (2 * l - 1))
-        return np.concatenate([[0.0], slabs.ravel()])
+        """Distinct node times: t = 0 followed by nodes 1..N of each slab."""
+        return self._nodal("t")
 
     def _nodal(self, field: str) -> np.ndarray:
         """Stage values of ``field`` at :meth:`node_times`, junctions kept once."""
@@ -951,6 +907,9 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     u0 = np.asarray(problem.u0, dtype=float)
     if u0.shape != (config.M,):
         raise ValueError(f"initial mode vector has shape {u0.shape}, expected ({config.M},)")
+    bad = np.flatnonzero(~np.isfinite(u0))
+    if bad.size:
+        raise ValueError(f"initial mode vector is not finite: u0[{bad[0]}] = {u0[bad[0]]}")
     if abs(problem.T - config.T) > 1e-13 * max(1.0, config.T):
         raise ValueError(f"problem horizon T={problem.T} does not match config T={config.T}")
     for t in (0.0, 0.5 * config.T, config.T):
@@ -960,9 +919,9 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     grid = build_grid(config.N)
     K = config.K
     refinements = 0
-    assembler = CoefficientAssembler(family, grid, TimePartition(config.T, K))
     while True:
-        partition = assembler.partition
+        partition = TimePartition(config.T, K)
+        assembler = CoefficientAssembler(family, grid, partition)
         stages: list[StageSolution] = []
         x_prev = u0
         w_prev = float(u0 @ basis.boundary_trace)
@@ -970,8 +929,7 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         contraction_max = 0.0
         refine = False
         for l in range(1, K + 1):
-            coeffs = assembler.slab(l, problem.g, problem.forcing, problem.b)
-            system = assemble_block_system(coeffs, family, problem.b)
+            system = assembler.slab(l, problem.g, problem.forcing, problem.b)
             rho = system.contraction_norm()
             contraction_max = max(contraction_max, rho)
             if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
@@ -993,7 +951,6 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         if refine:
             K *= 2
             refinements += 1
-            assembler = assembler._repartitioned(TimePartition(config.T, K))
             continue
         return SolutionTrace(
             config=config,

@@ -48,8 +48,15 @@ class StudyResult:
     config: dict
 
     def table(self, notes: tuple[str, ...] = ()) -> Table:
+        """The rows as a table, whose config adds the fitted rates of :func:`fit_rates`."""
+        rates = fit_rates(self)
+        config = {
+            **self.config,
+            "spectral_slope_log10": rates.spectral_slope_log10,
+            "algebraic_order": rates.algebraic_order,
+        }
         return Table(
-            "study", self.config, [f.name for f in fields(StudyRow)],
+            "study", config, [f.name for f in fields(StudyRow)],
             [list(astuple(r)) for r in self.rows], tuple(notes),
         )
 

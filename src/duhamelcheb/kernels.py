@@ -96,8 +96,9 @@ def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:
 def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
     """Moments J_i(nu, delta) = int_0^delta exp(-nu sigma) sigma^i dsigma, shape (M, s_max + 1).
 
-    ``nu`` holds nonnegative decay rates, one per mode, and ``delta`` is the
-    positive integration length.  With m = nu delta and P the regularised
+    ``nu`` holds finite nonnegative decay rates, one per mode, ``delta`` is
+    the finite positive integration length and ``s_max`` an integer >= 0;
+    otherwise ``ValueError`` is raised.  With m = nu delta and P the regularised
     lower incomplete gamma function, J_i = i! P(i + 1, m) / nu^{i+1}; below
     m = SMALL_ARGUMENT, where nu^{i+1} can underflow, a four-term series in
     m serves instead; like :func:`exp_integral`'s Taylor polynomial it is
@@ -106,10 +107,13 @@ def exp_sigma_moments(nu: np.ndarray, delta: float, s_max: int) -> np.ndarray:
     from scipy.special import gamma, gammainc  # lazy, so that importing the package loads no scipy
 
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu < 0):
-        raise ValueError("decay rates must be nonnegative")
-    if delta <= 0:
-        raise ValueError(f"integration length must be positive, got {delta}")
+    bad = nu[~(np.isfinite(nu) & (nu >= 0))]
+    if bad.size:
+        raise ValueError(f"decay rates nu must be finite and nonnegative, got {bad[0]}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"integration length delta must be finite and positive, got {delta}")
+    if isinstance(s_max, bool) or not isinstance(s_max, (int, np.integer)) or s_max < 0:
+        raise ValueError(f"s_max must be an integer >= 0, got {s_max!r}")
     n = np.arange(1, s_max + 2)  # n = i + 1
     m = (nu * delta)[:, None]
     small = m < SMALL_ARGUMENT
@@ -139,10 +143,14 @@ def moment_integrals(mu: float, lo: float, hi: float, s_max: int) -> MomentTable
     """Exact moments int_lo^hi exp(-mu (hi - lam)) lam^s dlam for s <= s_max.
 
     Substituting sigma = hi - lam gives a binomial combination of the
-    sigma-moments, which is what the table stores.
+    sigma-moments, which is what the table stores.  ``mu`` must be finite and
+    nonnegative, ``lo < hi`` finite and ``s_max`` an integer >= 0, or
+    ``ValueError`` is raised.
     """
-    if mu < 0:
-        raise ValueError(f"decay rate must be nonnegative, got {mu}")
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValueError(f"decay rate mu must be finite and nonnegative, got {mu}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"interval endpoints lo, hi must be finite, got ({lo}, {hi})")
     if hi <= lo:
         raise ValueError(f"empty interval ({lo}, {hi})")
     from scipy.special import binom

@@ -164,11 +164,11 @@ def constant_family(basis: EigenBasis, a: float = 1.0, c: float = 0.0) -> Operat
 def apply_exponential(family: OperatorFamily, t: float, v: np.ndarray, lam: float) -> np.ndarray:
     """Apply exp(-lam A(t)) to the mode vector ``v``.
 
-    ``lam`` must be nonnegative; the decay bound
+    ``lam`` must be finite and nonnegative; the decay bound
     ``|exp(-lam A(t)) v| <= exp(-lam omega(t)) |v|`` holds modewise.
     """
-    if lam < 0:
-        raise ValueError(f"exponential requires a nonnegative duration, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"exponential requires a finite nonnegative duration lam, got {lam}")
     return v * np.exp(-lam * family.frozen_eigenvalues(t))
 
 

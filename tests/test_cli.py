@@ -226,6 +226,22 @@ def test_convergence_sweep_rows_decrease(capsys):
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_convergence_structured_carries_the_fitted_rates(capsys):
+    """The fitted rates the convergence script used to print are in the
+    structured document; the CSV keeps its bytes."""
+    argv = ("convergence", "--Ns", "2,4,8", "--Ks", "1")
+    code, out = run_cli(capsys, *argv, "--format", "structured")
+    assert code == EXIT_OK
+    doc = load_structured(out)
+    config = doc["config"]
+    slope = np.polyfit([2, 4, 8], np.log10([row[3] for row in doc["rows"]]), 1)[0]
+    assert config["spectral_slope_log10"] == pytest.approx(slope, rel=1e-12)
+    assert config["spectral_slope_log10"] < -1.0
+    assert config["algebraic_order"] is None
+    code, out = run_cli(capsys, *argv)
+    assert "slope" not in out
+
+
 def test_baseline_halves_error_when_steps_double(capsys):
     code, out = run_cli(capsys, "baseline", "--steps", "100,200")
     assert code == EXIT_OK

@@ -56,15 +56,15 @@ def dense_alpha(coeffs):
 
 
 def count_coupling_calls(monkeypatch) -> list:
-    """The slab of every ``CollocationCoefficients.coupling()`` call from now on."""
+    """The slab of every ``BlockSystem.coupling()`` call from now on."""
     calls = []
-    coupling = collocation.CollocationCoefficients.coupling
+    coupling = collocation.BlockSystem.coupling
 
     def counting(self):
         calls.append(self.slab)
         return coupling(self)
 
-    monkeypatch.setattr(collocation.CollocationCoefficients, "coupling", counting)
+    monkeypatch.setattr(collocation.BlockSystem, "coupling", counting)
     return calls
 
 
@@ -573,7 +573,7 @@ def dense_stage_solve(system, x0, w0):
     ``coupling()``.
     """
     N, M = system.N, system.M
-    coeffs = system.coeffs
+    coeffs = system
     E, alpha, trace = coeffs.E, dense_alpha(coeffs), coeffs.interior.trace
     beta = coeffs.coupling()
     D, F_y = beta[:, 1:], beta[:, 0]
@@ -617,7 +617,7 @@ def test_direct_solve_matches_dense_coupled_system(a_coeffs, c_coeffs, sweep):
     partition = TimePartition(1.0, 2)
     coeffs = CoefficientAssembler(family, grid, partition).slab(2, ref.g, None, ref.b)
     system = assemble_block_system(coeffs, family, ref.b)
-    assert dense_alpha(system.coeffs)[:, 1:].any() != sweep
+    assert dense_alpha(system)[:, 1:].any() != sweep
     x0 = np.random.default_rng(7).standard_normal(M)
     w0 = float(x0 @ family.basis.boundary_trace)
     stage = solve_stage_direct(system, x0, w0)
@@ -641,6 +641,17 @@ def test_non_finite_boundary_data_names_the_slab(reference_problem, mode):
         march(prob, SolverConfig(N=8, K=4, M=128, mode=mode))
     assert exc.value.slab == 3
     assert "slab 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_initial_mode_is_named(reference_problem, value):
+    """A NaN mode used to raise NonFiniteStageError blaming g, b and f, and
+    an infinite one warned from the solver first."""
+    u0 = reference_problem.u0.copy()
+    u0[[3, 7]] = value
+    problem = dataclasses.replace(reference_problem, u0=u0)
+    with pytest.raises(ValueError, match=rf"^initial mode vector is not finite: u0\[3\] = {value}$"):
+        march(problem, SolverConfig(N=8, K=2, M=128))
 
 
 @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
@@ -848,8 +859,8 @@ def materialised(coeffs) -> dict:
 
 def dense_contraction_norm(system) -> float:
     """||Lambda D||_inf contracted from the materialised D, mode by mode."""
-    D = system.coeffs.coupling()[:, 1:]
-    return float(np.abs(np.einsum("m,kjm->kj", system.coeffs.interior.trace, D)).sum(axis=1).max())
+    D = system.coupling()[:, 1:]
+    return float(np.abs(np.einsum("m,kjm->kj", system.interior.trace, D)).sum(axis=1).max())
 
 
 def assert_few_ulps(rho, dense, ulps=8):
@@ -984,7 +995,7 @@ def test_constant_family_march_never_multiplies_out_the_coupling(build, N, K, M,
     def refuse(self):
         raise AssertionError("the dense coupling was multiplied out")
 
-    monkeypatch.setattr(collocation.CollocationCoefficients, "coupling", refuse)
+    monkeypatch.setattr(collocation.BlockSystem, "coupling", refuse)
     problem = build(M=M)
     trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T, mode=mode))
     assert len(trace.stages) == trace.partition.K
@@ -1275,21 +1286,14 @@ def test_varying_family_keeps_the_interior_coupling(mode, monkeypatch):
 
 def test_neumann_restarts_build_the_sample_tables_once(monkeypatch):
     """Neumann at (12, 1, 128) refines twice to K = 4.  The local sample
-    points and their Lagrange values depend on the grid alone, so one march
-    builds them once; the refined march still gives the bits of a march
-    started at K = 4."""
-    grids = []
-    interp = collocation.interpolate
-
-    def recording(grid, values, s):
-        grids.append(grid)
-        return interp(grid, values, s)
-
-    monkeypatch.setattr(collocation, "interpolate", recording)
+    points and their Lagrange values depend on N and the data degree alone,
+    so the three assemblers of one march build them once; the refined march
+    still gives the bits of a march started at K = 4."""
+    collocation._sample_tables.cache_clear()
     problem = build_neumann_example(M=128)
     trace = march(problem, SolverConfig(N=12, K=1, M=128))
     assert (trace.refinements, trace.partition.K) == (2, 4)
-    assert sum(grid is trace.grid for grid in grids) == 1
+    assert collocation._sample_tables.cache_info().misses == 1
     started = march(problem, SolverConfig(N=12, K=4, M=128))
     assert started.refinements == 0
     assert trace.node_modes().tobytes() == started.node_modes().tobytes()

@@ -1,5 +1,6 @@
 """Benchmark problem builders, error reports, and the integral-equation residual."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -379,3 +380,46 @@ def test_residual_rejects_bad_inputs(reference_problem):
     )
     with pytest.raises(ValueError):
         residual_of_exact_in_integral_equations(odd_b, (0.5,))
+
+
+def nan_after_half(f):
+    """``f`` with NaN in place of its values for t > 0.5."""
+    return lambda t: float("nan") if t > 0.5 else f(t)
+
+
+def test_compatibility_defect_keeps_a_nan_defect():
+    """Python's max(0.0, nan) is 0.0: the defect used to read 5.6e-17 here."""
+    problem = build_neumann_example(M=64)
+    problem = dataclasses.replace(problem, g=nan_after_half(problem.g))
+    assert np.isnan(problem.compatibility_defect())
+
+
+def test_residual_tail_bound_keeps_a_nan_datum():
+    """sup |g| taken with Python's max skipped the NaN values of g: the bound read 0.0129."""
+    problem = build_neumann_example(M=64)
+    problem = dataclasses.replace(problem, g=nan_after_half(problem.g))
+    assert np.isnan(residual_tail_bound(problem, (0.25, 1.0)))
+
+
+def nan_at_probe(exact: SeparableSolution) -> SeparableSolution:
+    """``exact`` with a NaN profile at the probe x = 0.3 only."""
+    profile = exact.profile
+    return dataclasses.replace(
+        exact, profile=lambda x: np.where(np.asarray(x) == 0.3, np.nan, profile(x))
+    )
+
+
+@pytest.mark.parametrize("nan_input", ["sign", "exact"])
+def test_integral_residual_keeps_a_nan_residual(nan_input):
+    """A NaN residual used to be dropped by Python's max, so the maxima read
+    0.0 and the oracle passed its bound."""
+    problem = build_neumann_example(M=64)
+    sign = 1.0
+    if nan_input == "sign":
+        sign = float("nan")
+    else:
+        problem = dataclasses.replace(problem, exact=nan_at_probe(problem.exact))
+    res = residual_of_exact_in_integral_equations(problem, [0.5], sign=sign)
+    assert np.isnan(res.max_field)
+    assert np.isnan(res.max_boundary) == (nan_input == "sign")
+    assert not res.max_field <= res.bound

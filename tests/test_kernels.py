@@ -66,6 +66,42 @@ def test_moment_i3_against_quadrature():
     assert abs(table.value(3) - moment_quadrature(mu, 0.25, 0.75, 3)) <= 1e-11
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((np.nan, 0.0, 1.0, 2), "mu"),
+        ((np.inf, 0.0, 1.0, 2), "mu"),
+        ((1.0, np.nan, 1.0, 2), "lo, hi"),
+        ((1.0, 0.0, np.nan, 2), "lo, hi"),
+        ((1.0, 0.0, np.inf, 2), "lo, hi"),
+        ((1.0, 0.0, 1.0, -1), "s_max"),
+        ((1.0, 0.0, 1.0, 2.0), "s_max"),
+    ],
+    ids=["mu-nan", "mu-inf", "lo-nan", "hi-nan", "hi-inf", "s_max-negative", "s_max-float"],
+)
+def test_moment_integrals_name_a_bad_argument(args, name):
+    """NaN rates and endpoints used to pass the ``< 0`` checks and return NaN
+    tables; a negative s_max raised a bare IndexError."""
+    with pytest.raises(ValueError, match=f"^[a-z ]*{name} must be"):
+        moment_integrals(*args)
+
+
+@pytest.mark.parametrize(
+    "nu, delta, s_max, name",
+    [
+        (np.ones(2), np.nan, 2, "delta"),
+        (np.ones(2), np.inf, 2, "delta"),
+        (np.array([np.nan]), 1.0, 2, "nu"),
+        (np.array([1.0, np.inf]), 1.0, 2, "nu"),
+        (np.ones(2), 1.0, -1, "s_max"),
+    ],
+    ids=["delta-nan", "delta-inf", "nu-nan", "nu-inf", "s_max-negative"],
+)
+def test_exp_sigma_moments_name_a_bad_argument(nu, delta, s_max, name):
+    with pytest.raises(ValueError, match=f"^[a-z ]*{name} must be"):
+        exp_sigma_moments(nu, delta, s_max)
+
+
 def test_moment_rejects_bad_inputs():
     with pytest.raises(ValueError):
         moment_integrals(-1.0, 0.0, 1.0, 2)

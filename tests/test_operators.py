@@ -94,6 +94,13 @@ def test_apply_exponential_rejects_negative_lag(family):
         apply_exponential(family, 0.0, np.ones(32), -0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_apply_exponential_rejects_a_non_finite_duration(family, lam):
+    """A NaN duration used to pass the ``< 0`` check and return NaN modes."""
+    with pytest.raises(ValueError, match=f"duration lam, got {lam}$"):
+        apply_exponential(family, 0.0, np.ones(32), lam)
+
+
 def test_semigroup_property(family):
     """Composition equals the combined step, in operator norm.
 
