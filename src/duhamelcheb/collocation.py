@@ -15,7 +15,9 @@ those maps depend on the data degree alone, and the local sample points on
 the degree and the data degree: both are built once per process, on first
 use, and shared read-only by every assembler.  The Gauss-Laguerre table is
 kept as Chebyshev coefficients, so the maps of a block of subintervals take
-one three-term recurrence and one matrix product.
+one three-term recurrence and one matrix product per subinterval.  Each map
+is stored mode-contiguous, shape (Q+1, M), so every pass of the maps over
+the modes reads rows of M contiguous values.
 The forcing is sampled once per slab on a slab-wide degree-16 CGL grid and,
 where its Chebyshev tail is at roundoff, interpolated to the local sample
 points; elsewhere it is called at every local sample time.
@@ -150,7 +152,9 @@ class SlabInterior:
     E[k-1]              propagator exp(-mu~(t*_k) (tau/2) theta_k)
     alpha               (N, N+1, M) frozen-operator correction, or None for
                         a constant family, where it is exactly zero
-    maps[k-1]           (M, Q+1) quadrature map R_k of subinterval k
+    maps[k-1]           (Q+1, M) quadrature map R_k of subinterval k, stored
+                        mode-contiguous: maps[k-1, q] holds sample point
+                        q's weights for every mode
     kernel_scale[k-1]   a(t*_k) mu0 lift, which scales beta and the g term
     trace               boundary trace functional of the modes
     """
@@ -169,19 +173,19 @@ class SlabInterior:
 
     @functools.cached_property
     def trace_weights(self) -> np.ndarray:
-        """H[k-1, q] = sum_m t_m s_{k,m} R_k[m, q]: Lambda D is H V."""
+        """H[k-1, q] = sum_m t_m s_{k,m} R_k[q, m]: Lambda D is H V."""
         ts = self.trace * self.coupling_scale
-        return np.matmul(ts[:, None, :], self.maps)[:, 0]
+        return np.matmul(self.maps, ts[:, :, None])[:, :, 0]
 
     @functools.cached_property
     def trace_images(self) -> np.ndarray:
-        """G[k-1, i-1, q] = sum_m t_m (S~^{-1})_{k,i,m} s_{i,m} R_i[m, q]: Lambda S~^{-1} D is G V.
+        """G[k-1, i-1, q] = sum_m t_m (S~^{-1})_{k,i,m} s_{i,m} R_i[q, m]: Lambda S~^{-1} D is G V.
 
         (S~^{-1})_{k,i} is the product of the propagators E_{i+1} .. E_k for
         k >= i and zero above the diagonal, so column i is built by one
         running product from the trace functional.
         """
-        N, M, Q1 = self.maps.shape
+        N, Q1, M = self.maps.shape
         s = self.coupling_scale
         G = np.zeros((N, N, Q1))
         weights = np.empty((N, M))
@@ -189,15 +193,19 @@ class SlabInterior:
             weights[i] = self.trace
             for k in range(i + 1, N):
                 np.multiply(weights[k - 1], self.E[k], out=weights[k])
-            G[i:, i] = (weights[i:] * s[i]) @ self.maps[i]
+            G[i:, i] = (weights[i:] * s[i]) @ self.maps[i].T
         return G
 
     def modes(self, c: np.ndarray) -> np.ndarray:
         """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
 
         The one map to modes for every coupling term: phi's g, F_y w0 and D y.
+        Each subinterval's pass is c_k times its (Q+1, M) map, so it reads
+        rows of M contiguous values, and the scale is applied in place.
         """
-        return self.coupling_scale * np.matmul(self.maps, c[:, :, None])[:, :, 0]
+        out = np.matmul(c[:, None, :], self.maps)[:, 0]
+        out *= self.coupling_scale
+        return out
 
 
 @dataclass(frozen=True)
@@ -229,9 +237,9 @@ class BlockSystem:
     D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
               the interpolated trace: beta[k-1, j] = s_k (R_k V_k[j]) with
               s = -(tau/2) a mu0 lift, so that b rides inside the integrand.
-              It is kept factored as V and the maps: the solvers form V y
-              in sample space and take it through the maps once, at
-              O(N M Q) cost.
+              It is kept factored as V and the maps, each stored (Q+1, M):
+              the solvers form V y in sample space and take it through the
+              maps once, at O(N M Q) cost.
 
     A constant family's slabs share E, the maps and the trace, so solvers
     must not write to them.
@@ -264,7 +272,7 @@ class BlockSystem:
     def coupling(self) -> np.ndarray:
         """The (N, N+1, M) coupling multiplied out from its factors, as a new, writable array."""
         interior = self.interior
-        beta = np.matmul(self.lag_b, interior.maps.transpose(0, 2, 1))
+        beta = np.matmul(self.lag_b, interior.maps)
         beta *= -0.5 * interior.tau
         beta *= interior.kernel_scale[:, None, :]
         return beta
@@ -486,7 +494,7 @@ class CoefficientAssembler:
 
         ``t_star`` are the slab's node times and ``t_loc`` its sample times,
         shape (N, data_degree + 1); for a constant family the result does
-        not depend on them.  maps[k-1, n, q] is the integral over
+        not depend on them.  maps[k-1, q, n] is the integral over
         0 <= sigma <= theta_k of e^{-nu_n sigma} l_q(z), z = 2 sigma /
         theta_k - 1, with l_q the local Lagrange function of sample point
         s_q.  With lam = nu theta_k / 2 it is taken by Gauss-Legendre up to
@@ -495,9 +503,10 @@ class CoefficientAssembler:
         is below e^{-2 lam} e^{data_degree / 2}.  The Gauss-Laguerre rows
         are a degree-Q polynomial in h = 1 / lam, evaluated from its stored
         Chebyshev coefficients for every mode of a block of whole
-        subintervals (about ``_MAP_BLOCK_MODES`` modes) at once: with
+        subintervals (about ``_MAP_BLOCK_MODES`` modes) at once, one matrix
+        product written straight into each subinterval's (Q+1, M) map: with
         h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
-        where the basis is finite, and their rows are then overwritten by
+        where the basis is finite, and their columns are then overwritten by
         the Gauss-Legendre rule one subinterval at a time.  A constant family has
         mu(t_k) - mu(t) = 0 exactly, so its alpha is not integrated (None);
         a varying family samples a(t) and c(t) at all of the slab's sample
@@ -511,7 +520,7 @@ class CoefficientAssembler:
             raise ValueError(f"operator family is not positive on the slab starting at t={t_star[0]}")
         nu = 0.5 * tau * mu_frozen
         E = np.exp(-nu * grid.spacings[:, None])
-        maps = np.empty((N, M, Q + 1))
+        maps = np.empty((N, Q + 1, M))
         z, w_lag = self._legendre
         varying = not family.is_constant
         alpha = np.zeros((N, N + 1, M)) if varying else None
@@ -523,19 +532,18 @@ class CoefficientAssembler:
             half = 0.5 * grid.spacings[block, None]
             lam = half * nu[block]
             h = 1.0 / np.maximum(lam, split)
-            # the basis is a temporary, so it is freed before alpha's products
-            np.matmul(
-                _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q).T, self._laguerre,
-                out=maps[block].reshape(-1, Q + 1),
-            )
-            maps[block] *= (half * h)[:, :, None]
+            chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q)
+            for j, R in enumerate(maps[block]):
+                np.matmul(self._laguerre.T, chebyshev[:, j * M:(j + 1) * M], out=R)
+            del chebyshev  # freed before alpha's products
+            maps[block] *= (half * h)[:, None, :]
             for k, lam_k in enumerate(lam, start=first):
                 slow = lam_k <= split
                 R = maps[k]
-                R[slow] = 0.5 * grid.spacings[k] * (np.exp(-lam_k[slow, None] * (1.0 + z)) @ w_lag)
+                R[:, slow] = (0.5 * grid.spacings[k] * (np.exp(-lam_k[slow, None] * (1.0 + z)) @ w_lag)).T
                 if varying:
                     mu_q = a_loc[k][:, None] * family.basis.mu + c_loc[k][:, None]
-                    np.matmul(self._lag_loc[k], R.T * (mu_frozen[k] - mu_q), out=alpha[k])
+                    np.matmul(self._lag_loc[k], R * (mu_frozen[k] - mu_q), out=alpha[k])
                     alpha[k] *= 0.5 * tau
         basis = family.basis
         kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
@@ -594,7 +602,7 @@ class CoefficientAssembler:
         phi = np.zeros(interior.E.shape) if g is None else -interior.modes(sample_data(g, t_loc))
         if f is not None:
             for k, f_loc in enumerate(self._forcing_samples(l, f, t_loc)):
-                phi[k] += 0.5 * self.partition.tau * np.einsum("mq,qm->m", interior.maps[k], f_loc)
+                phi[k] += 0.5 * self.partition.tau * np.einsum("qm,qm->m", interior.maps[k], f_loc)
         if b is None:
             lag_b, bvals = self._lag_loc, np.ones(t_star.shape)
         else:
@@ -663,14 +671,17 @@ def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
     """Phi = F_x x0 + F_y w0 + f_x, with F_y w0 taken through the maps from V[0] w0.
 
     F_x (see :class:`BlockSystem`) is formed here, its zero rows included,
-    and the terms are summed left to right: 0 * x0 carries the sign of x0
-    into a sum of zeros, and a reordered sum rounds differently, so either
-    shortcut could change printed values.
+    and the terms are summed left to right, in place: 0 * x0 carries the
+    sign of x0 into a sum of zeros, and a reordered sum rounds differently,
+    so either shortcut could change printed values.
     """
     alpha = system.interior.alpha
     F_x = np.zeros(system.E.shape) if alpha is None else alpha[:, 0].copy()
     F_x[0] += system.E[0]
-    return F_x * x0[None, :] + system.interior.modes(w0 * system.lag_b[:, 0]) + system.phi
+    F_x *= x0
+    F_x += system.interior.modes(w0 * system.lag_b[:, 0])
+    F_x += system.phi
+    return F_x
 
 
 def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
@@ -731,7 +742,9 @@ def _eliminate_factored(system: BlockSystem, Phi: np.ndarray):
     LZ_D = system.interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
     w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
     Dw = _d_apply(system, w_int)
-    return w_int, Z_phi + _forward_sub(system, Dw.copy()), Dw
+    xt = _forward_sub(system, Dw.copy())
+    xt += Z_phi
+    return w_int, xt, Dw
 
 
 def _stage_solution(
@@ -740,10 +753,15 @@ def _stage_solution(
 ) -> StageSolution:
     """The slab's solution from x~ and w_1..w_N, given ``Dw`` = D w_int.
 
-    Its residual is the max-norm defect of the collocation equations.
+    Its residual is the max-norm defect of the collocation equations; the
+    right-hand side is summed left to right in place, and then holds the defect.
     """
-    rhs = _imsc(system, xt) + Dw + Phi
-    residual = float(max(np.abs(xt - rhs).max(), np.abs(w_int - _lam_apply(system, rhs)).max()))
+    rhs = _imsc(system, xt)
+    rhs += Dw
+    rhs += Phi
+    trace_defect = np.abs(w_int - _lam_apply(system, rhs)).max()
+    rhs -= xt
+    residual = float(max(np.abs(rhs, out=rhs).max(), trace_defect))
     w = np.concatenate([[w0], w_int])
     return StageSolution(
         slab=system.slab,

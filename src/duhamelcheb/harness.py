@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .collocation import SolverConfig, march
-from .heat import ErrorReport, HeatProblem, Table, compute_errors
+from .heat import ErrorReport, HeatProblem, Table, check_probe, compute_errors
 from .kernels import sample_data
 from .mesh import check_count
 
@@ -84,10 +84,12 @@ def run_convergence_study(
 
     Wall time per row covers the stage solves only, so rows are comparable
     across N at fixed assembly cost.  ``Ns`` and ``Ks`` must be non-empty
-    lists of integers >= 1 (see :func:`~duhamelcheb.mesh.check_count`), or
-    ``ValueError`` is raised before anything is marched.
+    lists of integers >= 1 (see :func:`~duhamelcheb.mesh.check_count`) and
+    ``probe_x`` a point of [0, 1], or ``ValueError`` is raised before
+    anything is marched.
     """
     Ns, Ks = _counts("N", Ns), _counts("K", Ks)
+    check_probe(probe_x)
     M = problem.basis.M
     rows = []
     for N in Ns:
@@ -176,11 +178,10 @@ def baseline_backward_euler(
     ``ExpDecay``).  A constant family builds the frozen step operator once;
     the forcing is called once per step.  ``wall_time_s`` covers the
     sampling and the stepping.  ``steps`` must be an integer >= 1 and
-    ``probe_x`` finite, or ``ValueError`` is raised.
+    ``probe_x`` a point of [0, 1], or ``ValueError`` is raised.
     """
     check_count("steps", steps)
-    if not np.isfinite(probe_x):
-        raise ValueError(f"probe point must be finite, got probe_x={probe_x}")
+    check_probe(probe_x)
     if problem.exact is None:
         raise ValueError("baseline error report needs an exact solution")
     family = problem.family

@@ -308,16 +308,21 @@ class ErrorReport:
         return Table("error_report", self.config, ["t", "eps1", "eps2"], rows[start:], tuple(notes))
 
 
+def check_probe(probe_x: float) -> None:
+    """Raise ``ValueError`` naming ``probe_x`` unless it is a point of the rod [0, 1] (NaN is not)."""
+    if not 0.0 <= probe_x <= 1.0:
+        raise ValueError(f"probe point must be finite and in [0, 1], got probe_x={probe_x}")
+
+
 def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 0.5) -> ErrorReport:
     """Error report of a marched trace at all distinct node times.
 
-    Raises ``ValueError`` without an exact solution or for a non-finite
-    ``probe_x``.
+    Raises ``ValueError`` without an exact solution or for a ``probe_x``
+    off the rod (see :func:`check_probe`).
     """
     if problem.exact is None:
         raise ValueError("error report needs a problem with an exact solution")
-    if not np.isfinite(probe_x):
-        raise ValueError(f"probe point must be finite, got probe_x={probe_x}")
+    check_probe(probe_x)
     basis = problem.basis
     times = trace.node_times()
     modes = trace.node_modes()

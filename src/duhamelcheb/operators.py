@@ -233,8 +233,14 @@ def verify_assumptions(
 
     Violations are reported through the returned flags and ratios rather
     than raised, so diagnostic sweeps over candidate coefficient families
-    stay cheap.
+    stay cheap; a NaN eigenvalue gives a NaN ratio.  ``T`` must be finite
+    and positive and ``samples`` an integer >= 2, or ``ValueError`` is
+    raised.
     """
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be finite and positive, got T={T}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     ts = np.linspace(0.0, T, samples)
     a_vals = np.atleast_1d(np.asarray(family.a(ts), dtype=float))
     frozen = np.array([family.frozen_eigenvalues(t) for t in ts])
@@ -242,17 +248,13 @@ def verify_assumptions(
     positive = bool((a_vals > 0).all() and (frozen[:, 0] > 0).all())
     max_b = float(np.abs([b(t) for t in ts]).max()) if b is not None else None
 
-    holder = 0.0
-    for i in range(0, samples, 4):
-        for j in range(i + 1, samples, 4):
-            dt = abs(ts[j] - ts[i])
-            if dt == 0:
-                continue
-            fi, fj = frozen[i], frozen[j]
-            holder = max(holder, float(np.abs((fj - fi) / fj).max()) / dt)
+    i, j = np.array([(i, j) for i in range(0, samples, 4) for j in range(i + 1, samples, 4)]).T
+    dt = np.abs(ts[j] - ts[i])
+    moved = dt > 0
+    ratios = np.abs((frozen[j] - frozen[i]) / frozen[j])[moved].max(axis=1) / dt[moved]
     return AssumptionReport(
         omega=omega,
         max_boundary_multiplier=max_b,
-        holder_ratio=holder,
+        holder_ratio=float(ratios.max(initial=0.0)),
         positive=positive,
     )

@@ -1114,7 +1114,7 @@ def test_maps_match_the_barycentric_table(N, M):
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, 4))
     coeffs = assembler.slab(1)
     nu = 0.5 * assembler.partition.tau * problem.family.frozen_eigenvalues(coeffs.t_star[1:, None])
-    for k, R in enumerate(coeffs.interior.maps):
+    for k, R in enumerate(coeffs.interior.maps.transpose(0, 2, 1)):
         want = barycentric_map(assembler, k, nu[k])
         bound = 4e-15 * np.abs(want).max(axis=1)
         assert (np.abs(R - want).max(axis=1) <= bound).all(), k
@@ -1152,7 +1152,7 @@ def test_maps_match_adaptive_quadrature_near_the_split():
     basis = dataclasses.replace(heat_basis(M), mu=4.0 * lam)
     assembler = CoefficientAssembler(constant_family(basis), grid, TimePartition(1.0, 1))
     assert (assembler.data_degree, assembler._split) == (Q, split)
-    maps = assembler.slab(1).interior.maps
+    maps = assembler.slab(1).interior.maps.transpose(0, 2, 1)
     for m in range(M):
         want = quad_map_row(1.0, 2.0 * lam[m], Q)
         for R in maps:
@@ -1173,7 +1173,7 @@ def test_zero_frozen_eigenvalue_gives_finite_maps():
     assert coeffs.interior.E[:, 0].tolist() == [1.0] * grid.N
     for name in ("E", "beta", "phi"):
         assert np.isfinite(materialised(coeffs)[name]).all(), name
-    for theta, R in zip(grid.spacings, coeffs.interior.maps):
+    for theta, R in zip(grid.spacings, coeffs.interior.maps.transpose(0, 2, 1)):
         assert np.isfinite(R).all()
         want = quad_map_row(theta, 0.0, assembler.data_degree)
         assert np.abs(R[0] - want).max() <= 1e-13 * np.abs(want).max()
@@ -1454,3 +1454,98 @@ def test_non_finite_forcing_stops_the_march_on_its_slab(mode, bad):
         march(dataclasses.replace(problem, forcing=counting(forcing, times)), config)
     assert exc.value.slab == 3
     assert sum(t > 0.5 for t in times) == 16
+
+
+LAYOUT_CASES = pytest.mark.parametrize(
+    "build, M",
+    [
+        (build_reference_example, 128),
+        (build_reference_example, 4096),
+        (varying_manufactured_problem, 128),
+        (varying_manufactured_problem, 4096),
+    ],
+    ids=["constant-128", "constant-4096", "varying-128", "varying-4096"],
+)
+
+
+def second_slab(build, M, N=12, K=4):
+    problem = build(M=M)
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    return problem, assembler, assembler.slab(2, problem.g, problem.forcing, problem.b)
+
+
+@LAYOUT_CASES
+def test_maps_are_stored_mode_contiguous(build, M):
+    """maps[k-1] is R_k as (Q+1, M), rows of M contiguous values, so every
+    pass of the maps over the modes reads them in order."""
+    _, assembler, system = second_slab(build, M)
+    maps = system.interior.maps
+    assert maps.shape == (12, assembler.data_degree + 1, M)
+    assert maps.flags.c_contiguous
+
+
+def assert_rows_agree(got, want, scale, rel=1e-15):
+    """|got - want| within ``rel`` of the largest entry of each row of
+    ``scale``, the same sum over absolute values (the sum's roundoff scale)."""
+    bound = rel * np.abs(scale).max(axis=-1, keepdims=True)
+    assert (np.abs(got - want) <= bound).all()
+
+
+@LAYOUT_CASES
+def test_map_passes_agree_with_a_plain_einsum_over_the_maps(build, M):
+    """``modes``, ``trace_weights``, ``trace_images`` and ``coupling()``
+    against np.einsum over maps[k-1, q, m], within 1e-15 of each row.  The
+    reference sums in extended precision, and trace_weights and
+    trace_images, which sum over the M modes, get 3e-15: there a float64
+    einsum's own roundoff reaches 9e-15 of the row at M = 4096, and the
+    solver's 1.5e-15 (a BLAS kernel of another CPU may round otherwise)."""
+    _, _, system = second_slab(build, M)
+    interior = system.interior
+    wide = np.longdouble
+    maps, s, trace = interior.maps.astype(wide), interior.coupling_scale.astype(wide), interior.trace.astype(wide)
+    c = np.random.default_rng(7).standard_normal(interior.maps.shape[:2])
+    want = s * np.einsum("kqm,kq->km", maps, c)
+    assert_rows_agree(interior.modes(c), want, s * np.einsum("kqm,kq->km", abs(maps), abs(c)))
+    lag_b = system.lag_b.astype(wide)
+    want = np.einsum("kjq,kqm->kjm", lag_b, maps) * s[:, None, :]
+    scale = np.einsum("kjq,kqm->kjm", abs(lag_b), abs(maps)) * s[:, None, :]
+    assert_rows_agree(system.coupling(), want, scale)
+    want = np.einsum("m,km,kqm->kq", trace, s, maps)
+    scale = np.einsum("m,km,kqm->kq", abs(trace), abs(s), abs(maps))
+    assert_rows_agree(interior.trace_weights, want, scale, rel=3e-15)
+    sweep = system.s_tilde_inverse_blocks().astype(wide)
+    want = np.einsum("m,kim,im,iqm->kiq", trace, sweep, s, maps)
+    scale = np.einsum("m,kim,im,iqm->kiq", abs(trace), sweep, abs(s), abs(maps))
+    assert_rows_agree(interior.trace_images, want, scale, rel=3e-15)
+
+
+@pytest.mark.parametrize("data", [True, False], ids=["data", "no-data"])
+@pytest.mark.parametrize(
+    "build", [build_reference_example, varying_manufactured_problem], ids=["constant", "varying"]
+)
+def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
+    """Phi and the stage residual, summed in place, equal their out-of-place
+    left-to-right formulas bit for bit, with a -0.0 in x0 (and w0 = -0.0
+    without data, where only signed zeros and F_x x0 meet), and the solver
+    leaves its inputs unchanged."""
+    problem = build(M=128)
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
+    system = assembler.slab(2, *((problem.g, problem.forcing, problem.b) if data else ()))
+    x0 = np.random.default_rng(5).standard_normal(128)
+    x0[[0, 3]] = -0.0
+    w0 = float(x0 @ problem.basis.boundary_trace) if data else -0.0
+    alpha = system.interior.alpha
+    F_x = np.zeros(system.E.shape) if alpha is None else alpha[:, 0].copy()
+    F_x[0] += system.E[0]
+    Phi = collocation._phi_blocks(system, x0, w0)
+    want = F_x * x0[None, :] + system.interior.modes(w0 * system.lag_b[:, 0]) + system.phi
+    assert Phi.tobytes() == want.tobytes()
+
+    eliminate = collocation._eliminate_lu if system.has_interior_coupling else collocation._eliminate_factored
+    w_int, xt, Dw = eliminate(system, Phi)
+    inputs = [a.tobytes() for a in (x0, xt, w_int, Phi, Dw)]
+    stage = collocation._stage_solution(system, x0, w0, xt, w_int, Phi, Dw, 0.0)
+    assert [a.tobytes() for a in (x0, xt, w_int, Phi, Dw)] == inputs
+    rhs = collocation._imsc(system, xt) + Dw + Phi
+    want = float(max(np.abs(xt - rhs).max(), np.abs(w_int - collocation._lam_apply(system, rhs)).max()))
+    assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()

@@ -283,7 +283,7 @@ def test_baseline_rejects_non_integral_steps(reference_problem, steps):
         baseline_backward_euler(reference_problem, steps)
 
 
-@pytest.mark.parametrize("probe_x", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("probe_x", [float("nan"), float("inf"), -float("inf"), -0.5, 2.0])
 def test_error_reports_reject_non_finite_probe(reference_problem, probe_x):
     with pytest.raises(ValueError, match="^probe point must be finite"):
         baseline_backward_euler(reference_problem, 8, probe_x=probe_x)
@@ -312,6 +312,24 @@ def test_study_rejects_bad_counts_before_marching(reference_problem, Ns, Ks, mes
     monkeypatch.setattr(harness, "march", no_march)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         run_convergence_study(reference_problem, Ns, Ks)
+
+
+@pytest.mark.parametrize("probe_x", [float("nan"), -0.5, 2.0])
+def test_study_rejects_a_probe_off_the_rod_before_marching(reference_problem, probe_x, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before the probe point was checked")
+
+    monkeypatch.setattr(harness, "march", no_march)
+    with pytest.raises(ValueError, match=re.escape(f"probe point must be finite and in [0, 1], got probe_x={probe_x}")):
+        run_convergence_study(reference_problem, [2], [1], probe_x=probe_x)
+
+
+@pytest.mark.parametrize("probe_x", [0.0, 1.0])
+def test_error_reports_accept_the_rod_ends(reference_problem, probe_x):
+    report = baseline_backward_euler(reference_problem, 8, probe_x=probe_x)
+    assert np.isfinite(report.eps2).all()
+    trace = march(reference_problem, SolverConfig(N=4, K=1, M=128))
+    assert np.isfinite(compute_errors(trace, reference_problem, probe_x=probe_x).eps2).all()
 
 
 def test_study_accepts_numpy_integer_counts(reference_problem):

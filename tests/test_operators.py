@@ -201,3 +201,41 @@ def test_verify_assumptions_varying(basis):
     assert rep.positive
     # |(a(t)-a(s)) mu / (a(t) mu)| / |t-s| = 0.5 / a(t) <= 0.5
     assert 0.0 < rep.holder_ratio <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 0.0, -1.0], ids=repr)
+def test_verify_assumptions_rejects_a_bad_horizon(family, T):
+    with pytest.raises(ValueError, match=re.escape(f"horizon must be finite and positive, got T={T}")):
+        verify_assumptions(family, T)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3, 2.0, True, "41"], ids=repr)
+def test_verify_assumptions_rejects_a_bad_sample_count(family, samples):
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer >= 2, got {samples!r}")):
+        verify_assumptions(family, 1.0, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2, 5, 41, np.int64(100)], ids=repr)
+def test_verify_assumptions_ratio_is_a_float_over_the_same_pairs(basis, samples):
+    """The ratio is a plain float, equal to the maximum over the pairs
+    (i, j), i = 0, 4, 8, ..., j = i + 1, i + 5, ..., taken one at a time."""
+    fam = OperatorFamily(basis=basis, a_coeffs=np.array([2.0, -0.3, 0.7]), c_coeffs=np.array([0.1, 1.0]))
+    ts = np.linspace(0.0, 1.0, samples)
+    frozen = [fam.frozen_eigenvalues(t) for t in ts]
+    want = 0.0
+    for i in range(0, samples, 4):
+        for j in range(i + 1, samples, 4):
+            want = max(want, float(np.abs((frozen[j] - frozen[i]) / frozen[j]).max()) / abs(ts[j] - ts[i]))
+    rep = verify_assumptions(fam, 1.0, samples=samples)
+    assert type(rep.holder_ratio) is float
+    assert rep.holder_ratio == want > 0.0
+
+
+def test_verify_assumptions_keeps_a_nan_ratio(basis):
+    """a(t) = 1 + 1e308 t overflows the frozen eigenvalues to inf from
+    t of about 0.73 on, so (inf - inf) / inf is NaN on some sample pairs:
+    the ratio must be NaN, not the largest finite pair."""
+    fam = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 1e308]), c_coeffs=np.zeros(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_assumptions(fam, 1.0)
+    assert np.isnan(rep.holder_ratio)
