@@ -57,7 +57,8 @@ def main() -> None:
     )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(table.to_csv())
+    with args.out.open("w") as fh:
+        fh.writelines(table.csv_chunks())
     print(f"table -> {args.out}")
 
 

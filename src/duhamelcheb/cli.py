@@ -120,12 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(table: Table, fmt: str, out: str | None) -> None:
-    payload = table.to_csv() if fmt == "csv" else json.dumps(table.to_structured(), indent=2) + "\n"
+    """Write ``table`` to ``out``, or to stdout, a CSV chunk at a time as it is rendered."""
+    chunks = table.csv_chunks() if fmt == "csv" else (json.dumps(table.to_structured(), indent=2), "\n")
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
 
 
 def load_structured(text_or_path: str) -> dict:

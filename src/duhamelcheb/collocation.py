@@ -12,10 +12,11 @@ quadrature map per node subinterval, built from samples at local Chebyshev
 points, integrates every coefficient: the data g and f, the products b L_j,
 and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
 those maps depend on the data degree alone, and the local sample points on
-the degree and the data degree: both are built once per process, on first
-use, and shared read-only by every assembler.  The Gauss-Laguerre table is
-kept as Chebyshev coefficients, so the maps of a block of subintervals take
-one three-term recurrence and one matrix product per subinterval.  Each map
+the degree and the data degree: both are built on first use, kept for the
+few most recently used degrees, and shared read-only by every assembler.
+The Gauss-Laguerre table is kept as Chebyshev coefficients, so the maps of
+a block of subintervals take one three-term recurrence and one matrix
+product per subinterval.  Each map
 is stored mode-contiguous, shape (Q+1, M), so every pass of the maps over
 the modes reads rows of M contiguous values.
 The forcing is sampled once per slab on a slab-wide degree-16 CGL grid and,
@@ -329,7 +330,13 @@ this many modes, one subinterval per block from M = 512 up: larger blocks
 raise a march's peak memory, smaller ones slow it."""
 
 
-@functools.cache
+_TABLE_MEMO_SIZE = 8
+"""The process-wide table memos below keep the tables of this many
+arguments, the most recently used: a paper-reproduction mix uses five
+(N, data degree) pairs, and a sweep over many degrees keeps no more."""
+
+
+@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _gauss_tables(Q: int):
     """The quadrature tables of data degree ``Q``, which depend on ``Q`` alone.
 
@@ -337,8 +344,9 @@ def _gauss_tables(Q: int):
     degree-``Q`` CGL grid of local sample points, the Gauss-Legendre nodes
     z_g with the weights folded into l_q(z_g), and the Chebyshev
     coefficients of the Gauss-Laguerre table, shape (Q+1, Q+1): row n
-    multiplies T_n(x) at x = 2 split h - 1.  Built once per ``Q`` per
-    process and shared by every assembler, so every array is read-only.
+    multiplies T_n(x) at x = 2 split h - 1.  Memoised per ``Q`` (see
+    ``_TABLE_MEMO_SIZE``) and shared by every assembler, so every array is
+    read-only.
     """
     split = Q + 20
     qgrid = build_grid(Q)
@@ -357,12 +365,12 @@ def _gauss_tables(Q: int):
     return split, qgrid, legendre, laguerre
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _dct_cosines(P: int) -> np.ndarray:
     """T_n(x_j) of the degree-``P`` CGL points x_j, end columns halved: the DCT-I matrix.
 
     T_n(x_j) = cos(n (P - j) pi / P), with the angle reduced to [0, 2 pi)
-    exactly, in integers.  Read-only, built once per ``P`` per process.
+    exactly, in integers.  Read-only, memoised per ``P``.
     """
     n = np.arange(P + 1)
     cosines = np.cos(np.pi * ((n[:, None] * (P - n)) % (2 * P)) / P)
@@ -386,7 +394,7 @@ def _local_points(grid: CGLGrid, qgrid: CGLGrid) -> np.ndarray:
     return grid.nodes[1:, None] - 0.5 * grid.spacings[:, None] * (1.0 + qgrid.nodes)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _sample_tables(N: int, Q: int):
     """The local sample points of the degree-``N`` grid at data degree ``Q``, and their tables.
 
@@ -395,8 +403,8 @@ def _sample_tables(N: int, Q: int):
     and the forcing's slab-wide grid, the degree-``FORCING_DEGREE`` CGL
     points with their interpolation table to s_loc, shape (N, Q+1, P+1),
     or None when P + 1 is not below the N (Q + 1) local sample points.
-    Built once per (N, Q) per process and shared by every assembler, so
-    every array is read-only.
+    Memoised per (N, Q) and shared by every assembler, so every array is
+    read-only.
     """
     grid = build_grid(N)
     s_loc = _local_points(grid, _gauss_tables(Q)[1])
@@ -458,8 +466,8 @@ class CoefficientAssembler:
     The alpha integrands have degree N + deg(a, c), so ``data_degree`` is
     max(12, N + deg(a, c)).  The Gauss tables depend on the data degree
     alone, and the local sample points, their Lagrange values and the
-    forcing's interpolation table on N and the data degree: each is built
-    once per process and shared read-only by every assembler, so an
+    forcing's interpolation table on N and the data degree: each is
+    memoised and shared read-only by every assembler, so an
     assembler fetches them when it is built and ``slab`` makes no
     interpolation.  For a constant family alpha is exactly zero and is not
     integrated, and the slab's interior (E, the maps R_k, the kernel scale

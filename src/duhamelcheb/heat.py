@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -199,18 +199,48 @@ def build_decay_example(M: int = 128, T: float = 1.0) -> HeatProblem:
     )
 
 
-_CSV_BLOCK_CELLS = 8192
+_CSV_BLOCK_CELLS = 4096
 
 
-def _csv_lines(values: np.ndarray, widths: list[int], ints: dict[int, str]) -> list[str]:
-    """Rows of ``widths`` cells from the flat float64 ``values``, one ``repr``
-    per distinct bit pattern (``np.unique`` on the int64 view keeps ±0.0
-    and differently signed NaNs apart); ``ints`` holds int cell texts."""
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(x) for x in distinct.view(float).tolist()], dtype=object)[inverse].tolist()
+_NO_CARRY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=object))
+
+
+def _cell_texts(values: np.ndarray, carry: tuple) -> tuple[list[str], tuple]:
+    """The ``repr`` of each float64 of ``values``, and the carry for the next block.
+
+    ``repr`` is called once per distinct bit pattern (``np.unique`` on the
+    int64 view keeps ±0.0 and differently signed NaNs apart) that is not
+    in ``carry``: the sorted bit patterns, and their texts, that repeated
+    within the previous block.  The new carry holds those of this block.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = _distinct_texts(bits, *carry)
+    repeated = np.bincount(inverse, minlength=bits.size) > 1
+    return texts[inverse].tolist(), (bits[repeated], texts[repeated])
+
+
+def _distinct_texts(bits: np.ndarray, carried_bits: np.ndarray, carried_texts: np.ndarray) -> np.ndarray:
+    """The texts of the sorted distinct ``bits``, from the carry where it holds them."""
+    if not carried_bits.size:
+        return np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    at = np.searchsorted(carried_bits, bits).clip(max=carried_bits.size - 1)
+    texts = carried_texts[at]
+    missing = np.flatnonzero(carried_bits[at] != bits)
+    texts[missing] = [repr(x) for x in bits[missing].view(float).tolist()]
+    return texts
+
+
+def _csv_text(values: np.ndarray, widths: list[int], ints: dict[int, str], carry: list) -> str:
+    """Rows of ``widths`` cells from the flat float64 ``values``, each line
+    ending in a newline; ``ints`` holds int cell texts.  ``carry`` is a
+    one-item list holding the carry of :func:`_cell_texts`, replaced in
+    place, so that no block's cell texts outlive it."""
+    text, carry[0] = _cell_texts(values, carry[0])
     for i, s in ints.items():
         text[i] = s
-    return [",".join(text[end - width:end]) for width, end in zip(widths, accumulate(widths))]
+    lines = [",".join(text[end - width:end]) for width, end in zip(widths, accumulate(widths))]
+    lines.append("")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -223,9 +253,12 @@ class Table:
     everything else as the ``repr`` of a float, or one 2-D array, kept as
     float64 (``ValueError`` for another ndim).  Values round-trip bit for bit.
 
-    ``to_csv`` works through blocks of whole rows of about
-    ``_CSV_BLOCK_CELLS`` cells, calling ``repr`` once per distinct float64
-    bit pattern of a block, so one block's strings are alive at a time.
+    ``csv_chunks`` renders blocks of whole rows of about
+    ``_CSV_BLOCK_CELLS`` cells, one at a time, calling ``repr`` at most
+    once per distinct float64 bit pattern of a block: the texts of the
+    patterns that repeated within a block are carried into the next.  A
+    writer that takes each chunk as it comes holds one block's strings at
+    a time; ``to_csv`` joins the chunks.
     """
 
     kind: str
@@ -261,12 +294,16 @@ class Table:
                 cells[i] = 0.0
             yield np.array(cells, dtype=float), widths, ints
 
-    def to_csv(self) -> str:
-        lines = [f"# {n}" for n in self.notes]
-        lines.append(",".join(self.columns))
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text in pieces, each ending in a newline: the notes and
+        header, then one piece per block of rows."""
+        yield "".join(f"# {n}\n" for n in self.notes) + ",".join(self.columns) + "\n"
+        carry = [_NO_CARRY]
         for block in self._csv_blocks():
-            lines += _csv_lines(*block)
-        return "\n".join(lines) + "\n"
+            yield _csv_text(*block, carry)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
     def to_structured(self) -> dict:
         rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows

@@ -5,6 +5,8 @@ bit for bit against the library calls they wrap; one smoke test goes
 through ``python -m`` to cover the installed entry point.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -18,12 +20,13 @@ from duhamelcheb import (
     HeatProblem,
     KernelSeries,
     SolverConfig,
+    build_neumann_example,
     build_reference_example,
     compute_errors,
     heat_basis,
     march,
 )
-from duhamelcheb import cli
+from duhamelcheb import cli, heat
 from duhamelcheb.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, load_structured, main
 
 
@@ -149,6 +152,50 @@ def test_many_slabs_solve_bytes_equal_per_cell_rendering(capsys, per_cell_csv):
     trace_table = cli._trace_table(trace, problem)
     assert len(trace_table.rows) == 513
     assert out == per_cell_csv(trace_table) + per_cell_csv(compute_errors(trace, problem).table())
+
+
+@pytest.mark.parametrize(
+    "problem, N, K", [("reference", 16, 32), ("neumann", 12, 1)], ids=["reference", "neumann"]
+)
+def test_solve_out_files_hold_the_stdout_bytes(capsys, tmp_path, problem, N, K):
+    """``--out`` writes the chunks that stdout gets: the trace file followed
+    by its ``_errors`` file is the stdout of the same solve, byte for byte."""
+    argv = ["solve", "--problem", problem, "--N", str(N), "--K", str(K), "--M", "128"]
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == EXIT_OK
+    written = (tmp_path / "t.csv").read_bytes() + (tmp_path / "t_errors.csv").read_bytes()
+    assert written == out.encode()
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_emit_writes_the_csv_a_block_at_a_time(per_cell_csv):
+    """The many-slabs trace (513 rows, 1.48 MB of CSV) reaches stdout in
+    row blocks: no write is longer than one block of its longest lines, and
+    the writes add up to the per-cell rendering."""
+    problem = build_reference_example(M=128, T=1.0)
+    trace = march(problem, SolverConfig(N=16, K=32, M=128, T=1.0))
+    table = cli._trace_table(trace, problem)
+    stream = RecordingStream()
+    with contextlib.redirect_stdout(stream):
+        cli._emit(table, "csv", None)
+    text = per_cell_csv(table)
+    assert stream.getvalue() == text
+    block_rows = heat._CSV_BLOCK_CELLS // len(table.columns)
+    longest_line = max(len(line) + 1 for line in text.split("\n"))
+    assert len(stream.writes) > 1
+    assert max(stream.writes) <= block_rows * longest_line < len(text) / 10
 
 
 def test_many_slabs_trace_keeps_few_distinct_values():

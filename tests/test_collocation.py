@@ -5,9 +5,11 @@ quadrature, mode by mode, so any sign or scaling slip in the assembly's
 Gauss rules shows up immediately.
 """
 
+import contextlib
 import dataclasses
 import decimal
 import functools
+import io
 import math
 import os
 import pathlib
@@ -41,7 +43,7 @@ from duhamelcheb import (
     solve_stage_direct,
     solve_stage_fixed_point,
 )
-from duhamelcheb import collocation
+from duhamelcheb import cli, collocation
 from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition, interpolate
@@ -1298,6 +1300,47 @@ def test_neumann_restarts_build_the_sample_tables_once(monkeypatch):
     assert started.refinements == 0
     assert trace.node_modes().tobytes() == started.node_modes().tobytes()
     assert trace.node_boundary_values().tobytes() == started.node_boundary_values().tobytes()
+
+
+def test_a_degree_sweep_keeps_a_bounded_memo_and_rebuilds_the_same_bits():
+    """Marching N = 2, ..., 40 uses 39 (N, data degree) pairs; the memos keep
+    at most ``_TABLE_MEMO_SIZE`` of them, and the N = 2 tables, evicted and
+    built again, give the bits of the first march."""
+    problem = build_reference_example(M=16)
+    memos = (collocation._sample_tables, collocation._gauss_tables, collocation._dct_cosines)
+    for memo in memos:
+        memo.cache_clear()
+    first = march(problem, SolverConfig(N=2, K=1, M=16)).node_modes()
+    for N in range(2, 41):
+        march(problem, SolverConfig(N=N, K=1, M=16))
+    for memo in memos:
+        assert memo.cache_info().currsize <= collocation._TABLE_MEMO_SIZE
+    misses = collocation._sample_tables.cache_info().misses
+    again = march(problem, SolverConfig(N=2, K=1, M=16)).node_modes()
+    assert collocation._sample_tables.cache_info().misses == misses + 1
+    assert again.tobytes() == first.tobytes()
+
+
+def test_repeated_paper_mix_builds_no_table_after_the_first():
+    """The paper-reproduction mix (a convergence sweep over five degrees, a
+    fixed-point solve, a Neumann solve that refines twice and the Euler
+    baseline) fits in the memos: repeating it builds no table."""
+    mix = (
+        ["convergence", "--Ns", "2,4,8,12,16", "--Ks", "1"],
+        ["solve", "--problem", "reference", "--N", "8", "--K", "2", "--M", "128", "--mode", "picard"],
+        ["solve", "--problem", "neumann", "--N", "12", "--K", "1", "--M", "128"],
+        ["baseline", "--steps", "1024"],
+    )
+    memos = (collocation._sample_tables, collocation._gauss_tables, collocation._dct_cosines)
+
+    def misses_after_mix():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in mix:
+                assert cli.main(argv) == 0
+        return [memo.cache_info().misses for memo in memos]
+
+    first = misses_after_mix()
+    assert misses_after_mix() == first
 
 
 def counting(f, times: list):

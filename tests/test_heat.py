@@ -23,6 +23,7 @@ from duhamelcheb import (
     residual_of_exact_in_integral_equations,
     residual_tail_bound,
 )
+from duhamelcheb import heat
 
 
 def test_expdecay_scalar_and_array():
@@ -249,6 +250,19 @@ def test_list_table_csv_across_blocks_matches_per_cell_rendering(per_cell_csv):
     table = Table("t", {}, ["c"], rows)
     for got, want in zip(table.to_csv().split("\n"), per_cell_csv(table).split("\n"), strict=True):
         assert got == want
+
+
+@given(table=tables(), rows=array_rows(), block_cells=st.integers(1, 12))
+def test_small_blocks_carrying_repeated_texts_match_per_cell_rendering(per_cell_csv, table, rows, block_cells):
+    """With blocks of a few cells, the texts of values repeated within one
+    block are looked up in the next: list and array tables still render
+    as the per-cell rule does."""
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    oracle = SimpleNamespace(notes=(), columns=columns, rows=rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heat, "_CSV_BLOCK_CELLS", block_cells)
+        assert table.to_csv() == per_cell_csv(table)
+        assert Table("t", {}, columns, rows).to_csv() == per_cell_csv(oracle)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])

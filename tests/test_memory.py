@@ -1,6 +1,7 @@
 """Peak memory of one march of the many-modes shape, of one march of a
-varying family, of one many-slabs CLI solve, and of the CSV of a table
-whose values are all distinct.
+varying family, of one many-slabs CLI solve, of the CSV of a table whose
+values are all distinct and of the Neumann trace, and of a solve written
+to a file.
 
 The reference problem at N = 12, K = 4, M = 4096 marched and evaluated
 (``march`` plus ``compute_errors``) under ``tracemalloc``.  Before the
@@ -29,11 +30,24 @@ the trace kept as one float array and rendered in row blocks it peaked at
 5 592 448.  The peak is set by the CSV text, not by the march: after the
 factored constant-family solve it reads 5 594 164, because the values'
 reprs are 562 characters longer in all (4 bytes each in the captured
-``io.StringIO``).  The bound allows 5% above that.
+``io.StringIO``).  The bound allows 5% above that.  Written to stdout a
+row block at a time, with no string of the whole CSV, it peaks at
+2 792 467; the streaming itself is guarded by the CLI tests, which bound
+the longest write.
 
 A random 513 × 131 array table must render within 1.1 times the peak of
 the per-cell renderer on the same table, measured in the same test: about
-3.99 MB on both sides.  Deduplicating the whole table at once took 8.3 MB.
+3.99 MB for the per-cell renderer, 3.99 MB in blocks of 8192 cells and
+2.65 MB in blocks of 4096.  Deduplicating the whole table at once took
+8.3 MB.  The Neumann (12, 1, 128) trace, 49 × 131 cells of which 6 418 are
+distinct, is smaller than one 8192-cell block and rendered at 0.819 MB
+against 0.444 MB per cell (1.85 times); in blocks of 4096 cells it reads
+0.519 MB (1.17 times), and the bound is 1.25 times.
+
+``solve --N 16 --K 32 --M 512 --out`` writes 5.8 MB of CSV after a march
+that peaks at 4.0 MB on its own.  Rendered as one string and written at
+once it peaked at 21.9 MB; written a block at a time it peaks at 6.6 MB,
+and the bound is the march's peak plus the bytes written.
 """
 
 import contextlib
@@ -43,7 +57,15 @@ import tracemalloc
 
 import numpy as np
 
-from duhamelcheb import SolverConfig, Table, build_reference_example, cli, compute_errors, march
+from duhamelcheb import (
+    SolverConfig,
+    Table,
+    build_neumann_example,
+    build_reference_example,
+    cli,
+    compute_errors,
+    march,
+)
 from problems import varying_manufactured_problem
 
 MEASURED_PEAK_BYTES = 10_383_556
@@ -105,3 +127,37 @@ def test_many_slabs_cli_solve_peak_stays_within_five_percent():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * MEASURED_CLI_PEAK_BYTES, f"peak {peak / 1e6:.2f} MB"
+
+
+def traced_peak(run) -> int:
+    """Traced peak of ``run()``, after a warm-up call that builds the shared tables."""
+    run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_neumann_trace_csv_peak_stays_near_per_cell_rendering(per_cell_csv):
+    problem = build_neumann_example(M=128)
+    table = cli._trace_table(march(problem, SolverConfig(N=12, K=1, M=128)), problem)
+    assert table.rows.shape == (49, 131)
+    per_cell = traced_peak(lambda: per_cell_csv(table))
+    blocked = traced_peak(table.to_csv)
+    assert blocked <= 1.25 * per_cell, f"peak {blocked / 1e6:.3f} MB against {per_cell / 1e6:.3f} MB"
+
+
+def test_solve_to_file_peaks_below_the_march_plus_the_bytes_written(tmp_path):
+    problem = build_reference_example(M=512)
+    config = SolverConfig(N=16, K=32, M=512)
+    out = tmp_path / "t.csv"
+    argv = ["solve", "--N", "16", "--K", "32", "--M", "512", "--out", str(out)]
+    solve_peak = traced_peak(lambda: cli.main(argv))
+    march_only = traced_peak(lambda: march(problem, config))
+    written = out.stat().st_size + (tmp_path / "t_errors.csv").stat().st_size
+    assert solve_peak <= march_only + written, (
+        f"peak {solve_peak / 1e6:.1f} MB against {march_only / 1e6:.1f} + {written / 1e6:.1f} MB"
+    )
