@@ -9,9 +9,9 @@ roundoff by Gauss rules, so the error decays exponentially in the number of
 nodes per slab.
 """
 
-from .mesh import CGLGrid, TimePartition, build_grid, interpolate, lagrange_eval, lebesgue_constant
-from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family, verify_assumptions
-from .kernels import KernelSeries, MomentTable, moment_integrals, kernel_K, kernel_K1, homogeneous_v
+from .mesh import CGLGrid, TimePartition, build_grid, interpolate, lagrange_eval
+from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family
+from .kernels import KernelSeries, MomentTable, moment_integrals, homogeneous_v
 from .collocation import (
     SolverConfig,
     BlockSystem,
@@ -57,17 +57,13 @@ __all__ = [
     "build_grid",
     "interpolate",
     "lagrange_eval",
-    "lebesgue_constant",
     "EigenBasis",
     "OperatorFamily",
     "heat_basis",
     "constant_family",
-    "verify_assumptions",
     "KernelSeries",
     "MomentTable",
     "moment_integrals",
-    "kernel_K",
-    "kernel_K1",
     "homogeneous_v",
     "SolverConfig",
     "BlockSystem",

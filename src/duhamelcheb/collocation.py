@@ -7,30 +7,18 @@ the boundary trace values w_k at the CGL nodes; the weighted boundary
 values y_k = b(t_k) w_k are recovered afterwards.  Interpolating the trace
 rather than the product keeps the interpolation error governed by the
 smoother of the two factors, while the multiplier b rides inside the
-coefficient integrals, which are evaluated to roundoff by Gauss rules.  One
-quadrature map per node subinterval, built from samples at local Chebyshev
-points, integrates every coefficient: the data g and f, the products b L_j,
-and the frozen-operator defect that multiplies L_j.  The Gauss tables behind
-those maps depend on the data degree alone, and the local sample points on
-the degree and the data degree: both are built on first use, kept for the
-few most recently used degrees, and shared read-only by every assembler.
-The Gauss-Laguerre table is kept as Chebyshev coefficients, so the maps of
-a block of subintervals take one three-term recurrence and one matrix
-product per subinterval.  Each map
-is stored mode-contiguous, shape (Q+1, M), so every pass of the maps over
-the modes reads rows of M contiguous values.
-The forcing is sampled once per slab on a slab-wide degree-16 CGL grid and,
-where its Chebyshev tail is at roundoff, interpolated to the local sample
-points; elsewhere it is called at every local sample time.
-A slab's block system (:class:`BlockSystem`) is its coefficients and b at
-its nodes; it keeps the boundary coupling factored, and every stage solver
-applies it so.  The direct solve reduces the trace unknowns to one N x N
-system per slab.  When the interior coupling vanishes (constant families,
-whose alpha is never integrated) the trace images of the maps, built once
-per slab length, give that matrix, so no (N, N+1, M) array is built;
-otherwise M batched N x N LU solves, whose right-hand side is the one
-multiplied-out coupling, do the interior solve.  A fixed-point sweep over
-the same splitting is an alternative to the direct elimination.
+coefficient integrals, which are evaluated to roundoff by Gauss rules.
+
+Each part is explained in one place:
+
+- :class:`CoefficientAssembler`: the quadrature maps that integrate every
+  coefficient, the memoised tables, and the rule for sampling the forcing;
+- ``CoefficientAssembler._interior``: the Gauss-Legendre/Gauss-Laguerre
+  split and the mode-contiguous layout of the maps;
+- :class:`BlockSystem`: the blocks of the stage system, with the boundary
+  coupling kept factored;
+- :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
+  stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
 """
 from __future__ import annotations
 
@@ -73,8 +61,7 @@ FORCING_DEGREE = 16
 """The degree P of the slab-wide Chebyshev grid the forcing is sampled on."""
 
 FORCING_TAIL = 64.0
-"""The forcing is resolved when the last quarter of its degree-P Chebyshev
-coefficients is at most this many machine epsilons times the largest one."""
+"""The tail tolerance of the forcing rule, in machine epsilons (see :class:`CoefficientAssembler`)."""
 
 
 class SlabContractionError(RuntimeError):
@@ -153,9 +140,8 @@ class SlabInterior:
     E[k-1]              propagator exp(-mu~(t*_k) (tau/2) theta_k)
     alpha               (N, N+1, M) frozen-operator correction, or None for
                         a constant family, where it is exactly zero
-    maps[k-1]           (Q+1, M) quadrature map R_k of subinterval k, stored
-                        mode-contiguous: maps[k-1, q] holds sample point
-                        q's weights for every mode
+    maps[k-1]           (Q+1, M) quadrature map R_k of subinterval k (see
+                        ``CoefficientAssembler._interior``)
     kernel_scale[k-1]   a(t*_k) mu0 lift, which scales beta and the g term
     trace               boundary trace functional of the modes
     """
@@ -201,8 +187,6 @@ class SlabInterior:
         """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
 
         The one map to modes for every coupling term: phi's g, F_y w0 and D y.
-        Each subinterval's pass is c_k times its (Q+1, M) map, so it reads
-        rows of M contiguous values, and the scale is applied in place.
         """
         out = np.matmul(c[:, None, :], self.maps)[:, 0]
         out *= self.coupling_scale
@@ -234,7 +218,8 @@ class BlockSystem:
               a constant family's alpha is not integrated, so
               ``has_interior_coupling`` is False and no solver contracts C~
     f_x       phi
-    Lambda    w_k = sum_n interior.trace[n] x~_{k,n} in every row
+    Lambda    the trace row w_k = sum_n interior.trace[n] x~_{k,n} in every
+              row, applied by ``_lam_apply``
     D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
               the interpolated trace: beta[k-1, j] = s_k (R_k V_k[j]) with
               s = -(tau/2) a mu0 lift, so that b rides inside the integrand.
@@ -425,12 +410,9 @@ def _sample_forcing(f: Callable[[float], np.ndarray], times: np.ndarray) -> np.n
 
 
 def _resolved(samples: np.ndarray) -> bool:
-    """Whether the last quarter of the Chebyshev coefficients of ``samples`` is at roundoff.
+    """Whether ``samples``, shape (P+1, M) at the degree-P CGL points, pass the forcing rule.
 
-    ``samples`` has shape (P+1, M), at the degree-P CGL points.  The tail,
-    degrees P - P // 4 .. P, must be at most ``FORCING_TAIL`` epsilons
-    times the largest coefficient over all modes, so all-zero samples are
-    resolved.
+    The rule is :class:`CoefficientAssembler`'s; all-zero samples pass it.
     """
     P = samples.shape[0] - 1
     coefficients = np.abs(_chebyshev_coefficients(samples))
@@ -455,8 +437,7 @@ class CoefficientAssembler:
     polynomial on one node subinterval, and one map does all of them: R_k
     takes values at the data_degree + 1 local Chebyshev points of
     subinterval k to the kernel integrals of their interpolant, evaluated
-    to roundoff by Gauss rules (see ``_interior``), the Gauss-Laguerre one
-    from the Chebyshev coefficients of its table.  It is applied to
+    to roundoff by Gauss rules (see ``_interior``).  It is applied to
     samples of g and f, of b L_j for beta, and of (mu(t_k) - mu(t)) L_j for
     alpha.  The unknowns enter through their degree-N interpolants (that
     is the scheme), but the data are integrated to roundoff: a shared
@@ -470,20 +451,20 @@ class CoefficientAssembler:
     memoised and shared read-only by every assembler, so an
     assembler fetches them when it is built and ``slab`` makes no
     interpolation.  For a constant family alpha is exactly zero and is not
-    integrated, and the slab's interior (E, the maps R_k, the kernel scale
-    and the trace images that the direct solve reads, see
-    :class:`SlabInterior`) does not depend on the slab: it is built once
-    per assembler, whose partition has one slab length, on the first slab,
-    and shared by every later one.
-    The forcing is sampled once per slab at the P + 1 slab-wide CGL points
-    of degree P = ``FORCING_DEGREE``.  The samples are used when the last
-    quarter of their Chebyshev coefficients is at most ``FORCING_TAIL``
-    machine epsilons times the largest coefficient over all modes, or when
-    one of them is not finite (which ``phi`` then carries); they go to the
-    local sample points through the (N, data_degree + 1, P + 1)
-    interpolation table.  An unresolved forcing is called once per local
-    sample time, and so is every forcing when P + 1 is not below the
-    N (data_degree + 1) local sample times, as at N = 1.
+    integrated, and the slab's interior (:class:`SlabInterior`) does not
+    depend on the slab: it is built once per assembler, whose partition
+    has one slab length, on the first slab, and shared by every later one.
+
+    The forcing rule.  The forcing is sampled once per slab at the P + 1
+    slab-wide CGL points of degree P = ``FORCING_DEGREE``.  The samples are
+    used when the last quarter of their Chebyshev coefficients (degrees
+    P - P // 4 .. P) is at most ``FORCING_TAIL`` machine epsilons times the
+    largest coefficient over all modes, or when one of them is not finite
+    (which ``phi`` then carries); they go to the local sample points
+    through the (N, data_degree + 1, P + 1) interpolation table.  An
+    unresolved forcing is called once per local sample time, and so is
+    every forcing when P + 1 is not below the N (data_degree + 1) local
+    sample times, as at N = 1.
     """
 
     def __init__(self, family: OperatorFamily, grid: CGLGrid, partition: TimePartition):
@@ -512,10 +493,13 @@ class CoefficientAssembler:
         are a degree-Q polynomial in h = 1 / lam, evaluated from its stored
         Chebyshev coefficients for every mode of a block of whole
         subintervals (about ``_MAP_BLOCK_MODES`` modes) at once, one matrix
-        product written straight into each subinterval's (Q+1, M) map: with
+        product written straight into each subinterval's map: with
         h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
         where the basis is finite, and their columns are then overwritten by
-        the Gauss-Legendre rule one subinterval at a time.  A constant family has
+        the Gauss-Legendre rule one subinterval at a time.  Each map is
+        stored mode-contiguous, shape (Q+1, M): maps[k-1, q] holds sample
+        point q's weights for every mode, so every pass of the maps over
+        the modes reads rows of M contiguous values.  A constant family has
         mu(t_k) - mu(t) = 0 exactly, so its alpha is not integrated (None);
         a varying family samples a(t) and c(t) at all of the slab's sample
         times in one polynomial evaluation each.
@@ -560,10 +544,7 @@ class CoefficientAssembler:
     def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray], t_loc: np.ndarray):
         """The forcing at the local sample times of slab ``l``, one (Q+1, M) array per subinterval.
 
-        Samples at the slab-wide points that are resolved
-        (:func:`_resolved`) go through the interpolation table; so do samples
-        that are not all finite, whose interpolants are then not finite
-        either.  Otherwise ``f`` is called at every local sample time.
+        Sampled by the forcing rule of :class:`CoefficientAssembler`.
         """
         if self._forcing_grid is not None:
             nodes, table = self._forcing_grid
@@ -594,10 +575,8 @@ class CoefficientAssembler:
         A ``g`` or ``b`` that is an :class:`~duhamelcheb.kernels.ExpDecay` is
         sampled at all the slab's sample times in one array call; any other
         ``g`` or ``b`` is called once per sample time with a scalar float.
-        ``f`` is called with a scalar float at the slab-wide CGL points and
-        interpolated to the local sample times, or, where those samples do
-        not resolve it, called once per local sample time (see
-        :class:`CoefficientAssembler`).
+        ``f`` is called with a scalar float, by the forcing rule of
+        :class:`CoefficientAssembler`.
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)
@@ -707,8 +686,9 @@ def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lam_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    return np.einsum("m,km->k", system.interior.trace, w)
+def _lam_apply(system: BlockSystem, x: np.ndarray) -> np.ndarray:
+    """Lambda x: the trace row contracted with the trailing mode axis of ``x``."""
+    return np.einsum("m,...m->...", system.interior.trace, x)
 
 
 def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
@@ -738,7 +718,7 @@ def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
     A[np.arange(N), np.arange(N)] += 1.0
     A[np.arange(1, N), np.arange(N - 1)] -= system.E[1:]
     Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
-    LZ = np.einsum("m,kjm->kj", system.interior.trace, Z)
+    LZ = _lam_apply(system, Z)
     w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])
     return w_int, Z[:, 0] + w_int @ Z[:, 1:], _d_apply(system, w_int)
 
@@ -793,12 +773,12 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     x~ = A^{-1} Phi + A^{-1} D w.
 
     Phi and D w are formed from the factored coupling (see
-    :class:`BlockSystem`) at O(N M Q) cost.  When C~ vanishes (a constant family, whose alpha is not
-    integrated, so ``system.has_interior_coupling`` is False) A = S~ is
-    unit lower bidiagonal: Lambda S~^{-1} D is G V with the trace images G
-    of the slab's interior (:class:`SlabInterior`), and Phi and D w are
-    each swept through S~^{-1} on its own and the two added only at the
-    end.  Summing them before the sweep would turn the trace's quantised
+    :class:`BlockSystem`).  When C~ vanishes (a constant family, whose
+    alpha is not integrated, so ``system.has_interior_coupling`` is
+    False) A = S~ is unit lower bidiagonal: Lambda S~^{-1} D is G V with
+    the trace images G of the slab's interior (:class:`SlabInterior`),
+    and Phi and D w are each swept through S~^{-1} on its own and the two
+    added only at the end.  Summing them before the sweep would turn the trace's quantised
     cancellation remainders into smooth noise, which the CSV output pays
     for in distinct values.  Neither the (N, N+1, M) coupling nor the
     residual check is ever multiplied out.  Otherwise [Phi | D] is solved
@@ -825,8 +805,8 @@ def solve_stage_fixed_point(
     Iterates x <- S~^{-1} (C~ x + D W Lambda (I - S~ + C~) x) + const with
     W = [I - Lambda D]^{-1}; converges geometrically when the combined
     coupling is a contraction, with ratio shrinking as the slab shortens.
-    Lambda D is the factored H V, and Phi and D y go through the maps as in
-    :func:`solve_stage_direct`, so no (N, N+1, M) coupling is built.
+    Lambda D is H V, and Phi and D y come from the factored coupling (see
+    :class:`BlockSystem`), so no (N, N+1, M) coupling is built.
     ``tol`` must be finite and positive and ``max_iter`` an integer >= 1.
     """
     if not np.isfinite(tol) or tol <= 0:
@@ -950,6 +930,7 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         assembler = CoefficientAssembler(family, grid, partition)
         stages: list[StageSolution] = []
         x_prev = u0
+        # a BLAS dot, not _lam_apply: the einsum sums a dense u0 in another order
         w_prev = float(u0 @ basis.boundary_trace)
         solve_seconds = 0.0
         contraction_max = 0.0

@@ -30,8 +30,6 @@ __all__ = [
     "exp_sigma_moments",
     "exp_integral",
     "moment_integrals",
-    "kernel_K",
-    "kernel_K1",
     "homogeneous_v",
 ]
 
@@ -163,6 +161,13 @@ def moment_integrals(mu: float, lo: float, hi: float, s_max: int) -> MomentTable
     return MomentTable(mu=mu, lo=lo, hi=hi, values=vals)
 
 
+def _check_positive_times(kernel: str, t_arr: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first t that is not > 0 (NaN included)."""
+    bad = t_arr[~(t_arr > 0)]
+    if bad.size:
+        raise ValueError(f"kernel {kernel} needs t > 0 (it is singular at t = 0), got t={float(bad[0])}")
+
+
 @dataclass(frozen=True)
 class KernelSeries:
     """Truncated boundary kernels K and K1 of the stationary operator.
@@ -184,10 +189,25 @@ class KernelSeries:
         return self.basis.mu * self.basis.lift_coeffs * self.basis.boundary_trace
 
     def K(self, t) -> np.ndarray | float:
-        return kernel_K(self.basis, t)
+        """Boundary trace kernel K(t) = sum_n mu_n b_n phi_n(1) exp(-mu_n t)."""
+        t_arr = np.asarray(t, dtype=float)
+        _check_positive_times("K", t_arr)
+        out = np.tensordot(self._kappa(), np.exp(-np.multiply.outer(self.basis.mu, t_arr)), axes=(0, 0))
+        return float(out) if np.ndim(t) == 0 else out
 
     def K1(self, t, x) -> np.ndarray | float:
-        return kernel_K1(self.basis, t, x)
+        """Field kernel K1(t, x) = sum_n mu_n b_n exp(-mu_n t) phi_n(x); K1(t, 1) = K(t)."""
+        basis = self.basis
+        t_arr = np.asarray(t, dtype=float)
+        x_arr = np.asarray(x, dtype=float)
+        _check_positive_times("K1", t_arr)
+        if not np.all(np.isfinite(x_arr)):
+            raise ValueError(f"kernel K1 needs a finite probe point, got x={x}")
+        phis = basis.eigenfunctions(x_arr).reshape(basis.M, -1)
+        decay = np.exp(-np.outer(basis.mu, np.atleast_1d(t_arr).ravel()))
+        out = np.einsum("m,mt,mx->tx", basis.mu * basis.lift_coeffs, decay, phis)
+        out = out.reshape(t_arr.shape + x_arr.shape)
+        return float(out) if out.ndim == 0 else out
 
     def kappa_bound(self) -> float:
         return float(np.abs(self._kappa()).max())
@@ -203,9 +223,10 @@ class KernelSeries:
 
         Geometric domination using the nondecreasing eigenvalue gaps:
         sum_{n>M} e^{-mu_n delta} <= e^{-mu_{M+1} delta} / (1 - e^{-g delta})
-        with g = mu_{M+2} - mu_{M+1}.
+        with g = mu_{M+2} - mu_{M+1}.  A ``delta`` that is not > 0, NaN
+        included, raises ``ValueError``.
         """
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError(f"off-coincidence bound needs delta > 0, got {delta}")
         mu1 = self.basis.eigenvalue(self.M + 1)
         gap = self.basis.eigenvalue(self.M + 2) - mu1
@@ -221,62 +242,12 @@ class KernelSeries:
         }
 
 
-def _as_basis(series_or_basis) -> EigenBasis:
-    if isinstance(series_or_basis, KernelSeries):
-        return series_or_basis.basis
-    return series_or_basis
-
-
-def _check_positive_times(kernel: str, t_arr: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first t that is not > 0 (NaN included)."""
-    bad = t_arr[~(t_arr > 0)]
-    if bad.size:
-        raise ValueError(f"kernel {kernel} needs t > 0 (it is singular at t = 0), got t={float(bad[0])}")
-
-
-def kernel_K(series, t) -> np.ndarray | float:
-    """Boundary trace kernel K(t) = sum_n mu_n b_n phi_n(1) exp(-mu_n t).
-
-    ``series`` may be a KernelSeries or a bare EigenBasis.
-    """
-    basis = _as_basis(series)
-    t_arr = np.asarray(t, dtype=float)
-    _check_positive_times("K", t_arr)
-    kappa = basis.mu * basis.lift_coeffs * basis.boundary_trace
-    out = np.tensordot(kappa, np.exp(-np.multiply.outer(basis.mu, t_arr)), axes=(0, 0))
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def kernel_K1(series, t, x) -> np.ndarray | float:
-    """Field kernel K1(t, x) = sum_n mu_n b_n exp(-mu_n t) phi_n(x).
-
-    Satisfies K1(t, 1) = K(t) with equal truncation.  ``series`` may be a
-    KernelSeries or a bare EigenBasis.
-    """
-    basis = _as_basis(series)
-    t_arr = np.asarray(t, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    _check_positive_times("K1", t_arr)
-    if not np.all(np.isfinite(x_arr)):
-        raise ValueError(f"kernel K1 needs a finite probe point, got x={x}")
-    coeff = basis.mu * basis.lift_coeffs
-    t_flat = np.atleast_1d(t_arr).ravel()
-    phis = basis.eigenfunctions(x_arr).reshape(basis.M, -1)
-    decay = np.exp(-np.outer(basis.mu, t_flat))
-    out = np.einsum("m,mt,mx->tx", coeff, decay, phis)
-    out = out.reshape(t_arr.shape + x_arr.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def homogeneous_v(series, u0_modes: np.ndarray, x, t: float) -> np.ndarray | float:
+def homogeneous_v(basis: EigenBasis, u0_modes: np.ndarray, x, t: float) -> np.ndarray | float:
     """Solution of the homogeneous zero-boundary problem at time t.
 
     v(x, t) = sum_n u0_n exp(-mu_n t) phi_n(x); spatially this is the
     eigenfunction reconstruction of the decayed initial coefficients.
-    ``series`` may be a KernelSeries or a bare EigenBasis.
     """
-    basis = _as_basis(series)
     decayed = np.asarray(u0_modes, dtype=float) * np.exp(-basis.mu * t)
-    phis = basis.eigenfunctions(x)
-    out = np.tensordot(decayed, phis, axes=(0, 0))
+    out = np.tensordot(decayed, basis.eigenfunctions(x), axes=(0, 0))
     return float(out) if np.ndim(x) == 0 else out

@@ -19,7 +19,6 @@ __all__ = [
     "build_grid",
     "lagrange_eval",
     "interpolate",
-    "lebesgue_constant",
     "check_count",
 ]
 
@@ -154,26 +153,6 @@ def interpolate(grid: CGLGrid, values, s) -> np.ndarray | float:
     if np.ndim(s) == 0:
         return out[0] if vals.ndim > 1 else float(out[0])
     return out.reshape(s_arr.shape + vals.shape[1:])
-
-
-def lebesgue_constant(grid: CGLGrid, samples: int = 2001) -> float:
-    """Estimate the Lebesgue constant by dense sampling of the Lebesgue function.
-
-    Parameters
-    ----------
-    grid : CGLGrid
-    samples : int
-        Number of sample points on [-1, 1]; at least 1000 are used.
-
-    Returns
-    -------
-    float
-        ``max_s sum_j |L_j(s)|`` over the sample.  The CGL Lebesgue constant
-        grows like ``(2/pi) log N``, so this is a small number for any
-        practical degree.
-    """
-    s = np.linspace(-1.0, 1.0, max(int(samples), 1000))
-    return float(np.abs(interpolate(grid, np.eye(grid.N + 1), s)).sum(axis=1).max())
 
 
 @dataclass(frozen=True)

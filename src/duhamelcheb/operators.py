@@ -21,14 +21,10 @@ from .mesh import check_count
 __all__ = [
     "EigenBasis",
     "OperatorFamily",
-    "AssumptionReport",
     "heat_basis",
     "constant_family",
     "apply_exponential",
-    "lift",
     "lift_derivative_trace",
-    "project_initial",
-    "verify_assumptions",
 ]
 
 
@@ -123,9 +119,9 @@ class OperatorFamily:
     ``a_coeffs`` and ``c_coeffs`` hold polynomial coefficients in
     increasing-degree order (numpy convention).  a(t) must stay positive
     and a(t) mu_1 + c(t) must stay positive on the time interval of
-    interest; :func:`verify_assumptions` reports on both.  Both are kept
-    as float arrays; an array that is not 1-d and non-empty, or that holds
-    a NaN or infinite coefficient, raises ``ValueError`` naming it.
+    interest.  Both are kept as float arrays; an array that is not 1-d
+    and non-empty, or that holds a NaN or infinite coefficient, raises
+    ``ValueError`` naming it.
     """
 
     basis: EigenBasis
@@ -172,11 +168,6 @@ def apply_exponential(family: OperatorFamily, t: float, v: np.ndarray, lam: floa
     return v * np.exp(-lam * family.frozen_eigenvalues(t))
 
 
-def lift(basis: EigenBasis, y: float) -> np.ndarray:
-    """Eigenbasis coefficients of the boundary lift B y."""
-    return basis.lift_coeffs * y
-
-
 def lift_derivative_trace(basis: EigenBasis, y: float) -> float:
     """First-order boundary trace of B y.
 
@@ -186,75 +177,3 @@ def lift_derivative_trace(basis: EigenBasis, y: float) -> float:
     """
     del basis
     return float(y)
-
-
-def project_initial(basis: EigenBasis, u0: Callable[[float], float]) -> np.ndarray:
-    """Project a pointwise initial condition on the first M modes.
-
-    Uses adaptive quadrature mode by mode; intended for setup and testing,
-    not for inner loops.  The heat-rod basis is orthogonal with
-    ||phi_n||^2 = 1/2, so the coefficient is 2 int_0^1 u0 phi_n.
-    """
-    from scipy.integrate import quad
-
-    coeffs = np.empty(basis.M)
-    for i in range(basis.M):
-        fn = basis.eigenfunctions
-        val, _ = quad(lambda x, i=i: u0(x) * float(fn(x)[i]), 0.0, 1.0,
-                      epsabs=1e-13, epsrel=1e-13, limit=200)
-        coeffs[i] = 2.0 * val
-    return coeffs
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Sampled checks of the standing assumptions on the data.
-
-    omega: infimum over sampled t of the smallest frozen eigenvalue.
-    max_boundary_multiplier: sup of |b| over sampled t (None if b not given).
-    holder_ratio: max over sampled pairs of the relative operator increment
-        ||(A(t) - A(s)) A(t)^{-1}|| / |t - s|.
-    positive: True when a(t) > 0 and omega > 0 at every sample.
-    """
-
-    omega: float
-    max_boundary_multiplier: float | None
-    holder_ratio: float
-    positive: bool
-
-
-def verify_assumptions(
-    family: OperatorFamily,
-    T: float,
-    b: Callable[[float], float] | None = None,
-    samples: int = 41,
-) -> AssumptionReport:
-    """Sample the family on [0, T] and report on the standing assumptions.
-
-    Violations are reported through the returned flags and ratios rather
-    than raised, so diagnostic sweeps over candidate coefficient families
-    stay cheap; a NaN eigenvalue gives a NaN ratio.  ``T`` must be finite
-    and positive and ``samples`` an integer >= 2, or ``ValueError`` is
-    raised.
-    """
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"horizon must be finite and positive, got T={T}")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
-    ts = np.linspace(0.0, T, samples)
-    a_vals = np.atleast_1d(np.asarray(family.a(ts), dtype=float))
-    frozen = np.array([family.frozen_eigenvalues(t) for t in ts])
-    omega = float(frozen[:, 0].min())
-    positive = bool((a_vals > 0).all() and (frozen[:, 0] > 0).all())
-    max_b = float(np.abs([b(t) for t in ts]).max()) if b is not None else None
-
-    i, j = np.array([(i, j) for i in range(0, samples, 4) for j in range(i + 1, samples, 4)]).T
-    dt = np.abs(ts[j] - ts[i])
-    moved = dt > 0
-    ratios = np.abs((frozen[j] - frozen[i]) / frozen[j])[moved].max(axis=1) / dt[moved]
-    return AssumptionReport(
-        omega=omega,
-        max_boundary_multiplier=max_b,
-        holder_ratio=float(ratios.max(initial=0.0)),
-        positive=positive,
-    )

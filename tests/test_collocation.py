@@ -5,6 +5,7 @@ quadrature, mode by mode, so any sign or scaling slip in the assembly's
 Gauss rules shows up immediately.
 """
 
+import ast
 import contextlib
 import dataclasses
 import decimal
@@ -1592,3 +1593,17 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     rhs = collocation._imsc(system, xt) + Dw + Phi
     want = float(max(np.abs(xt - rhs).max(), np.abs(w_int - collocation._lam_apply(system, rhs)).max()))
     assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()
+
+
+def test_only_the_trace_row_and_the_interior_tables_read_the_trace():
+    """Lambda x, the trace row contracted with the modes, is spelled once:
+    ``_lam_apply``.  Besides it only the interior's trace weights and trace
+    images, the tables the constant-family solve reads, take the trace."""
+    tree = ast.parse(pathlib.Path(collocation.__file__).read_text())
+    readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(isinstance(node, ast.Attribute) and node.attr == "trace" for node in ast.walk(function))
+    }
+    assert readers == {"_lam_apply", "trace_weights", "trace_images"}

@@ -17,8 +17,6 @@ from duhamelcheb import (
     KernelSeries,
     heat_basis,
     homogeneous_v,
-    kernel_K,
-    kernel_K1,
     moment_integrals,
 )
 from duhamelcheb.kernels import SMALL_ARGUMENT, exp_integral, exp_sigma_moments
@@ -181,72 +179,69 @@ def test_exp_sigma_moments_against_quadrature():
 
 
 def test_kernel_K_values(series):
-    assert kernel_K(series, 10.0) < 1e-10
-    assert kernel_K(series, 1.0) == pytest.approx(independent_K(1.0, 128), rel=1e-14)
+    assert series.K(10.0) < 1e-10
+    assert series.K(1.0) == pytest.approx(independent_K(1.0, 128), rel=1e-14)
 
 
 def test_kernel_K_monotone(series):
     ts = (0.05, 0.1, 0.5, 1.0, 2.0)
-    vals = [kernel_K(series, t) for t in ts]
+    vals = [series.K(t) for t in ts]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(v > 0 for v in vals)
 
 
 def test_kernel_K_rejects_nonpositive_time(series):
     with pytest.raises(ValueError):
-        kernel_K(series, 0.0)
+        series.K(0.0)
     with pytest.raises(ValueError):
-        kernel_K1(series, -0.5, 0.5)
+        series.K1(-0.5, 0.5)
     with pytest.raises(ValueError):
-        kernel_K(series, np.array([0.5, np.nan]))
+        series.K(np.array([0.5, np.nan]))
     with pytest.raises(ValueError):
-        kernel_K1(series, np.nan, 0.5)
+        series.K1(np.nan, 0.5)
     with pytest.raises(ValueError):
-        kernel_K1(series, 0.5, np.nan)
+        series.K1(0.5, np.nan)
 
 
 def test_K1_boundary_trace_equals_K(series):
     for t in (0.1, 0.5, 1.0):
-        assert abs(kernel_K1(series, t, 1.0) - kernel_K(series, t)) <= 1e-12
+        assert abs(series.K1(t, 1.0) - series.K(t)) <= 1e-12
 
 
 def test_K1_vanishes_at_origin(series):
     for t in (0.1, 0.7):
-        assert kernel_K1(series, t, 0.0) == 0.0
+        assert series.K1(t, 0.0) == 0.0
 
 
 def test_K1_truncation_stable_at_unit_time():
-    a = kernel_K1(KernelSeries(heat_basis(50)), 1.0, 0.5)
-    b = kernel_K1(KernelSeries(heat_basis(200)), 1.0, 0.5)
+    a = KernelSeries(heat_basis(50)).K1(1.0, 0.5)
+    b = KernelSeries(heat_basis(200)).K1(1.0, 0.5)
     assert abs(a - b) < 1e-20
 
 
 def test_homogeneous_v_first_mode():
     basis = heat_basis(16)
-    ks = KernelSeries(basis)
     u0 = np.zeros(16)
     u0[0] = 1.0
-    got = homogeneous_v(ks, u0, 0.5, 1.0)
+    got = homogeneous_v(basis, u0, 0.5, 1.0)
     assert got == pytest.approx(np.exp(-np.pi**2 / 4) * np.sin(np.pi / 4), rel=1e-14)
 
 
 def test_homogeneous_v_at_time_zero_is_partial_sum():
     basis = heat_basis(12)
-    ks = KernelSeries(basis)
     u0 = 1.0 / (1.0 + np.arange(12.0))
     x = 0.37
-    assert homogeneous_v(ks, u0, x, 0.0) == pytest.approx(
+    assert homogeneous_v(basis, u0, x, 0.0) == pytest.approx(
         float(u0 @ basis.eigenfunctions(x)), abs=1e-15
     )
 
 
 def test_homogeneous_v_second_mode_decay_rate():
     basis = heat_basis(8)
-    ks = KernelSeries(basis)
     u0 = np.zeros(8)
     u0[1] = 1.0
-    v1 = homogeneous_v(ks, u0, 0.3, 0.2)
-    v2 = homogeneous_v(ks, u0, 0.3, 0.4)
+    v1 = homogeneous_v(basis, u0, 0.3, 0.2)
+    v2 = homogeneous_v(basis, u0, 0.3, 0.4)
     assert v2 / v1 == pytest.approx(np.exp(-9 * np.pi**2 / 4 * 0.2), rel=1e-12)
 
 
@@ -271,12 +266,21 @@ def test_truncation_report_fields(series):
     assert rep["off_coincidence_tail"] < rep["integrated_tail"]
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan], ids=repr)
+def test_off_coincidence_tail_rejects_a_delta_that_is_not_positive(series, delta):
+    """A NaN delta used to pass the ``<= 0`` check, and the report read
+    ``off_coincidence_tail: nan``."""
+    for call in (lambda: series.off_coincidence_tail(delta), lambda: series.truncation_report(delta=delta)):
+        with pytest.raises(ValueError, match=rf"^off-coincidence bound needs delta > 0, got {delta}$"):
+            call()
+
+
 @pytest.mark.parametrize(
     "t, first",
     [(0.0, "0.0"), (-1.0, "-1.0"), (np.array([[0.5, -2.0], [0.0, 1.0]]), "-2.0"), (np.array([0.5, np.nan]), "nan")],
     ids=["zero", "negative", "array", "nan"],
 )
 def test_kernels_name_the_first_offending_time(series, t, first):
-    for name, call in (("K", lambda: kernel_K(series, t)), ("K1", lambda: kernel_K1(series, t, 0.5))):
+    for name, call in (("K", lambda: series.K(t)), ("K1", lambda: series.K1(t, 0.5))):
         with pytest.raises(ValueError, match=rf"^kernel {name} needs t > 0 .*, got t={first}$"):
             call()

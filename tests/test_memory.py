@@ -11,17 +11,20 @@ built and swept on every slab.  The factored constant-family solve builds
 no array of that shape, not even the zero alpha, and peaked at 11 563 220
 bytes.  With the block system reduced to the coefficients and b at the
 nodes, so that no (N, M) copy of E, alpha's column 0 or the trace is kept
-per slab, it peaks at 10 383 556; the bound allows 5% above that, so one
-(N, N + 1, M) array (5.1 MB) breaks it.
+per slab, it peaked at 10 383 556, and with the maps stored
+mode-contiguous and the stage solve summed in place it peaks at
+10 006 525; the bound allows 5% above that, so one (N, N + 1, M) array
+(5.1 MB) breaks it.
 
 The varying manufactured problem at N = 12, K = 8, M = 128 marched and
 evaluated the same way takes the batched LU path, whose right-hand side is
 the one (N, N + 1, M) array a solve builds (160 kB).  With Phi and every
 D w applied through the maps it peaked at 1 083 808 bytes, against
 1 083 134 with both read off the dense coupling, and with the block
-system reading its blocks from the coefficients it peaks at 1 045 720; the
-bound allows 5% above that, so one more (N, N + 1, M) or (N, N, M) array
-breaks it.
+system reading its blocks from the coefficients it peaked at 1 045 720.
+With the coefficients and the block system one object it peaks at
+1 027 448; the bound allows 5% above that, so one more (N, N + 1, M) or
+(N, N, M) array breaks it.
 
 The CLI ``solve --N 16 --K 32 --M 128``, stdout captured in memory, peaked
 at 7 219 681 bytes with one ``repr`` per CSV cell and at 7 242 021 with
@@ -30,9 +33,9 @@ the trace kept as one float array and rendered in row blocks it peaked at
 5 592 448.  The peak is set by the CSV text, not by the march: after the
 factored constant-family solve it reads 5 594 164, because the values'
 reprs are 562 characters longer in all (4 bytes each in the captured
-``io.StringIO``).  The bound allows 5% above that.  Written to stdout a
-row block at a time, with no string of the whole CSV, it peaks at
-2 792 467; the streaming itself is guarded by the CLI tests, which bound
+``io.StringIO``).  Written to stdout a row block at a time, with no
+string of the whole CSV, it peaks at 2 792 328; the bound allows 5% above
+that, and the streaming itself is guarded by the CLI tests, which bound
 the longest write.
 
 A random 513 × 131 array table must render within 1.1 times the peak of
@@ -68,9 +71,9 @@ from duhamelcheb import (
 )
 from problems import varying_manufactured_problem
 
-MEASURED_PEAK_BYTES = 10_383_556
-MEASURED_VARYING_PEAK_BYTES = 1_045_720
-MEASURED_CLI_PEAK_BYTES = 5_594_164
+MEASURED_PEAK_BYTES = 10_006_525
+MEASURED_VARYING_PEAK_BYTES = 1_027_448
+MEASURED_CLI_PEAK_BYTES = 2_792_328
 
 
 def march_peak(problem, config) -> int:
