@@ -11,6 +11,7 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on solver failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -120,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(table: Table, fmt: str, out: str | None) -> None:
-    """Write ``table`` to ``out``, or to stdout, a CSV chunk at a time as it is rendered."""
-    chunks = table.csv_chunks() if fmt == "csv" else (json.dumps(table.to_structured(), indent=2), "\n")
+    """Write ``table`` to ``out``, or to stdout, a chunk at a time as it is rendered."""
+    chunks = table.csv_chunks() if fmt == "csv" else itertools.chain(table.structured_chunks(), ["\n"])
     if out is None:
         sys.stdout.writelines(chunks)
     else:

@@ -16,7 +16,8 @@ Each part is explained in one place:
 - ``CoefficientAssembler._interior``: the Gauss-Legendre/Gauss-Laguerre
   split and the mode-contiguous layout of the maps;
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
-  coupling kept factored;
+  coupling kept factored and g kept as samples, so that a direct solve
+  passes over the maps twice per slab (``_phi_blocks`` and D w);
 - :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
   stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
 """
@@ -186,7 +187,9 @@ class SlabInterior:
     def modes(self, c: np.ndarray) -> np.ndarray:
         """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
 
-        The one map to modes for every coupling term: phi's g, F_y w0 and D y.
+        The one map to modes for every coupling term.  A direct solve makes
+        two passes per slab: the boundary part of Phi, F_y w0 with the g
+        term, and D w.
         """
         out = np.matmul(c[:, None, :], self.maps)[:, 0]
         out *= self.coupling_scale
@@ -197,6 +200,8 @@ class SlabInterior:
 class BlockSystem:
     """The stage system of one slab: its coefficients, integrated to roundoff, and b at its nodes.
 
+    g stays as samples until the stage solve integrates it with F_y w0.
+
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
 
@@ -206,7 +211,10 @@ class BlockSystem:
     lag_b[k-1, j, q]  V_k = L_j(s_q) b(t_q): the trace basis times the
                       multiplier b (one when omitted) at the data_degree + 1
                       local sample points s_q of subinterval k
-    phi[k-1]          data term (forcing plus boundary data)
+    g_loc[k-1, q]     g(t_q) at the same points (zero when g is omitted),
+                      kept in sample space
+    forcing[k-1]      the forcing term (tau/2) R_k f in modes, or None
+                      without a forcing
     bvals             (N+1,) b(t_k) at the slab nodes (one when b is
                       omitted), to recover y = b w
 
@@ -217,7 +225,8 @@ class BlockSystem:
     C~, F_x   alpha's columns 1..N and 0, with E[0] added to F_x's row 1;
               a constant family's alpha is not integrated, so
               ``has_interior_coupling`` is False and no solver contracts C~
-    f_x       phi
+    f_x       forcing - s_k (R_k g_k): the g term is -s R g, since
+              s = -(tau/2) a mu0 lift
     Lambda    the trace row w_k = sum_n interior.trace[n] x~_{k,n} in every
               row, applied by ``_lam_apply``
     D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
@@ -225,7 +234,8 @@ class BlockSystem:
               s = -(tau/2) a mu0 lift, so that b rides inside the integrand.
               It is kept factored as V and the maps, each stored (Q+1, M):
               the solvers form V y in sample space and take it through the
-              maps once, at O(N M Q) cost.
+              maps once, at O(N M Q) cost.  F_y w0 and the g term share one
+              pass, V[0] w0 - g (see ``_phi_blocks``).
 
     A constant family's slabs share E, the maps and the trace, so solvers
     must not write to them.
@@ -235,7 +245,8 @@ class BlockSystem:
     t_star: np.ndarray
     interior: SlabInterior
     lag_b: np.ndarray
-    phi: np.ndarray
+    g_loc: np.ndarray
+    forcing: np.ndarray | None
     bvals: np.ndarray
 
     @property
@@ -460,7 +471,7 @@ class CoefficientAssembler:
     used when the last quarter of their Chebyshev coefficients (degrees
     P - P // 4 .. P) is at most ``FORCING_TAIL`` machine epsilons times the
     largest coefficient over all modes, or when one of them is not finite
-    (which ``phi`` then carries); they go to the local sample points
+    (which the forcing term then carries); they go to the local sample points
     through the (N, data_degree + 1, P + 1) interpolation table.  An
     unresolved forcing is called once per local sample time, and so is
     every forcing when P + 1 is not below the N (data_degree + 1) local
@@ -569,7 +580,9 @@ class CoefficientAssembler:
         ``g``, ``f`` and ``b`` are sampled on each subinterval at the
         data_degree + 1 local Chebyshev points and integrated through R_k,
         to roundoff by Gauss rules for polynomial data up to that degree and
-        for analytic data.  ``b`` rides inside the products b L_j that
+        for analytic data.  The forcing is integrated here; ``g`` is kept
+        as samples, which the stage solve takes through R_k together with
+        F_y w0.  ``b`` rides inside the products b L_j that
         weight the boundary-trace unknowns, and is also sampled at the slab
         nodes, to recover y = b w; when it is omitted b is identically one.
         A ``g`` or ``b`` that is an :class:`~duhamelcheb.kernels.ExpDecay` is
@@ -585,16 +598,19 @@ class CoefficientAssembler:
             interior = self._interior(t_star, t_loc)
             if self.family.is_constant:
                 self._store = interior
-        # s = -(tau/2) kernel_scale, so the g term (tau/2) kernel_scale R g is -s R g
-        phi = np.zeros(interior.E.shape) if g is None else -interior.modes(sample_data(g, t_loc))
+        g_loc = np.zeros(t_loc.shape) if g is None else sample_data(g, t_loc)
+        forcing = None
         if f is not None:
+            forcing = np.empty(interior.E.shape)
             for k, f_loc in enumerate(self._forcing_samples(l, f, t_loc)):
-                phi[k] += 0.5 * self.partition.tau * np.einsum("qm,qm->m", interior.maps[k], f_loc)
+                forcing[k] = 0.5 * self.partition.tau * np.einsum("qm,qm->m", interior.maps[k], f_loc)
         if b is None:
             lag_b, bvals = self._lag_loc, np.ones(t_star.shape)
         else:
             lag_b, bvals = self._lag_loc * sample_data(b, t_loc)[:, None, :], sample_data(b, t_star)
-        return BlockSystem(slab=l, t_star=t_star, interior=interior, lag_b=lag_b, phi=phi, bvals=bvals)
+        return BlockSystem(
+            slab=l, t_star=t_star, interior=interior, lag_b=lag_b, g_loc=g_loc, forcing=forcing, bvals=bvals
+        )
 
 
 def assemble_coefficients(
@@ -655,20 +671,25 @@ class StageSolution:
 
 
 def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
-    """Phi = F_x x0 + F_y w0 + f_x, with F_y w0 taken through the maps from V[0] w0.
+    """Phi = F_x x0 + F_y w0 + f_x (see :class:`BlockSystem`), summed in place.
 
-    F_x (see :class:`BlockSystem`) is formed here, its zero rows included,
-    and the terms are summed left to right, in place: 0 * x0 carries the
-    sign of x0 into a sum of zeros, and a reordered sum rounds differently,
-    so either shortcut could change printed values.
+    The boundary part, F_y w0 and the g term, is one pass of the maps:
+    modes(V[0] w0 - g).  A constant family's F_x is E[0] in row 1 and zero
+    elsewhere, so x0 enters row 1 only; a varying family adds its
+    alpha-based F_x x0.  The forcing, if any, is added last.
     """
+    Phi = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
     alpha = system.interior.alpha
-    F_x = np.zeros(system.E.shape) if alpha is None else alpha[:, 0].copy()
-    F_x[0] += system.E[0]
-    F_x *= x0
-    F_x += system.interior.modes(w0 * system.lag_b[:, 0])
-    F_x += system.phi
-    return F_x
+    if alpha is None:
+        Phi[0] += system.E[0] * x0
+    else:
+        F_x = alpha[:, 0].copy()
+        F_x[0] += system.E[0]
+        F_x *= x0
+        Phi += F_x
+    if system.forcing is not None:
+        Phi += system.forcing
+    return Phi
 
 
 def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:

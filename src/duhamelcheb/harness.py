@@ -16,8 +16,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .collocation import SolverConfig, march
-from .heat import ErrorReport, HeatProblem, Table, check_probe, compute_errors
-from .kernels import sample_data
+from .heat import ErrorReport, HeatProblem, Table, compute_errors
+from .kernels import check_probe, sample_data
 from .mesh import check_count
 
 __all__ = [

@@ -11,6 +11,7 @@ integral equations.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator
@@ -18,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family
-from .kernels import ExpDecay, KernelSeries, exp_integral, homogeneous_v
+from .kernels import ExpDecay, KernelSeries, check_probe, exp_integral, homogeneous_v
 from .collocation import SolutionTrace
 
 __all__ = [
@@ -230,17 +231,35 @@ def _distinct_texts(bits: np.ndarray, carried_bits: np.ndarray, carried_texts: n
     return texts
 
 
-def _csv_text(values: np.ndarray, widths: list[int], ints: dict[int, str], carry: list) -> str:
+def _csv_text(values: np.ndarray, widths: list[int], ints: dict, carry: list) -> str:
     """Rows of ``widths`` cells from the flat float64 ``values``, each line
-    ending in a newline; ``ints`` holds int cell texts.  ``carry`` is a
-    one-item list holding the carry of :func:`_cell_texts`, replaced in
-    place, so that no block's cell texts outlive it."""
+    ending in a newline; ``ints`` holds the int cells, printed with ``str``.
+    ``carry`` is a one-item list holding the carry of :func:`_cell_texts`,
+    replaced in place, so that no block's cell texts outlive it."""
     text, carry[0] = _cell_texts(values, carry[0])
-    for i, s in ints.items():
-        text[i] = s
+    for i, value in ints.items():
+        text[i] = str(value)
     lines = [",".join(text[end - width:end]) for width, end in zip(widths, accumulate(widths))]
     lines.append("")
     return "\n".join(lines)
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_rows_text(values: np.ndarray, widths: list[int], ints: dict, carry: list) -> str:
+    """The rows of :func:`_csv_text` as ``json.dumps(doc, indent=2)`` writes
+    them in a document's rows list, joined by a comma and a newline: ints
+    and bools as JSON prints them, NaN and ±inf as NaN and ±Infinity."""
+    text, carry[0] = _cell_texts(values, carry[0])
+    if not np.isfinite(values).all():
+        text = [_JSON_NON_FINITE.get(cell, cell) for cell in text]
+    for i, value in ints.items():
+        text[i] = json.dumps(value)
+    return ",\n".join(
+        "    [\n      " + ",\n      ".join(text[end - width:end]) + "\n    ]" if width else "    []"
+        for width, end in zip(widths, accumulate(widths))
+    )
 
 
 @dataclass(frozen=True)
@@ -258,7 +277,8 @@ class Table:
     once per distinct float64 bit pattern of a block: the texts of the
     patterns that repeated within a block are carried into the next.  A
     writer that takes each chunk as it comes holds one block's strings at
-    a time; ``to_csv`` joins the chunks.
+    a time; ``to_csv`` joins the chunks.  ``structured_chunks`` renders
+    the same blocks as the text of ``json.dumps(to_structured(), indent=2)``.
     """
 
     kind: str
@@ -273,8 +293,8 @@ class Table:
                 raise ValueError(f"array rows must be 2-D, got shape {self.rows.shape}")
             object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
 
-    def _csv_blocks(self):
-        """Flat float64 values, row widths and int cell texts of each block."""
+    def _blocks(self):
+        """Flat float64 values, row widths and int cells (by position) of each block."""
         rows = self.rows
         if isinstance(rows, np.ndarray):
             step = max(1, _CSV_BLOCK_CELLS // max(rows.shape[1], 1))
@@ -289,7 +309,7 @@ class Table:
                 cells.extend(rows[start])
                 widths.append(len(rows[start]))
                 start += 1
-            ints = {i: str(v) for i, v in enumerate(cells) if isinstance(v, int)}
+            ints = {i: v for i, v in enumerate(cells) if isinstance(v, int)}
             for i in ints:
                 cells[i] = 0.0
             yield np.array(cells, dtype=float), widths, ints
@@ -299,14 +319,29 @@ class Table:
         header, then one piece per block of rows."""
         yield "".join(f"# {n}\n" for n in self.notes) + ",".join(self.columns) + "\n"
         carry = [_NO_CARRY]
-        for block in self._csv_blocks():
+        for block in self._blocks():
             yield _csv_text(*block, carry)
 
     def to_csv(self) -> str:
         return "".join(self.csv_chunks())
 
+    def structured_chunks(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_structured(), indent=2)`` in
+        pieces: the document up to its rows, one piece per block of rows,
+        and the rest."""
+        # a raw newline cannot occur inside a JSON string, and nested keys are indented further
+        head, tail = json.dumps(self._document([]), indent=2).split('\n  "rows": []')
+        yield head + '\n  "rows": ['
+        carry, separator = [_NO_CARRY], "\n"
+        for block in self._blocks():
+            yield separator + _json_rows_text(*block, carry)
+            separator = ",\n"
+        yield ("]" if separator == "\n" else "\n  ]") + tail
+
     def to_structured(self) -> dict:
-        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        return self._document(self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows)
+
+    def _document(self, rows: list) -> dict:
         doc = {"kind": self.kind, "config": self.config, "columns": self.columns, "rows": rows}
         if self.notes:
             doc["notes"] = list(self.notes)
@@ -345,17 +380,11 @@ class ErrorReport:
         return Table("error_report", self.config, ["t", "eps1", "eps2"], rows[start:], tuple(notes))
 
 
-def check_probe(probe_x: float) -> None:
-    """Raise ``ValueError`` naming ``probe_x`` unless it is a point of the rod [0, 1] (NaN is not)."""
-    if not 0.0 <= probe_x <= 1.0:
-        raise ValueError(f"probe point must be finite and in [0, 1], got probe_x={probe_x}")
-
-
 def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 0.5) -> ErrorReport:
     """Error report of a marched trace at all distinct node times.
 
     Raises ``ValueError`` without an exact solution or for a ``probe_x``
-    off the rod (see :func:`check_probe`).
+    off the rod (see :func:`~duhamelcheb.kernels.check_probe`).
     """
     if problem.exact is None:
         raise ValueError("error report needs a problem with an exact solution")

@@ -31,6 +31,7 @@ __all__ = [
     "exp_integral",
     "moment_integrals",
     "homogeneous_v",
+    "check_probe",
 ]
 
 SMALL_ARGUMENT = 1e-6
@@ -161,6 +162,14 @@ def moment_integrals(mu: float, lo: float, hi: float, s_max: int) -> MomentTable
     return MomentTable(mu=mu, lo=lo, hi=hi, values=vals)
 
 
+def check_probe(x, name: str = "probe_x") -> None:
+    """Raise ``ValueError`` naming ``name`` and the first point of ``x`` off the rod [0, 1] (NaN is off it)."""
+    x_arr = np.asarray(x, dtype=float)
+    bad = x_arr[~((x_arr >= 0.0) & (x_arr <= 1.0))]
+    if bad.size:
+        raise ValueError(f"probe point must be finite and in [0, 1], got {name}={float(bad[0])}")
+
+
 def _check_positive_times(kernel: str, t_arr: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first t that is not > 0 (NaN included)."""
     bad = t_arr[~(t_arr > 0)]
@@ -196,13 +205,15 @@ class KernelSeries:
         return float(out) if np.ndim(t) == 0 else out
 
     def K1(self, t, x) -> np.ndarray | float:
-        """Field kernel K1(t, x) = sum_n mu_n b_n exp(-mu_n t) phi_n(x); K1(t, 1) = K(t)."""
+        """Field kernel K1(t, x) = sum_n mu_n b_n exp(-mu_n t) phi_n(x); K1(t, 1) = K(t).
+
+        ``x`` must lie on the rod [0, 1] (see :func:`check_probe`).
+        """
         basis = self.basis
         t_arr = np.asarray(t, dtype=float)
         x_arr = np.asarray(x, dtype=float)
         _check_positive_times("K1", t_arr)
-        if not np.all(np.isfinite(x_arr)):
-            raise ValueError(f"kernel K1 needs a finite probe point, got x={x}")
+        check_probe(x_arr, "x")
         phis = basis.eigenfunctions(x_arr).reshape(basis.M, -1)
         decay = np.exp(-np.outer(basis.mu, np.atleast_1d(t_arr).ravel()))
         out = np.einsum("m,mt,mx->tx", basis.mu * basis.lift_coeffs, decay, phis)
@@ -247,7 +258,9 @@ def homogeneous_v(basis: EigenBasis, u0_modes: np.ndarray, x, t: float) -> np.nd
 
     v(x, t) = sum_n u0_n exp(-mu_n t) phi_n(x); spatially this is the
     eigenfunction reconstruction of the decayed initial coefficients.
+    ``x`` must lie on the rod [0, 1] (see :func:`check_probe`).
     """
+    check_probe(x, "x")
     decayed = np.asarray(u0_modes, dtype=float) * np.exp(-basis.mu * t)
     out = np.tensordot(decayed, basis.eigenfunctions(x), axes=(0, 0))
     return float(out) if np.ndim(x) == 0 else out

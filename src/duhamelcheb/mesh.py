@@ -180,12 +180,14 @@ class TimePartition:
 
         ``psi_l(s) = (tau / 2) (s + 2 l - 1)`` maps [-1, 1] onto
         ``[t_{l-1}, t_l]``.  Slab indices run from 1 to K; the identity
-        ``psi_l(1) == psi_{l+1}(-1)`` holds exactly in floating point.
+        ``psi_l(1) == psi_{l+1}(-1)`` holds exactly in floating point.  A
+        coordinate more than 1e-12 outside [-1, 1], or NaN, raises
+        ``ValueError``.
         """
         if not 1 <= l <= self.K:
             raise ValueError(f"slab index {l} outside 1..{self.K}")
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < -1.0 - 1e-12) or np.any(s_arr > 1.0 + 1e-12):
+        if not np.all(np.abs(s_arr) <= 1.0 + 1e-12):  # NaN fails the comparison
             raise ValueError("reference coordinate outside [-1, 1]")
         out = 0.5 * self.tau * (s_arr + (2 * l - 1))
         return float(out) if np.ndim(s) == 0 else out

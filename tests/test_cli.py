@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -198,6 +199,72 @@ def test_emit_writes_the_csv_a_block_at_a_time(per_cell_csv):
     assert max(stream.writes) <= block_rows * longest_line < len(text) / 10
 
 
+@pytest.mark.parametrize(
+    "argv, kinds",
+    [
+        (["tables", "--n", "4", "--M", "32"], ["error_report"]),
+        (["solve", "--N", "4", "--K", "2", "--M", "32"], ["solution_trace", "error_report"]),
+        (["solve", "--N", "16", "--K", "32", "--M", "128"], ["solution_trace", "error_report"]),
+        (["convergence", "--Ns", "2,4", "--Ks", "1,2", "--M", "32"], ["study"]),
+        (["baseline", "--steps", "8,16", "--M", "32"], ["baseline"]),
+        (["kernels", "--t", "0.1,0.5", "--M", "32"], ["kernels"]),
+    ],
+    ids=["tables", "solve", "solve-many-slabs", "convergence", "baseline", "kernels"],
+)
+def test_structured_output_is_the_json_text_of_every_table(monkeypatch, argv, kinds):
+    """Every table kind the CLI writes reaches stdout as the bytes of
+    ``json.dumps(table.to_structured(), indent=2)`` and a newline: trace,
+    errors (with notes from ``tables``), study and baseline (whose rows
+    hold int cells) and kernels; the many-slabs trace spans 17 row blocks."""
+    emitted = []
+    emit = cli._emit
+
+    def checked(table, fmt, out):
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            emit(table, fmt, None)
+        assert stream.getvalue() == json.dumps(table.to_structured(), indent=2) + "\n"
+        emitted.append(table)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+    assert main(argv + ["--format", "structured"]) == EXIT_OK
+    assert [table.kind for table in emitted] == kinds
+    if kinds in (["study"], ["baseline"]):
+        assert any(isinstance(cell, int) for row in emitted[0].rows for cell in row)
+
+
+def test_emit_writes_the_structured_document_a_block_at_a_time():
+    """The many-slabs trace as JSON (2.0 MB) reaches stdout in row blocks:
+    no write is longer than one block of its longest rendered rows."""
+    problem = build_reference_example(M=128, T=1.0)
+    table = cli._trace_table(march(problem, SolverConfig(N=16, K=32, M=128, T=1.0)), problem)
+    stream = RecordingStream()
+    with contextlib.redirect_stdout(stream):
+        cli._emit(table, "structured", None)
+    text = json.dumps(table.to_structured(), indent=2) + "\n"
+    assert stream.getvalue() == text
+    block_rows = heat._CSV_BLOCK_CELLS // len(table.columns)
+    longest_row = max(len(row) for row in text.split("\n    [")) + 6
+    assert len(stream.writes) > 1
+    assert max(stream.writes) <= block_rows * longest_row < len(text) / 10
+
+
+@pytest.mark.parametrize("problem, N, K", [("reference", 16, 32), ("neumann", 12, 1)])
+def test_structured_out_files_hold_the_stdout_bytes(capsys, tmp_path, problem, N, K):
+    """``--format structured --out`` writes the chunks that stdout gets: the
+    trace file followed by its ``_errors`` file is the stdout of the same
+    solve, byte for byte once the solve's own timing is masked."""
+    def masked(text):
+        return re.sub(r'"solve_seconds": [^,\n]*', '"solve_seconds": 0', text)
+
+    argv = ["solve", "--problem", problem, "--N", str(N), "--K", str(K), "--M", "128", "--format", "structured"]
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "t.json")]) == EXIT_OK
+    written = (tmp_path / "t.json").read_text() + (tmp_path / "t_errors.json").read_text()
+    assert masked(written) == masked(out)
+
+
 def test_many_slabs_trace_keeps_few_distinct_values():
     """The many-slabs trace is mostly quantised roundoff: 67,203 cells, at
     most 2,429 distinct float64 bit patterns (the count before the factored
@@ -314,6 +381,18 @@ def test_kernels_reject_nonpositive_times(capsys):
             warnings.simplefilter("error")
             code = main(["kernels"] + argv)
         assert code == EXIT_CONFIG, argv
+
+
+@pytest.mark.parametrize("x", ["2", "-5", "1.0000001"])
+def test_kernels_probe_off_the_rod_is_a_configuration_error(capsys, x):
+    """``--x`` off [0, 1] exits 2 with a configuration error naming x, as
+    ``compute_errors`` does for its probe; nothing is written to stdout."""
+    code = main(["kernels", "--x", x])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: probe point must be finite and in [0, 1]")
+    assert f"got x={float(x)}" in captured.err
 
 
 def test_kernels_structured_carries_truncation_bound(capsys):

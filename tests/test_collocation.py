@@ -58,6 +58,15 @@ def dense_alpha(coeffs):
     return np.zeros((coeffs.N, coeffs.N + 1, coeffs.M)) if alpha is None else alpha
 
 
+def data_term(coeffs) -> np.ndarray:
+    """f_x, the full data term of the stage rows: the forcing minus s R g,
+    with s R g formed through ``interior.modes`` from the slab's g samples."""
+    term = -coeffs.interior.modes(coeffs.g_loc)
+    if coeffs.forcing is not None:
+        term += coeffs.forcing
+    return term
+
+
 def count_coupling_calls(monkeypatch) -> list:
     """The slab of every ``BlockSystem.coupling()`` call from now on."""
     calls = []
@@ -198,7 +207,7 @@ def test_alpha_against_quadrature_varying_family():
 
 
 def test_phi_constant_boundary_data_closed_form(small_setup):
-    """g == 1, f == 0: mode n of phi_k is b_n (1 - e^{-mu_n (tau/2) theta_k})."""
+    """g == 1, f == 0: mode n of the data term f_x of row k is b_n (1 - e^{-mu_n (tau/2) theta_k})."""
     family, grid, partition = small_setup
     coeffs = assemble_coefficients(family, grid, partition, l=1, g=lambda t: 1.0)
     tau = partition.tau
@@ -207,7 +216,7 @@ def test_phi_constant_boundary_data_closed_form(small_setup):
     for k in range(1, grid.N + 1):
         theta = grid.spacings[k - 1]
         expect = b * (1.0 - np.exp(-mu * 0.5 * tau * theta))
-        assert np.abs(coeffs.phi[k - 1] - expect).max() <= 1e-13
+        assert np.abs(data_term(coeffs)[k - 1] - expect).max() <= 1e-13
 
 
 def test_phi_polynomial_forcing_exact(small_setup):
@@ -231,8 +240,9 @@ def test_phi_polynomial_forcing_exact(small_setup):
             epsabs=1e-14,
             epsrel=1e-13,
         )
-        assert coeffs.phi[k - 1, 2] == pytest.approx(0.5 * tau * oracle, abs=1e-13)
-        others = np.delete(coeffs.phi[k - 1], 2)
+        phi = data_term(coeffs)
+        assert phi[k - 1, 2] == pytest.approx(0.5 * tau * oracle, abs=1e-13)
+        others = np.delete(phi[k - 1], 2)
         assert np.abs(others).max() == 0.0
 
 
@@ -571,9 +581,9 @@ def dense_stage_solve(system, x0, w0):
     with I - A = C~ plus the subdiagonal blocks, all read straight from the
     slab's coefficients rather than through the solver's helpers: C~ and
     F_x from alpha's columns 1..N and 0 (F_x plus E[0] in row 1), the
-    subdiagonal from E, Lambda from the trace functional, f_x from phi,
-    and D and F_y from columns 1..N and 0 of the multiplied-out
-    ``coupling()``.
+    subdiagonal from E, Lambda from the trace functional, f_x from
+    ``data_term``, and D and F_y from columns 1..N and 0 of the
+    multiplied-out ``coupling()``.
     """
     N, M = system.N, system.M
     coeffs = system
@@ -593,7 +603,7 @@ def dense_stage_solve(system, x0, w0):
             if k > 0:
                 ImA[row, (k - 1) * M + m] += E[k, m]
             Lam[k, row] = trace[m]
-    Phi = alpha[:, 0] * x0[None, :] + F_y * w0 + coeffs.phi
+    Phi = alpha[:, 0] * x0[None, :] + F_y * w0 + data_term(coeffs)
     Phi[0] += E[0] * x0
     Phi = Phi.ravel()
     big = np.zeros((n + N, n + N))
@@ -852,11 +862,11 @@ def test_importing_the_package_builds_no_gauss_tables():
 
 
 def materialised(coeffs) -> dict:
-    """A slab's coefficients as arrays: alpha (zeros for a constant family)
-    and the boundary coupling multiplied out."""
+    """A slab's coefficients as arrays: alpha (zeros for a constant family),
+    the boundary coupling multiplied out and the data term f_x."""
     return {
         "t_star": coeffs.t_star, "E": coeffs.E, "alpha": dense_alpha(coeffs),
-        "beta": coeffs.coupling(), "phi": coeffs.phi,
+        "beta": coeffs.coupling(), "phi": data_term(coeffs),
     }
 
 
@@ -1399,13 +1409,13 @@ def test_kinked_forcing_falls_back_on_its_slab():
     local = N * (assembler.data_degree + 1)
     for l in range(1, K + 1):
         times = []
-        phi = assembler.slab(l, problem.g, counting(kink, times), problem.b).phi
+        phi = data_term(assembler.slab(l, problem.g, counting(kink, times), problem.b))
         if l != 2:
             assert len(times) <= 17, l
             continue
         assert len(times) == 17 + local
         assert times[:17] == assembler.partition.map_to_slab(2, build_grid(16).nodes).tolist()
-        assert phi.tobytes() == pointwise.slab(l, problem.g, kink, problem.b).phi.tobytes()
+        assert phi.tobytes() == data_term(pointwise.slab(l, problem.g, kink, problem.b)).tobytes()
 
 
 def test_one_subinterval_samples_the_forcing_pointwise():
@@ -1417,9 +1427,9 @@ def test_one_subinterval_samples_the_forcing_pointwise():
     pointwise = pointwise_assembler(problem, 1, 4)
     for l in range(1, 5):
         times = []
-        phi = assembler.slab(l, problem.g, counting(problem.forcing, times), problem.b).phi
+        phi = data_term(assembler.slab(l, problem.g, counting(problem.forcing, times), problem.b))
         assert times == assembler.partition.map_to_slab(l, assembler._s_loc).ravel().tolist()
-        assert phi.tobytes() == pointwise.slab(l, problem.g, problem.forcing, problem.b).phi.tobytes()
+        assert phi.tobytes() == data_term(pointwise.slab(l, problem.g, problem.forcing, problem.b)).tobytes()
 
 
 VARCOEF_SEEDS = [
@@ -1471,8 +1481,8 @@ def test_interpolated_forcing_matches_the_pointwise_phi(params):
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 8))
     pointwise = pointwise_assembler(problem, 12, 8)
     for l in range(1, 9):
-        got = assembler.slab(l, problem.g, forcing, problem.b).phi
-        want = pointwise.slab(l, problem.g, forcing, problem.b).phi
+        got = data_term(assembler.slab(l, problem.g, forcing, problem.b))
+        want = data_term(pointwise.slab(l, problem.g, forcing, problem.b))
         bound = 1e-15 * np.abs(want).max(axis=1, keepdims=True)
         assert (np.abs(got - want) <= bound).all(), l
 
@@ -1569,20 +1579,37 @@ def test_map_passes_agree_with_a_plain_einsum_over_the_maps(build, M):
 )
 def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     """Phi and the stage residual, summed in place, equal their out-of-place
-    left-to-right formulas bit for bit, with a -0.0 in x0 (and w0 = -0.0
-    without data, where only signed zeros and F_x x0 meet), and the solver
-    leaves its inputs unchanged."""
+    formulas bit for bit, with a -0.0 in x0 (and w0 = -0.0 without data,
+    where only signed zeros and F_x x0 meet), and the solver leaves its
+    inputs unchanged.  Phi is the one boundary pass modes(V[0] w0 - g),
+    then E[0] x0 added to row 1 (a constant family) or F_x x0 added to
+    every row (a varying one), then the forcing.  With data, a forcing in
+    every mode is added to the problem's, so that the order of the three
+    terms shows in every mode."""
     problem = build(M=128)
+    dense = np.random.default_rng(6).standard_normal(128)
+
+    def forcing(t):
+        own = 0.0 if problem.forcing is None else problem.forcing(t)
+        return own + math.exp(-t) * dense
+
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
-    system = assembler.slab(2, *((problem.g, problem.forcing, problem.b) if data else ()))
+    system = assembler.slab(2, *((problem.g, forcing, problem.b) if data else ()))
     x0 = np.random.default_rng(5).standard_normal(128)
     x0[[0, 3]] = -0.0
     w0 = float(x0 @ problem.basis.boundary_trace) if data else -0.0
     alpha = system.interior.alpha
-    F_x = np.zeros(system.E.shape) if alpha is None else alpha[:, 0].copy()
-    F_x[0] += system.E[0]
     Phi = collocation._phi_blocks(system, x0, w0)
-    want = F_x * x0[None, :] + system.interior.modes(w0 * system.lag_b[:, 0]) + system.phi
+    want = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
+    if alpha is None:
+        want[0] = want[0] + system.E[0] * x0
+    else:
+        F_x = alpha[:, 0].copy()
+        F_x[0] += system.E[0]
+        want = want + F_x * x0[None, :]
+    if system.forcing is not None:
+        want = want + system.forcing
+    assert (system.forcing is not None) == data
     assert Phi.tobytes() == want.tobytes()
 
     eliminate = collocation._eliminate_lu if system.has_interior_coupling else collocation._eliminate_factored
@@ -1593,6 +1620,29 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     rhs = collocation._imsc(system, xt) + Dw + Phi
     want = float(max(np.abs(xt - rhs).max(), np.abs(w_int - collocation._lam_apply(system, rhs)).max()))
     assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, K",
+    [(build_reference_example, 1), (build_reference_example, 4), (constant_forced_problem, 3)],
+    ids=["reference-1", "reference-4", "forced-3"],
+)
+def test_constant_family_direct_march_makes_two_map_passes_per_slab(build, K, monkeypatch):
+    """Each slab of a constant-family direct march takes the maps to modes
+    twice: once for the boundary part of Phi, F_y w0 with the g term, and
+    once for D w.  K slabs, no refinement: exactly 2 K calls of ``modes``."""
+    problem = build(M=128)
+    calls = []
+    modes = collocation.SlabInterior.modes
+
+    def counting(self, c):
+        calls.append(c.shape)
+        return modes(self, c)
+
+    monkeypatch.setattr(collocation.SlabInterior, "modes", counting)
+    trace = march(problem, SolverConfig(N=12, K=K, M=128, T=problem.T))
+    assert (trace.refinements, len(trace.stages)) == (0, K)
+    assert len(calls) == 2 * K
 
 
 def test_only_the_trace_row_and_the_interior_tables_read_the_trace():

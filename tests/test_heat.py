@@ -265,6 +265,43 @@ def test_small_blocks_carrying_repeated_texts_match_per_cell_rendering(per_cell_
         assert Table("t", {}, columns, rows).to_csv() == per_cell_csv(oracle)
 
 
+JSON_AWKWARD = [v for v in AWKWARD if isinstance(v, (int, float))]
+"""The awkward cells that ``json.dumps`` takes: Python ints, bools and floats, np.float64 included."""
+JSON_CELLS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.builds(nan_with_payload, st.booleans(), st.integers(1, 2**52 - 1)),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.builds(np.float64, st.floats()),
+)
+
+
+@st.composite
+def json_tables(draw):
+    """Ragged list tables as :func:`tables` draws them, from cells that JSON can hold."""
+    pool = draw(st.lists(st.sampled_from(JSON_AWKWARD), min_size=1, max_size=8))
+    pool += draw(st.lists(JSON_CELLS, max_size=4))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), max_size=9), max_size=7))
+    notes = draw(st.lists(st.sampled_from(["a note", "x, y"]), max_size=2))
+    return Table("t", {"n": 3, "rows": [1.5]}, ["c0", "c1"], rows, tuple(notes))
+
+
+@given(table=json_tables(), rows=array_rows(), block_cells=st.integers(1, 12))
+@example(table=Table("t", {}, ["c"], [JSON_AWKWARD, [], JSON_AWKWARD[::-1], [0.0, -0.0] * 40]),
+         rows=np.zeros((3, 0)), block_cells=4096)
+@example(table=Table("t", {}, [], []), rows=np.zeros((0, 2)), block_cells=4096)
+def test_structured_chunks_are_the_json_text_of_the_document(table, rows, block_cells):
+    """The chunks join to ``json.dumps(to_structured(), indent=2)`` byte for
+    byte: ints and bools as JSON prints them, NaN and ±inf as NaN and
+    ±Infinity, empty rows and tables, notes, and blocks of a few cells,
+    so that repeated texts are carried from block to block."""
+    array_table = Table("t", {}, [f"c{i}" for i in range(rows.shape[1])], rows, ("a note",))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heat, "_CSV_BLOCK_CELLS", block_cells)
+        for t in (table, array_table):
+            assert "".join(t.structured_chunks()) == json.dumps(t.to_structured(), indent=2)
+
+
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
 def test_array_rows_must_be_two_dimensional(shape):
     with pytest.raises(ValueError, match="2-D"):

@@ -6,6 +6,7 @@ of the series at a different truncation.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -201,6 +202,28 @@ def test_kernel_K_rejects_nonpositive_time(series):
         series.K1(np.nan, 0.5)
     with pytest.raises(ValueError):
         series.K1(0.5, np.nan)
+
+
+@pytest.mark.parametrize("x", [2.0, -5.0, -1e-12, np.inf, np.nan, [0.5, 1.5]], ids=["2", "-5", "below", "inf", "nan", "array"])
+def test_probe_points_off_the_rod_raise_naming_x(series, x):
+    """K1 and homogeneous_v are sine series: off [0, 1] they would return
+    the odd periodic extension (K1(t, 2) = 0, K1(t, -5) = -K(t)), so a
+    point off the rod raises instead, naming it."""
+    bad = np.ravel(x)[-1]
+    with pytest.raises(ValueError, match=re.escape(f"in [0, 1], got x={float(bad)}")):
+        series.K1(0.5, x)
+    u0 = np.zeros(series.M)
+    u0[0] = 1.0
+    with pytest.raises(ValueError, match=re.escape(f"in [0, 1], got x={float(bad)}")):
+        homogeneous_v(series.basis, u0, x, 0.5)
+
+
+def test_homogeneous_v_accepts_the_rod_ends(series):
+    u0 = np.zeros(series.M)
+    u0[0] = 1.0
+    v = homogeneous_v(series.basis, u0, np.array([0.0, 1.0]), 0.5)
+    assert v[0] == 0.0
+    assert v[1] == pytest.approx(np.exp(-series.basis.mu[0] * 0.5) * series.basis.boundary_trace[0])
 
 
 def test_K1_boundary_trace_equals_K(series):

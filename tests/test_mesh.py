@@ -220,6 +220,24 @@ def test_slab_index_validated():
         part.map_to_slab(3, 0.0)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [np.nan, -1.0 - 1e-9, 1.0 + 1e-9, np.inf, np.array([0.0, np.nan]), np.array([[0.5], [-2.0]])],
+    ids=["nan", "below", "above", "inf", "array-nan", "array-below"],
+)
+def test_reference_coordinate_off_the_slab_raises(s):
+    """A NaN coordinate fails the range check like any point off [-1, 1]
+    (beyond the 1e-12 slack), as a scalar and inside an array."""
+    with pytest.raises(ValueError, match=r"reference coordinate outside \[-1, 1\]"):
+        TimePartition(1.0, 2).map_to_slab(1, s)
+
+
+def test_reference_coordinate_slack_admits_the_ends():
+    part = TimePartition(1.0, 2)
+    assert part.map_to_slab(1, -1.0 - 1e-13) == pytest.approx(0.0, abs=1e-13)
+    assert part.map_to_slab(2, np.array([1.0 + 1e-13]))[0] == pytest.approx(1.0, abs=1e-13)
+
+
 def test_slab_times_shares_junction_bits():
     part = TimePartition(1.0, 5)
     g = build_grid(6)
