@@ -145,6 +145,14 @@ class SlabInterior:
                         ``CoefficientAssembler._interior``)
     kernel_scale[k-1]   a(t*_k) mu0 lift, which scales beta and the g term
     trace               boundary trace functional of the modes
+    moving              the modes [:moving] hold every nonzero E
+
+    Past ``moving``, E underflowed to 0.0 on every subinterval, as for all
+    but the slowest modes at large M (133 of 4096 in the reference problem
+    at N = 12, K = 4), so S~ = I there.  ``_forward_sub``, the E-part of
+    ``_imsc`` and the propagated rows of :attr:`trace_images` skip those
+    modes: each skipped term is a product with 0.0.  No tolerance, and no
+    order of E in the mode, is assumed.
     """
 
     tau: float
@@ -153,6 +161,12 @@ class SlabInterior:
     maps: np.ndarray
     kernel_scale: np.ndarray
     trace: np.ndarray
+
+    @functools.cached_property
+    def moving(self) -> int:
+        """1 + the last mode whose E is nonzero on some subinterval; 0 when none is."""
+        nonzero = np.flatnonzero(self.E.any(axis=0))
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
 
     @functools.cached_property
     def coupling_scale(self) -> np.ndarray:
@@ -171,17 +185,20 @@ class SlabInterior:
 
         (S~^{-1})_{k,i} is the product of the propagators E_{i+1} .. E_k for
         k >= i and zero above the diagonal, so column i is built by one
-        running product from the trace functional.
+        running product from the trace functional.  Row k = i has no
+        propagator: it is the trace weights.  The rows k > i sum the modes
+        ``[:moving]``, the only ones whose product is not exactly zero.
         """
-        N, Q1, M = self.maps.shape
-        s = self.coupling_scale
+        N, Q1, _ = self.maps.shape
+        moving, s = self.moving, self.coupling_scale
         G = np.zeros((N, N, Q1))
-        weights = np.empty((N, M))
-        for i in range(N):
-            weights[i] = self.trace
+        G[range(N), range(N)] = self.trace_weights
+        weights = np.empty((N, moving))
+        for i in range(N - 1):
+            weights[i] = self.trace[:moving]
             for k in range(i + 1, N):
-                np.multiply(weights[k - 1], self.E[k], out=weights[k])
-            G[i:, i] = (weights[i:] * s[i]) @ self.maps[i].T
+                np.multiply(weights[k - 1], self.E[k, :moving], out=weights[k])
+            G[i + 1:, i] = (weights[i + 1:] * s[i, :moving]) @ self.maps[i, :, :moving].T
         return G
 
     def modes(self, c: np.ndarray) -> np.ndarray:
@@ -323,7 +340,8 @@ class BlockSystem:
 _MAP_BLOCK_MODES = 512
 """``_interior`` evaluates the maps in blocks of whole subintervals of about
 this many modes, one subinterval per block from M = 512 up: larger blocks
-raise a march's peak memory, smaller ones slow it."""
+raise a march's peak memory, smaller ones slow it.  The block's Chebyshev
+basis, (Q+1) by its modes, is the one temporary; it carries the maps' scale."""
 
 
 _TABLE_MEMO_SIZE = 8
@@ -430,10 +448,12 @@ def _resolved(samples: np.ndarray) -> bool:
     return coefficients[P - P // 4:].max() <= FORCING_TAIL * np.finfo(float).eps * coefficients.max()
 
 
-def _chebyshev_basis(x: np.ndarray, Q: int) -> np.ndarray:
-    """T_0(x) .. T_Q(x) for Q >= 1, shape (Q+1, x.size), by the three-term recurrence."""
+def _chebyshev_basis(x: np.ndarray, Q: int, scale: np.ndarray) -> np.ndarray:
+    """scale T_0(x) .. scale T_Q(x) for Q >= 1, shape (Q+1, x.size), by the
+    three-term recurrence, which is linear: seeded with the scale, it scales every row."""
     T = np.empty((Q + 1, x.size))
-    T[0], T[1] = 1.0, x
+    T[0] = scale
+    np.multiply(scale, x, out=T[1])
     twice = 2.0 * x
     for n in range(2, Q + 1):
         np.multiply(twice, T[n - 1], out=T[n])
@@ -501,10 +521,12 @@ class CoefficientAssembler:
         lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
         z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
         is below e^{-2 lam} e^{data_degree / 2}.  The Gauss-Laguerre rows
-        are a degree-Q polynomial in h = 1 / lam, evaluated from its stored
-        Chebyshev coefficients for every mode of a block of whole
-        subintervals (about ``_MAP_BLOCK_MODES`` modes) at once, one matrix
-        product written straight into each subinterval's map: with
+        are (theta_k / 2) h times a degree-Q polynomial in h = 1 / lam,
+        evaluated from its stored Chebyshev coefficients for every mode of
+        a block of whole subintervals (about ``_MAP_BLOCK_MODES`` modes) at
+        once, one matrix product written straight into each subinterval's
+        map; the factor seeds the basis (``_chebyshev_basis``), so no pass
+        rescales the map.  With
         h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
         where the basis is finite, and their columns are then overwritten by
         the Gauss-Legendre rule one subinterval at a time.  Each map is
@@ -535,11 +557,10 @@ class CoefficientAssembler:
             half = 0.5 * grid.spacings[block, None]
             lam = half * nu[block]
             h = 1.0 / np.maximum(lam, split)
-            chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q)
+            chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q, (half * h).ravel())
             for j, R in enumerate(maps[block]):
                 np.matmul(self._laguerre.T, chebyshev[:, j * M:(j + 1) * M], out=R)
             del chebyshev  # freed before alpha's products
-            maps[block] *= (half * h)[:, None, :]
             for k, lam_k in enumerate(lam, start=first):
                 slow = lam_k <= split
                 R = maps[k]
@@ -700,10 +721,11 @@ def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
 
 
 def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    """(I - S~ + C~) w for a block vector w of shape (N, M)."""
+    """(I - S~ + C~) w for a block vector w of shape (N, M); the E-part on the moving modes only."""
     out = _c_apply(system, w)
     if system.N > 1:
-        out[1:] += system.E[1:] * w[:-1]
+        moving = system.interior.moving
+        out[1:, :moving] += system.E[1:, :moving] * w[:-1, :moving]
     return out
 
 
@@ -718,10 +740,18 @@ def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
-    """Apply the inverse of S~ to r of shape (N, ..., M) in place, by forward substitution."""
-    E = system.E
+    """Apply the inverse of S~ to r of shape (N, ..., M) in place, by forward substitution.
+
+    It sweeps the moving modes (see :class:`SlabInterior`); past them r is
+    the result but for the sign of a zero: the skipped products, 0.0 where
+    the entry above is positive or 0.0, turned a -0.0 of rows 2..N into
+    0.0, and one ``+= 0.0`` does so.
+    """
+    moving = system.interior.moving
+    E, head = system.E[:, :moving], r[..., :moving]
     for k in range(1, system.N):
-        r[k] += E[k] * r[k - 1]
+        head[k] += E[k] * head[k - 1]
+    r[1:, ..., moving:] += 0.0
     return r
 
 

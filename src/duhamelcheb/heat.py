@@ -339,7 +339,11 @@ class Table:
         yield ("]" if separator == "\n" else "\n  ]") + tail
 
     def to_structured(self) -> dict:
-        return self._document(self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows)
+        """The document with the cells that the renderers write: a Python int
+        (bool included) as it is, any other cell, a numpy scalar too, as a float."""
+        if isinstance(self.rows, np.ndarray):
+            return self._document(self.rows.tolist())
+        return self._document([[v if isinstance(v, int) else float(v) for v in row] for row in self.rows])
 
     def _document(self, rows: list) -> dict:
         doc = {"kind": self.kind, "config": self.config, "columns": self.columns, "rows": rows}

@@ -1657,3 +1657,118 @@ def test_only_the_trace_row_and_the_interior_tables_read_the_trace():
         and any(isinstance(node, ast.Attribute) and node.attr == "trace" for node in ast.walk(function))
     }
     assert readers == {"_lam_apply", "trace_weights", "trace_images"}
+
+
+def all_modes_move(monkeypatch):
+    """Patch ``SlabInterior.moving`` to M, so that every sweep runs over all
+    the modes, exact-zero products included."""
+    monkeypatch.setattr(collocation.SlabInterior, "moving", property(lambda self: self.E.shape[1]))
+
+
+@pytest.mark.parametrize(
+    "build, N, K, M, moving",
+    [
+        (build_reference_example, 12, 4, 4096, 133),
+        (varying_manufactured_problem, 12, 4, 4096, 133),
+        (build_reference_example, 16, 32, 128, 128),
+        (varying_manufactured_problem, 16, 32, 128, 128),
+    ],
+    ids=["constant-4096", "varying-4096", "constant-128", "varying-128"],
+)
+def test_moving_counts_the_modes_with_a_nonzero_propagator(build, N, K, M, moving):
+    """At (12, 4, 4096) E underflows to 0.0 on every subinterval past mode
+    133; at (16, 32, 128) every mode moves."""
+    problem = build(M=M)
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    interior = assembler.slab(1, problem.g, problem.forcing, problem.b).interior
+    assert interior.moving == moving
+    assert interior.E[:, moving - 1].any() and not interior.E[:, moving:].any()
+
+
+def test_moving_does_not_assume_a_monotone_propagator():
+    """A nonzero E past a run of zeros, on one subinterval only, still counts."""
+    E = np.zeros((3, 6))
+    E[2, 4] = 5e-324
+    interior = collocation.SlabInterior(1.0, E, None, np.zeros((3, 2, 6)), np.ones((3, 6)), np.ones(6))
+    assert interior.moving == 5
+    assert dataclasses.replace(interior, E=np.zeros((3, 6))).moving == 0
+
+
+@LAYOUT_CASES
+def test_sweeps_over_the_moving_modes_equal_the_sweeps_over_all(build, M):
+    """``_forward_sub`` and ``_imsc`` against their formulas over all modes,
+    bit for bit.  The block vectors are random with every other row zero,
+    so that each product E[k] r[k-1] lands on a zero, where even a
+    subnormal shows."""
+    _, _, system = second_slab(build, M)
+    E = system.E
+    for parity in (0, 1):
+        r = np.random.default_rng(8).standard_normal((system.N, M))
+        r[parity::2] = 0.0
+        want = r.copy()
+        for k in range(1, system.N):
+            want[k] = want[k] + E[k] * want[k - 1]
+        assert collocation._forward_sub(system, r.copy()).tobytes() == want.tobytes()
+        want = collocation._c_apply(system, r)
+        want[1:] = want[1:] + E[1:] * r[:-1]
+        assert collocation._imsc(system, r).tobytes() == want.tobytes()
+
+
+def nodal_values(trace) -> np.ndarray:
+    """w, y and the mode vectors at every node, one row per node."""
+    return np.column_stack([trace.node_boundary_traces(), trace.node_boundary_values(), trace.node_modes()])
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+@pytest.mark.parametrize("N, K, M", [(12, 1, 512), (12, 4, 4096)])
+@pytest.mark.parametrize(
+    "build",
+    [build_reference_example, build_neumann_example, varying_manufactured_problem],
+    ids=["reference", "neumann", "varying"],
+)
+def test_sweeping_the_moving_modes_only_keeps_the_march(build, N, K, M, mode, monkeypatch):
+    """The march with the sweeps cut at ``moving`` against the march over
+    all modes: the node values agree within 1e-15 of each node's largest,
+    and max_eps1 is the same float.  Only the trace images, whose sums
+    drop the exact zeros, may round otherwise."""
+    problem = build(M=M)
+    config = SolverConfig(N=N, K=K, M=M, T=problem.T, mode=mode)
+    split = march(problem, config)
+    all_modes_move(monkeypatch)
+    full = march(problem, config)
+    assert split.refinements == full.refinements
+    assert (split.node_times() == full.node_times()).all()
+    want = nodal_values(full)
+    assert_rows_agree(nodal_values(split), want, want)
+    assert compute_errors(split, problem).max_eps1 == compute_errors(full, problem).max_eps1
+
+
+@pytest.mark.parametrize("mode", ["direct", "picard"])
+@pytest.mark.parametrize("N, K, M", [(12, 1, 512), (12, 4, 4096)])
+@pytest.mark.parametrize("problem", ["zero", "decay"])
+def test_zero_and_decay_solves_print_the_same_bytes_when_only_moving_modes_sweep(problem, N, K, M, mode, monkeypatch):
+    """Zero data: every stage value is a signed zero or exact, so the CSV
+    shows each sign.  The skipped products turned the -0.0 of rows 2..N
+    into 0.0; the sweep's one ``+= 0.0`` over the other modes must too."""
+    argv = ["solve", "--problem", problem, "--N", str(N), "--K", str(K), "--M", str(M), "--mode", mode]
+
+    def printed() -> str:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
+    split = printed()
+    all_modes_move(monkeypatch)
+    full = printed()
+    identical = split == full  # a plain assert would render a diff of megabytes
+    assert identical, f"{split.count('-0.0')} -0.0 cells printed, {full.count('-0.0')} over all modes"
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_nan_boundary_data_stops_the_march_when_most_modes_do_not_move(mode):
+    """At (12, 1, 1024) only 67 modes move; a NaN g still reaches the
+    stage values and raises on slab 1."""
+    problem = dataclasses.replace(build_reference_example(M=1024), g=lambda t: np.nan)
+    with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
+        march(problem, SolverConfig(N=12, K=1, M=1024, T=problem.T, mode=mode))
+    assert exc.value.slab == 1

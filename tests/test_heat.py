@@ -302,6 +302,21 @@ def test_structured_chunks_are_the_json_text_of_the_document(table, rows, block_
             assert "".join(t.structured_chunks()) == json.dumps(t.to_structured(), indent=2)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[np.int64(3), np.float32(0.1), 2], [np.bool_(True), True, np.uint8(7)]],
+    ids=["int64-float32", "bools"],
+)
+def test_numpy_scalar_cells_are_structured_as_the_stream_renders_them(per_cell_csv, row):
+    """A numpy scalar cell is a float in the document, as the stream and
+    the CSV write it, and a Python int or bool stays as it is: the two
+    structured texts are the same bytes, and the CSV holds the same values."""
+    table = Table("t", {}, ["a", "b", "c"], [row])
+    doc = table.to_structured()
+    assert "".join(table.structured_chunks()) == json.dumps(doc, indent=2)
+    assert [type(v) for v in doc["rows"][0]] == [type(v) if isinstance(v, int) else float for v in row]
+    assert table.to_csv() == per_cell_csv(SimpleNamespace(notes=(), columns=table.columns, rows=doc["rows"]))
+
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
 def test_array_rows_must_be_two_dimensional(shape):
     with pytest.raises(ValueError, match="2-D"):
