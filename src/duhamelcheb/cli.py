@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -38,7 +37,7 @@ from .heat import (
 from .kernels import KernelSeries
 from .operators import heat_basis
 
-__all__ = ["main", "load_structured"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,22 +129,6 @@ def _emit(table: Table, fmt: str, out: str | None) -> None:
             fh.writelines(chunks)
 
 
-def load_structured(text_or_path: str) -> dict:
-    """Parse a structured document emitted with --format structured.
-
-    Accepts either the JSON text itself or a path to a file holding it.
-    """
-    text = text_or_path
-    if not text_or_path.lstrip().startswith("{"):
-        with open(text_or_path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    for key in ("kind", "config", "columns", "rows"):
-        if key not in doc:
-            raise ValueError(f"structured document missing field {key!r}")
-    return doc
-
-
 def _cmd_tables(args) -> int:
     config = SolverConfig(N=args.n, K=1, M=args.M, T=args.T)
     problem = build_reference_example(M=args.M, T=args.T)
@@ -179,30 +162,28 @@ def _trace_table(trace, problem: HeatProblem) -> Table:
     return Table("solution_trace", config, columns, rows)
 
 
-def _cmd_solve(args) -> int:
+def _solver_options(args) -> dict:
+    """The stage-solver arguments of ``--mode`` (picard is "fixed_point") and the ``--fp-*`` flags."""
     mode = "fixed_point" if args.mode == "picard" else args.mode
-    config = SolverConfig(
-        N=args.N, K=args.K, M=args.M, T=args.T,
-        mode=mode, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter,
-    )
+    return {"mode": mode, "fp_tol": args.fp_tol, "fp_max_iter": args.fp_max_iter}
+
+
+def _cmd_solve(args) -> int:
+    config = SolverConfig(N=args.N, K=args.K, M=args.M, T=args.T, **_solver_options(args))
     problem = _BUILDERS[args.problem](M=args.M, T=args.T)
     trace = march(problem, config)
     _emit(_trace_table(trace, problem), args.format, args.out)
     errors_out = args.errors_out
     if errors_out is None and args.out is not None:
-        head, name = os.path.split(args.out)
-        stem, dot, suffix = name.rpartition(".")
-        errors_out = os.path.join(head, f"{stem}_errors.{suffix}" if dot else f"{name}_errors")
+        stem, suffix = os.path.splitext(args.out)
+        errors_out = f"{stem}_errors{suffix}"
     _emit(compute_errors(trace, problem).table(), args.format, errors_out)
     return EXIT_OK
 
 
 def _cmd_convergence(args) -> int:
-    mode = "fixed_point" if args.mode == "picard" else args.mode
     problem = build_reference_example(M=args.M, T=args.T)
-    result = run_convergence_study(
-        problem, args.Ns, args.Ks, mode=mode, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter
-    )
+    result = run_convergence_study(problem, args.Ns, args.Ks, **_solver_options(args))
     _emit(result.table(), args.format, args.out)
     return EXIT_OK
 

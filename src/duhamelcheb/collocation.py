@@ -284,11 +284,9 @@ class BlockSystem:
         return self.interior.alpha is not None
 
     def coupling(self) -> np.ndarray:
-        """The (N, N+1, M) coupling multiplied out from its factors, as a new, writable array."""
-        interior = self.interior
-        beta = np.matmul(self.lag_b, interior.maps)
-        beta *= -0.5 * interior.tau
-        beta *= interior.kernel_scale[:, None, :]
+        """beta = s_k (R_k V_k), s the interior's ``coupling_scale``, as a new (N, N+1, M) array."""
+        beta = np.matmul(self.lag_b, self.interior.maps)
+        beta *= self.interior.coupling_scale[:, None, :]
         return beta
 
     @functools.cached_property
@@ -308,9 +306,10 @@ class BlockSystem:
         return float(np.abs(self.lambda_d).sum(axis=1).max())
 
     def s_tilde_blocks(self) -> np.ndarray:
-        """S~ as dense (N, N, M) blocks, which no solver reads.
+        """S~ as dense (N, N, M) blocks, a new, writable array.
 
-        Acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
+        The LU solve of a varying family factorises it minus C~, and
+        acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
         """
         N, M = self.N, self.M
         S = np.zeros((N, N, M))
@@ -402,26 +401,21 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coefficients
 
 
-def _local_points(grid: CGLGrid, qgrid: CGLGrid) -> np.ndarray:
-    """s_q of subinterval k, shape (N, Q+1): the points of ``qgrid`` mapped onto
-    each node subinterval of ``grid``."""
-    return grid.nodes[1:, None] - 0.5 * grid.spacings[:, None] * (1.0 + qgrid.nodes)
-
-
 @functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _sample_tables(N: int, Q: int):
     """The local sample points of the degree-``N`` grid at data degree ``Q``, and their tables.
 
-    Returns s_loc, shape (N, Q+1), the points s_q of each node subinterval
-    k; lag_loc[k-1, j, q] = L_j(s_q), the Lagrange basis of the grid there;
-    and the forcing's slab-wide grid, the degree-``FORCING_DEGREE`` CGL
-    points with their interpolation table to s_loc, shape (N, Q+1, P+1),
-    or None when P + 1 is not below the N (Q + 1) local sample points.
+    Returns s_loc, shape (N, Q+1), the degree-``Q`` CGL points s_q mapped
+    onto each node subinterval k; lag_loc[k-1, j, q] = L_j(s_q), the
+    Lagrange basis of the grid there; and the forcing's slab-wide grid,
+    the degree-``FORCING_DEGREE`` CGL points with their interpolation
+    table to s_loc, shape (N, Q+1, P+1), or None when P + 1 is not below
+    the N (Q + 1) local sample points.
     Memoised per (N, Q) and shared by every assembler, so every array is
     read-only.
     """
     grid = build_grid(N)
-    s_loc = _local_points(grid, _gauss_tables(Q)[1])
+    s_loc = grid.nodes[1:, None] - 0.5 * grid.spacings[:, None] * (1.0 + _gauss_tables(Q)[1].nodes)
     lag_loc = np.ascontiguousarray(interpolate(grid, np.eye(N + 1), s_loc).transpose(0, 2, 1))
     P = FORCING_DEGREE
     forcing_grid = None
@@ -700,11 +694,10 @@ def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
     alpha-based F_x x0.  The forcing, if any, is added last.
     """
     Phi = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
-    alpha = system.interior.alpha
-    if alpha is None:
+    if not system.has_interior_coupling:
         Phi[0] += system.E[0] * x0
     else:
-        F_x = alpha[:, 0].copy()
+        F_x = system.interior.alpha[:, 0].copy()
         F_x[0] += system.E[0]
         F_x *= x0
         Phi += F_x
@@ -756,7 +749,7 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
 
 
 def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
-    """w, x~ and D w of one slab by M batched LU solves of A = S~ - C~.
+    """w, x~ and D w of one slab by M batched LU solves of A = S~ - C~, S~ from ``s_tilde_blocks``.
 
     Column 0 of the coupling is F_y, which only enters Phi, so Phi takes its
     place and [Phi | D] is solved at once; each LU factorisation is shared
@@ -765,9 +758,8 @@ def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
     N = system.N
     rhs = system.coupling()
     rhs[:, 0] = Phi
-    A = -system.interior.alpha[:, 1:]  # S~ - C~, without a temporary S~
-    A[np.arange(N), np.arange(N)] += 1.0
-    A[np.arange(1, N), np.arange(N - 1)] -= system.E[1:]
+    A = system.s_tilde_blocks()
+    A -= system.interior.alpha[:, 1:]
     Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
     LZ = _lam_apply(system, Z)
     w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])

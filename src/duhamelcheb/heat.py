@@ -354,13 +354,15 @@ class Table:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Nodewise errors of a marched solution against the exact solution.
+    """Nodewise errors of an approximate solution against the exact solution.
 
     eps1 is the boundary-value error |u(1, t) - u_N(1, t)|, eps2 the error
     at the probe point (x = 1/2 by default).  The first row is the initial
-    time.  boundary_values and probe_values, when given, are the approximate
+    time, which ``max_eps1`` and ``max_eps2`` skip unless it is the only
+    row.  boundary_values and probe_values, when given, are the approximate
     values u_N(1, t) and u_N(probe_x, t) the errors were taken from; the
-    table does not render them.
+    table does not render them.  :meth:`measured` builds a report from them,
+    for :func:`compute_errors` and the backward Euler baseline alike.
     """
 
     times: np.ndarray
@@ -370,18 +372,38 @@ class ErrorReport:
     boundary_values: np.ndarray | None = None
     probe_values: np.ndarray | None = None
 
+    @classmethod
+    def measured(
+        cls, problem: HeatProblem, times: np.ndarray, boundary_values: np.ndarray,
+        probe_values: np.ndarray, probe_x: float, config: dict,
+    ) -> ErrorReport:
+        """The report of the approximate values at ``times``, against ``problem.exact``.
+
+        Raises ``ValueError`` when the problem has no exact solution.
+        """
+        exact = problem.exact
+        if exact is None:
+            raise ValueError("error report needs a problem with an exact solution")
+        eps1 = np.abs(np.asarray(exact.boundary_value(times), dtype=float) - boundary_values)
+        eps2 = np.abs(np.asarray(exact(probe_x, times), dtype=float) - probe_values)
+        return cls(times, eps1, eps2, config, boundary_values, probe_values)
+
     @property
     def max_eps1(self) -> float:
-        return float(self.eps1[1:].max()) if self.eps1.shape[0] > 1 else float(self.eps1.max())
+        return _max_past_initial(self.eps1)
 
     @property
     def max_eps2(self) -> float:
-        return float(self.eps2[1:].max()) if self.eps2.shape[0] > 1 else float(self.eps2.max())
+        return _max_past_initial(self.eps2)
 
     def table(self, include_initial: bool = True, notes: tuple[str, ...] = ()) -> Table:
         rows = np.column_stack([self.times, self.eps1, self.eps2])
         start = 0 if include_initial else 1
         return Table("error_report", self.config, ["t", "eps1", "eps2"], rows[start:], tuple(notes))
+
+
+def _max_past_initial(eps: np.ndarray) -> float:
+    return float(eps[min(1, eps.shape[0] - 1):].max())
 
 
 def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 0.5) -> ErrorReport:
@@ -390,18 +412,9 @@ def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 
     Raises ``ValueError`` without an exact solution or for a ``probe_x``
     off the rod (see :func:`~duhamelcheb.kernels.check_probe`).
     """
-    if problem.exact is None:
-        raise ValueError("error report needs a problem with an exact solution")
     check_probe(probe_x)
     basis = problem.basis
-    times = trace.node_times()
     modes = trace.node_modes()
-    approx_boundary = modes @ basis.boundary_trace
-    approx_probe = modes @ basis.eigenfunctions(probe_x)
-    exact_boundary = np.asarray(problem.exact.boundary_value(times), dtype=float)
-    exact_probe = np.asarray(problem.exact(probe_x, times), dtype=float)
-    eps1 = np.abs(exact_boundary - approx_boundary)
-    eps2 = np.abs(exact_probe - approx_probe)
     cfg = {
         "N": trace.config.N,
         "K": trace.partition.K,
@@ -412,14 +425,8 @@ def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 
         "probe_x": probe_x,
         "refinements": trace.refinements,
     }
-    return ErrorReport(
-        times=times,
-        eps1=eps1,
-        eps2=eps2,
-        config=cfg,
-        boundary_values=approx_boundary,
-        probe_values=approx_probe,
-    )
+    boundary, probe = modes @ basis.boundary_trace, modes @ basis.eigenfunctions(probe_x)
+    return ErrorReport.measured(problem, trace.node_times(), boundary, probe, probe_x, cfg)
 
 
 def _modal_convolution(basis: EigenBasis, data: ExpDecay, t: float) -> np.ndarray:

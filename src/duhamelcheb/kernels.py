@@ -220,14 +220,14 @@ class KernelSeries:
         out = out.reshape(t_arr.shape + x_arr.shape)
         return float(out) if out.ndim == 0 else out
 
-    def kappa_bound(self) -> float:
+    def _kappa_bound(self) -> float:
         return float(np.abs(self._kappa()).max())
 
     def integrated_tail(self) -> float:
         """Bound on int_0^inf of the dropped part of |K|."""
         if self.basis.inv_mu_tail is None:
             raise ValueError("basis does not provide a closed-form eigenvalue tail")
-        return self.kappa_bound() * self.basis.inv_mu_tail(self.M)
+        return self._kappa_bound() * self.basis.inv_mu_tail(self.M)
 
     def off_coincidence_tail(self, delta: float) -> float:
         """Bound on the dropped part of |K(t)| for t >= delta > 0.
@@ -242,7 +242,7 @@ class KernelSeries:
         mu1 = self.basis.eigenvalue(self.M + 1)
         gap = self.basis.eigenvalue(self.M + 2) - mu1
         denom = -np.expm1(-gap * delta)
-        return self.kappa_bound() * float(np.exp(-mu1 * delta) / denom)
+        return self._kappa_bound() * float(np.exp(-mu1 * delta) / denom)
 
     def truncation_report(self, delta: float = 0.1) -> dict:
         return {

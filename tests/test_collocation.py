@@ -1659,6 +1659,36 @@ def test_only_the_trace_row_and_the_interior_tables_read_the_trace():
     assert readers == {"_lam_apply", "trace_weights", "trace_images"}
 
 
+def test_s_tilde_and_the_coupling_scale_are_each_built_once():
+    """S~ negates the propagator E in ``BlockSystem.s_tilde_blocks`` only,
+    which the LU solve factorises as well, and tau meets the kernel scale
+    a mu0 lift in ``SlabInterior.coupling_scale`` only, which the
+    multiplied-out coupling reads as well."""
+    tree = ast.parse(pathlib.Path(collocation.__file__).read_text())
+
+    def names(node, name):
+        return any(
+            isinstance(n, ast.Attribute) and n.attr == name or isinstance(n, ast.Name) and n.id == name
+            for n in ast.walk(node)
+        )
+
+    def negates_E(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return names(node.operand, "E")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            return names(node.right, "E")
+        return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub) and names(node.value, "E")
+
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    assert {f.name for f in functions if any(negates_E(n) for n in ast.walk(f))} == {"s_tilde_blocks"}
+    scale_readers = [
+        f for f in functions
+        if any(isinstance(n, ast.Attribute) and n.attr == "kernel_scale" for n in ast.walk(f))
+    ]
+    assert [f.name for f in scale_readers] == ["coupling_scale"]
+    assert names(scale_readers[0], "tau")
+
+
 def all_modes_move(monkeypatch):
     """Patch ``SlabInterior.moving`` to M, so that every sweep runs over all
     the modes, exact-zero products included."""
