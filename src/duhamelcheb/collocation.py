@@ -32,7 +32,7 @@ import numpy as np
 
 from .mesh import CGLGrid, TimePartition, build_grid, check_count, interpolate
 from .operators import OperatorFamily
-from .kernels import sample_data
+from .kernels import sample_data, sample_forcing
 from .kernels import exp_sigma_moments  # noqa: F401 -- perfbench/tests/test_tracing.py reads it here
 
 __all__ = [
@@ -337,10 +337,18 @@ class BlockSystem:
 
 
 _MAP_BLOCK_MODES = 512
-"""``_interior`` evaluates the maps in blocks of whole subintervals of about
-this many modes, one subinterval per block from M = 512 up: larger blocks
-raise a march's peak memory, smaller ones slow it.  The block's Chebyshev
-basis, (Q+1) by its modes, is the one temporary; it carries the maps' scale."""
+"""A slab is assembled in blocks of whole subintervals of about this many
+modes (``_map_blocks``), one subinterval per block from M = 512 up: larger
+blocks raise a march's peak memory, smaller ones slow it.  It bounds every
+assembly temporary, each (Q+1) by the block's modes: the Chebyshev basis
+of ``_interior``, which carries the maps' scale, its Gauss-Legendre rows,
+the product that alpha's matmul takes, and the forcing's samples."""
+
+
+def _map_blocks(N: int, M: int) -> list[slice]:
+    """The blocks of whole node subintervals, of about ``_MAP_BLOCK_MODES`` modes each."""
+    width = max(1, _MAP_BLOCK_MODES // M)
+    return [slice(first, first + width) for first in range(0, N, width)]
 
 
 _TABLE_MEMO_SIZE = 8
@@ -427,11 +435,6 @@ def _sample_tables(N: int, Q: int):
     return s_loc, lag_loc, forcing_grid
 
 
-def _sample_forcing(f: Callable[[float], np.ndarray], times: np.ndarray) -> np.ndarray:
-    """f at each of ``times``, one scalar call per time, stacked to shape (times.size, M)."""
-    return np.stack([np.asarray(f(t), dtype=float) for t in times])
-
-
 def _resolved(samples: np.ndarray) -> bool:
     """Whether ``samples``, shape (P+1, M) at the degree-P CGL points, pass the forcing rule.
 
@@ -514,22 +517,28 @@ class CoefficientAssembler:
         s_q.  With lam = nu theta_k / 2 it is taken by Gauss-Legendre up to
         lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
         z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
-        is below e^{-2 lam} e^{data_degree / 2}.  The Gauss-Laguerre rows
-        are (theta_k / 2) h times a degree-Q polynomial in h = 1 / lam,
+        is below e^{-2 lam} e^{data_degree / 2}.  Everything is formed
+        one map block at a time: whole subintervals of about
+        ``_MAP_BLOCK_MODES`` modes (``_map_blocks``), with no Python loop
+        over the block's subintervals.  The Gauss-Laguerre rows are
+        (theta_k / 2) h times a degree-Q polynomial in h = 1 / lam,
         evaluated from its stored Chebyshev coefficients for every mode of
-        a block of whole subintervals (about ``_MAP_BLOCK_MODES`` modes) at
-        once, one matrix product written straight into each subinterval's
-        map; the factor seeds the basis (``_chebyshev_basis``), so no pass
-        rescales the map.  With
+        the block at once, one batched matrix product written straight into
+        the block's maps; the factor seeds the basis
+        (``_chebyshev_basis``), so no pass rescales the map.  With
         h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
         where the basis is finite, and their columns are then overwritten by
-        the Gauss-Legendre rule one subinterval at a time.  Each map is
-        stored mode-contiguous, shape (Q+1, M): maps[k-1, q] holds sample
-        point q's weights for every mode, so every pass of the maps over
-        the modes reads rows of M contiguous values.  A constant family has
-        mu(t_k) - mu(t) = 0 exactly, so its alpha is not integrated (None);
-        a varying family samples a(t) and c(t) at all of the slab's sample
-        times in one polynomial evaluation each.
+        the Gauss-Legendre rule: one gather of the block's slow (k, n), one
+        exp, one product with the weighted Legendre table and one scatter.
+        Each map is stored mode-contiguous, shape (Q+1, M): maps[k-1, q]
+        holds sample point q's weights for every mode, so every pass of the
+        maps over the modes reads rows of M contiguous values.  A constant
+        family has mu(t_k) - mu(t) = 0 exactly, so its alpha is not
+        integrated (None).  A varying family samples a(t) and c(t) at all
+        of the slab's sample times in one polynomial evaluation each, and
+        forms each block of alpha from one (width, Q+1, M) product of the
+        maps with mu(t_k) - mu(t) and one batched matmul with the Lagrange
+        values.
         """
         family, grid, split = self.family, self.grid, self._split
         N, M, Q = grid.N, family.basis.M, self.data_degree
@@ -542,46 +551,49 @@ class CoefficientAssembler:
         maps = np.empty((N, Q + 1, M))
         z, w_lag = self._legendre
         varying = not family.is_constant
-        alpha = np.zeros((N, N + 1, M)) if varying else None
+        alpha = np.empty((N, N + 1, M)) if varying else None
         if varying:
             a_loc, c_loc = family.a(t_loc), family.c(t_loc)
-        width = max(1, _MAP_BLOCK_MODES // M)
-        for first in range(0, N, width):
-            block = slice(first, first + width)
+        for block in _map_blocks(N, M):
             half = 0.5 * grid.spacings[block, None]
             lam = half * nu[block]
             h = 1.0 / np.maximum(lam, split)
+            R = maps[block]
             chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q, (half * h).ravel())
-            for j, R in enumerate(maps[block]):
-                np.matmul(self._laguerre.T, chebyshev[:, j * M:(j + 1) * M], out=R)
-            del chebyshev  # freed before alpha's products
-            for k, lam_k in enumerate(lam, start=first):
-                slow = lam_k <= split
-                R = maps[k]
-                R[:, slow] = (0.5 * grid.spacings[k] * (np.exp(-lam_k[slow, None] * (1.0 + z)) @ w_lag)).T
-                if varying:
-                    mu_q = a_loc[k][:, None] * family.basis.mu + c_loc[k][:, None]
-                    np.matmul(self._lag_loc[k], R * (mu_frozen[k] - mu_q), out=alpha[k])
-                    alpha[k] *= 0.5 * tau
+            np.matmul(self._laguerre.T, chebyshev.reshape(Q + 1, -1, M).transpose(1, 0, 2), out=R)
+            del chebyshev  # freed before the Gauss-Legendre rows and alpha's product
+            k, m = np.nonzero(lam <= split)
+            R[k, :, m] = half[k] * (np.exp(-lam[k, m, None] * (1.0 + z)) @ w_lag)
+            if varying:
+                weighted = a_loc[block, :, None] * family.basis.mu + c_loc[block, :, None]
+                np.subtract(mu_frozen[block, None], weighted, out=weighted)
+                weighted *= R
+                np.matmul(self._lag_loc[block], weighted, out=alpha[block])
+        if varying:
+            alpha *= 0.5 * tau
         basis = family.basis
         kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
         return SlabInterior(tau, E, alpha, maps, kernel_scale, basis.boundary_trace)
 
     def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray], t_loc: np.ndarray):
-        """The forcing at the local sample times of slab ``l``, one (Q+1, M) array per subinterval.
+        """The forcing at the local sample times of slab ``l``, as a function of a map block.
 
-        Sampled by the forcing rule of :class:`CoefficientAssembler`.
+        Sampled by the forcing rule of :class:`CoefficientAssembler`.  The
+        function takes a block of subintervals (``_map_blocks``) to their
+        samples, shape (width, Q+1, M): one product with the block's rows
+        of the interpolation table, or the forcing's own values there.
         """
+        M = self.family.basis.M
         if self._forcing_grid is not None:
             nodes, table = self._forcing_grid
-            samples = _sample_forcing(f, self.partition.map_to_slab(l, nodes))
-            if not np.isfinite(samples).all():
-                # an inf sample meets Lagrange weights of both signs: nan, silently
-                with np.errstate(invalid="ignore"):
-                    return [table_k @ samples for table_k in table]
-            if _resolved(samples):
-                return (table_k @ samples for table_k in table)
-        return (_sample_forcing(f, local) for local in t_loc)
+            samples = sample_forcing(f, self.partition.map_to_slab(l, nodes), M)
+            if not np.isfinite(samples).all() or _resolved(samples):
+                def interpolated(block):
+                    # an inf sample meets Lagrange weights of both signs: nan, silently
+                    with np.errstate(invalid="ignore"):
+                        return table[block] @ samples
+                return interpolated
+        return lambda block: sample_forcing(f, t_loc[block], M)
 
     def slab(
         self,
@@ -604,7 +616,11 @@ class CoefficientAssembler:
         sampled at all the slab's sample times in one array call; any other
         ``g`` or ``b`` is called once per sample time with a scalar float.
         ``f`` is called with a scalar float, by the forcing rule of
-        :class:`CoefficientAssembler`.
+        :class:`CoefficientAssembler`, and each value must hold M modes
+        (:func:`~duhamelcheb.kernels.sample_forcing`).  The forcing is
+        interpolated and integrated one map block at a time: one product
+        with the block's rows of the interpolation table (or the block's
+        pointwise samples), then one ``einsum`` with the block's maps.
         """
         t_star = self.partition.slab_times(l, self.grid)
         t_loc = self.partition.map_to_slab(l, self._s_loc)
@@ -617,8 +633,10 @@ class CoefficientAssembler:
         forcing = None
         if f is not None:
             forcing = np.empty(interior.E.shape)
-            for k, f_loc in enumerate(self._forcing_samples(l, f, t_loc)):
-                forcing[k] = 0.5 * self.partition.tau * np.einsum("qm,qm->m", interior.maps[k], f_loc)
+            samples = self._forcing_samples(l, f, t_loc)
+            for block in _map_blocks(*forcing.shape):
+                forcing[block] = np.einsum("kqm,kqm->km", interior.maps[block], samples(block))
+            forcing *= 0.5 * self.partition.tau
         if b is None:
             lag_b, bvals = self._lag_loc, np.ones(t_star.shape)
         else:
@@ -946,6 +964,9 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
 
     When the assembled boundary coupling reaches the refinement threshold
     the slab count doubles and the march restarts, at most six times.
+    The march holds one slab's :class:`BlockSystem` at a time: slab l's
+    system, with its maps and (for a varying family) alpha, is dropped
+    before slab l + 1, or the restarted march's first slab, is assembled.
     """
     family: OperatorFamily = problem.family
     basis = family.basis
@@ -984,6 +1005,7 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
             contraction_max = max(contraction_max, rho)
             if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
                 refine = True
+                del system  # freed before the restarted march assembles its first slab
                 break
             t0 = time.perf_counter()
             if config.mode == "direct":
@@ -993,6 +1015,7 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
                     system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
                 )
             solve_seconds += time.perf_counter() - t0
+            del system  # freed, with its maps and alpha, before slab l + 1 is assembled
             if not np.isfinite(stage.residual):
                 raise NonFiniteStageError(stage.residual, l)
             stages.append(stage)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .collocation import SolverConfig, march
 from .heat import ErrorReport, HeatProblem, Table, compute_errors
-from .kernels import check_probe, sample_data
+from .kernels import check_probe, sample_data, sample_forcing
 from .mesh import check_count
 
 __all__ = [
@@ -220,7 +220,7 @@ def baseline_backward_euler(
             lift_rest = b_lift - q
         rhs = u
         if problem.forcing is not None:
-            rhs = u + h * np.asarray(problem.forcing(t_new), dtype=float)
+            rhs = u + h * sample_forcing(problem.forcing, np.array(t_new), basis.M)
         p = rhs / denom
         P = float(p @ trace1)
         y = (g_t - b_t * P) / (1.0 + b_t * (lift1 - Q))

@@ -25,6 +25,7 @@ from .operators import EigenBasis
 __all__ = [
     "ExpDecay",
     "sample_data",
+    "sample_forcing",
     "MomentTable",
     "KernelSeries",
     "exp_sigma_moments",
@@ -73,6 +74,23 @@ def sample_data(fn: Callable[[float], float], times: np.ndarray) -> np.ndarray:
             )
         return values
     return np.array([float(fn(t)) for t in times.ravel()]).reshape(times.shape)
+
+
+def sample_forcing(f: Callable[[float], np.ndarray], times: np.ndarray, M: int) -> np.ndarray:
+    """Values of the forcing ``f`` at ``times``, in an array of shape ``times.shape + (M,)``.
+
+    ``f`` gets one scalar float time per call, point by point, and must
+    return M modes: a value of any other shape, a scalar or a length-1
+    list among them, raises ``ValueError`` naming the time, instead of
+    being broadcast to every mode.
+    """
+    values = np.empty(times.shape + (M,))
+    for t, row in zip(times.flat, values.reshape(-1, M)):
+        value = np.asarray(f(t), dtype=float)
+        if value.shape != (M,):
+            raise ValueError(f"forcing returned shape {value.shape} at t={t}, expected ({M},) for M={M} modes")
+        row[...] = value
+    return values
 
 
 def exp_integral(nu: np.ndarray, delta: float) -> np.ndarray:

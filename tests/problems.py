@@ -5,6 +5,8 @@ the same run, ``import conftest`` resolves to whichever conftest pytest
 loaded last.
 """
 
+import re
+
 import numpy as np
 
 from duhamelcheb import ExpDecay, HeatProblem, SeparableSolution, heat_basis
@@ -40,3 +42,14 @@ def varying_manufactured_problem(M=128, a1=0.5, c1=0.3, kappa=2.5):
         ),
         name="varying-manufactured",
     )
+
+
+WRONG_SHAPES = [lambda M: np.ones(1), lambda M: np.ones(M + 1), lambda M: 1.0, lambda M: np.ones((M, 1)), lambda M: [1.0]]
+"""Forcing values, as functions of M, that do not hold M modes."""
+
+WRONG_SHAPE_IDS = ["(1,)", "(M+1,)", "()", "(M,1)", "list-of-one"]
+
+
+def wrong_shape_message(value, M) -> str:
+    """The ``ValueError`` message of a forcing that returns ``value(M)``, as a pattern."""
+    return rf"forcing returned shape {re.escape(str(np.shape(value(M))))} at t=.*, expected \({M},\)"

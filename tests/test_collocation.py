@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition, interpolate
 from duhamelcheb.operators import OperatorFamily
-from problems import varying_manufactured_problem
+from problems import WRONG_SHAPE_IDS, WRONG_SHAPES, varying_manufactured_problem, wrong_shape_message
 
 
 def dense_alpha(coeffs):
@@ -1091,15 +1092,22 @@ def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
         (build_neumann_example, 12, 4, 128),
         (varying_manufactured_problem, 12, 8, 128),
         (varying_manufactured_problem, 12, 3, 128),
+        (varying_manufactured_problem, 13, 2, 128),
+        (varying_manufactured_problem, 12, 2, 1024),
     ],
-    ids=["reference-16-32", "reference-12-4-4096", "reference-8-3", "neumann", "varcoef-forced", "varcoef-forced-3"],
+    ids=[
+        "reference-16-32", "reference-12-4-4096", "reference-8-3", "neumann", "varcoef-forced", "varcoef-forced-3",
+        "varcoef-forced-blocks-4-4-4-1", "varcoef-forced-blocks-of-one",
+    ],
 )
 def test_slab_matches_the_per_subinterval_oracle(build, N, K, M):
     """In-place rows, the constant-family zeros and the per-slab sampling of
     a(t) and c(t) must give the earlier loop's coefficients on every slab
     (a constant family's slabs after the first reuse the cache).  With
     K = 3 the slab width is not a power of two, so the order of the two
-    in-place scalings shows.  E must match bit for bit.  The assembler
+    in-place scalings shows.  At (13, 2, 128) the map blocks hold 4, 4, 4
+    and 1 subintervals, and at M = 1024 each holds one.  E must match bit
+    for bit.  The assembler
     evaluates the Gauss-Laguerre table from its Chebyshev coefficients,
     which rounds differently from the oracle's barycentric interpolation,
     so alpha, the coupling and phi must match within 4e-15 of the largest
@@ -1802,3 +1810,42 @@ def test_nan_boundary_data_stops_the_march_when_most_modes_do_not_move(mode):
     with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
         march(problem, SolverConfig(N=12, K=1, M=1024, T=problem.T, mode=mode))
     assert exc.value.slab == 1
+
+
+@pytest.mark.parametrize("value", WRONG_SHAPES, ids=WRONG_SHAPE_IDS)
+@pytest.mark.parametrize("N", [8, 1], ids=["slab-grid", "pointwise"])
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_a_forcing_value_of_the_wrong_shape_is_rejected(value, N, mode):
+    """A forcing value must hold M modes: one of any other shape raises
+    ``ValueError`` naming the time, the shape and M, on the slab grid
+    (N = 8) and on the pointwise path (N = 1), instead of being broadcast
+    to every mode or failing inside numpy."""
+    M = 16
+    problem = dataclasses.replace(varying_manufactured_problem(M), forcing=lambda t: value(M))
+    with pytest.raises(ValueError, match=wrong_shape_message(value, M)):
+        march(problem, SolverConfig(N=N, K=2, M=M, mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+@pytest.mark.parametrize(
+    "build, N, K",
+    [(build_reference_example, 8, 4), (varying_manufactured_problem, 12, 4), (build_neumann_example, 12, 1)],
+    ids=["constant", "varying", "neumann-restarts"],
+)
+def test_march_holds_one_slab_system_at_a_time(build, N, K, mode, monkeypatch):
+    """When a slab is assembled, the previous slab's ``BlockSystem``, with
+    its maps and alpha, has been freed, also when the march restarts on a
+    doubled partition (the Neumann problem refines twice)."""
+    systems, alive = [], []
+    slab = CoefficientAssembler.slab
+
+    def tracked(self, l, *data):
+        alive.append([ref().slab for ref in systems if ref() is not None])
+        system = slab(self, l, *data)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(CoefficientAssembler, "slab", tracked)
+    trace = march(build(M=128), SolverConfig(N=N, K=K, M=128, mode=mode))
+    assert len(alive) >= trace.partition.K
+    assert all(held == [] for held in alive), alive

@@ -27,7 +27,7 @@ from duhamelcheb import (
 )
 from duhamelcheb import harness
 from duhamelcheb.harness import StudyRow, baseline_sweep
-from problems import varying_manufactured_problem
+from problems import WRONG_SHAPE_IDS, WRONG_SHAPES, varying_manufactured_problem, wrong_shape_message
 
 
 def test_study_rows_follow_requested_sweep(reference_problem):
@@ -167,6 +167,16 @@ def test_baseline_handles_forcing():
     fine = baseline_backward_euler(prob, 200)
     assert fine.max_eps1 < 0.01
     assert 1.8 <= coarse.max_eps1 / fine.max_eps1 <= 2.2
+
+
+@pytest.mark.parametrize("value", WRONG_SHAPES, ids=WRONG_SHAPE_IDS)
+def test_baseline_rejects_a_forcing_value_of_the_wrong_shape(value):
+    """A forcing value that does not hold M modes raises ``ValueError``
+    naming the time, the shape and M, as in the collocation solvers."""
+    M = 16
+    problem = dataclasses.replace(varying_manufactured_problem(M), forcing=lambda t: value(M))
+    with pytest.raises(ValueError, match=wrong_shape_message(value, M)):
+        baseline_backward_euler(problem, 8)
 
 
 def per_step_oracle(problem, steps, probe_x=0.5):
