@@ -1,18 +1,19 @@
 """Slab-wise collocation of the Duhamel integral system.
 
-On each time slab the evolution problem is recast, through the
-variation-of-constants formula with the operator frozen per subinterval and
-the boundary data lifted, as a coupled system for the field values x_k and
-the boundary trace values w_k at the CGL nodes; the weighted boundary
-values y_k = b(t_k) w_k are recovered afterwards.  Interpolating the trace
-rather than the product keeps the interpolation error governed by the
-smoother of the two factors, while the multiplier b rides inside the
-coefficient integrals, which are evaluated to roundoff by Gauss rules.
+Every operator family is solved as the constant family (a(0), c(0)) in its
+clock (see :class:`~duhamelcheb.operators.OperatorFamily`).  On each time
+slab the evolution problem is recast, through the variation-of-constants
+formula with the boundary data lifted, as a coupled system for the field
+values x_k and the boundary trace values w_k at the CGL nodes of the clock;
+the weighted boundary values y_k = b(t_k) w_k are recovered afterwards.
+Interpolating the trace rather than the product keeps the interpolation
+error governed by the smoother of the two factors, while the multiplier b
+rides inside the coefficient integrals, evaluated to roundoff by Gauss rules.
 
 Each part is explained in one place:
 
-- :class:`CoefficientAssembler`: the quadrature maps that integrate every
-  coefficient, the memoised tables, and the rule for sampling the forcing;
+- :class:`CoefficientAssembler`: the clock's slabs, the quadrature maps that
+  integrate every coefficient, the memoised tables, and the forcing rule;
 - ``CoefficientAssembler._interior``: the Gauss-Legendre/Gauss-Laguerre
   split and the mode-contiguous layout of the maps;
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
@@ -132,32 +133,28 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SlabInterior:
-    """What a slab's coefficients take from the operator family and the slab length.
+    """What a slab's coefficients take from the family's (a(0), c(0)) and the slab's clock length tau.
 
-    One per slab for a varying family; for a constant family it does not
-    depend on the slab, and every slab of one length shares it read-only.
-    Index k-1 stands for node subinterval k = 1..N, trailing axis modes.
+    Every slab of one clock length shares it read-only.  Index k-1 stands
+    for node subinterval k = 1..N, trailing axis modes; mu~ = a(0) mu0 + c(0).
 
-    E[k-1]              propagator exp(-mu~(t*_k) (tau/2) theta_k)
-    alpha               (N, N+1, M) frozen-operator correction, or None for
-                        a constant family, where it is exactly zero
+    E[k-1]              propagator exp(-mu~ (tau/2) theta_k)
     maps[k-1]           (Q+1, M) quadrature map R_k of subinterval k (see
                         ``CoefficientAssembler._interior``)
-    kernel_scale[k-1]   a(t*_k) mu0 lift, which scales beta and the g term
+    kernel_scale        (M,) a(0) mu0 lift, which scales beta and the g term
     trace               boundary trace functional of the modes
     moving              the modes [:moving] hold every nonzero E
 
     Past ``moving``, E underflowed to 0.0 on every subinterval, as for all
     but the slowest modes at large M (133 of 4096 in the reference problem
-    at N = 12, K = 4), so S~ = I there.  ``_forward_sub``, the E-part of
-    ``_imsc`` and the propagated rows of :attr:`trace_images` skip those
-    modes: each skipped term is a product with 0.0.  No tolerance, and no
-    order of E in the mode, is assumed.
+    at N = 12, K = 4), so S~ = I there.  ``_forward_sub``, ``_imsc`` and the
+    propagated rows of :attr:`trace_images` skip those modes: each skipped
+    term is a product with 0.0.  No tolerance, and no order of E in the
+    mode, is assumed.
     """
 
     tau: float
     E: np.ndarray
-    alpha: np.ndarray | None
     maps: np.ndarray
     kernel_scale: np.ndarray
     trace: np.ndarray
@@ -170,18 +167,17 @@ class SlabInterior:
 
     @functools.cached_property
     def coupling_scale(self) -> np.ndarray:
-        """s = -(tau/2) a mu0 lift, so that beta[k-1, j] = s_k (R_k V_k[j])."""
+        """s = -(tau/2) a(0) mu0 lift, so that beta[k-1, j] = s (R_k V_k[j])."""
         return -0.5 * self.tau * self.kernel_scale
 
     @functools.cached_property
     def trace_weights(self) -> np.ndarray:
-        """H[k-1, q] = sum_m t_m s_{k,m} R_k[q, m]: Lambda D is H V."""
-        ts = self.trace * self.coupling_scale
-        return np.matmul(self.maps, ts[:, :, None])[:, :, 0]
+        """H[k-1, q] = sum_m t_m s_m R_k[q, m]: Lambda D is H V."""
+        return self.maps @ (self.trace * self.coupling_scale)
 
     @functools.cached_property
     def trace_images(self) -> np.ndarray:
-        """G[k-1, i-1, q] = sum_m t_m (S~^{-1})_{k,i,m} s_{i,m} R_i[q, m]: Lambda S~^{-1} D is G V.
+        """G[k-1, i-1, q] = sum_m t_m (S~^{-1})_{k,i,m} s_m R_i[q, m]: Lambda S~^{-1} D is G V.
 
         (S~^{-1})_{k,i} is the product of the propagators E_{i+1} .. E_k for
         k >= i and zero above the diagonal, so column i is built by one
@@ -198,11 +194,11 @@ class SlabInterior:
             weights[i] = self.trace[:moving]
             for k in range(i + 1, N):
                 np.multiply(weights[k - 1], self.E[k, :moving], out=weights[k])
-            G[i + 1:, i] = (weights[i + 1:] * s[i, :moving]) @ self.maps[i, :, :moving].T
+            G[i + 1:, i] = (weights[i + 1:] * s[:moving]) @ self.maps[i, :, :moving].T
         return G
 
     def modes(self, c: np.ndarray) -> np.ndarray:
-        """s_k (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
+        """s (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
 
         The one map to modes for every coupling term.  A direct solve makes
         two passes per slab: the boundary part of Phi, F_y w0 with the g
@@ -217,44 +213,39 @@ class SlabInterior:
 class BlockSystem:
     """The stage system of one slab: its coefficients, integrated to roundoff, and b at its nodes.
 
-    g stays as samples until the stage solve integrates it with F_y w0.
+    It is the constant family's system in the clock, for u^ = e^{C^} u (see
+    :class:`CoefficientAssembler`).  g stays as samples until the stage
+    solve integrates it with F_y w0.
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
     column index j for interpolation nodes j = 0..N, trailing axis modes.
 
-    t_star            (N+1,) the slab's node times
-    interior          E, alpha, the quadrature maps R_k and the trace
-                      functional (see :class:`SlabInterior`)
+    t_star            (N+1,) the times of the slab's nodes
+    interior          E, the maps R_k and the trace (:class:`SlabInterior`)
     lag_b[k-1, j, q]  V_k = L_j(s_q) b(t_q): the trace basis times the
                       multiplier b (one when omitted) at the data_degree + 1
                       local sample points s_q of subinterval k
-    g_loc[k-1, q]     g(t_q) at the same points (zero when g is omitted),
-                      kept in sample space
-    forcing[k-1]      the forcing term (tau/2) R_k f in modes, or None
-                      without a forcing
-    bvals             (N+1,) b(t_k) at the slab nodes (one when b is
-                      omitted), to recover y = b w
+    g_loc[k-1, q]     e^{C^} g there, kept as samples (zero without g)
+    forcing[k-1]      (tau/2) R_k (e^{C^} f / rho) in modes, or None
+    bvals             (N+1,) b at the nodes (one without b), for y = b w
+    unscale           (N+1,) e^{-C^} at the nodes, which takes u^ to u
 
     The solvers read every block from these fields.  All are diagonal per
     mode except the boundary functional Lambda:
 
     S~        unit lower bidiagonal, subdiagonal block i the propagator E[i]
-    C~, F_x   alpha's columns 1..N and 0, with E[0] added to F_x's row 1;
-              a constant family's alpha is not integrated, so
-              ``has_interior_coupling`` is False and no solver contracts C~
-    f_x       forcing - s_k (R_k g_k): the g term is -s R g, since
-              s = -(tau/2) a mu0 lift
+    F_x       E[0] in row 1, zero elsewhere
+    f_x       forcing - s (R_k g_k), s = -(tau/2) a(0) mu0 lift
     Lambda    the trace row w_k = sum_n interior.trace[n] x~_{k,n} in every
               row, applied by ``_lam_apply``
     D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
-              the interpolated trace: beta[k-1, j] = s_k (R_k V_k[j]) with
-              s = -(tau/2) a mu0 lift, so that b rides inside the integrand.
-              It is kept factored as V and the maps, each stored (Q+1, M):
-              the solvers form V y in sample space and take it through the
-              maps once, at O(N M Q) cost.  F_y w0 and the g term share one
-              pass, V[0] w0 - g (see ``_phi_blocks``).
+              the interpolated trace: beta[k-1, j] = s (R_k V_k[j]), b inside
+              the integrand.  It is kept factored as V and the maps: the
+              solvers form V y in sample space and take it through the maps
+              once, at O(N M Q) cost; F_y w0 and the g term share one pass,
+              V[0] w0 - g (``_phi_blocks``).
 
-    A constant family's slabs share E, the maps and the trace, so solvers
+    Slabs of one clock length share E, the maps and the trace, so solvers
     must not write to them.
     """
 
@@ -265,6 +256,7 @@ class BlockSystem:
     g_loc: np.ndarray
     forcing: np.ndarray | None
     bvals: np.ndarray
+    unscale: np.ndarray
 
     @property
     def N(self) -> int:
@@ -278,15 +270,13 @@ class BlockSystem:
     def E(self) -> np.ndarray:
         return self.interior.E
 
-    @property
-    def has_interior_coupling(self) -> bool:
-        """Whether C~ was integrated, i.e. the family is not constant."""
-        return self.interior.alpha is not None
-
     def coupling(self) -> np.ndarray:
-        """beta = s_k (R_k V_k), s the interior's ``coupling_scale``, as a new (N, N+1, M) array."""
+        """beta = s (R_k V_k), s the interior's ``coupling_scale``, as a new (N, N+1, M) array.
+
+        The solvers keep it factored; it is multiplied out for inspection only.
+        """
         beta = np.matmul(self.lag_b, self.interior.maps)
-        beta *= self.interior.coupling_scale[:, None, :]
+        beta *= self.interior.coupling_scale
         return beta
 
     @functools.cached_property
@@ -308,14 +298,12 @@ class BlockSystem:
     def s_tilde_blocks(self) -> np.ndarray:
         """S~ as dense (N, N, M) blocks, a new, writable array.
 
-        The LU solve of a varying family factorises it minus C~, and
-        acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
+        Acceptance criterion 4 multiplies it with :meth:`s_tilde_inverse_blocks`.
         """
         N, M = self.N, self.M
         S = np.zeros((N, N, M))
         S[np.arange(N), np.arange(N)] = 1.0
-        if N > 1:
-            S[np.arange(1, N), np.arange(N - 1)] = -self.E[1:]
+        S[np.arange(1, N), np.arange(N - 1)] = -self.E[1:]
         return S
 
     def s_tilde_inverse_blocks(self) -> np.ndarray:
@@ -342,7 +330,7 @@ modes (``_map_blocks``), one subinterval per block from M = 512 up: larger
 blocks raise a march's peak memory, smaller ones slow it.  It bounds every
 assembly temporary, each (Q+1) by the block's modes: the Chebyshev basis
 of ``_interior``, which carries the maps' scale, its Gauss-Legendre rows,
-the product that alpha's matmul takes, and the forcing's samples."""
+and the forcing's samples."""
 
 
 def _map_blocks(N: int, M: int) -> list[slice]:
@@ -459,29 +447,30 @@ def _chebyshev_basis(x: np.ndarray, Q: int, scale: np.ndarray) -> np.ndarray:
 
 
 class CoefficientAssembler:
-    """Per-slab coefficient assembly; a constant family shares one interior per slab length.
+    """Per-slab coefficient assembly in the family's clock; slabs of one clock length share one interior.
 
-    Every coefficient integrates the exponential kernel against a
-    polynomial on one node subinterval, and one map does all of them: R_k
-    takes values at the data_degree + 1 local Chebyshev points of
-    subinterval k to the kernel integrals of their interpolant, evaluated
-    to roundoff by Gauss rules (see ``_interior``).  It is applied to
-    samples of g and f, of b L_j for beta, and of (mu(t_k) - mu(t)) L_j for
-    alpha.  The unknowns enter through their degree-N interpolants (that
-    is the scheme), but the data are integrated to roundoff: a shared
-    degree-N treatment of data and unknowns would cancel the interpolation
-    defect of the boundary values node-for-node and report spurious
-    exactness on resolved problems.
-    The alpha integrands have degree N + deg(a, c), so ``data_degree`` is
-    max(12, N + deg(a, c)).  The Gauss tables depend on the data degree
-    alone, and the local sample points, their Lagrange values and the
-    forcing's interpolation table on N and the data degree: each is
-    memoised and shared read-only by every assembler, so an
-    assembler fetches them when it is built and ``slab`` makes no
-    interpolation.  For a constant family alpha is exactly zero and is not
-    integrated, and the slab's interior (:class:`SlabInterior`) does not
-    depend on the slab: it is built once per assembler, whose partition
-    has one slab length, on the first slab, and shared by every later one.
+    It sees the family as the constant family (a(0), c(0)) in its clock
+    (:class:`~duhamelcheb.operators.OperatorFamily`).  Slab l keeps its
+    junctions (l - 1) T / K and l T / K; its clock length is tau times its
+    mean of rho, and its nodes, local sample points and forcing grid are
+    CGL in the clock.  Their times, from one Newton solve over every slab,
+    and e^{C^} there are computed when the assembler is built
+    (``ValueError`` unless a > 0 on [0, T]).  g and b are sampled at those
+    times, g times e^{C^}, and f times e^{C^} / rho.  A constant family
+    keeps every bit.  The interior (:class:`SlabInterior`) is kept for the
+    next slab, which reuses it when its clock length is the same, as every
+    slab of a constant family does.
+
+    One map integrates every coefficient, to roundoff by Gauss rules (see
+    ``_interior``): R_k takes values at the data_degree + 1 local Chebyshev
+    points of subinterval k, data_degree = max(12, N), to the kernel
+    integrals of their interpolant.  Only the unknowns are interpolated at
+    degree N (that is the scheme): a shared degree-N treatment of the data
+    would cancel the interpolation defect of the boundary values node for
+    node and report spurious exactness on resolved problems.  The Gauss
+    tables, the local sample points, their Lagrange values and the
+    forcing's interpolation table are memoised per N and data degree, and
+    shared read-only by every assembler, so ``slab`` makes no interpolation.
 
     The forcing rule.  The forcing is sampled once per slab at the P + 1
     slab-wide CGL points of degree P = ``FORCING_DEGREE``.  The samples are
@@ -500,100 +489,95 @@ class CoefficientAssembler:
         self.grid = grid
         self.partition = partition
         N = grid.N
-        floor = N if family.is_constant else N + max(family.a_coeffs.shape[0], family.c_coeffs.shape[0]) - 1
-        self.data_degree = Q = max(12, floor)
+        self.data_degree = Q = max(12, N)
         self._split, self._qgrid, self._legendre, self._laguerre = _gauss_tables(Q)
         self._s_loc, self._lag_loc, self._forcing_grid = _sample_tables(N, Q)
+        forcing_nodes = [] if self._forcing_grid is None else [self._forcing_grid[0]]
+        clock_points = np.concatenate([grid.nodes, self._s_loc.ravel(), *forcing_nodes])
+        family.require_positive_a(partition.T)
+        centres = 0.5 * partition.tau * np.arange(1, 2 * partition.K, 2)
+        self._means, xi = family.slab_clocks(centres, 0.5 * partition.tau, clock_points)
+        times = partition.map_to_slab(np.arange(1, partition.K + 1)[:, None], xi)
+        log_scale = family.log_scale(times)
+        scales = np.exp(log_scale)
+        self._t_star, self._t_loc, self._t_grid = self._at_points(times)
+        self._g_scale = self._at_points(scales)[1]
+        _, self._f_loc, self._f_grid = self._at_points(scales / family.rho(times))
+        self._unscales = np.exp(-self._at_points(log_scale)[0])
         self._store = None
 
-    def _interior(self, t_star: np.ndarray, t_loc: np.ndarray) -> SlabInterior:
-        """E, alpha, the quadrature maps R_k and the kernel scale of one slab.
+    def _at_points(self, values: np.ndarray):
+        """Each slab's ``values`` at the clock points, (K, P), as those at its
+        nodes, (K, N+1), local sample points, (K, N, Q+1), and forcing grid."""
+        nodes, local = self.grid.N + 1, self.grid.N + 1 + self._s_loc.size
+        return values[:, :nodes], values[:, nodes:local].reshape(-1, *self._s_loc.shape), values[:, local:]
 
-        ``t_star`` are the slab's node times and ``t_loc`` its sample times,
-        shape (N, data_degree + 1); for a constant family the result does
-        not depend on them.  maps[k-1, q, n] is the integral over
-        0 <= sigma <= theta_k of e^{-nu_n sigma} l_q(z), z = 2 sigma /
-        theta_k - 1, with l_q the local Lagrange function of sample point
-        s_q.  With lam = nu theta_k / 2 it is taken by Gauss-Legendre up to
-        lam = data_degree + 20, beyond by Gauss-Laguerre on the layer at
-        z = -1, whose nodes then all lie in [-1, 1] and whose dropped tail
-        is below e^{-2 lam} e^{data_degree / 2}.  Everything is formed
-        one map block at a time: whole subintervals of about
-        ``_MAP_BLOCK_MODES`` modes (``_map_blocks``), with no Python loop
-        over the block's subintervals.  The Gauss-Laguerre rows are
-        (theta_k / 2) h times a degree-Q polynomial in h = 1 / lam,
-        evaluated from its stored Chebyshev coefficients for every mode of
-        the block at once, one batched matrix product written straight into
-        the block's maps; the factor seeds the basis
-        (``_chebyshev_basis``), so no pass rescales the map.  With
+    def _interior(self, tau: float) -> SlabInterior:
+        """E, the quadrature maps R_k and the kernel scale of a slab of clock length ``tau``.
+
+        maps[k-1, q, n] is the integral over 0 <= sigma <= theta_k of
+        e^{-nu_n sigma} l_q(z), z = 2 sigma / theta_k - 1, l_q the local Lagrange
+        function of sample point s_q.  With lam = nu theta_k / 2 it is taken by
+        Gauss-Legendre up to lam = data_degree + 20, beyond by Gauss-Laguerre
+        on the layer at z = -1, whose nodes then all lie in [-1, 1] and whose
+        dropped tail is below e^{-2 lam} e^{data_degree / 2}.  Everything is
+        formed one map block at a time: whole subintervals of about
+        ``_MAP_BLOCK_MODES`` modes (``_map_blocks``), with no Python loop over
+        the block's subintervals.  The Gauss-Laguerre rows are (theta_k / 2) h
+        times a degree-Q polynomial in h = 1 / lam, evaluated from its stored
+        Chebyshev coefficients for every mode of the block at once, one batched
+        matrix product written straight into the block's maps; the factor seeds
+        the basis (``_chebyshev_basis``), so no pass rescales the map.  With
         h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
         where the basis is finite, and their columns are then overwritten by
         the Gauss-Legendre rule: one gather of the block's slow (k, n), one
         exp, one product with the weighted Legendre table and one scatter.
-        Each map is stored mode-contiguous, shape (Q+1, M): maps[k-1, q]
-        holds sample point q's weights for every mode, so every pass of the
-        maps over the modes reads rows of M contiguous values.  A constant
-        family has mu(t_k) - mu(t) = 0 exactly, so its alpha is not
-        integrated (None).  A varying family samples a(t) and c(t) at all
-        of the slab's sample times in one polynomial evaluation each, and
-        forms each block of alpha from one (width, Q+1, M) product of the
-        maps with mu(t_k) - mu(t) and one batched matmul with the Lagrange
-        values.
+        Each map is stored mode-contiguous, shape (Q+1, M): maps[k-1, q] holds
+        sample point q's weights for every mode, so every pass of the maps over
+        the modes reads rows of M contiguous values.
         """
         family, grid, split = self.family, self.grid, self._split
         N, M, Q = grid.N, family.basis.M, self.data_degree
-        tau = self.partition.tau
-        mu_frozen = family.frozen_eigenvalues(t_star[1:, None])
-        if np.any(mu_frozen < 0):
-            raise ValueError(f"operator family is not positive on the slab starting at t={t_star[0]}")
-        nu = 0.5 * tau * mu_frozen
+        mu = family.frozen_eigenvalues(0.0)
+        if np.any(mu < 0):
+            raise ValueError(f"operator family is not positive: a(0) mu_1 + c(0) = {mu.min():.6g}")
+        nu = 0.5 * tau * mu
         E = np.exp(-nu * grid.spacings[:, None])
         maps = np.empty((N, Q + 1, M))
         z, w_lag = self._legendre
-        varying = not family.is_constant
-        alpha = np.empty((N, N + 1, M)) if varying else None
-        if varying:
-            a_loc, c_loc = family.a(t_loc), family.c(t_loc)
         for block in _map_blocks(N, M):
             half = 0.5 * grid.spacings[block, None]
-            lam = half * nu[block]
+            lam = half * nu
             h = 1.0 / np.maximum(lam, split)
             R = maps[block]
             chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q, (half * h).ravel())
             np.matmul(self._laguerre.T, chebyshev.reshape(Q + 1, -1, M).transpose(1, 0, 2), out=R)
-            del chebyshev  # freed before the Gauss-Legendre rows and alpha's product
+            del chebyshev  # freed before the Gauss-Legendre rows
             k, m = np.nonzero(lam <= split)
             R[k, :, m] = half[k] * (np.exp(-lam[k, m, None] * (1.0 + z)) @ w_lag)
-            if varying:
-                weighted = a_loc[block, :, None] * family.basis.mu + c_loc[block, :, None]
-                np.subtract(mu_frozen[block, None], weighted, out=weighted)
-                weighted *= R
-                np.matmul(self._lag_loc[block], weighted, out=alpha[block])
-        if varying:
-            alpha *= 0.5 * tau
         basis = family.basis
-        kernel_scale = family.a(t_star[1:])[:, None] * basis.mu * basis.lift_coeffs
-        return SlabInterior(tau, E, alpha, maps, kernel_scale, basis.boundary_trace)
+        return SlabInterior(tau, E, maps, family.a(0.0) * basis.mu * basis.lift_coeffs, basis.boundary_trace)
 
-    def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray], t_loc: np.ndarray):
-        """The forcing at the local sample times of slab ``l``, as a function of a map block.
+    def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray]):
+        """e^{C^} f / rho at the local sample times of slab ``l``, as a function of a map block.
 
-        Sampled by the forcing rule of :class:`CoefficientAssembler`.  The
-        function takes a block of subintervals (``_map_blocks``) to their
-        samples, shape (width, Q+1, M): one product with the block's rows
-        of the interpolation table, or the forcing's own values there.
+        Sampled by the forcing rule.  The function takes a block of
+        subintervals (``_map_blocks``) to their samples, (width, Q+1, M):
+        the block's rows of the interpolation table times the slab-grid
+        samples, or the forcing's own values.
         """
         M = self.family.basis.M
+        t_loc, w_loc = self._t_loc[l - 1], self._f_loc[l - 1]
         if self._forcing_grid is not None:
-            nodes, table = self._forcing_grid
-            samples = sample_forcing(f, self.partition.map_to_slab(l, nodes), M)
+            table = self._forcing_grid[1]
+            samples = sample_forcing(f, self._t_grid[l - 1], M) * self._f_grid[l - 1][:, None]
             if not np.isfinite(samples).all() or _resolved(samples):
                 def interpolated(block):
                     # an inf sample meets Lagrange weights of both signs: nan, silently
                     with np.errstate(invalid="ignore"):
                         return table[block] @ samples
                 return interpolated
-        return lambda block: sample_forcing(f, t_loc[block], M)
+        return lambda block: sample_forcing(f, t_loc[block], M) * w_loc[block, :, None]
 
     def slab(
         self,
@@ -604,45 +588,38 @@ class CoefficientAssembler:
     ) -> BlockSystem:
         """Assemble the block system of slab ``l``.
 
-        ``g``, ``f`` and ``b`` are sampled on each subinterval at the
-        data_degree + 1 local Chebyshev points and integrated through R_k,
-        to roundoff by Gauss rules for polynomial data up to that degree and
-        for analytic data.  The forcing is integrated here; ``g`` is kept
-        as samples, which the stage solve takes through R_k together with
-        F_y w0.  ``b`` rides inside the products b L_j that
-        weight the boundary-trace unknowns, and is also sampled at the slab
-        nodes, to recover y = b w; when it is omitted b is identically one.
-        A ``g`` or ``b`` that is an :class:`~duhamelcheb.kernels.ExpDecay` is
-        sampled at all the slab's sample times in one array call; any other
-        ``g`` or ``b`` is called once per sample time with a scalar float.
-        ``f`` is called with a scalar float, by the forcing rule of
-        :class:`CoefficientAssembler`, and each value must hold M modes
-        (:func:`~duhamelcheb.kernels.sample_forcing`).  The forcing is
-        interpolated and integrated one map block at a time: one product
-        with the block's rows of the interpolation table (or the block's
-        pointwise samples), then one ``einsum`` with the block's maps.
+        The forcing is integrated here, one map block at a time; ``g`` is
+        kept as samples, which the stage solve takes through R_k with F_y w0.
+        ``b`` rides inside the products b L_j that weight the trace
+        unknowns, and is also sampled at the slab nodes, to recover y = b w;
+        when it is omitted b is identically one.  A ``g`` or ``b`` that is
+        an :class:`~duhamelcheb.kernels.ExpDecay` is sampled at all the
+        slab's sample times in one array call, any other once per time with
+        a scalar float.  ``f`` is called with a scalar float, by the forcing
+        rule, and each value must hold M modes
+        (:func:`~duhamelcheb.kernels.sample_forcing`).
         """
-        t_star = self.partition.slab_times(l, self.grid)
-        t_loc = self.partition.map_to_slab(l, self._s_loc)
+        t_star, t_loc = self._t_star[l - 1], self._t_loc[l - 1]
+        tau = self.partition.tau * self._means[l - 1]
         interior = self._store
-        if interior is None:
-            interior = self._interior(t_star, t_loc)
-            if self.family.is_constant:
-                self._store = interior
-        g_loc = np.zeros(t_loc.shape) if g is None else sample_data(g, t_loc)
+        if interior is None or interior.tau != tau:
+            self._store = None  # the previous slab's interior is freed before this one is built
+            interior = self._store = self._interior(tau)
+        g_loc = np.zeros(t_loc.shape) if g is None else sample_data(g, t_loc) * self._g_scale[l - 1]
         forcing = None
         if f is not None:
             forcing = np.empty(interior.E.shape)
-            samples = self._forcing_samples(l, f, t_loc)
+            samples = self._forcing_samples(l, f)
             for block in _map_blocks(*forcing.shape):
                 forcing[block] = np.einsum("kqm,kqm->km", interior.maps[block], samples(block))
-            forcing *= 0.5 * self.partition.tau
+            forcing *= 0.5 * tau
         if b is None:
             lag_b, bvals = self._lag_loc, np.ones(t_star.shape)
         else:
             lag_b, bvals = self._lag_loc * sample_data(b, t_loc)[:, None, :], sample_data(b, t_star)
         return BlockSystem(
-            slab=l, t_star=t_star, interior=interior, lag_b=lag_b, g_loc=g_loc, forcing=forcing, bvals=bvals
+            slab=l, t_star=t_star.copy(), interior=interior, lag_b=lag_b, g_loc=g_loc, forcing=forcing,
+            bvals=bvals, unscale=self._unscales[l - 1],
         )
 
 
@@ -687,9 +664,10 @@ class StageSolution:
 
     t holds the slab's node times and x, shape (N+1, M), the mode vectors
     there, including the inherited node 0; boundary_traces holds the trace
-    unknowns w and y = b w the weighted boundary values, both of shape
-    (N+1,).  residual is the max-norm defect of the
-    collocation equations, contraction the assembled ||Lambda D||.
+    unknowns w and y = b w the weighted boundary values, both (N+1,).
+    residual is the max-norm defect of the collocation equations,
+    contraction the assembled ||Lambda D||.  The stage solvers return
+    u^ = e^{C^} u (see :class:`BlockSystem`); :func:`march` takes the scale off.
     """
 
     slab: int
@@ -707,36 +685,20 @@ def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
     """Phi = F_x x0 + F_y w0 + f_x (see :class:`BlockSystem`), summed in place.
 
     The boundary part, F_y w0 and the g term, is one pass of the maps:
-    modes(V[0] w0 - g).  A constant family's F_x is E[0] in row 1 and zero
-    elsewhere, so x0 enters row 1 only; a varying family adds its
-    alpha-based F_x x0.  The forcing, if any, is added last.
+    modes(V[0] w0 - g).  F_x is E[0] in row 1 and zero elsewhere, so x0
+    enters row 1 only.  The forcing, if any, is added last.
     """
     Phi = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
-    if not system.has_interior_coupling:
-        Phi[0] += system.E[0] * x0
-    else:
-        F_x = system.interior.alpha[:, 0].copy()
-        F_x[0] += system.E[0]
-        F_x *= x0
-        Phi += F_x
+    Phi[0] += system.E[0] * x0
     if system.forcing is not None:
         Phi += system.forcing
     return Phi
 
 
-def _c_apply(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    """C~ w for a block vector w of shape (N, M); zeros, uncontracted, when C~ vanishes."""
-    if system.has_interior_coupling:
-        return np.einsum("kjm,jm->km", system.interior.alpha[:, 1:], w)
-    return np.zeros(w.shape)
-
-
 def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    """(I - S~ + C~) w for a block vector w of shape (N, M); the E-part on the moving modes only."""
-    out = _c_apply(system, w)
-    if system.N > 1:
-        moving = system.interior.moving
-        out[1:, :moving] += system.E[1:, :moving] * w[:-1, :moving]
+    """(I - S~) w for a block vector w of shape (N, M), summed onto zeros; the moving modes only."""
+    out, moving = np.zeros(w.shape), system.interior.moving
+    out[1:, :moving] += system.E[1:, :moving] * w[:-1, :moving]
     return out
 
 
@@ -766,26 +728,8 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eliminate_lu(system: BlockSystem, Phi: np.ndarray):
-    """w, x~ and D w of one slab by M batched LU solves of A = S~ - C~, S~ from ``s_tilde_blocks``.
-
-    Column 0 of the coupling is F_y, which only enters Phi, so Phi takes its
-    place and [Phi | D] is solved at once; each LU factorisation is shared
-    by the N + 1 columns.
-    """
-    N = system.N
-    rhs = system.coupling()
-    rhs[:, 0] = Phi
-    A = system.s_tilde_blocks()
-    A -= system.interior.alpha[:, 1:]
-    Z = np.linalg.solve(A.transpose(2, 0, 1), rhs.transpose(2, 0, 1)).transpose(1, 2, 0)
-    LZ = _lam_apply(system, Z)
-    w_int = np.linalg.solve(np.eye(N) - LZ[:, 1:], LZ[:, 0])
-    return w_int, Z[:, 0] + w_int @ Z[:, 1:], _d_apply(system, w_int)
-
-
 def _eliminate_factored(system: BlockSystem, Phi: np.ndarray):
-    """w, x~ and D w of one slab without C~, from the factored coupling."""
+    """w, x~ and D w of one slab, from the factored coupling."""
     N = system.N
     Z_phi = _forward_sub(system, Phi.copy())
     LZ_D = system.interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
@@ -827,30 +771,21 @@ def _stage_solution(
 def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
     """Direct elimination solve of one slab.
 
-    With A = S~ - C~ the interior rows read A x~ = D w + Phi; substituted
-    into the trace rows they leave w = Lambda x~.  One interior solve
-    therefore reduces the traces to the N x N system
-    (I - Lambda A^{-1} D) w = Lambda A^{-1} Phi, and then
-    x~ = A^{-1} Phi + A^{-1} D w.
-
-    Phi and D w are formed from the factored coupling (see
-    :class:`BlockSystem`).  When C~ vanishes (a constant family, whose
-    alpha is not integrated, so ``system.has_interior_coupling`` is
-    False) A = S~ is unit lower bidiagonal: Lambda S~^{-1} D is G V with
-    the trace images G of the slab's interior (:class:`SlabInterior`),
-    and Phi and D w are each swept through S~^{-1} on its own and the two
-    added only at the end.  Summing them before the sweep would turn the trace's quantised
+    The interior rows read S~ x~ = D w + Phi, and the trace rows
+    w = Lambda x~, so (I - Lambda S~^{-1} D) w = Lambda S~^{-1} Phi and then
+    x~ = S~^{-1} Phi + S~^{-1} D w.  Phi and D w come from the factored
+    coupling (see :class:`BlockSystem`), and Lambda S~^{-1} D is G V with
+    the trace images G of the slab's interior (:class:`SlabInterior`).  Phi
+    and D w are each swept through S~^{-1} on its own and added only at the
+    end: summing them before the sweep would turn the trace's quantised
     cancellation remainders into smooth noise, which the CSV output pays
-    for in distinct values.  Neither the (N, N+1, M) coupling nor the
-    residual check is ever multiplied out.  Otherwise [Phi | D] is solved
-    by M batched N x N LU factorisations.
+    for in distinct values.  The (N, N+1, M) coupling is never multiplied out.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    eliminate = _eliminate_lu if system.has_interior_coupling else _eliminate_factored
     Phi = _phi_blocks(system, x0, w0)
-    w_int, xt, Dw = eliminate(system, Phi)
+    w_int, xt, Dw = _eliminate_factored(system, Phi)
     return _stage_solution(system, x0, w0, xt, w_int, Phi, Dw, rho)
 
 
@@ -863,7 +798,7 @@ def solve_stage_fixed_point(
 ) -> StageSolution:
     """Fixed-point sweep on the eliminated system.
 
-    Iterates x <- S~^{-1} (C~ x + D W Lambda (I - S~ + C~) x) + const with
+    Iterates x <- S~^{-1} D W Lambda (I - S~) x + const with
     W = [I - Lambda D]^{-1}; converges geometrically when the combined
     coupling is a contraction, with ratio shrinking as the slab shortens.
     Lambda D is H V, and Phi and D y come from the factored coupling (see
@@ -887,7 +822,7 @@ def solve_stage_fixed_point(
     history: list[float] = []
     for it in range(1, max_iter + 1):
         z = _lam_apply(system, _imsc(system, x))
-        x_new = _forward_sub(system, _c_apply(system, x) + _d_apply(system, W @ z)) + const
+        x_new = _forward_sub(system, _d_apply(system, W @ z)) + const
         d = float(np.abs(x_new - x).max())
         if not np.isfinite(d):
             raise NonFiniteStageError(d, system.slab)
@@ -962,11 +897,14 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     boundary data g, optional forcing (as a mode-vector function of t),
     and initial mode vector u0; see :class:`duhamelcheb.heat.HeatProblem`.
 
+    Each slab is solved in the family's clock, for u^ = e^{C^} u; the march
+    carries u^ from slab to slab and takes the scale off each stage.
+
     When the assembled boundary coupling reaches the refinement threshold
-    the slab count doubles and the march restarts, at most six times.
-    The march holds one slab's :class:`BlockSystem` at a time: slab l's
-    system, with its maps and (for a varying family) alpha, is dropped
-    before slab l + 1, or the restarted march's first slab, is assembled.
+    the slab count doubles and the march restarts, at most six times.  The
+    march holds one slab's :class:`BlockSystem` at a time: slab l's is
+    dropped before slab l + 1, or the restarted march's first slab, is
+    assembled.
     """
     family: OperatorFamily = problem.family
     basis = family.basis
@@ -982,9 +920,6 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         raise ValueError(f"initial mode vector is not finite: u0[{bad[0]}] = {u0[bad[0]]}")
     if abs(problem.T - config.T) > 1e-13 * max(1.0, config.T):
         raise ValueError(f"problem horizon T={problem.T} does not match config T={config.T}")
-    for t in (0.0, 0.5 * config.T, config.T):
-        if family.a(t) <= 0 or family.frozen_eigenvalues(t)[0] <= 0:
-            raise ValueError(f"operator family is not positive at t={t}")
 
     grid = build_grid(config.N)
     K = config.K
@@ -1015,12 +950,15 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
                     system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
                 )
             solve_seconds += time.perf_counter() - t0
-            del system  # freed, with its maps and alpha, before slab l + 1 is assembled
+            unscale = system.unscale
+            del system  # freed, with its maps, before slab l + 1 is assembled
             if not np.isfinite(stage.residual):
                 raise NonFiniteStageError(stage.residual, l)
+            x_prev, w_prev = stage.x[-1].copy(), float(stage.boundary_traces[-1])
+            # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
+            for values in (stage.x.T, stage.boundary_traces, stage.y):
+                values *= unscale
             stages.append(stage)
-            x_prev = stage.x[-1]
-            w_prev = float(stage.boundary_traces[-1])
         if refine:
             K *= 2
             refinements += 1

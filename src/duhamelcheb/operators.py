@@ -10,6 +10,7 @@ eigenbasis coefficients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,12 +117,18 @@ def heat_basis(M: int) -> EigenBasis:
 class OperatorFamily:
     """Family A(t) = a(t) A0 + c(t) I with polynomial coefficients.
 
-    ``a_coeffs`` and ``c_coeffs`` hold polynomial coefficients in
-    increasing-degree order (numpy convention).  a(t) must stay positive
-    and a(t) mu_1 + c(t) must stay positive on the time interval of
-    interest.  Both are kept as float arrays; an array that is not 1-d
-    and non-empty, or that holds a NaN or infinite coefficient, raises
-    ``ValueError`` naming it.
+    ``a_coeffs`` and ``c_coeffs`` hold increasing-degree coefficients, kept
+    as float arrays; one that is not 1-d and non-empty, or not finite,
+    raises ``ValueError`` naming it.
+
+    The clock.  With rho = a / a(0), s(t) = int_0^t rho and
+    C^(t) = int_0^t (c - c(0) rho), u^ = e^{C^} u solves
+    du^/ds = -(a(0) A0 + c(0)) u^ + e^{C^} F / rho with Robin data
+    u^_x + b u^ = e^{C^} g and u^(0) = u(0), whenever u' = -A(t) u + F with
+    u_x + b u = g: the constant family (a(0), c(0)) in the clock s, exactly.
+    It needs a > 0 on [0, T] (:meth:`require_positive_a`) and
+    a(0) mu_1 + c(0) >= 0.  A constant family has rho = 1 and C^ = 0
+    exactly, so its clock is the identity bit for bit.
     """
 
     basis: EigenBasis
@@ -151,6 +158,67 @@ class OperatorFamily:
     def is_constant(self) -> bool:
         """Whether every coefficient past degree 0 is zero, so A(t) = A(0) for all t."""
         return not (self.a_coeffs[1:].any() or self.c_coeffs[1:].any())
+
+    @functools.cached_property
+    def _clock_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        rho = self.a_coeffs / self.a_coeffs[0]
+        return rho, P.polyint(P.polysub(self.c_coeffs, self.c_coeffs[0] * rho))
+
+    def rho(self, t):
+        """The clock's rate rho(t) = a(t) / a(0)."""
+        return P.polyval(t, self._clock_coeffs[0])
+
+    def log_scale(self, t):
+        """C^(t), so that u^ = e^{C^} u (see the clock above)."""
+        return P.polyval(t, self._clock_coeffs[1])
+
+    def require_positive_a(self, T: float) -> None:
+        """Raise ``ValueError`` naming a and the first time of [0, T] where a > 0 fails:
+        t = 0, or a root of a whose real part lies in [0, T] and which is real or where a <= 0."""
+        roots = P.polyroots(self.a_coeffs) if self.a_coeffs[1:].any() else np.empty(0)
+        roots = np.sort_complex(roots[(roots.real >= 0.0) & (roots.real <= T)])
+        times = np.concatenate([[0.0], roots.real])
+        fails = (self.a(times) <= 0.0) | np.concatenate([[False], roots.imag == 0.0])
+        if fails.any():
+            t = float(times[np.argmax(fails)])
+            message = f"operator coefficient a(t) must be positive on [0, T={T}], but a({t!r}) = {self.a(t):.3g}"
+            raise ValueError(message)
+
+    def slab_clocks(self, centres: np.ndarray, half: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The clock on the slabs t = centre + half xi, xi in [-1, 1], of each of the K ``centres``.
+
+        Returns each slab's mean of rho (its clock length is 2 half mean),
+        (K,), and the xi of its clock coordinates ``r``, (K, P), where
+        int_{-1}^{xi} rho(centre + half eta) d eta = mean (r + 1): Newton steps
+        from xi = r, each point's until its own step is below 4 eps, and
+        r = +-1 keep their ends.  Taken in the local coordinate, rho = 1
+        gives a mean of exactly 1.0 and xi = r bit for bit.
+        """
+        rho = self._clock_coeffs[0]
+        if not rho[1:].any():  # a constant a: the clock is the identity on every slab
+            return np.ones(centres.size), np.repeat(r[None, :], centres.size, axis=0)
+        local = np.zeros((rho.size, centres.size))
+        for coef in rho[::-1]:  # Horner in the local coordinate
+            local[1:] = centres * local[1:] + half * local[:-1]
+            local[0] = centres * local[0] + coef
+        powers = np.arange(1, rho.size + 1)
+        mean = (1.0 / powers[::2]) @ local[::2]
+        # solve mean (xi - r) + D(xi) = 0 with D = int_{-1}^{xi} (rho - mean), whose rounding is small
+        D = np.concatenate([np.zeros((1, centres.size)), local / powers[:, None]])
+        D[1] -= mean
+        D[0] = D[1::2].sum(axis=0) - D[2::2].sum(axis=0)  # D(-1) = 0
+        xi = np.repeat(r[None, :], centres.size, axis=0)
+        settled = np.abs(xi) == 1.0
+        for _ in range(50):
+            step = mean[:, None] * (xi - r) + P.polyval(xi, D[:, :, None], tensor=False)
+            step /= P.polyval(xi, local[:, :, None], tensor=False)
+            step[settled] = 0.0
+            xi -= step
+            np.clip(xi, -1.0, 1.0, out=xi)
+            settled |= np.abs(step) <= 4.0 * np.finfo(float).eps  # NaN does not settle
+            if settled.all():
+                return mean, xi
+        raise ValueError("the clock's Newton steps did not settle: is a positive on [0, T]?")
 
 
 def constant_family(basis: EigenBasis, a: float = 1.0, c: float = 0.0) -> OperatorFamily:

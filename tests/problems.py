@@ -44,6 +44,34 @@ def varying_manufactured_problem(M=128, a1=0.5, c1=0.3, kappa=2.5):
     )
 
 
+def varying_neumann_problem(M=128):
+    """The Neumann rod's u = e^{-2t} sin(pi x) under a = 1 + t / 2, c = 0.3 t,
+    with b = 1 and g = -pi e^{-2t}: u0 holds the sine coefficients of
+    sin(pi x), and the forcing is (a pi^2 + c - 2) e^{-2t} times them."""
+    basis = heat_basis(M)
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.0, 0.3]))
+    n = np.arange(1, M + 1)
+    u0 = 2.0 * np.pi * np.where(n % 2 == 1, 1.0, -1.0) / (np.pi**2 - basis.mu)
+
+    def forcing(t):
+        return (family.a(t) * np.pi**2 + family.c(t) - 2.0) * np.exp(-2.0 * t) * u0
+
+    return HeatProblem(
+        family=family,
+        b=ExpDecay(1.0, 0.0),
+        g=ExpDecay(-np.pi, 2.0),
+        u0=u0,
+        T=1.0,
+        forcing=forcing,
+        exact=SeparableSolution(
+            rate=2.0,
+            profile=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
+            dprofile_at_1=-np.pi,
+        ),
+        name="varying-neumann",
+    )
+
+
 WRONG_SHAPES = [lambda M: np.ones(1), lambda M: np.ones(M + 1), lambda M: 1.0, lambda M: np.ones((M, 1)), lambda M: [1.0]]
 """Forcing values, as functions of M, that do not hold M modes."""
 

@@ -50,13 +50,13 @@ from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition, interpolate
 from duhamelcheb.operators import OperatorFamily
-from problems import WRONG_SHAPE_IDS, WRONG_SHAPES, varying_manufactured_problem, wrong_shape_message
-
-
-def dense_alpha(coeffs):
-    """alpha of the slab, as the (N, N+1, M) zeros that a constant family leaves unintegrated."""
-    alpha = coeffs.interior.alpha
-    return np.zeros((coeffs.N, coeffs.N + 1, coeffs.M)) if alpha is None else alpha
+from problems import (
+    WRONG_SHAPE_IDS,
+    WRONG_SHAPES,
+    varying_manufactured_problem,
+    varying_neumann_problem,
+    wrong_shape_message,
+)
 
 
 def data_term(coeffs) -> np.ndarray:
@@ -100,28 +100,6 @@ def beta_quadrature_oracle(family, grid, partition, l, k, j, n):
     return -0.5 * tau * family.a(tk) * mu0_n * b_n * val
 
 
-def alpha_quadrature_oracle(family, grid, partition, l, k, j, n):
-    """(tau/2) int (mu0_n da + dc) e^{-nu_n (s_k - eta)} L_j(eta) deta."""
-    tau = partition.tau
-    tk = partition.map_to_slab(l, grid.nodes[k])
-    nu = 0.5 * tau * family.frozen_eigenvalues(tk)[n]
-    sk, skm1 = grid.nodes[k], grid.nodes[k - 1]
-    mu0_n = family.basis.mu[n]
-
-    def integrand(eta):
-        t_eta = partition.map_to_slab(l, eta)
-        da = family.a(tk) - family.a(t_eta)
-        dc = family.c(tk) - family.c(t_eta)
-        return (
-            (mu0_n * da + dc)
-            * np.exp(-nu * (sk - eta))
-            * lagrange_eval(grid, j, eta)
-        )
-
-    val, _ = quad(integrand, skm1, sk, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 0.5 * tau * val
-
-
 @pytest.fixture(scope="module")
 def small_setup():
     basis = heat_basis(30)
@@ -129,12 +107,6 @@ def small_setup():
     grid = build_grid(4)
     partition = TimePartition(1.0, 2)
     return family, grid, partition
-
-
-def test_alpha_vanishes_for_constant_family(small_setup):
-    family, grid, partition = small_setup
-    coeffs = assemble_coefficients(family, grid, partition, l=1)
-    assert coeffs.interior.alpha is None
 
 
 def test_beta_against_quadrature(small_setup):
@@ -192,21 +164,6 @@ def test_beta_weighted_against_quadrature(small_setup):
         assert abs(beta[k - 1, j, n] - expect) <= 1e-9
 
 
-def test_alpha_against_quadrature_varying_family():
-    basis = heat_basis(20)
-    family = OperatorFamily(
-        basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.3, 0.0, 0.2])
-    )
-    grid = build_grid(3)
-    partition = TimePartition(1.0, 2)
-    coeffs = assemble_coefficients(family, grid, partition, l=2)
-    for k in (1, 3):
-        for j in (0, 3):
-            for n in (0, 5, 19):
-                oracle = alpha_quadrature_oracle(family, grid, partition, 2, k, j, n)
-                assert abs(coeffs.interior.alpha[k - 1, j, n] - oracle) <= 1e-9
-
-
 def test_phi_constant_boundary_data_closed_form(small_setup):
     """g == 1, f == 0: mode n of the data term f_x of row k is b_n (1 - e^{-mu_n (tau/2) theta_k})."""
     family, grid, partition = small_setup
@@ -248,12 +205,10 @@ def test_phi_polynomial_forcing_exact(small_setup):
 
 
 def test_data_degree_floor_validated(small_setup):
-    """The alpha integrands have degree N + deg(a, c): the data degree is
-    max(12, N + deg(a, c)), so it never falls below that floor."""
+    """The data degree is max(12, N), so it never falls below that floor."""
     family, _, partition = small_setup
-    varying = OperatorFamily(basis=family.basis, c_coeffs=np.array([0.3, 0.0, 0.2]))
-    for N, fam, degree in ((4, family, 12), (4, varying, 12), (16, family, 16), (16, varying, 18)):
-        assert CoefficientAssembler(fam, build_grid(N), partition).data_degree == degree
+    for N, degree in ((4, 12), (16, 16)):
+        assert CoefficientAssembler(family, build_grid(N), partition).data_degree == degree
 
 
 def test_negative_frozen_eigenvalues_rejected(small_setup):
@@ -271,6 +226,33 @@ def test_varying_family_marches_to_roundoff(N):
     trace = march(prob, SolverConfig(N=N, K=8, M=128))
     assert trace.refinements == 0
     assert compute_errors(trace, prob).max_eps1 <= 1e-13
+
+
+def test_varying_neumann_self_converges_in_its_clock():
+    """Varying-Neumann's trace at T at (N, K, M) = (16, 4, 128) against
+    (32, 16, 128): both march the same M modes, so the mode tail, which
+    keeps its error against the exact solution at 5e-3, cancels.  With the
+    operator frozen per node the difference stayed at 7e-4; solved in its
+    clock it reads 1.1e-10."""
+    problem = varying_neumann_problem()
+    coarse = march(problem, SolverConfig(N=16, K=4, M=128))
+    fine = march(problem, SolverConfig(N=32, K=16, M=128))
+    assert coarse.refinements == fine.refinements == 0
+    assert abs(coarse.node_boundary_traces()[-1] - fine.node_boundary_traces()[-1]) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_a_dip_of_a_between_its_samples_is_named(mode):
+    """a = 1 + 5e4 (t - 0.3) (t - 0.31) is positive at t = 0, 1/2 and 1 and
+    negative on (0.3028, 0.3072).  The march names a and the first time it
+    fails, a root of a, instead of failing on a slab later."""
+    problem = dataclasses.replace(
+        build_reference_example(M=32),
+        family=OperatorFamily(basis=heat_basis(32), a_coeffs=np.array([4651.0, -30500.0, 5e4])),
+    )
+    message = r"^operator coefficient a\(t\) must be positive on \[0, T=1.0\], but a\(0\.302763932"
+    with pytest.raises(ValueError, match=message):
+        march(problem, SolverConfig(N=8, K=4, M=32, mode=mode))
 
 
 @pytest.mark.parametrize("N", [32, 40, 48, 64])
@@ -577,18 +559,17 @@ def dense_stage_solve(system, x0, w0):
     """Solve the coupled (N M + N) stage system of one slab densely.
 
     Unknowns are x~ (block k, mode m at k M + m) and the traces w_1..w_N:
-        x~ = (I - A) x~ + D w + Phi,
-        w  = Lambda ((I - A) x~ + D w + Phi),
-    with I - A = C~ plus the subdiagonal blocks, all read straight from the
-    slab's coefficients rather than through the solver's helpers: C~ and
-    F_x from alpha's columns 1..N and 0 (F_x plus E[0] in row 1), the
-    subdiagonal from E, Lambda from the trace functional, f_x from
-    ``data_term``, and D and F_y from columns 1..N and 0 of the
-    multiplied-out ``coupling()``.
+        x~ = (I - S~) x~ + D w + Phi,
+        w  = Lambda ((I - S~) x~ + D w + Phi),
+    with I - S~ the subdiagonal blocks, all read straight from the slab's
+    coefficients rather than through the solver's helpers: the
+    subdiagonal and F_x (E[0] in row 1) from E, Lambda from the trace
+    functional, f_x from ``data_term``, and D and F_y from columns 1..N
+    and 0 of the multiplied-out ``coupling()``.
     """
     N, M = system.N, system.M
     coeffs = system
-    E, alpha, trace = coeffs.E, dense_alpha(coeffs), coeffs.interior.trace
+    E, trace = coeffs.E, coeffs.interior.trace
     beta = coeffs.coupling()
     D, F_y = beta[:, 1:], beta[:, 0]
     n = N * M
@@ -599,12 +580,11 @@ def dense_stage_solve(system, x0, w0):
         for m in range(M):
             row = k * M + m
             for j in range(N):
-                ImA[row, j * M + m] += alpha[k, j + 1, m]
                 Dmat[row, j] = D[k, j, m]
             if k > 0:
                 ImA[row, (k - 1) * M + m] += E[k, m]
             Lam[k, row] = trace[m]
-    Phi = alpha[:, 0] * x0[None, :] + F_y * w0 + data_term(coeffs)
+    Phi = F_y * w0 + data_term(coeffs)
     Phi[0] += E[0] * x0
     Phi = Phi.ravel()
     big = np.zeros((n + N, n + N))
@@ -617,11 +597,9 @@ def dense_stage_solve(system, x0, w0):
 
 
 @pytest.mark.parametrize(
-    "a_coeffs, c_coeffs, sweep",
-    [([1.0], [0.0], True), ([1.0, 0.5], [0.0, 0.3], False)],
-    ids=["constant-sweep", "varying-lu"],
+    "a_coeffs, c_coeffs", [([1.0], [0.0]), ([1.0, 0.5], [0.0, 0.3])], ids=["constant-sweep", "varying-sweep"]
 )
-def test_direct_solve_matches_dense_coupled_system(a_coeffs, c_coeffs, sweep):
+def test_direct_solve_matches_dense_coupled_system(a_coeffs, c_coeffs):
     M, N = 6, 8
     ref = build_reference_example(M=M)
     family = OperatorFamily(
@@ -631,7 +609,6 @@ def test_direct_solve_matches_dense_coupled_system(a_coeffs, c_coeffs, sweep):
     partition = TimePartition(1.0, 2)
     coeffs = CoefficientAssembler(family, grid, partition).slab(2, ref.g, None, ref.b)
     system = assemble_block_system(coeffs, family, ref.b)
-    assert dense_alpha(system)[:, 1:].any() != sweep
     x0 = np.random.default_rng(7).standard_normal(M)
     w0 = float(x0 @ family.basis.boundary_trace)
     stage = solve_stage_direct(system, x0, w0)
@@ -712,12 +689,16 @@ class MathExpDecay(ExpDecay):
         return self.coef * np.array([math.exp(v) for v in arg.ravel()]).reshape(arg.shape)
 
 
-def test_expdecay_data_is_sampled_once_per_slab():
+@pytest.mark.parametrize(
+    "build", [build_reference_example, varying_manufactured_problem], ids=["reference", "varying"]
+)
+def test_expdecay_data_is_sampled_once_per_slab(build):
     """An ExpDecay g and b take one array call per slab each, plus one for
-    the nodal b values, and no scalar call; a scalar-only callable with the
-    same values marches to the same bytes point by point."""
+    the nodal b values, and no scalar call, at the clock's times for a
+    varying family too; a scalar-only callable with the same values marches
+    to the same bytes point by point."""
     N, K, M = 16, 32, 128
-    ref = build_reference_example(M)
+    ref = build(M)
     g, b = MathExpDecay(ref.g.coef, ref.g.rate), MathExpDecay(ref.b.coef, ref.b.rate)
     config = SolverConfig(N=N, K=K, M=M)
     trace = march(dataclasses.replace(ref, g=g, b=b), config)
@@ -863,12 +844,9 @@ def test_importing_the_package_builds_no_gauss_tables():
 
 
 def materialised(coeffs) -> dict:
-    """A slab's coefficients as arrays: alpha (zeros for a constant family),
-    the boundary coupling multiplied out and the data term f_x."""
-    return {
-        "t_star": coeffs.t_star, "E": coeffs.E, "alpha": dense_alpha(coeffs),
-        "beta": coeffs.coupling(), "phi": data_term(coeffs),
-    }
+    """A slab's coefficients as arrays: the boundary coupling multiplied
+    out and the data term f_x."""
+    return {"t_star": coeffs.t_star, "E": coeffs.E, "beta": coeffs.coupling(), "phi": data_term(coeffs)}
 
 
 def dense_contraction_norm(system) -> float:
@@ -956,7 +934,6 @@ def test_factored_direct_solve_matches_dense_coupled_system(build, N, K, l, monk
     assert family.is_constant
     assembler = CoefficientAssembler(family, build_grid(N), TimePartition(problem.T, K))
     system = assemble_block_system(assembler.slab(l, problem.g, problem.forcing, problem.b), family, problem.b)
-    assert system.has_interior_coupling is False
     x0 = np.random.default_rng(N).standard_normal(family.basis.M)
     w0 = float(x0 @ family.basis.boundary_trace)
     couplings = count_coupling_calls(monkeypatch)
@@ -1043,44 +1020,44 @@ def barycentric_map(assembler, k, nu_k):
     return R
 
 
+def clock_times(assembler, l, r):
+    """The clock length of slab ``l`` and the times of its clock coordinates ``r``, shaped as ``r``."""
+    partition = assembler.partition
+    centre = np.array([partition.map_to_slab(l, 0.0)])
+    mean, xi = assembler.family.slab_clocks(centre, 0.5 * partition.tau, np.ravel(r))
+    return partition.tau * mean[0], partition.map_to_slab(l, xi[0]).reshape(np.shape(r))
+
+
 def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
-    """E, alpha, the coupling and phi of slab ``l`` by the earlier loop:
-    the maps of :func:`barycentric_map`, alpha integrated for every family
-    with the frozen eigenvalues sampled per subinterval, beta built as a
-    transposed product scaled out of place."""
-    family, grid, partition = assembler.family, assembler.grid, assembler.partition
+    """E, the coupling and phi of slab ``l`` by the earlier loop, in the
+    slab's clock: the maps of :func:`barycentric_map`, g and f sampled at
+    the clock's times and scaled point by point, e^{C^} g and
+    e^{C^} f / rho, and beta built as a transposed product scaled out of
+    place."""
+    family, grid = assembler.family, assembler.grid
     N, M, Q = grid.N, family.basis.M, assembler.data_degree
-    tau = partition.tau
-    t_star = partition.slab_times(l, grid)
-    t_loc = partition.map_to_slab(l, assembler._s_loc)
-    mu_frozen = family.frozen_eigenvalues(t_star[1:, None])
-    nu = 0.5 * tau * mu_frozen
+    tau, t_loc = clock_times(assembler, l, assembler._s_loc)
+    nu = 0.5 * tau * family.frozen_eigenvalues(0.0)
     E = np.exp(-nu * grid.spacings[:, None])
-    alpha = np.empty((N, N + 1, M))
-    maps = np.empty((N, M, Q + 1))
-    for k in range(N):
-        R = maps[k] = barycentric_map(assembler, k, nu[k])
-        mu_q = family.frozen_eigenvalues(t_loc[k][:, None])
-        alpha[k] = 0.5 * tau * (assembler._lag_loc[k] @ (R.T * (mu_frozen[k] - mu_q)))
-    mu0, lift = family.basis.mu, family.basis.lift_coeffs
-    a_star = family.a(t_star[1:])
-    g_loc = None if g is None else sample_data(g, t_loc)
+    maps = np.stack([barycentric_map(assembler, k, nu) for k in range(N)])
+    kernel_scale = family.a(0.0) * family.basis.mu * family.basis.lift_coeffs
+    g_loc = None if g is None else sample_data(g, t_loc) * np.exp(family.log_scale(t_loc))
     b_loc = None if b is None else sample_data(b, t_loc)
     phi = np.zeros((N, M))
     beta = np.empty((N, N + 1, M))
     for k in range(1, N + 1):
         R = maps[k - 1]
-        kernel_scale = a_star[k - 1] * mu0 * lift
         if g is not None:
             phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc[k - 1])
         if f is not None:
-            f_loc = np.stack([np.asarray(f(t), dtype=float) for t in t_loc[k - 1]])
+            weights = np.exp(family.log_scale(t_loc[k - 1])) / family.rho(t_loc[k - 1])
+            f_loc = np.stack([np.asarray(f(t), dtype=float) * w for t, w in zip(t_loc[k - 1], weights)])
             phi[k - 1] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
         lag = assembler._lag_loc[k - 1]
         if b is not None:
             lag = lag * b_loc[k - 1][None, :]
         beta[k - 1] = -0.5 * tau * (R @ lag.T).T * kernel_scale[None, :]
-    return E, alpha, beta, phi
+    return E, beta, phi
 
 
 @pytest.mark.parametrize(
@@ -1101,17 +1078,17 @@ def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
     ],
 )
 def test_slab_matches_the_per_subinterval_oracle(build, N, K, M):
-    """In-place rows, the constant-family zeros and the per-slab sampling of
-    a(t) and c(t) must give the earlier loop's coefficients on every slab
-    (a constant family's slabs after the first reuse the cache).  With
-    K = 3 the slab width is not a power of two, so the order of the two
-    in-place scalings shows.  At (13, 2, 128) the map blocks hold 4, 4, 4
-    and 1 subintervals, and at M = 1024 each holds one.  E must match bit
-    for bit.  The assembler
-    evaluates the Gauss-Laguerre table from its Chebyshev coefficients,
-    which rounds differently from the oracle's barycentric interpolation,
-    so alpha, the coupling and phi must match within 4e-15 of the largest
-    |.| of each row (the mode axis)."""
+    """In-place rows and the per-slab clock must give the earlier loop's
+    coefficients on every slab (a constant family's slabs after the first
+    reuse the cache).  With K = 3 the slab width is not a power of two, so
+    the order of the two in-place scalings shows.  At (13, 2, 128) the map
+    blocks hold 4, 4, 4 and 1 subintervals, and at M = 1024 each holds
+    one.  E must match bit for bit.  The assembler evaluates the
+    Gauss-Laguerre table from its Chebyshev coefficients, which rounds
+    differently from the oracle's barycentric interpolation, and it
+    interpolates a resolved forcing from its slab-wide grid, so the
+    coupling and phi must match within 4e-15 of the largest |.| of each
+    row (the mode axis)."""
     problem = build(M=M)
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
     data = (problem.g, problem.forcing, problem.b)
@@ -1120,7 +1097,7 @@ def test_slab_matches_the_per_subinterval_oracle(build, N, K, M):
         E, *expected = per_subinterval_oracle(assembler, l, *data)
         assert coeffs.E.tobytes() == E.tobytes(), l
         got = materialised(coeffs)
-        for name, want in zip(("alpha", "beta", "phi"), expected):
+        for name, want in zip(("beta", "phi"), expected):
             bound = 4e-15 * np.abs(want).max(axis=-1, keepdims=True)
             assert (np.abs(got[name] - want) <= bound).all(), (l, name)
 
@@ -1221,19 +1198,6 @@ def test_slab_makes_no_interpolate_calls(build, monkeypatch):
     assert calls == []
 
 
-def count_interior_contractions(monkeypatch) -> list:
-    calls = []
-    einsum = np.einsum
-
-    def counting(subscripts, *operands, **kwargs):
-        if subscripts == "kjm,jm->km":
-            calls.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counting)
-    return calls
-
-
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])
 def test_zero_higher_coefficients_make_a_constant_family(reference_problem, mode, monkeypatch):
     """a = [1, 0] is the constant a = 1: the family reports so, its slabs
@@ -1257,52 +1221,25 @@ def test_zero_higher_coefficients_make_a_constant_family(reference_problem, mode
     assert trace.node_modes().tobytes() == plain.node_modes().tobytes()
 
 
+@pytest.mark.parametrize(
+    "build, bound",
+    [(build_reference_example, 1e-10), (varying_manufactured_problem, 1e-13)],
+    ids=["constant", "varying"],
+)
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])
-def test_constant_family_skips_the_interior_coupling(reference_problem, mode, monkeypatch):
-    """alpha is not integrated, and the family is not sampled at the sample
-    times; the system flags C~ as absent, and neither stage solver
-    contracts it."""
-    family = reference_problem.family
-    frozen_shapes = []
-    frozen = OperatorFamily.frozen_eigenvalues
+def test_every_family_takes_the_factored_solve(build, bound, mode, monkeypatch):
+    """A constant and a varying family take one solve, in the family's
+    clock: at (12, 8, 128) neither march multiplies the coupling out, and
+    both reach the accuracy of the exact solution."""
+    problem = build(M=128)
 
-    def recording(self, t):
-        frozen_shapes.append(np.shape(t))
-        return frozen(self, t)
+    def refuse(self):
+        raise AssertionError("the dense coupling was multiplied out")
 
-    monkeypatch.setattr(OperatorFamily, "frozen_eigenvalues", recording)
-    assembler = CoefficientAssembler(family, build_grid(8), TimePartition(1.0, 2))
-    coeffs = assembler.slab(1, reference_problem.g, None, reference_problem.b)
-    assert frozen_shapes == [(8, 1)]
-    assert coeffs.interior.alpha is None
-    system = assemble_block_system(coeffs, family, reference_problem.b)
-    assert system.has_interior_coupling is False
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        system.has_interior_coupling = True
-
-    calls = count_interior_contractions(monkeypatch)
-    trace = march(reference_problem, SolverConfig(N=8, K=2, M=128, mode=mode))
-    assert compute_errors(trace, reference_problem).max_eps1 <= 1e-10
-    assert calls == []
-
-
-@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
-def test_varying_family_keeps_the_interior_coupling(mode, monkeypatch):
-    """C~ is contracted in both solvers; the dense boundary coupling is
-    multiplied out once per solved slab, for the LU right-hand side of the
-    direct solve, and never by the fixed-point sweep."""
-    problem = varying_manufactured_problem()
-    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(1.0, 8))
-    coeffs = assembler.slab(1, problem.g, problem.forcing, problem.b)
-    assert assemble_block_system(coeffs, problem.family, problem.b).has_interior_coupling is True
-
-    couplings = count_coupling_calls(monkeypatch)
-    calls = count_interior_contractions(monkeypatch)
+    monkeypatch.setattr(collocation.BlockSystem, "coupling", refuse)
     trace = march(problem, SolverConfig(N=12, K=8, M=128, mode=mode))
-    assert compute_errors(trace, problem).max_eps1 <= 1e-13
-    assert len(calls) >= trace.partition.K
-    solved = [stage.slab for stage in trace.stages] if mode == "direct" else []
-    assert couplings == solved
+    assert trace.refinements == 0
+    assert compute_errors(trace, problem).max_eps1 <= bound
 
 
 def test_neumann_restarts_build_the_sample_tables_once(monkeypatch):
@@ -1402,9 +1339,10 @@ def test_smooth_forcing_is_sampled_on_the_slab_grid(zero):
 
 def test_kinked_forcing_falls_back_on_its_slab():
     """|t - 0.3| e_1 at (12, 4, 128) has its kink inside slab 2, which the
-    degree-16 slab grid does not resolve.  f is called at its 17 points,
-    then at every local sample time, so that slab's phi has the pointwise
-    bits.  The other slabs, where f is linear, take at most 17 calls."""
+    degree-16 slab grid does not resolve.  f is called at the times of its
+    17 points in the clock, then at every local sample time, so that slab's
+    phi has the pointwise bits.  The other slabs, where f is linear, take
+    at most 17 calls."""
     problem = varying_manufactured_problem()
     M = problem.family.basis.M
 
@@ -1422,7 +1360,7 @@ def test_kinked_forcing_falls_back_on_its_slab():
             assert len(times) <= 17, l
             continue
         assert len(times) == 17 + local
-        assert times[:17] == assembler.partition.map_to_slab(2, build_grid(16).nodes).tolist()
+        assert times[:17] == clock_times(assembler, 2, build_grid(16).nodes)[1].tolist()
         assert phi.tobytes() == data_term(pointwise.slab(l, problem.g, kink, problem.b)).tobytes()
 
 
@@ -1436,7 +1374,7 @@ def test_one_subinterval_samples_the_forcing_pointwise():
     for l in range(1, 5):
         times = []
         phi = data_term(assembler.slab(l, problem.g, counting(problem.forcing, times), problem.b))
-        assert times == assembler.partition.map_to_slab(l, assembler._s_loc).ravel().tolist()
+        assert times == clock_times(assembler, l, assembler._s_loc)[1].ravel().tolist()
         assert phi.tobytes() == data_term(pointwise.slab(l, problem.g, problem.forcing, problem.b)).tobytes()
 
 
@@ -1569,15 +1507,15 @@ def test_map_passes_agree_with_a_plain_einsum_over_the_maps(build, M):
     want = s * np.einsum("kqm,kq->km", maps, c)
     assert_rows_agree(interior.modes(c), want, s * np.einsum("kqm,kq->km", abs(maps), abs(c)))
     lag_b = system.lag_b.astype(wide)
-    want = np.einsum("kjq,kqm->kjm", lag_b, maps) * s[:, None, :]
-    scale = np.einsum("kjq,kqm->kjm", abs(lag_b), abs(maps)) * s[:, None, :]
+    want = np.einsum("kjq,kqm->kjm", lag_b, maps) * s
+    scale = np.einsum("kjq,kqm->kjm", abs(lag_b), abs(maps)) * s
     assert_rows_agree(system.coupling(), want, scale)
-    want = np.einsum("m,km,kqm->kq", trace, s, maps)
-    scale = np.einsum("m,km,kqm->kq", abs(trace), abs(s), abs(maps))
+    want = np.einsum("m,m,kqm->kq", trace, s, maps)
+    scale = np.einsum("m,m,kqm->kq", abs(trace), abs(s), abs(maps))
     assert_rows_agree(interior.trace_weights, want, scale, rel=3e-15)
     sweep = system.s_tilde_inverse_blocks().astype(wide)
-    want = np.einsum("m,kim,im,iqm->kiq", trace, sweep, s, maps)
-    scale = np.einsum("m,kim,im,iqm->kiq", abs(trace), sweep, abs(s), abs(maps))
+    want = np.einsum("m,kim,m,iqm->kiq", trace, sweep, s, maps)
+    scale = np.einsum("m,kim,m,iqm->kiq", abs(trace), sweep, abs(s), abs(maps))
     assert_rows_agree(interior.trace_images, want, scale, rel=3e-15)
 
 
@@ -1590,8 +1528,7 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     formulas bit for bit, with a -0.0 in x0 (and w0 = -0.0 without data,
     where only signed zeros and F_x x0 meet), and the solver leaves its
     inputs unchanged.  Phi is the one boundary pass modes(V[0] w0 - g),
-    then E[0] x0 added to row 1 (a constant family) or F_x x0 added to
-    every row (a varying one), then the forcing.  With data, a forcing in
+    then E[0] x0 added to row 1, then the forcing.  With data, a forcing in
     every mode is added to the problem's, so that the order of the three
     terms shows in every mode."""
     problem = build(M=128)
@@ -1606,22 +1543,15 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     x0 = np.random.default_rng(5).standard_normal(128)
     x0[[0, 3]] = -0.0
     w0 = float(x0 @ problem.basis.boundary_trace) if data else -0.0
-    alpha = system.interior.alpha
     Phi = collocation._phi_blocks(system, x0, w0)
     want = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
-    if alpha is None:
-        want[0] = want[0] + system.E[0] * x0
-    else:
-        F_x = alpha[:, 0].copy()
-        F_x[0] += system.E[0]
-        want = want + F_x * x0[None, :]
+    want[0] = want[0] + system.E[0] * x0
     if system.forcing is not None:
         want = want + system.forcing
     assert (system.forcing is not None) == data
     assert Phi.tobytes() == want.tobytes()
 
-    eliminate = collocation._eliminate_lu if system.has_interior_coupling else collocation._eliminate_factored
-    w_int, xt, Dw = eliminate(system, Phi)
+    w_int, xt, Dw = collocation._eliminate_factored(system, Phi)
     inputs = [a.tobytes() for a in (x0, xt, w_int, Phi, Dw)]
     stage = collocation._stage_solution(system, x0, w0, xt, w_int, Phi, Dw, 0.0)
     assert [a.tobytes() for a in (x0, xt, w_int, Phi, Dw)] == inputs
@@ -1707,7 +1637,7 @@ def all_modes_move(monkeypatch):
     "build, N, K, M, moving",
     [
         (build_reference_example, 12, 4, 4096, 133),
-        (varying_manufactured_problem, 12, 4, 4096, 133),
+        (varying_manufactured_problem, 12, 4, 4096, 129),
         (build_reference_example, 16, 32, 128, 128),
         (varying_manufactured_problem, 16, 32, 128, 128),
     ],
@@ -1715,7 +1645,9 @@ def all_modes_move(monkeypatch):
 )
 def test_moving_counts_the_modes_with_a_nonzero_propagator(build, N, K, M, moving):
     """At (12, 4, 4096) E underflows to 0.0 on every subinterval past mode
-    133; at (16, 32, 128) every mode moves."""
+    133; the varying family's slab 1 is 1.0625 times as long in its clock,
+    a = 1 + t / 2 there, and its E underflows past mode 129.  At
+    (16, 32, 128) every mode moves."""
     problem = build(M=M)
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
     interior = assembler.slab(1, problem.g, problem.forcing, problem.b).interior
@@ -1727,7 +1659,7 @@ def test_moving_does_not_assume_a_monotone_propagator():
     """A nonzero E past a run of zeros, on one subinterval only, still counts."""
     E = np.zeros((3, 6))
     E[2, 4] = 5e-324
-    interior = collocation.SlabInterior(1.0, E, None, np.zeros((3, 2, 6)), np.ones((3, 6)), np.ones(6))
+    interior = collocation.SlabInterior(1.0, E, np.zeros((3, 2, 6)), np.ones(6), np.ones(6))
     assert interior.moving == 5
     assert dataclasses.replace(interior, E=np.zeros((3, 6))).moving == 0
 
@@ -1747,7 +1679,7 @@ def test_sweeps_over_the_moving_modes_equal_the_sweeps_over_all(build, M):
         for k in range(1, system.N):
             want[k] = want[k] + E[k] * want[k - 1]
         assert collocation._forward_sub(system, r.copy()).tobytes() == want.tobytes()
-        want = collocation._c_apply(system, r)
+        want = np.zeros(r.shape)
         want[1:] = want[1:] + E[1:] * r[:-1]
         assert collocation._imsc(system, r).tobytes() == want.tobytes()
 

@@ -242,8 +242,8 @@ def test_slab_times_shares_junction_bits():
     part = TimePartition(1.0, 5)
     g = build_grid(6)
     for l in range(1, 5):
-        left = part.slab_times(l, g)
-        right = part.slab_times(l + 1, g)
+        left = part.map_to_slab(l, g.nodes)
+        right = part.map_to_slab(l + 1, g.nodes)
         assert left[-1] == right[0]
 
 
@@ -252,3 +252,15 @@ def test_grid_is_frozen():
     assert isinstance(g, CGLGrid)
     with pytest.raises(AttributeError):
         g.nodes = np.zeros(5)
+
+
+def test_map_to_slab_takes_an_array_of_slab_indices():
+    """An array of slab indices broadcasts against the coordinates and gives
+    the per-slab images bit for bit; one index out of range is refused."""
+    part = TimePartition(1.0, 3)
+    g = build_grid(5)
+    slabs = np.arange(1, 4)[:, None]
+    want = np.stack([part.map_to_slab(l, g.nodes) for l in range(1, 4)])
+    assert part.map_to_slab(slabs, g.nodes).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="slab index"):
+        part.map_to_slab(np.arange(0, 3)[:, None], g.nodes)

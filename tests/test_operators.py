@@ -173,3 +173,89 @@ def test_list_coefficients_are_kept_as_float_arrays(basis):
     assert fam.a_coeffs.dtype == fam.c_coeffs.dtype == np.float64
     assert not fam.is_constant
     assert np.array_equal(fam.frozen_eigenvalues(1.0), 1.5 * basis.mu + 2.0)
+
+
+CGL_POINTS = np.cos(np.linspace(np.pi, 0.0, 17))
+"""Clock coordinates of a slab: the degree-16 CGL points of [-1, 1]."""
+
+EPS = np.finfo(float).eps
+
+
+def clock_times(family, t0, t1, r):
+    """The mean of rho over [t0, t1] and the times of the slab's clock coordinates ``r``."""
+    half = 0.5 * (t1 - t0)
+    mean, xi = family.slab_clocks(np.array([t0 + half]), half, r)
+    return mean[0], t0 + half * (xi[0] + 1.0)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.4, 0.7), (2.0 / 3.0, 1.0)])
+def test_linear_clock_matches_its_closed_forms(basis, t0, t1):
+    """a = 1 + t / 2 and c = 0.3 + 0.2 t: s(t) = t + t^2 / 4, whose inverse
+    is t = 2 s / (1 + sqrt(1 + s)), and C^(t) = int_0^t (c - 0.3 a) = t^2 / 40.
+    The slab's clock length, the times of its clock coordinates and C^
+    agree with them to a few ulps."""
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.3, 0.2]))
+    s = lambda t: t + 0.25 * t**2
+    mean, t = clock_times(family, t0, t1, CGL_POINTS)
+    assert abs(mean * (t1 - t0) - (s(t1) - s(t0))) <= 4 * EPS * s(t1)
+    clock = s(t0) + 0.5 * mean * (t1 - t0) * (CGL_POINTS + 1.0)
+    assert np.abs(t - 2.0 * clock / (1.0 + np.sqrt(1.0 + clock))).max() <= 4 * EPS * t1
+    assert (t[0], t[-1]) == (t0, t1)
+    times = np.linspace(0.0, 1.0, 11)
+    assert np.abs(family.log_scale(times) - times**2 / 40.0).max() <= 4 * EPS
+    assert np.abs(family.rho(times) - (1.0 + 0.5 * times)).max() == 0.0
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.4, 0.7), (2.0 / 3.0, 1.0)])
+def test_quadratic_clock_matches_its_closed_form(basis, t0, t1):
+    """a = 2 (1 + t / 4 + t^2): s(t) = t + t^2 / 8 + t^3 / 3, the clock
+    normalised by a(0) = 2; the times of the slab's clock coordinates put
+    s at mean (r + 1) (t1 - t0) / 2 past s(t0) to a few ulps of s(t1)."""
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([2.0, 0.5, 2.0]))
+    s = lambda t: t + t**2 / 8.0 + t**3 / 3.0
+    mean, t = clock_times(family, t0, t1, CGL_POINTS)
+    assert abs(mean * (t1 - t0) - (s(t1) - s(t0))) <= 4 * EPS * s(t1)
+    clock = s(t0) + 0.5 * mean * (t1 - t0) * (CGL_POINTS + 1.0)
+    assert np.abs(s(t) - clock).max() <= 4 * EPS * s(t1)
+    assert (np.diff(t) > 0).all()
+    assert (family.log_scale(np.linspace(0.0, 1.0, 11)) == 0.0).all()
+
+
+@pytest.mark.parametrize("K", [1, 3, 7, 32])
+def test_the_clock_of_a_constant_family_is_the_identity(basis, K):
+    """rho = 1 and C^ = 0 exactly: on every slab of K, the mean is 1.0 and
+    the clock coordinates come back bit for bit, with no Newton step, also
+    when the family's coefficients carry zeros past degree 0."""
+    padded = OperatorFamily(basis, np.array([3.0, 0.0]), np.array([0.2, 0.0]))
+    for family in (constant_family(basis, a=2.5, c=0.7), padded):
+        tau = 1.0 / K
+        mean, xi = family.slab_clocks(0.5 * tau * np.arange(1, 2 * K, 2), 0.5 * tau, CGL_POINTS)
+        assert (mean == 1.0).all()
+        assert xi.tobytes() == np.tile(CGL_POINTS, K).tobytes()
+        times = np.linspace(0.0, 1.0, 11)
+        assert (family.log_scale(times) == 0.0).all()
+        assert (family.rho(times) == 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "a_coeffs, T, where",
+    [
+        ([4651.0, -30500.0, 5e4], 1.0, "0.3027639320"),  # a dip between t = 0, 1/2 and 1
+        ([1.0, -4.0, 4.0], 1.0, "0.4999999"),  # a double root, a = (1 - 2 t)^2
+        ([-1.0, 3.0], 1.0, "0.0"),
+        ([0.0], 2.0, "0.0"),
+        ([1.0, -1.0], 1.0, "1.0"),
+    ],
+    ids=["dip", "double-root", "negative-start", "zero", "root-at-T"],
+)
+def test_a_not_positive_on_the_horizon_is_named(basis, a_coeffs, T, where):
+    family = OperatorFamily(basis=basis, a_coeffs=np.array(a_coeffs))
+    message = rf"^operator coefficient a\(t\) must be positive on \[0, T={T}\], but a\({where}"
+    with pytest.raises(ValueError, match=message):
+        family.require_positive_a(T)
+
+
+def test_a_positive_on_the_horizon_passes(basis):
+    """Roots past T, before 0 or off the real axis do not count."""
+    for a_coeffs, T in (([1.0, -1.0], 0.99), ([1.0, 1.0], 1.0), ([1.0, 0.0, 1.0], 5.0), ([2.0], 1.0)):
+        OperatorFamily(basis=basis, a_coeffs=np.array(a_coeffs)).require_positive_a(T)
