@@ -1,7 +1,8 @@
 """Slab-wise collocation of the Duhamel integral system.
 
-Every operator family is solved as the constant family (a(0), c(0)) in its
-clock (see :class:`~duhamelcheb.operators.OperatorFamily`).  On each time
+Every operator family is solved, slab by slab, as the constant family
+frozen at the slab's midpoint, in its clock (see
+:class:`~duhamelcheb.operators.OperatorFamily`).  On each time
 slab the evolution problem is recast, through the variation-of-constants
 formula with the boundary data lifted, as a coupled system for the field
 values x_k and the boundary trace values w_k at the CGL nodes of the clock;
@@ -30,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .mesh import CGLGrid, TimePartition, build_grid, check_count, interpolate
 from .operators import OperatorFamily
@@ -133,15 +135,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SlabInterior:
-    """What a slab's coefficients take from the family's (a(0), c(0)) and the slab's clock length tau.
+    """What a slab's coefficients take from the frozen family (a_m, c_m) and the slab's clock length tau.
 
-    Every slab of one clock length shares it read-only.  Index k-1 stands
-    for node subinterval k = 1..N, trailing axis modes; mu~ = a(0) mu0 + c(0).
+    Every slab of one clock length and (a_m, c_m) shares it read-only.
+    Index k-1 stands for node subinterval k = 1..N, trailing axis modes;
+    mu~ = a_m mu0 + c_m.
 
     E[k-1]              propagator exp(-mu~ (tau/2) theta_k)
     maps[k-1]           (Q+1, M) quadrature map R_k of subinterval k (see
                         ``CoefficientAssembler._interior``)
-    kernel_scale        (M,) a(0) mu0 lift, which scales beta and the g term
+    kernel_scale        (M,) a_m mu0 lift, which scales beta and the g term
     trace               boundary trace functional of the modes
     moving              the modes [:moving] hold every nonzero E
 
@@ -167,7 +170,7 @@ class SlabInterior:
 
     @functools.cached_property
     def coupling_scale(self) -> np.ndarray:
-        """s = -(tau/2) a(0) mu0 lift, so that beta[k-1, j] = s (R_k V_k[j])."""
+        """s = -(tau/2) a_m mu0 lift, so that beta[k-1, j] = s (R_k V_k[j])."""
         return -0.5 * self.tau * self.kernel_scale
 
     @functools.cached_property
@@ -213,8 +216,8 @@ class SlabInterior:
 class BlockSystem:
     """The stage system of one slab: its coefficients, integrated to roundoff, and b at its nodes.
 
-    It is the constant family's system in the clock, for u^ = e^{C^} u (see
-    :class:`CoefficientAssembler`).  g stays as samples until the stage
+    It is the frozen family's system in the slab's clock, for u^ = e^{C^} u
+    (see :class:`CoefficientAssembler`).  g stays as samples until the stage
     solve integrates it with F_y w0.
 
     Index conventions: row index k-1 for collocation equations k = 1..N,
@@ -228,14 +231,14 @@ class BlockSystem:
     g_loc[k-1, q]     e^{C^} g there, kept as samples (zero without g)
     forcing[k-1]      (tau/2) R_k (e^{C^} f / rho) in modes, or None
     bvals             (N+1,) b at the nodes (one without b), for y = b w
-    unscale           (N+1,) e^{-C^} at the nodes, which takes u^ to u
+    unscale           (N+1,) e^{-C^} at the nodes, which takes u^ to u (1.0 at node 0)
 
     The solvers read every block from these fields.  All are diagonal per
     mode except the boundary functional Lambda:
 
     S~        unit lower bidiagonal, subdiagonal block i the propagator E[i]
     F_x       E[0] in row 1, zero elsewhere
-    f_x       forcing - s (R_k g_k), s = -(tau/2) a(0) mu0 lift
+    f_x       forcing - s (R_k g_k), s = -(tau/2) a_m mu0 lift
     Lambda    the trace row w_k = sum_n interior.trace[n] x~_{k,n} in every
               row, applied by ``_lam_apply``
     D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
@@ -245,7 +248,7 @@ class BlockSystem:
               once, at O(N M Q) cost; F_y w0 and the g term share one pass,
               V[0] w0 - g (``_phi_blocks``).
 
-    Slabs of one clock length share E, the maps and the trace, so solvers
+    Slabs may share one interior, with its E, maps and trace, so solvers
     must not write to them.
     """
 
@@ -447,19 +450,21 @@ def _chebyshev_basis(x: np.ndarray, Q: int, scale: np.ndarray) -> np.ndarray:
 
 
 class CoefficientAssembler:
-    """Per-slab coefficient assembly in the family's clock; slabs of one clock length share one interior.
+    """Per-slab coefficient assembly in the family's clock; like slabs share one interior.
 
-    It sees the family as the constant family (a(0), c(0)) in its clock
-    (:class:`~duhamelcheb.operators.OperatorFamily`).  Slab l keeps its
-    junctions (l - 1) T / K and l T / K; its clock length is tau times its
-    mean of rho, and its nodes, local sample points and forcing grid are
-    CGL in the clock.  Their times, from one Newton solve over every slab,
-    and e^{C^} there are computed when the assembler is built
-    (``ValueError`` unless a > 0 on [0, T]).  g and b are sampled at those
-    times, g times e^{C^}, and f times e^{C^} / rho.  A constant family
-    keeps every bit.  The interior (:class:`SlabInterior`) is kept for the
-    next slab, which reuses it when its clock length is the same, as every
-    slab of a constant family does.
+    Slab l keeps its junctions (l - 1) T / K and l T / K and sees the family
+    as the constant family (a_m, c_m) = (a(t_m), c(t_m)) frozen at its
+    midpoint t_m, in its clock (:class:`~duhamelcheb.operators.OperatorFamily`,
+    C^ anchored at the slab's left junction).  Its clock length is tau times
+    its mean of a over a_m, and its nodes, local sample points and forcing
+    grid are CGL in the clock.  Their clock coordinates come from one Newton
+    solve over every slab when the assembler is built (``ValueError`` unless
+    a > 0 on [0, T]); ``slab`` maps them to times and takes e^{C^} there.
+    g and b are sampled at those times, g times e^{C^}, and f times
+    e^{C^} / rho, rho = a / a_m.  A constant family keeps every bit.  The
+    interior (:class:`SlabInterior`) is kept for the next slab, which reuses
+    it when its clock length, a_m and c_m are the same, as every slab of a
+    constant family does.
 
     One map integrates every coefficient, to roundoff by Gauss rules (see
     ``_interior``): R_k takes values at the data_degree + 1 local Chebyshev
@@ -494,26 +499,15 @@ class CoefficientAssembler:
         self._s_loc, self._lag_loc, self._forcing_grid = _sample_tables(N, Q)
         forcing_nodes = [] if self._forcing_grid is None else [self._forcing_grid[0]]
         clock_points = np.concatenate([grid.nodes, self._s_loc.ravel(), *forcing_nodes])
+        self._cuts = N + 1, N + 1 + self._s_loc.size  # a slab's nodes, local sample points, forcing grid
         family.require_positive_a(partition.T)
-        centres = 0.5 * partition.tau * np.arange(1, 2 * partition.K, 2)
-        self._means, xi = family.slab_clocks(centres, 0.5 * partition.tau, clock_points)
-        times = partition.map_to_slab(np.arange(1, partition.K + 1)[:, None], xi)
-        log_scale = family.log_scale(times)
-        scales = np.exp(log_scale)
-        self._t_star, self._t_loc, self._t_grid = self._at_points(times)
-        self._g_scale = self._at_points(scales)[1]
-        _, self._f_loc, self._f_grid = self._at_points(scales / family.rho(times))
-        self._unscales = np.exp(-self._at_points(log_scale)[0])
+        self._centres = 0.5 * partition.tau * np.arange(1, 2 * partition.K, 2)  # where each slab freezes the family
+        self._means, self._xi, self._log_scales = family.slab_clocks(self._centres, 0.5 * partition.tau, clock_points)
         self._store = None
 
-    def _at_points(self, values: np.ndarray):
-        """Each slab's ``values`` at the clock points, (K, P), as those at its
-        nodes, (K, N+1), local sample points, (K, N, Q+1), and forcing grid."""
-        nodes, local = self.grid.N + 1, self.grid.N + 1 + self._s_loc.size
-        return values[:, :nodes], values[:, nodes:local].reshape(-1, *self._s_loc.shape), values[:, local:]
-
-    def _interior(self, tau: float) -> SlabInterior:
-        """E, the quadrature maps R_k and the kernel scale of a slab of clock length ``tau``.
+    def _interior(self, tau: float, t_m: float) -> SlabInterior:
+        """E, the quadrature maps R_k and the kernel scale of a slab of clock
+        length ``tau`` with the family frozen at ``t_m``.
 
         maps[k-1, q, n] is the integral over 0 <= sigma <= theta_k of
         e^{-nu_n sigma} l_q(z), z = 2 sigma / theta_k - 1, l_q the local Lagrange
@@ -538,9 +532,9 @@ class CoefficientAssembler:
         """
         family, grid, split = self.family, self.grid, self._split
         N, M, Q = grid.N, family.basis.M, self.data_degree
-        mu = family.frozen_eigenvalues(0.0)
+        mu = family.frozen_eigenvalues(t_m)
         if np.any(mu < 0):
-            raise ValueError(f"operator family is not positive: a(0) mu_1 + c(0) = {mu.min():.6g}")
+            raise ValueError(f"operator family is not positive at t={t_m}: a mu_1 + c = {mu.min():.6g}")
         nu = 0.5 * tau * mu
         E = np.exp(-nu * grid.spacings[:, None])
         maps = np.empty((N, Q + 1, M))
@@ -556,27 +550,28 @@ class CoefficientAssembler:
             k, m = np.nonzero(lam <= split)
             R[k, :, m] = half[k] * (np.exp(-lam[k, m, None] * (1.0 + z)) @ w_lag)
         basis = family.basis
-        return SlabInterior(tau, E, maps, family.a(0.0) * basis.mu * basis.lift_coeffs, basis.boundary_trace)
+        return SlabInterior(tau, E, maps, family.a(t_m) * basis.mu * basis.lift_coeffs, basis.boundary_trace)
 
-    def _forcing_samples(self, l: int, f: Callable[[float], np.ndarray]):
-        """e^{C^} f / rho at the local sample times of slab ``l``, as a function of a map block.
+    def _forcing_samples(self, f: Callable[[float], np.ndarray], times: np.ndarray, weights: np.ndarray):
+        """``weights`` f at the local sample times, as a function of a map block.
 
-        Sampled by the forcing rule.  The function takes a block of
-        subintervals (``_map_blocks``) to their samples, (width, Q+1, M):
-        the block's rows of the interpolation table times the slab-grid
-        samples, or the forcing's own values.
+        ``times`` and ``weights`` = e^{C^} / rho are the slab's at its clock
+        points (split by ``_cuts``).  Sampled by the forcing rule.  The
+        function takes a block of subintervals (``_map_blocks``) to their
+        samples, (width, Q+1, M): the block's rows of the interpolation table
+        times the slab-grid samples, or the forcing's own values.
         """
-        M = self.family.basis.M
-        t_loc, w_loc = self._t_loc[l - 1], self._f_loc[l - 1]
+        M, (nodes, local), shape = self.family.basis.M, self._cuts, self._s_loc.shape
         if self._forcing_grid is not None:
             table = self._forcing_grid[1]
-            samples = sample_forcing(f, self._t_grid[l - 1], M) * self._f_grid[l - 1][:, None]
+            samples = sample_forcing(f, times[local:], M) * weights[local:, None]
             if not np.isfinite(samples).all() or _resolved(samples):
                 def interpolated(block):
                     # an inf sample meets Lagrange weights of both signs: nan, silently
                     with np.errstate(invalid="ignore"):
                         return table[block] @ samples
                 return interpolated
+        t_loc, w_loc = times[nodes:local].reshape(shape), weights[nodes:local].reshape(shape)
         return lambda block: sample_forcing(f, t_loc[block], M) * w_loc[block, :, None]
 
     def slab(
@@ -599,17 +594,24 @@ class CoefficientAssembler:
         rule, and each value must hold M modes
         (:func:`~duhamelcheb.kernels.sample_forcing`).
         """
-        t_star, t_loc = self._t_star[l - 1], self._t_loc[l - 1]
-        tau = self.partition.tau * self._means[l - 1]
-        interior = self._store
-        if interior is None or interior.tau != tau:
+        family, shape, (nodes, local) = self.family, self._s_loc.shape, self._cuts
+        t_m, tau = self._centres[l - 1], self.partition.tau * self._means[l - 1]
+        a_m = family.a(t_m)
+        xi = self._xi[l - 1]
+        times = self.partition.map_to_slab(l, xi)
+        log_scale = P.polyval(xi, self._log_scales[:, l - 1])
+        scale = np.exp(log_scale - log_scale[0])  # e^{C^}, exactly 1.0 at the left junction, xi[0] = -1
+        t_star, t_loc = times[:nodes], times[nodes:local].reshape(shape)
+        key = (tau, a_m, family.c(t_m))
+        if self._store is None or self._store[0] != key:
             self._store = None  # the previous slab's interior is freed before this one is built
-            interior = self._store = self._interior(tau)
-        g_loc = np.zeros(t_loc.shape) if g is None else sample_data(g, t_loc) * self._g_scale[l - 1]
+            self._store = key, self._interior(tau, t_m)
+        interior = self._store[1]
+        g_loc = np.zeros(shape) if g is None else sample_data(g, t_loc) * scale[nodes:local].reshape(shape)
         forcing = None
         if f is not None:
             forcing = np.empty(interior.E.shape)
-            samples = self._forcing_samples(l, f)
+            samples = self._forcing_samples(f, times, scale * (a_m / family.a(times)))
             for block in _map_blocks(*forcing.shape):
                 forcing[block] = np.einsum("kqm,kqm->km", interior.maps[block], samples(block))
             forcing *= 0.5 * tau
@@ -619,7 +621,7 @@ class CoefficientAssembler:
             lag_b, bvals = self._lag_loc * sample_data(b, t_loc)[:, None, :], sample_data(b, t_star)
         return BlockSystem(
             slab=l, t_star=t_star.copy(), interior=interior, lag_b=lag_b, g_loc=g_loc, forcing=forcing,
-            bvals=bvals, unscale=self._unscales[l - 1],
+            bvals=bvals, unscale=1.0 / scale[:nodes],
         )
 
 
@@ -897,8 +899,9 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     boundary data g, optional forcing (as a mode-vector function of t),
     and initial mode vector u0; see :class:`duhamelcheb.heat.HeatProblem`.
 
-    Each slab is solved in the family's clock, for u^ = e^{C^} u; the march
-    carries u^ from slab to slab and takes the scale off each stage.
+    Each slab is solved in the family's clock, for u^ = e^{C^} u with C^
+    anchored at the slab's left junction, where u^ = u; the march takes the
+    scale off each stage and carries u from slab to slab.
 
     When the assembled boundary coupling reaches the refinement threshold
     the slab count doubles and the march restarts, at most six times.  The
@@ -954,10 +957,10 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
             del system  # freed, with its maps, before slab l + 1 is assembled
             if not np.isfinite(stage.residual):
                 raise NonFiniteStageError(stage.residual, l)
-            x_prev, w_prev = stage.x[-1].copy(), float(stage.boundary_traces[-1])
             # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
             for values in (stage.x.T, stage.boundary_traces, stage.y):
                 values *= unscale
+            x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
             stages.append(stage)
         if refine:
             K *= 2

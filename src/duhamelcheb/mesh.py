@@ -175,19 +175,19 @@ class TimePartition:
     def tau(self) -> float:
         return self.T / self.K
 
-    def map_to_slab(self, l, s) -> np.ndarray | float:
+    def map_to_slab(self, l: int, s) -> np.ndarray | float:
         """Affine image of reference coordinate ``s`` in slab ``l``.
 
         ``psi_l(s) = (tau / 2) (s + 2 l - 1)`` maps [-1, 1] onto
-        ``[t_{l-1}, t_l]``.  Slab indices run from 1 to K, and an array of
-        them broadcasts against ``s``; ``psi_l(1) == psi_{l+1}(-1)`` holds
-        exactly in floating point.  A coordinate more than 1e-12 outside
-        [-1, 1], or NaN, raises ``ValueError``.
+        ``[t_{l-1}, t_l]``.  Slab indices run from 1 to K; the identity
+        ``psi_l(1) == psi_{l+1}(-1)`` holds exactly in floating point.  A
+        coordinate more than 1e-12 outside [-1, 1], or NaN, raises
+        ``ValueError``.
         """
-        if np.min(l) < 1 or np.max(l) > self.K:
+        if not 1 <= l <= self.K:
             raise ValueError(f"slab index {l} outside 1..{self.K}")
         s_arr = np.asarray(s, dtype=float)
         if not np.all(np.abs(s_arr) <= 1.0 + 1e-12):  # NaN fails the comparison
             raise ValueError("reference coordinate outside [-1, 1]")
         out = 0.5 * self.tau * (s_arr + (2 * l - 1))
-        return float(out) if np.ndim(out) == 0 else out
+        return float(out) if np.ndim(s) == 0 else out

@@ -10,7 +10,6 @@ eigenbasis coefficients.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -121,14 +120,16 @@ class OperatorFamily:
     as float arrays; one that is not 1-d and non-empty, or not finite,
     raises ``ValueError`` naming it.
 
-    The clock.  With rho = a / a(0), s(t) = int_0^t rho and
-    C^(t) = int_0^t (c - c(0) rho), u^ = e^{C^} u solves
-    du^/ds = -(a(0) A0 + c(0)) u^ + e^{C^} F / rho with Robin data
-    u^_x + b u^ = e^{C^} g and u^(0) = u(0), whenever u' = -A(t) u + F with
-    u_x + b u = g: the constant family (a(0), c(0)) in the clock s, exactly.
-    It needs a > 0 on [0, T] (:meth:`require_positive_a`) and
-    a(0) mu_1 + c(0) >= 0.  A constant family has rho = 1 and C^ = 0
-    exactly, so its clock is the identity bit for bit.
+    The clock.  Frozen at t_m, with rho = a / a(t_m), s = int rho and
+    C^(t) = int_{t0}^t (c - c(t_m) rho), u^ = e^{C^} u solves
+    du^/ds = -(a(t_m) A0 + c(t_m)) u^ + e^{C^} F / rho with
+    u^_x + b u^ = e^{C^} g and u^(t0) = u(t0) whenever u' = -A(t) u + F with
+    u_x + b u = g: the constant family (a(t_m), c(t_m)) in the clock s,
+    exactly.  Each slab freezes it at its midpoint and anchors C^ at its left
+    junction, so e^{C^} follows the drift of c within the slab only.  This
+    needs a > 0 (:meth:`require_positive_a`) and a(t_m) mu_1 + c(t_m) >= 0.
+    A constant family has rho = 1 and C^ = 0 exactly: its clock is the
+    identity bit for bit.
     """
 
     basis: EigenBasis
@@ -159,66 +160,58 @@ class OperatorFamily:
         """Whether every coefficient past degree 0 is zero, so A(t) = A(0) for all t."""
         return not (self.a_coeffs[1:].any() or self.c_coeffs[1:].any())
 
-    @functools.cached_property
-    def _clock_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        rho = self.a_coeffs / self.a_coeffs[0]
-        return rho, P.polyint(P.polysub(self.c_coeffs, self.c_coeffs[0] * rho))
-
-    def rho(self, t):
-        """The clock's rate rho(t) = a(t) / a(0)."""
-        return P.polyval(t, self._clock_coeffs[0])
-
-    def log_scale(self, t):
-        """C^(t), so that u^ = e^{C^} u (see the clock above)."""
-        return P.polyval(t, self._clock_coeffs[1])
-
     def require_positive_a(self, T: float) -> None:
-        """Raise ``ValueError`` naming a and the first time of [0, T] where a > 0 fails:
-        t = 0, or a root of a whose real part lies in [0, T] and which is real or where a <= 0."""
+        """Raise ``ValueError`` naming the first time of [0, T] where a > 0 fails:
+        t = 0, or a root of a in [0, T] that is real or where a <= 0."""
         roots = P.polyroots(self.a_coeffs) if self.a_coeffs[1:].any() else np.empty(0)
         roots = np.sort_complex(roots[(roots.real >= 0.0) & (roots.real <= T)])
         times = np.concatenate([[0.0], roots.real])
         fails = (self.a(times) <= 0.0) | np.concatenate([[False], roots.imag == 0.0])
         if fails.any():
             t = float(times[np.argmax(fails)])
-            message = f"operator coefficient a(t) must be positive on [0, T={T}], but a({t!r}) = {self.a(t):.3g}"
-            raise ValueError(message)
+            raise ValueError(f"operator coefficient a(t) must be positive on [0, T={T}], "
+                             f"but a({t!r}) = {self.a(t):.3g}")
 
-    def slab_clocks(self, centres: np.ndarray, half: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The clock on the slabs t = centre + half xi, xi in [-1, 1], of each of the K ``centres``.
+    def slab_clocks(self, centres: np.ndarray, half: float, r: np.ndarray):
+        """The clocks of the slabs t = centre + half xi, xi in [-1, 1], each frozen at its centre.
 
-        Returns each slab's mean of rho (its clock length is 2 half mean),
-        (K,), and the xi of its clock coordinates ``r``, (K, P), where
-        int_{-1}^{xi} rho(centre + half eta) d eta = mean (r + 1): Newton steps
-        from xi = r, each point's until its own step is below 4 eps, and
-        r = +-1 keep their ends.  Taken in the local coordinate, rho = 1
-        gives a mean of exactly 1.0 and xi = r bit for bit.
+        Returns, for the K ``centres``, the mean of rho = a / a(centre), (K,)
+        (clock length over 2 half); the xi of the clock coordinates ``r``,
+        (K, P), where int_{-1}^{xi} rho = mean (r + 1), by Newton steps from
+        xi = r until each point's step is below 4 eps (r = +-1 stay); and the
+        coefficients in xi of C^ anchored at xi = -1, (D, K).  In the local
+        coordinate a constant family gives exactly 1.0, xi = r and C^ = 0.
         """
-        rho = self._clock_coeffs[0]
-        if not rho[1:].any():  # a constant a: the clock is the identity on every slab
-            return np.ones(centres.size), np.repeat(r[None, :], centres.size, axis=0)
-        local = np.zeros((rho.size, centres.size))
-        for coef in rho[::-1]:  # Horner in the local coordinate
-            local[1:] = centres * local[1:] + half * local[:-1]
-            local[0] = centres * local[0] + coef
-        powers = np.arange(1, rho.size + 1)
-        mean = (1.0 / powers[::2]) @ local[::2]
-        # solve mean (xi - r) + D(xi) = 0 with D = int_{-1}^{xi} (rho - mean), whose rounding is small
-        D = np.concatenate([np.zeros((1, centres.size)), local / powers[:, None]])
-        D[1] -= mean
-        D[0] = D[1::2].sum(axis=0) - D[2::2].sum(axis=0)  # D(-1) = 0
+        n = max(self.a_coeffs.size, self.c_coeffs.size)
+        a_loc, c_loc = (_taylor(p, centres, half, n) for p in (self.a_coeffs, self.c_coeffs))
+        rho = a_loc / a_loc[0]
+        log_scale = P.polyint(c_loc - c_loc[0] * rho, lbnd=-1.0, scl=half)
         xi = np.repeat(r[None, :], centres.size, axis=0)
+        if not self.a_coeffs[1:].any():  # a constant a: the clock is the identity on every slab
+            return np.ones(centres.size), xi, log_scale
+        mean = (1.0 / np.arange(1, n + 1)[::2]) @ rho[::2]
+        # solve mean (xi - r) + D(xi) = 0 with D = int_{-1}^{xi} (rho - mean), whose rounding is small
+        D = P.polyint(np.concatenate([rho[:1] - mean, rho[1:]]), lbnd=-1.0)
         settled = np.abs(xi) == 1.0
         for _ in range(50):
             step = mean[:, None] * (xi - r) + P.polyval(xi, D[:, :, None], tensor=False)
-            step /= P.polyval(xi, local[:, :, None], tensor=False)
+            step /= P.polyval(xi, rho[:, :, None], tensor=False)
             step[settled] = 0.0
             xi -= step
             np.clip(xi, -1.0, 1.0, out=xi)
             settled |= np.abs(step) <= 4.0 * np.finfo(float).eps  # NaN does not settle
             if settled.all():
-                return mean, xi
+                return mean, xi, log_scale
         raise ValueError("the clock's Newton steps did not settle: is a positive on [0, T]?")
+
+
+def _taylor(coeffs: np.ndarray, centre: np.ndarray, half: float, n: int) -> np.ndarray:
+    """The n >= deg p + 1 coefficients in h of p(centre + half h), (n, K), by Horner; p has ``coeffs``."""
+    local = np.zeros((n, centre.size))
+    for coef in coeffs[::-1]:
+        local[1:] = centre * local[1:] + half * local[:-1]
+        local[0] = centre * local[0] + coef
+    return local
 
 
 def constant_family(basis: EigenBasis, a: float = 1.0, c: float = 0.0) -> OperatorFamily:

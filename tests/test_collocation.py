@@ -19,6 +19,7 @@ import sys
 import weakref
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from scipy.integrate import quad
 
@@ -220,12 +221,30 @@ def test_negative_frozen_eigenvalues_rejected(small_setup):
 
 @pytest.mark.parametrize("N", [16, 24, 32])
 def test_varying_family_marches_to_roundoff(N):
-    """The frozen-operator defect must be integrated as accurately as the
-    data at every degree."""
+    """The varying family, solved in its clock, reaches max_eps1 <= 1e-13
+    at every N."""
     prob = varying_manufactured_problem()
     trace = march(prob, SolverConfig(N=N, K=8, M=128))
     assert trace.refinements == 0
     assert compute_errors(trace, prob).max_eps1 <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["direct", "fixed_point"])
+def test_a_drift_of_c_past_the_range_of_exp_marches_to_roundoff(mode):
+    """c = 3 t on [0, 25]: int_0^T (c - c(0) a / a(0)) reaches 937, past
+    the 709 where e^x overflows, while u = sin(pi x / 2) stays O(1) (g and
+    the forcing carry the drift).  Each slab freezes the family at its
+    midpoint and anchors C^ at its left junction, so the scale stays near 1
+    over a slab: the march carries u bit for bit across each junction and
+    reaches max_eps1 <= 1e-12 (it reads 3.8e-14).  Anchored once at t = 0,
+    e^{C^} overflowed on slab 28."""
+    problem = dataclasses.replace(varying_manufactured_problem(c1=3.0, kappa=0.0), T=25.0)
+    trace = march(problem, SolverConfig(N=16, K=32, M=128, T=25.0, mode=mode))
+    assert trace.refinements == 0
+    assert np.isfinite(trace.node_modes()).all()
+    for before, after in zip(trace.stages, trace.stages[1:]):  # the march carries u, unscaled
+        assert after.x[0].tobytes() == before.x[-1].tobytes()
+    assert compute_errors(trace, problem).max_eps1 <= 1e-12
 
 
 def test_varying_neumann_self_converges_in_its_clock():
@@ -1021,27 +1040,31 @@ def barycentric_map(assembler, k, nu_k):
 
 
 def clock_times(assembler, l, r):
-    """The clock length of slab ``l`` and the times of its clock coordinates ``r``, shaped as ``r``."""
+    """The clock length of slab ``l``, frozen at its midpoint, and the times
+    of its clock coordinates ``r`` and e^{C^} there, both shaped as ``r``."""
     partition = assembler.partition
     centre = np.array([partition.map_to_slab(l, 0.0)])
-    mean, xi = assembler.family.slab_clocks(centre, 0.5 * partition.tau, np.ravel(r))
-    return partition.tau * mean[0], partition.map_to_slab(l, xi[0]).reshape(np.shape(r))
+    mean, xi, log_scale = assembler.family.slab_clocks(centre, 0.5 * partition.tau, np.ravel(r))
+    times = partition.map_to_slab(l, xi[0]).reshape(np.shape(r))
+    return partition.tau * mean[0], times, np.exp(P.polyval(xi[0], log_scale[:, 0])).reshape(np.shape(r))
 
 
 def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
     """E, the coupling and phi of slab ``l`` by the earlier loop, in the
     slab's clock: the maps of :func:`barycentric_map`, g and f sampled at
     the clock's times and scaled point by point, e^{C^} g and
-    e^{C^} f / rho, and beta built as a transposed product scaled out of
-    place."""
+    e^{C^} f / rho with the family frozen at the slab's midpoint and C^
+    anchored at its left junction, and beta built as a transposed product
+    scaled out of place."""
     family, grid = assembler.family, assembler.grid
     N, M, Q = grid.N, family.basis.M, assembler.data_degree
-    tau, t_loc = clock_times(assembler, l, assembler._s_loc)
-    nu = 0.5 * tau * family.frozen_eigenvalues(0.0)
+    tau, t_loc, scale = clock_times(assembler, l, assembler._s_loc)
+    t_m = assembler.partition.map_to_slab(l, 0.0)
+    nu = 0.5 * tau * family.frozen_eigenvalues(t_m)
     E = np.exp(-nu * grid.spacings[:, None])
     maps = np.stack([barycentric_map(assembler, k, nu) for k in range(N)])
-    kernel_scale = family.a(0.0) * family.basis.mu * family.basis.lift_coeffs
-    g_loc = None if g is None else sample_data(g, t_loc) * np.exp(family.log_scale(t_loc))
+    kernel_scale = family.a(t_m) * family.basis.mu * family.basis.lift_coeffs
+    g_loc = None if g is None else sample_data(g, t_loc) * scale
     b_loc = None if b is None else sample_data(b, t_loc)
     phi = np.zeros((N, M))
     beta = np.empty((N, N + 1, M))
@@ -1050,7 +1073,7 @@ def per_subinterval_oracle(assembler, l, g=None, f=None, b=None):
         if g is not None:
             phi[k - 1] += 0.5 * tau * kernel_scale * (R @ g_loc[k - 1])
         if f is not None:
-            weights = np.exp(family.log_scale(t_loc[k - 1])) / family.rho(t_loc[k - 1])
+            weights = scale[k - 1] * family.a(t_m) / family.a(t_loc[k - 1])
             f_loc = np.stack([np.asarray(f(t), dtype=float) * w for t, w in zip(t_loc[k - 1], weights)])
             phi[k - 1] += 0.5 * tau * np.einsum("mq,qm->m", R, f_loc)
         lag = assembler._lag_loc[k - 1]
@@ -1645,8 +1668,8 @@ def all_modes_move(monkeypatch):
 )
 def test_moving_counts_the_modes_with_a_nonzero_propagator(build, N, K, M, moving):
     """At (12, 4, 4096) E underflows to 0.0 on every subinterval past mode
-    133; the varying family's slab 1 is 1.0625 times as long in its clock,
-    a = 1 + t / 2 there, and its E underflows past mode 129.  At
+    133; the varying family's slab 1 freezes a = 1 + t / 2 at its
+    midpoint, a = 1.0625, and its E underflows past mode 129.  At
     (16, 32, 128) every mode moves."""
     problem = build(M=M)
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))

@@ -14,7 +14,8 @@ nodes, so that no (N, M) copy of E, alpha's column 0 or the trace is kept
 per slab, it peaked at 10 383 556, and with the maps stored
 mode-contiguous and the stage solve summed in place at 10 006 525.  With
 the kernel scale one (M,) row for all nodes, a(0) mu0 lift in the
-family's clock, rather than one row per node, it peaks at 8 945 597; the
+family's clock, rather than one row per node, it peaked at 8 945 597, and
+with each slab's clock times and scale taken per slab at 8 900 109; the
 bound allows 5% above that, so one (N, N + 1, M) array (5.1 MB) breaks it.
 
 The varying manufactured problem at N = 12, K = 8, M = 128 marched and
@@ -26,10 +27,12 @@ system reading its blocks from the coefficients it peaked at 1 045 720.
 With the coefficients and the block system one object it peaked at
 1 027 448.  Solved in its clock it takes the constant family's factored
 solve, with no (N, N + 1, M) array and no frozen-operator correction, and
-peaked at 654 048 with the clock's times and scales computed per slab and
-at 665 424 with those of all 8 slabs computed when the assembler is built;
-the bound allows 5% above that, so one (N, N + 1, M) array (160 kB)
-breaks it.
+peaked at 665 424 with the clock's times and scales of all 8 slabs
+computed when the assembler is built, while slab l + 1's interior was
+built with slab l's still held.  With each slab's times and scale taken
+per slab, and the previous interior freed first, it peaks at 453 160; the
+bound allows 5% above that, so one (N, N + 1, M) array (160 kB) or a
+second interior breaks it.
 
 The CLI ``solve --N 16 --K 32 --M 128``, stdout captured in memory, peaked
 at 7 219 681 bytes with one ``repr`` per CSV cell and at 7 242 021 with
@@ -83,8 +86,8 @@ from duhamelcheb import (
 )
 from problems import varying_manufactured_problem
 
-MEASURED_PEAK_BYTES = 8_945_597
-MEASURED_VARYING_PEAK_BYTES = 665_424
+MEASURED_PEAK_BYTES = 8_900_109
+MEASURED_VARYING_PEAK_BYTES = 453_160
 MEASURED_CLI_PEAK_BYTES = 2_792_328
 MEASURED_STRUCTURED_PEAK_BYTES = 13_100_761
 

@@ -253,14 +253,3 @@ def test_grid_is_frozen():
     with pytest.raises(AttributeError):
         g.nodes = np.zeros(5)
 
-
-def test_map_to_slab_takes_an_array_of_slab_indices():
-    """An array of slab indices broadcasts against the coordinates and gives
-    the per-slab images bit for bit; one index out of range is refused."""
-    part = TimePartition(1.0, 3)
-    g = build_grid(5)
-    slabs = np.arange(1, 4)[:, None]
-    want = np.stack([part.map_to_slab(l, g.nodes) for l in range(1, 4)])
-    assert part.map_to_slab(slabs, g.nodes).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="slab index"):
-        part.map_to_slab(np.arange(0, 3)[:, None], g.nodes)

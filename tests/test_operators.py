@@ -3,6 +3,7 @@
 import re
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from scipy.integrate import quad
 
@@ -181,60 +182,71 @@ CGL_POINTS = np.cos(np.linspace(np.pi, 0.0, 17))
 EPS = np.finfo(float).eps
 
 
-def clock_times(family, t0, t1, r):
-    """The mean of rho over [t0, t1] and the times of the slab's clock coordinates ``r``."""
+def slab_clock(family, t0, t1, r):
+    """The clock of the slab [t0, t1] frozen at its midpoint: its clock
+    length, the times of its clock coordinates ``r`` and C^ there."""
     half = 0.5 * (t1 - t0)
-    mean, xi = family.slab_clocks(np.array([t0 + half]), half, r)
-    return mean[0], t0 + half * (xi[0] + 1.0)
+    mean, xi, log_scale = family.slab_clocks(np.array([t0 + half]), half, r)
+    return 2.0 * half * mean[0], t0 + half * (xi[0] + 1.0), P.polyval(xi[0], log_scale[:, 0])
 
 
-@pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.4, 0.7), (2.0 / 3.0, 1.0)])
+SLABS = [(0.0, 0.25), (0.4, 0.7), (2.0 / 3.0, 1.0), (12.0, 15.0), (40.0, 43.0)]
+"""Slabs near t = 0 and far from it, where c(t_m) a / a(t_m) nearly cancels c."""
+
+
+@pytest.mark.parametrize("t0, t1", SLABS)
 def test_linear_clock_matches_its_closed_forms(basis, t0, t1):
-    """a = 1 + t / 2 and c = 0.3 + 0.2 t: s(t) = t + t^2 / 4, whose inverse
-    is t = 2 s / (1 + sqrt(1 + s)), and C^(t) = int_0^t (c - 0.3 a) = t^2 / 40.
-    The slab's clock length, the times of its clock coordinates and C^
-    agree with them to a few ulps."""
-    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.3, 0.2]))
+    """a = 1 + t / 2 and c = 0.3 + 3 t frozen at the midpoint t_m:
+    int a = s(t) = t + t^2 / 4, whose inverse is t = 2 s / (1 + sqrt(1 + s)),
+    and C^(t) = int_{t0}^t (c - c(t_m) a / a(t_m)) = q (t - t0) + p (t^2 - t0^2)
+    with q = 0.3 - c(t_m) / a(t_m) and p = 1.5 - c(t_m) / (4 a(t_m)).  The
+    clock length, the times and C^ agree with them to a few ulps of s(t1),
+    of t1, and of int |c| over the slab (near t_m the integrand of C^ is a
+    small difference)."""
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0, 0.5]), c_coeffs=np.array([0.3, 3.0]))
     s = lambda t: t + 0.25 * t**2
-    mean, t = clock_times(family, t0, t1, CGL_POINTS)
-    assert abs(mean * (t1 - t0) - (s(t1) - s(t0))) <= 4 * EPS * s(t1)
-    clock = s(t0) + 0.5 * mean * (t1 - t0) * (CGL_POINTS + 1.0)
+    t_m = 0.5 * (t0 + t1)
+    a_m, c_m = family.a(t_m), family.c(t_m)
+    length, t, log_scale = slab_clock(family, t0, t1, CGL_POINTS)
+    assert abs(length * a_m - (s(t1) - s(t0))) <= 4 * EPS * s(t1)
+    clock = s(t0) + 0.5 * length * a_m * (CGL_POINTS + 1.0)
     assert np.abs(t - 2.0 * clock / (1.0 + np.sqrt(1.0 + clock))).max() <= 4 * EPS * t1
     assert (t[0], t[-1]) == (t0, t1)
-    times = np.linspace(0.0, 1.0, 11)
-    assert np.abs(family.log_scale(times) - times**2 / 40.0).max() <= 4 * EPS
-    assert np.abs(family.rho(times) - (1.0 + 0.5 * times)).max() == 0.0
+    want = (0.3 - c_m / a_m) * (t - t0) + (1.5 - 0.25 * c_m / a_m) * (t**2 - t0**2)
+    assert log_scale[0] == 0.0
+    assert np.abs(log_scale - want).max() <= 4 * EPS * family.c(t1) * (t1 - t0)
 
 
-@pytest.mark.parametrize("t0, t1", [(0.0, 0.25), (0.4, 0.7), (2.0 / 3.0, 1.0)])
+@pytest.mark.parametrize("t0, t1", SLABS[:3])
 def test_quadratic_clock_matches_its_closed_form(basis, t0, t1):
-    """a = 2 (1 + t / 4 + t^2): s(t) = t + t^2 / 8 + t^3 / 3, the clock
-    normalised by a(0) = 2; the times of the slab's clock coordinates put
-    s at mean (r + 1) (t1 - t0) / 2 past s(t0) to a few ulps of s(t1)."""
+    """a = 2 (1 + t / 4 + t^2) and c = 0: int a = 2 s(t) with
+    s(t) = t + t^2 / 8 + t^3 / 3; the times of the slab's clock coordinates
+    put s at (r + 1) / 2 of the way from s(t0) to s(t1) to a few ulps of
+    s(t1), and C^ is zero."""
     family = OperatorFamily(basis=basis, a_coeffs=np.array([2.0, 0.5, 2.0]))
     s = lambda t: t + t**2 / 8.0 + t**3 / 3.0
-    mean, t = clock_times(family, t0, t1, CGL_POINTS)
-    assert abs(mean * (t1 - t0) - (s(t1) - s(t0))) <= 4 * EPS * s(t1)
-    clock = s(t0) + 0.5 * mean * (t1 - t0) * (CGL_POINTS + 1.0)
+    length, t, log_scale = slab_clock(family, t0, t1, CGL_POINTS)
+    a_m = family.a(0.5 * (t0 + t1))
+    assert abs(length * a_m - 2.0 * (s(t1) - s(t0))) <= 8 * EPS * s(t1)
+    clock = s(t0) + 0.5 * (s(t1) - s(t0)) * (CGL_POINTS + 1.0)
     assert np.abs(s(t) - clock).max() <= 4 * EPS * s(t1)
     assert (np.diff(t) > 0).all()
-    assert (family.log_scale(np.linspace(0.0, 1.0, 11)) == 0.0).all()
+    assert (log_scale == 0.0).all()
 
 
 @pytest.mark.parametrize("K", [1, 3, 7, 32])
 def test_the_clock_of_a_constant_family_is_the_identity(basis, K):
-    """rho = 1 and C^ = 0 exactly: on every slab of K, the mean is 1.0 and
-    the clock coordinates come back bit for bit, with no Newton step, also
-    when the family's coefficients carry zeros past degree 0."""
-    padded = OperatorFamily(basis, np.array([3.0, 0.0]), np.array([0.2, 0.0]))
+    """rho = 1 and C^ = 0 exactly: on every slab of K the mean of rho is
+    1.0, the clock coordinates come back bit for bit, with no Newton step,
+    and C^ has only zero coefficients, also when the family's coefficients
+    carry zeros past degree 0."""
+    padded = OperatorFamily(basis, np.array([3.0, 0.0]), np.array([0.2, 0.0, 0.0]))
     for family in (constant_family(basis, a=2.5, c=0.7), padded):
         tau = 1.0 / K
-        mean, xi = family.slab_clocks(0.5 * tau * np.arange(1, 2 * K, 2), 0.5 * tau, CGL_POINTS)
+        mean, xi, log_scale = family.slab_clocks(0.5 * tau * np.arange(1, 2 * K, 2), 0.5 * tau, CGL_POINTS)
         assert (mean == 1.0).all()
         assert xi.tobytes() == np.tile(CGL_POINTS, K).tobytes()
-        times = np.linspace(0.0, 1.0, 11)
-        assert (family.log_scale(times) == 0.0).all()
-        assert (family.rho(times) == 1.0).all()
+        assert (log_scale == 0.0).all()
 
 
 @pytest.mark.parametrize(
