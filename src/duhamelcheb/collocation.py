@@ -17,9 +17,11 @@ Each part is explained in one place:
   integrate every coefficient, the memoised tables, and the forcing rule;
 - ``CoefficientAssembler._interior``: the Gauss-Legendre/Gauss-Laguerre
   split and the mode-contiguous layout of the maps;
+- :class:`SlabInterior`: the moving modes, which the sweeps take, and the
+  quasi-static ones past them, where S~ = I;
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
   coupling kept factored and g kept as samples, so that a direct solve
-  passes over the maps twice per slab (``_phi_blocks`` and D w);
+  reads the full maps once per slab (:func:`solve_stage_direct`);
 - :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
   stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
 """
@@ -148,12 +150,16 @@ class SlabInterior:
     trace               boundary trace functional of the modes
     moving              the modes [:moving] hold every nonzero E
 
-    Past ``moving``, E underflowed to 0.0 on every subinterval, as for all
-    but the slowest modes at large M (133 of 4096 in the reference problem
-    at N = 12, K = 4), so S~ = I there.  ``_forward_sub``, ``_imsc`` and the
-    propagated rows of :attr:`trace_images` skip those modes: each skipped
-    term is a product with 0.0.  No tolerance, and no order of E in the
-    mode, is assumed.
+    The moving modes [:moving] hold every propagator that is nonzero on
+    some subinterval.  Past them E underflowed to 0.0 on every subinterval,
+    as for all but the slowest modes at large M (133 of 4096 in the
+    reference problem at N = 12, K = 4), so S~ = I there: these are the
+    quasi-static modes, whose stage values are D w + Phi in closed form.
+    ``_forward_sub``, ``_imsc`` and the propagated rows of
+    :attr:`trace_images` skip them: each skipped term is a product with
+    0.0.  The direct solve takes them in one pass of the maps after its
+    trace solve (:func:`solve_stage_direct`).  No tolerance, and no order
+    of E in the mode, is assumed.
     """
 
     tau: float
@@ -200,16 +206,18 @@ class SlabInterior:
             G[i + 1:, i] = (weights[i + 1:] * s[:moving]) @ self.maps[i, :, :moving].T
         return G
 
-    def modes(self, c: np.ndarray) -> np.ndarray:
-        """s (R_k c_k) for sample-space values c of shape (N, Q+1): shape (N, M).
+    def modes(self, c: np.ndarray, span: slice = slice(None)) -> np.ndarray:
+        """s (R_k c_k) on the modes ``span`` for sample-space values c of
+        shape (N, [rows,] Q+1): shape (N, [rows,] width).
 
-        The one map to modes for every coupling term.  A direct solve makes
-        two passes per slab: the boundary part of Phi, F_y w0 with the g
-        term, and D w.
+        The one map to modes for every coupling term.  A direct solve reads
+        the moving modes twice per slab, for Phi and for D w, and the
+        quasi-static ones once, for both rows at once (:func:`solve_stage_direct`).
         """
-        out = np.matmul(c[:, None, :], self.maps)[:, 0]
-        out *= self.coupling_scale
-        return out
+        N, Q1 = self.maps.shape[:2]
+        out = np.matmul(c.reshape(N, -1, Q1), self.maps[:, :, span])
+        out *= self.coupling_scale[span]
+        return out.reshape(*c.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,8 @@ class BlockSystem:
     g_loc[k-1, q]     e^{C^} g there, kept as samples (zero without g)
     forcing[k-1]      (tau/2) R_k (e^{C^} f / rho) in modes, or None
     bvals             (N+1,) b at the nodes (one without b), for y = b w
-    unscale           (N+1,) e^{-C^} at the nodes, which takes u^ to u (1.0 at node 0)
+    unscale           (N+1,) e^{-C^} at the nodes, which takes u^ to u (1.0 at node 0),
+                      or None where C^ = 0 on the slab and u^ = u, as for a constant family
 
     The solvers read every block from these fields.  All are diagonal per
     mode except the boundary functional Lambda:
@@ -244,9 +253,12 @@ class BlockSystem:
     D, F_y    beta's columns 1..N and 0, the boundary-lift coupling against
               the interpolated trace: beta[k-1, j] = s (R_k V_k[j]), b inside
               the integrand.  It is kept factored as V and the maps: the
-              solvers form V y in sample space and take it through the maps
-              once, at O(N M Q) cost; F_y w0 and the g term share one pass,
-              V[0] w0 - g (``_phi_blocks``).
+              solvers form V y in sample space and take it through the maps,
+              at O(N M Q) cost; F_y w0 and the g term share one pass,
+              c0 = V[0] w0 - g (``_phi_blocks``).  The direct solve takes c0
+              and V w through the quasi-static modes' maps in one stacked
+              pass, and then reads Lambda S~^{-1} F_y w0 with the g term off
+              the trace images, as G c0.
 
     Slabs may share one interior, with its E, maps and trace, so solvers
     must not write to them.
@@ -436,6 +448,22 @@ def _resolved(samples: np.ndarray) -> bool:
     return coefficients[P - P // 4:].max() <= FORCING_TAIL * np.finfo(float).eps * coefficients.max()
 
 
+def _propagators(nu: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """E[k-1, n] = exp(-nu_n theta_k), shape (theta.size, nu.size).
+
+    exp is exactly 0.0 below about -745.13, so exp is taken only up to the
+    last mode whose exponent is at least -746 on some subinterval (a NaN
+    one counts), and E is zero-filled past it.
+    """
+    if not nu[-1] * theta.min() > 746.0:
+        return np.exp(-nu * theta[:, None])
+    live = np.flatnonzero(~(nu * theta.min() > 746.0))
+    width = live[-1] + 1 if live.size else 0
+    E = np.zeros((theta.size, nu.size))
+    E[:, :width] = np.exp(-nu[:width] * theta[:, None])
+    return E
+
+
 def _chebyshev_basis(x: np.ndarray, Q: int, scale: np.ndarray) -> np.ndarray:
     """scale T_0(x) .. scale T_Q(x) for Q >= 1, shape (Q+1, x.size), by the
     three-term recurrence, which is linear: seeded with the scale, it scales every row."""
@@ -536,7 +564,7 @@ class CoefficientAssembler:
         if np.any(mu < 0):
             raise ValueError(f"operator family is not positive at t={t_m}: a mu_1 + c = {mu.min():.6g}")
         nu = 0.5 * tau * mu
-        E = np.exp(-nu * grid.spacings[:, None])
+        E = _propagators(nu, grid.spacings)
         maps = np.empty((N, Q + 1, M))
         z, w_lag = self._legendre
         for block in _map_blocks(N, M):
@@ -599,19 +627,24 @@ class CoefficientAssembler:
         a_m = family.a(t_m)
         xi = self._xi[l - 1]
         times = self.partition.map_to_slab(l, xi)
-        log_scale = P.polyval(xi, self._log_scales[:, l - 1])
-        scale = np.exp(log_scale - log_scale[0])  # e^{C^}, exactly 1.0 at the left junction, xi[0] = -1
+        scale = None  # e^{C^}, None where C^ = 0 on the slab: the identity clock, as a constant family's
+        if self._log_scales[:, l - 1].any():
+            log_scale = P.polyval(xi, self._log_scales[:, l - 1])
+            scale = np.exp(log_scale - log_scale[0])  # exactly 1.0 at the left junction, xi[0] = -1
         t_star, t_loc = times[:nodes], times[nodes:local].reshape(shape)
         key = (tau, a_m, family.c(t_m))
         if self._store is None or self._store[0] != key:
             self._store = None  # the previous slab's interior is freed before this one is built
             self._store = key, self._interior(tau, t_m)
         interior = self._store[1]
-        g_loc = np.zeros(shape) if g is None else sample_data(g, t_loc) * scale[nodes:local].reshape(shape)
+        g_loc = np.zeros(shape) if g is None else sample_data(g, t_loc)
+        if g is not None and scale is not None:
+            g_loc = g_loc * scale[nodes:local].reshape(shape)
         forcing = None
         if f is not None:
             forcing = np.empty(interior.E.shape)
-            samples = self._forcing_samples(f, times, scale * (a_m / family.a(times)))
+            weights = a_m / family.a(times)
+            samples = self._forcing_samples(f, times, weights if scale is None else scale * weights)
             for block in _map_blocks(*forcing.shape):
                 forcing[block] = np.einsum("kqm,kqm->km", interior.maps[block], samples(block))
             forcing *= 0.5 * tau
@@ -621,7 +654,7 @@ class CoefficientAssembler:
             lag_b, bvals = self._lag_loc * sample_data(b, t_loc)[:, None, :], sample_data(b, t_star)
         return BlockSystem(
             slab=l, t_star=t_star.copy(), interior=interior, lag_b=lag_b, g_loc=g_loc, forcing=forcing,
-            bvals=bvals, unscale=1.0 / scale[:nodes],
+            bvals=bvals, unscale=None if scale is None else 1.0 / scale[:nodes],
         )
 
 
@@ -683,85 +716,136 @@ class StageSolution:
     fp_ratios: np.ndarray | None = None
 
 
+def _add_inflow(system: BlockSystem, Phi: np.ndarray, x0: np.ndarray, span: slice = slice(None)) -> np.ndarray:
+    """Phi += F_x x0 + f_x on the modes ``span``, in place: F_x is E[0] in
+    row 1 and zero elsewhere, so x0 enters row 1 only; the forcing, if any,
+    is added last."""
+    Phi[0] += system.E[0, span] * x0[span]
+    if system.forcing is not None:
+        Phi += system.forcing[:, span]
+    return Phi
+
+
 def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
     """Phi = F_x x0 + F_y w0 + f_x (see :class:`BlockSystem`), summed in place.
 
     The boundary part, F_y w0 and the g term, is one pass of the maps:
-    modes(V[0] w0 - g).  F_x is E[0] in row 1 and zero elsewhere, so x0
-    enters row 1 only.  The forcing, if any, is added last.
+    modes(V[0] w0 - g); then x0 and the forcing (``_add_inflow``).
     """
-    Phi = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
-    Phi[0] += system.E[0] * x0
-    if system.forcing is not None:
-        Phi += system.forcing
-    return Phi
+    return _add_inflow(system, system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc), x0)
 
 
 def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    """(I - S~) w for a block vector w of shape (N, M), summed onto zeros; the moving modes only."""
+    """(I - S~) w for a block vector w of shape (N, width >= moving), summed onto zeros; the moving modes only."""
     out, moving = np.zeros(w.shape), system.interior.moving
     out[1:, :moving] += system.E[1:, :moving] * w[:-1, :moving]
     return out
 
 
-def _lam_apply(system: BlockSystem, x: np.ndarray) -> np.ndarray:
-    """Lambda x: the trace row contracted with the trailing mode axis of ``x``."""
-    return np.einsum("m,...m->...", system.interior.trace, x)
+def _lam_apply(system: BlockSystem, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """Lambda x: the trace row contracted with the trailing mode axis of
+    ``x``, which holds the modes from ``first`` on."""
+    return np.einsum("m,...m->...", system.interior.trace[first:first + x.shape[-1]], x)
+
+
+def _trace_samples(system: BlockSystem, y: np.ndarray) -> np.ndarray:
+    """V y in sample space, (N, Q+1), for trace values y of shape (N,): modes(V y) is D y."""
+    return np.einsum("kjq,j->kq", system.lag_b[:, 1:], y)
 
 
 def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
     """D y for trace values y of shape (N,): V y in sample space, then through the maps."""
-    return system.interior.modes(np.einsum("kjq,j->kq", system.lag_b[:, 1:], y))
+    return system.interior.modes(_trace_samples(system, y))
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
-    """Apply the inverse of S~ to r of shape (N, ..., M) in place, by forward substitution.
+    """Apply the inverse of S~ to r of shape (N, [rows,] M) in place, by forward substitution.
 
     It sweeps the moving modes (see :class:`SlabInterior`); past them r is
     the result but for the sign of a zero: the skipped products, 0.0 where
     the entry above is positive or 0.0, turned a -0.0 of rows 2..N into
-    0.0, and one ``+= 0.0`` does so.
+    0.0, and one ``+= 0.0`` does so.  With rows, E is repeated once per
+    row, so that each step multiplies two arrays of one shape.
     """
     moving = system.interior.moving
     E, head = system.E[:, :moving], r[..., :moving]
-    for k in range(1, system.N):
-        head[k] += E[k] * head[k - 1]
+    if head.ndim == 3:
+        E = np.repeat(E[:, None], head.shape[1], axis=1)
+    for E_k, above, row in zip(E[1:], head, head[1:]):
+        row += E_k * above
     r[1:, ..., moving:] += 0.0
     return r
 
 
-def _eliminate_factored(system: BlockSystem, Phi: np.ndarray):
-    """w, x~ and D w of one slab, from the factored coupling."""
-    N = system.N
-    Z_phi = _forward_sub(system, Phi.copy())
-    LZ_D = system.interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
-    w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
-    Dw = _d_apply(system, w_int)
-    xt = _forward_sub(system, Dw.copy())
+def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float):
+    """x, w_1..w_N, and Phi and D w on the moving modes, of one slab, from the factored coupling.
+
+    x, (N+1, M), holds x0 and x~.  See :func:`solve_stage_direct`.
+    """
+    interior, N, M = system.interior, system.N, system.M
+    head, tail = slice(interior.moving), slice(interior.moving, M)
+    c0 = w0 * system.lag_b[:, 0] - system.g_loc  # modes(c0) is F_y w0 with the g term
+    Phi = _add_inflow(system, interior.modes(c0, head), x0, head)
+    G = interior.trace_images.reshape(N, -1)
+    LZ_D = G @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
+    # whether a mode is quasi-static is read off E: ``moving`` only bounds the
+    # sweeps, and sweeping more modes must not change the slab's trace row
+    if system.E[:, -1].any():
+        Z_phi = _forward_sub(system, Phi.copy())
+        lam_phi = _lam_apply(system, Z_phi)
+    else:
+        swept = np.zeros((N, 2, Phi.shape[1]))  # Phi, and its part F_x x0 + f_x that G c0 does not hold
+        swept[:, 0] = Phi
+        _add_inflow(system, swept[:, 1], x0, head)
+        Z_phi = _forward_sub(system, swept)[:, 0]
+        lam_phi = G @ c0.ravel() + _lam_apply(system, swept[:, 1])
+        if system.forcing is not None:
+            lam_phi += _lam_apply(system, system.forcing[:, tail], tail.start)
+    w_int = np.linalg.solve(np.eye(N) - LZ_D, lam_phi)
+    cw = _trace_samples(system, w_int)
+    x = np.empty((N + 1, M))
+    x[0] = x0
+    xt = x[1:, head]
+    Dw = interior.modes(cw, head)
+    xt[...] = Dw
+    _forward_sub(system, xt)
     xt += Z_phi
-    return w_int, xt, Dw
+    if tail.start < M:
+        Phi_q, Dw_q = interior.modes(np.stack([c0, cw], axis=1), tail).transpose(1, 0, 2)
+        _add_inflow(system, Phi_q, x0, tail)
+        Phi_q[1:] += 0.0  # the sign of zero that the moving modes' sweep gives rows 2..N
+        np.add(Dw_q, Phi_q, out=x[1:, tail])
+    return x, w_int, Phi, Dw
 
 
 def _stage_solution(
-    system: BlockSystem, x0: np.ndarray, w0: float, xt: np.ndarray, w_int: np.ndarray,
+    system: BlockSystem, x: np.ndarray, w0: float, w_int: np.ndarray,
     Phi: np.ndarray, Dw: np.ndarray, rho: float, **fixed_point,
 ) -> StageSolution:
-    """The slab's solution from x~ and w_1..w_N, given ``Dw`` = D w_int.
+    """The slab's solution from x, (N+1, M) with x0 in row 0, and w_1..w_N.
 
-    Its residual is the max-norm defect of the collocation equations; the
-    right-hand side is summed left to right in place, and then holds the defect.
+    ``Phi`` and ``Dw`` = D w_int hold the first modes of x~ = x[1:], past
+    which S~ = I and x~ is D w + Phi, so that those interior rows hold
+    exactly.  The residual is the max-norm defect of the collocation
+    equations: the interior rows of the first modes, whose right-hand side
+    is summed left to right in place and then holds the defect, and the
+    trace rows over all modes.
     """
+    width = Phi.shape[-1]
+    xt = x[1:, :width]
     rhs = _imsc(system, xt)
     rhs += Dw
     rhs += Phi
-    trace_defect = np.abs(w_int - _lam_apply(system, rhs)).max()
+    trace_defect = w_int - _lam_apply(system, rhs)
+    if width < x.shape[1]:
+        trace_defect -= _lam_apply(system, x[1:, width:], width)
     rhs -= xt
-    residual = float(max(np.abs(rhs, out=rhs).max(), trace_defect))
+    residual = float(max(np.abs(rhs, out=rhs).max(initial=0.0), np.abs(trace_defect).max()))
     w = np.concatenate([[w0], w_int])
     return StageSolution(
         slab=system.slab,
         t=system.t_star,
-        x=np.vstack([x0[None, :], xt]),
+        x=x,
         y=system.bvals * w,
         boundary_traces=w,
         residual=residual,
@@ -776,19 +860,32 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     The interior rows read S~ x~ = D w + Phi, and the trace rows
     w = Lambda x~, so (I - Lambda S~^{-1} D) w = Lambda S~^{-1} Phi and then
     x~ = S~^{-1} Phi + S~^{-1} D w.  Phi and D w come from the factored
-    coupling (see :class:`BlockSystem`), and Lambda S~^{-1} D is G V with
-    the trace images G of the slab's interior (:class:`SlabInterior`).  Phi
-    and D w are each swept through S~^{-1} on its own and added only at the
-    end: summing them before the sweep would turn the trace's quantised
-    cancellation remainders into smooth noise, which the CSV output pays
-    for in distinct values.  The (N, N+1, M) coupling is never multiplied out.
+    coupling (see :class:`BlockSystem`), and the modes split at
+    ``moving`` (:class:`SlabInterior`).
+
+    On the moving modes Phi is one pass of the maps before the trace solve
+    and D w one after it; Phi and D w are each swept through S~^{-1} on its
+    own and added only at the end: summing them before the sweep would turn
+    the trace's quantised cancellation remainders into smooth noise, which
+    the CSV output pays for in distinct values.  The quasi-static modes
+    take the boundary part of Phi and D w from one pass of the maps after
+    the solve, and x~ = D w + Phi there, in that order, with the sweep's
+    ``+= 0.0`` on rows 2..N.  So the maps are read once per slab past
+    ``moving``, and the (N, N+1, M) coupling is never multiplied out.
+
+    Without quasi-static modes the trace row is Lambda S~^{-1} Phi from
+    Phi's own sweep.  With them, Phi is not known before the solve, and the
+    row is formed as Lambda S~^{-1} D = G V is, from the trace images G:
+    G c0 for the boundary part modes(c0), c0 = V[0] w0 - g; plus
+    Lambda S~^{-1} (F_x x0 + f_x), swept as a second row beside Phi over
+    the moving modes; plus Lambda f_x past them, where S~ = I.  The first
+    is cheaper where every mode moves, the second reads the maps once.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    Phi = _phi_blocks(system, x0, w0)
-    w_int, xt, Dw = _eliminate_factored(system, Phi)
-    return _stage_solution(system, x0, w0, xt, w_int, Phi, Dw, rho)
+    x, w_int, Phi, Dw = _eliminate_split(system, x0, w0)
+    return _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
 
 
 def solve_stage_fixed_point(
@@ -848,7 +945,7 @@ def solve_stage_fixed_point(
     w_int = W @ (_lam_apply(system, _imsc(system, x)) + lamPhi)
     hist = np.array(history)
     return _stage_solution(
-        system, x0, w0, x, w_int, Phi, _d_apply(system, w_int), rho,
+        system, np.vstack([x0[None, :], x]), w0, w_int, Phi, _d_apply(system, w_int), rho,
         fp_iterations=len(history), fp_ratios=hist[1:] / hist[:-1],
     )
 
@@ -957,9 +1054,9 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
             del system  # freed, with its maps, before slab l + 1 is assembled
             if not np.isfinite(stage.residual):
                 raise NonFiniteStageError(stage.residual, l)
-            # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
-            for values in (stage.x.T, stage.boundary_traces, stage.y):
-                values *= unscale
+            if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
+                for values in (stage.x.T, stage.boundary_traces, stage.y):
+                    values *= unscale
             x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
             stages.append(stage)
         if refine:

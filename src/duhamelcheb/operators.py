@@ -163,6 +163,8 @@ class OperatorFamily:
     def require_positive_a(self, T: float) -> None:
         """Raise ``ValueError`` naming the first time of [0, T] where a > 0 fails:
         t = 0, or a root of a in [0, T] that is real or where a <= 0."""
+        if not self.a_coeffs[1:].any() and self.a_coeffs[0] > 0.0:
+            return  # a constant a > 0
         roots = P.polyroots(self.a_coeffs) if self.a_coeffs[1:].any() else np.empty(0)
         roots = np.sort_complex(roots[(roots.real >= 0.0) & (roots.real <= T)])
         times = np.concatenate([[0.0], roots.real])
@@ -180,8 +182,12 @@ class OperatorFamily:
         (K, P), where int_{-1}^{xi} rho = mean (r + 1), by Newton steps from
         xi = r until each point's step is below 4 eps (r = +-1 stay); and the
         coefficients in xi of C^ anchored at xi = -1, (D, K).  In the local
-        coordinate a constant family gives exactly 1.0, xi = r and C^ = 0.
+        coordinate a constant family gives exactly 1.0, xi = r and C^ = 0,
+        the identity clock, which it returns at once, with one zero
+        coefficient per slab and xi a read-only view of ``r``.
         """
+        if self.is_constant:
+            return np.ones(centres.size), np.broadcast_to(r, (centres.size, r.size)), np.zeros((1, centres.size))
         n = max(self.a_coeffs.size, self.c_coeffs.size)
         a_loc, c_loc = (_taylor(p, centres, half, n) for p in (self.a_coeffs, self.c_coeffs))
         rho = a_loc / a_loc[0]

@@ -46,7 +46,7 @@ from duhamelcheb import (
     solve_stage_direct,
     solve_stage_fixed_point,
 )
-from duhamelcheb import cli, collocation
+from duhamelcheb import cli, collocation, operators
 from duhamelcheb.collocation import CoefficientAssembler, block_matrix_inf_norm
 from duhamelcheb.kernels import sample_data
 from duhamelcheb.mesh import TimePartition, interpolate
@@ -1244,6 +1244,23 @@ def test_zero_higher_coefficients_make_a_constant_family(reference_problem, mode
     assert trace.node_modes().tobytes() == plain.node_modes().tobytes()
 
 
+def test_a_constant_family_takes_the_identity_clock_without_its_taylor_expansion(reference_problem, monkeypatch):
+    """A constant family's clock is the identity, returned before any
+    Taylor expansion of a and c: the reference problem's assembler is
+    built and marched with ``operators._taylor`` raising, and its slabs
+    carry no clock scale for the march to take off (``unscale`` is None)."""
+
+    def raising(*args):
+        raise AssertionError("a constant family expanded its coefficients")
+
+    monkeypatch.setattr(operators, "_taylor", raising)
+    problem = reference_problem
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
+    assert all(assembler.slab(l, problem.g, problem.forcing, problem.b).unscale is None for l in range(1, 5))
+    trace = march(problem, SolverConfig(N=12, K=4, M=128))
+    assert compute_errors(trace, problem).max_eps1 <= 1e-14
+
+
 @pytest.mark.parametrize(
     "build, bound",
     [(build_reference_example, 1e-10), (varying_manufactured_problem, 1e-13)],
@@ -1551,59 +1568,97 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     formulas bit for bit, with a -0.0 in x0 (and w0 = -0.0 without data,
     where only signed zeros and F_x x0 meet), and the solver leaves its
     inputs unchanged.  Phi is the one boundary pass modes(V[0] w0 - g),
-    then E[0] x0 added to row 1, then the forcing.  With data, a forcing in
-    every mode is added to the problem's, so that the order of the three
-    terms shows in every mode."""
-    problem = build(M=128)
-    dense = np.random.default_rng(6).standard_normal(128)
+    then E[0] x0 added to row 1, then the forcing: over all modes for the
+    fixed-point solve, and for the direct solve over the moving modes and,
+    from the one stacked pass after the trace solve, over the quasi-static
+    ones, where x~ = D w + Phi with ``+= 0.0`` on rows 2..N.  At M = 512,
+    K = 2, 94 of the modes move on the constant family's slab 2.  With
+    data, a forcing in every mode is added to the problem's, so that the
+    order of the three terms shows in every mode."""
+    M = 512
+    problem = build(M=M)
+    dense = np.random.default_rng(6).standard_normal(M)
 
     def forcing(t):
         own = 0.0 if problem.forcing is None else problem.forcing(t)
         return own + math.exp(-t) * dense
 
-    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 2))
     system = assembler.slab(2, *((problem.g, forcing, problem.b) if data else ()))
-    x0 = np.random.default_rng(5).standard_normal(128)
-    x0[[0, 3]] = -0.0
+    x0 = np.random.default_rng(5).standard_normal(M)
+    x0[[0, 3, M - 1]] = -0.0
     w0 = float(x0 @ problem.basis.boundary_trace) if data else -0.0
     Phi = collocation._phi_blocks(system, x0, w0)
-    want = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
+    c0 = w0 * system.lag_b[:, 0] - system.g_loc
+    want = system.interior.modes(c0)
     want[0] = want[0] + system.E[0] * x0
     if system.forcing is not None:
         want = want + system.forcing
     assert (system.forcing is not None) == data
     assert Phi.tobytes() == want.tobytes()
 
-    w_int, xt, Dw = collocation._eliminate_factored(system, Phi)
-    inputs = [a.tobytes() for a in (x0, xt, w_int, Phi, Dw)]
-    stage = collocation._stage_solution(system, x0, w0, xt, w_int, Phi, Dw, 0.0)
-    assert [a.tobytes() for a in (x0, xt, w_int, Phi, Dw)] == inputs
+    moving = system.interior.moving
+    assert 0 < moving < M
+    inputs = [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)]
+    x, w_int, Phi, Dw = collocation._eliminate_split(system, x0, w0)
+    assert [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)] == inputs
+    head, tail = slice(moving), slice(moving, M)
+    want = system.interior.modes(c0, head)
+    want[0] = want[0] + system.E[0, head] * x0[head]
+    if data:
+        want = want + system.forcing[:, head]
+    assert Phi.tobytes() == want.tobytes()
+    cw = np.einsum("kjq,j->kq", system.lag_b[:, 1:], w_int)
+    assert Dw.tobytes() == system.interior.modes(cw, head).tobytes()
+    boundary, d_w = system.interior.modes(np.stack([c0, cw], axis=1), tail).transpose(1, 0, 2)
+    phi = boundary.copy()
+    phi[0] = phi[0] + system.E[0, tail] * x0[tail]
+    if data:
+        phi = phi + system.forcing[:, tail]
+    phi[1:] = phi[1:] + 0.0
+    assert x[0].tobytes() == x0.tobytes()
+    assert x[1:, tail].tobytes() == (d_w + phi).tobytes()
+
+    inputs = [a.tobytes() for a in (x0, x, w_int, Phi, Dw)]
+    stage = collocation._stage_solution(system, x, w0, w_int, Phi, Dw, 0.0)
+    assert [a.tobytes() for a in (x0, x, w_int, Phi, Dw)] == inputs
+    xt = x[1:, head]
     rhs = collocation._imsc(system, xt) + Dw + Phi
-    want = float(max(np.abs(xt - rhs).max(), np.abs(w_int - collocation._lam_apply(system, rhs)).max()))
+    trace = w_int - collocation._lam_apply(system, rhs) - collocation._lam_apply(system, x[1:, tail], moving)
+    want = float(max(np.abs(xt - rhs).max(), np.abs(trace).max()))
     assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize(
-    "build, K",
-    [(build_reference_example, 1), (build_reference_example, 4), (constant_forced_problem, 3)],
+    "build, K, moving",
+    [(build_reference_example, 1, 67), (build_reference_example, 4, 128), (constant_forced_problem, 3, 105)],
     ids=["reference-1", "reference-4", "forced-3"],
 )
-def test_constant_family_direct_march_makes_two_map_passes_per_slab(build, K, monkeypatch):
-    """Each slab of a constant-family direct march takes the maps to modes
-    twice: once for the boundary part of Phi, F_y w0 with the g term, and
-    once for D w.  K slabs, no refinement: exactly 2 K calls of ``modes``."""
+def test_constant_family_direct_march_reads_the_maps_once_per_slab(build, K, moving, monkeypatch):
+    """Each slab of a constant-family direct march takes the moving modes
+    of the maps to modes twice, for Phi before the trace solve and for D w
+    after it, and the quasi-static modes past ``moving`` once, for both at
+    once after the solve: one full-width pass per slab plus the moving
+    slice.  Of the 128 modes, 67 move at K = 1, 105 in the forced problem
+    (a = 1.2, c = 0.3) at K = 3, and all at K = 4, where no quasi-static
+    pass is made.  K slabs, no refinement."""
     problem = build(M=128)
     calls = []
     modes = collocation.SlabInterior.modes
 
-    def counting(self, c):
-        calls.append(c.shape)
-        return modes(self, c)
+    def counting(self, c, span=slice(None)):
+        out = modes(self, c, span)
+        calls.append((self.moving, span.indices(128), c.shape[1:-1]))
+        return out
 
     monkeypatch.setattr(collocation.SlabInterior, "modes", counting)
     trace = march(problem, SolverConfig(N=12, K=K, M=128, T=problem.T))
     assert (trace.refinements, len(trace.stages)) == (0, K)
-    assert len(calls) == 2 * K
+    per_slab = [(moving, (0, moving, 1), ()), (moving, (0, moving, 1), ())]
+    if moving < 128:
+        per_slab.append((moving, (moving, 128, 1), (2,)))
+    assert calls == K * per_slab
+    assert sum(stop - start for _, (start, stop, _), _ in calls) == K * (128 + moving)
 
 
 def test_only_the_trace_row_and_the_interior_tables_read_the_trace():
@@ -1670,12 +1725,16 @@ def test_moving_counts_the_modes_with_a_nonzero_propagator(build, N, K, M, movin
     """At (12, 4, 4096) E underflows to 0.0 on every subinterval past mode
     133; the varying family's slab 1 freezes a = 1 + t / 2 at its
     midpoint, a = 1.0625, and its E underflows past mode 129.  At
-    (16, 32, 128) every mode moves."""
+    (16, 32, 128) every mode moves.  E, whose exp is taken only up to the
+    last mode that can be nonzero, has the bytes of exp over all modes."""
     problem = build(M=M)
-    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    grid = build_grid(N)
+    assembler = CoefficientAssembler(problem.family, grid, TimePartition(problem.T, K))
     interior = assembler.slab(1, problem.g, problem.forcing, problem.b).interior
     assert interior.moving == moving
     assert interior.E[:, moving - 1].any() and not interior.E[:, moving:].any()
+    nu = 0.5 * interior.tau * problem.family.frozen_eigenvalues(assembler._centres[0])
+    assert interior.E.tobytes() == np.exp(-nu * grid.spacings[:, None]).tobytes()
 
 
 def test_moving_does_not_assume_a_monotone_propagator():
@@ -1689,19 +1748,26 @@ def test_moving_does_not_assume_a_monotone_propagator():
 
 @LAYOUT_CASES
 def test_sweeps_over_the_moving_modes_equal_the_sweeps_over_all(build, M):
-    """``_forward_sub`` and ``_imsc`` against their formulas over all modes,
-    bit for bit.  The block vectors are random with every other row zero,
-    so that each product E[k] r[k-1] lands on a zero, where even a
-    subnormal shows."""
+    """``_forward_sub``, on one row and on two side by side, and ``_imsc``
+    against their formulas over all modes, bit for bit.  The block vectors
+    are random with every other row zero, so that each product E[k] r[k-1]
+    lands on a zero, where even a subnormal shows."""
     _, _, system = second_slab(build, M)
     E = system.E
-    for parity in (0, 1):
-        r = np.random.default_rng(8).standard_normal((system.N, M))
-        r[parity::2] = 0.0
+
+    def swept(r):
         want = r.copy()
         for k in range(1, system.N):
             want[k] = want[k] + E[k] * want[k - 1]
+        return want
+
+    for parity in (0, 1):
+        r = np.random.default_rng(8).standard_normal((system.N, M))
+        r[parity::2] = 0.0
+        want = swept(r)
         assert collocation._forward_sub(system, r.copy()).tobytes() == want.tobytes()
+        rows = np.stack([r, 2.0 * r], axis=1)  # two rows side by side, as the direct solve sweeps Phi
+        assert collocation._forward_sub(system, rows).tobytes() == np.stack([want, swept(2.0 * r)], axis=1).tobytes()
         want = np.zeros(r.shape)
         want[1:] = want[1:] + E[1:] * r[:-1]
         assert collocation._imsc(system, r).tobytes() == want.tobytes()
@@ -1765,6 +1831,43 @@ def test_nan_boundary_data_stops_the_march_when_most_modes_do_not_move(mode):
     with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
         march(problem, SolverConfig(N=12, K=1, M=1024, T=problem.T, mode=mode))
     assert exc.value.slab == 1
+
+
+def test_a_forcing_nan_in_the_last_mode_alone_stops_the_direct_march():
+    """At (12, 1, 1024) only 67 modes move, and the direct solve takes the
+    quasi-static modes after the trace solve, where their interior rows
+    hold exactly.  A forcing that is NaN in the last mode only reaches the
+    stage values through the trace row, Lambda f_x past ``moving``, and
+    still raises on slab 1."""
+    M = 1024
+
+    def forcing(t):
+        out = np.zeros(M)
+        out[-1] = np.nan
+        return out
+
+    problem = dataclasses.replace(build_reference_example(M=M), forcing=forcing)
+    with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
+        march(problem, SolverConfig(N=12, K=1, M=M, T=problem.T))
+    assert exc.value.slab == 1
+
+
+def test_a_slab_where_no_mode_moves_is_all_quasi_static():
+    """With c = 1e6 every propagator underflows (``moving`` is 0): the direct
+    solve has no moving block and takes every mode from its one pass after
+    the trace solve.  Its stage is finite, its residual tiny, and it agrees
+    with the fixed-point solve."""
+    base = build_reference_example(M=64)
+    problem = dataclasses.replace(base, family=constant_family(base.basis, a=1.0, c=1e6))
+    config = SolverConfig(N=6, K=1, M=64, T=problem.T)
+    assembler = CoefficientAssembler(problem.family, build_grid(6), TimePartition(problem.T, 1))
+    assert assembler.slab(1, problem.g, problem.forcing, problem.b).interior.moving == 0
+    direct = march(problem, config)
+    fixed = march(problem, dataclasses.replace(config, mode="fixed_point"))
+    assert direct.stages[0].residual <= 1e-15
+    want = nodal_values(fixed)
+    assert np.isfinite(want).all()
+    assert_rows_agree(nodal_values(direct), want, want, rel=1e-13)
 
 
 @pytest.mark.parametrize("value", WRONG_SHAPES, ids=WRONG_SHAPE_IDS)
