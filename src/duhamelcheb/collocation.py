@@ -20,8 +20,10 @@ Each part is explained in one place:
 - :class:`SlabInterior`: the moving modes, which the sweeps take, and the
   quasi-static ones past them, where S~ = I;
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
-  coupling kept factored and g kept as samples, so that a direct solve
-  reads the full maps once per slab (:func:`solve_stage_direct`);
+  coupling kept factored and g kept as samples (:func:`solve_stage_direct`);
+- ``_fill_quasi_static``: the quasi-static modes of a run of slabs of one
+  interior, filled in one pass of the maps, which :func:`march` makes once
+  per run;
 - :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
   stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
 """
@@ -157,9 +159,10 @@ class SlabInterior:
     quasi-static modes, whose stage values are D w + Phi in closed form.
     ``_forward_sub``, ``_imsc`` and the propagated rows of
     :attr:`trace_images` skip them: each skipped term is a product with
-    0.0.  The direct solve takes them in one pass of the maps after its
-    trace solve (:func:`solve_stage_direct`).  No tolerance, and no order
-    of E in the mode, is assumed.
+    0.0.  A direct solve takes them after its trace solve, in one pass of
+    the maps per run of slabs that share the interior
+    (``_fill_quasi_static``).  No tolerance, and no order of E in the mode,
+    is assumed.
     """
 
     tau: float
@@ -206,16 +209,23 @@ class SlabInterior:
             G[i + 1:, i] = (weights[i + 1:] * s[:moving]) @ self.maps[i, :, :moving].T
         return G
 
-    def modes(self, c: np.ndarray, span: slice = slice(None)) -> np.ndarray:
+    def modes(
+        self, c: np.ndarray, span: slice = slice(None), subintervals: slice = slice(None),
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """s (R_k c_k) on the modes ``span`` for sample-space values c of
-        shape (N, [rows,] Q+1): shape (N, [rows,] width).
+        shape (n, [rows,] Q+1) on the n ``subintervals`` (all N by default):
+        shape (n, [rows,] width), written into ``out``, of shape
+        (n, rows, width), when it is given.
 
         The one map to modes for every coupling term.  A direct solve reads
         the moving modes twice per slab, for Phi and for D w, and the
-        quasi-static ones once, for both rows at once (:func:`solve_stage_direct`).
+        quasi-static ones once per run of slabs, for every slab's two rows
+        at once (``_fill_quasi_static``).
         """
-        N, Q1 = self.maps.shape[:2]
-        out = np.matmul(c.reshape(N, -1, Q1), self.maps[:, :, span])
+        maps = self.maps[subintervals, :, span]
+        n, Q1 = maps.shape[:2]
+        out = np.matmul(c.reshape(n, -1, Q1), maps, out=out)
         out *= self.coupling_scale[span]
         return out.reshape(*c.shape[:-1], -1)
 
@@ -255,10 +265,10 @@ class BlockSystem:
               the integrand.  It is kept factored as V and the maps: the
               solvers form V y in sample space and take it through the maps,
               at O(N M Q) cost; F_y w0 and the g term share one pass,
-              c0 = V[0] w0 - g (``_phi_blocks``).  The direct solve takes c0
-              and V w through the quasi-static modes' maps in one stacked
-              pass, and then reads Lambda S~^{-1} F_y w0 with the g term off
-              the trace images, as G c0.
+              c0 = V[0] w0 - g (``_phi_blocks``).  The direct solve reads
+              Lambda S~^{-1} F_y w0 with the g term off the trace images,
+              as G c0, and leaves c0 and V w past the moving modes to the
+              quasi-static fill, one pass of the maps per run of slabs.
 
     Slabs may share one interior, with its E, maps and trace, so solvers
     must not write to them.
@@ -271,7 +281,7 @@ class BlockSystem:
     g_loc: np.ndarray
     forcing: np.ndarray | None
     bvals: np.ndarray
-    unscale: np.ndarray
+    unscale: np.ndarray | None
 
     @property
     def N(self) -> int:
@@ -306,9 +316,13 @@ class BlockSystem:
         lambda_d.flags.writeable = False
         return lambda_d
 
-    def contraction_norm(self) -> float:
-        """Infinity norm of Lambda D; below 1 the elimination is solvable."""
+    @functools.cached_property
+    def _contraction_norm(self) -> float:
         return float(np.abs(self.lambda_d).sum(axis=1).max())
+
+    def contraction_norm(self) -> float:
+        """Infinity norm of Lambda D, computed once per system; below 1 the elimination is solvable."""
+        return self._contraction_norm
 
     def s_tilde_blocks(self) -> np.ndarray:
         """S~ as dense (N, N, M) blocks, a new, writable array.
@@ -351,7 +365,7 @@ and the forcing's samples."""
 def _map_blocks(N: int, M: int) -> list[slice]:
     """The blocks of whole node subintervals, of about ``_MAP_BLOCK_MODES`` modes each."""
     width = max(1, _MAP_BLOCK_MODES // M)
-    return [slice(first, first + width) for first in range(0, N, width)]
+    return [slice(first, min(first + width, N)) for first in range(0, N, width)]
 
 
 _TABLE_MEMO_SIZE = 8
@@ -743,8 +757,9 @@ def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
 
 
 def _lam_apply(system: BlockSystem, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """Lambda x: the trace row contracted with the trailing mode axis of
-    ``x``, which holds the modes from ``first`` on."""
+    """Lambda x: the trace row of ``system``'s interior (a :class:`BlockSystem`,
+    or a slab's ``_QuasiStatic`` fill) contracted with the trailing mode axis
+    of ``x``, which holds the modes from ``first`` on."""
     return np.einsum("m,...m->...", system.interior.trace[first:first + x.shape[-1]], x)
 
 
@@ -777,10 +792,76 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float):
+class _QuasiStatic:
+    """A direct stage's quasi-static modes, past ``moving``, until ``_fill_quasi_static`` fills them.
+
+    x             the stage's values, (N+1, M); until the fill, rows 1..N of
+                  its quasi-static columns hold the forcing there if
+                  ``forced``, and row 0 holds x0 there only on a run's first
+                  slab: the fill copies the others' from the slab before
+    c             (N, 2, Q+1): c0 = V[0] w0 - g and V w, which the maps take
+                  to the boundary part of Phi and to D w
+    stage         a deferred stage (``_stage_solution``), whose residual is
+                  its interior rows' until ``_finish_run``
+    trace_defect  the trace rows' defect w - Lambda x~ over the moving modes
+
+    It holds no :class:`BlockSystem`: a march keeps one slab's at a time.
+    """
+
+    __slots__ = ("interior", "x", "c", "forced", "stage", "trace_defect")
+
+    def __init__(self, interior: SlabInterior, x: np.ndarray, c: np.ndarray, forced: bool):
+        self.interior, self.x, self.c, self.forced = interior, x, c, forced
+        self.stage: StageSolution | None = None
+        self.trace_defect: np.ndarray | None = None
+
+
+def _fill_quasi_static(run: list[_QuasiStatic]) -> None:
+    """x~ = D w + Phi on the quasi-static modes of ``run``, consecutive slabs of one interior, in place.
+
+    S~ = I there.  The boundary part of Phi and D w of every slab of the run
+    come from the (2R, Q+1) rows c against the quasi-static columns of the
+    maps, taken in blocks of whole subintervals of about
+    ``_MAP_BLOCK_MODES`` quasi-static modes (``_map_blocks``), one
+    subinterval per block from M - moving = 512 up, into one buffer: the
+    maps are read once per run, and no (N, 2R, M - moving) array is made.
+    Then, per slab, in the order of the moving modes' sums:
+    E[0] x0 in row 1, the forcing, ``+= 0.0`` on rows 2..N (the sign of zero
+    that the moving modes' sweep gives there), and x~ = D w + Phi.  A slab's
+    x0 is the previous slab's last node, so the block of row 1 is taken
+    last, and each slab but the first takes its row 0 there.
+    """
+    interior = run[0].interior
+    N, M = interior.E.shape
+    tail = slice(interior.moving, M)
+    E0 = interior.E[0, tail]
+    c = np.concatenate([fill.c for fill in run], axis=1)
+    blocks = _map_blocks(N, M - tail.start)
+    rows = np.empty((blocks[0].stop, 2 * len(run), M - tail.start))
+    previous = None
+    for block in blocks[1:] + blocks[:1]:
+        pairs = interior.modes(c[block], tail, block, out=rows[:block.stop - block.start])
+        for r, fill in enumerate(run):
+            phi, dw, x = pairs[:, 2 * r], pairs[:, 2 * r + 1], fill.x
+            values = x[1 + block.start:1 + block.stop, tail]
+            if block.start == 0:
+                if previous is not None:
+                    x[0, tail] = previous[-1, tail]
+                phi[0] += E0 * x[0, tail]
+                previous = x
+            if fill.forced:
+                phi += values
+            phi[max(1 - block.start, 0):] += 0.0  # rows 2..N
+            np.add(dw, phi, out=values)
+
+
+def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float, run: list[_QuasiStatic] | None = None):
     """x, w_1..w_N, and Phi and D w on the moving modes, of one slab, from the factored coupling.
 
-    x, (N+1, M), holds x0 and x~.  See :func:`solve_stage_direct`.
+    x, (N+1, M), holds x0 and x~.  Its quasi-static modes are filled here,
+    as a run of one, or, when ``run`` is a list, appended to it, to be
+    filled with the rest of the run (``_fill_quasi_static``).  See
+    :func:`solve_stage_direct`.
     """
     interior, N, M = system.interior, system.N, system.M
     head, tail = slice(interior.moving), slice(interior.moving, M)
@@ -811,16 +892,28 @@ def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float):
     _forward_sub(system, xt)
     xt += Z_phi
     if tail.start < M:
-        Phi_q, Dw_q = interior.modes(np.stack([c0, cw], axis=1), tail).transpose(1, 0, 2)
-        _add_inflow(system, Phi_q, x0, tail)
-        Phi_q[1:] += 0.0  # the sign of zero that the moving modes' sweep gives rows 2..N
-        np.add(Dw_q, Phi_q, out=x[1:, tail])
+        fill = _QuasiStatic(interior, x, np.stack([c0, cw], axis=1), system.forcing is not None)
+        if fill.forced:
+            x[1:, tail] = system.forcing[:, tail]  # the fill adds it from here, in its place in the sum
+        if run is None:
+            _fill_quasi_static([fill])
+        else:
+            run.append(fill)
     return x, w_int, Phi, Dw
+
+
+def _trace_residual(system: BlockSystem, interior_rows: float, trace_defect: np.ndarray, x: np.ndarray, width: int) -> float:
+    """The stage residual, from the interior rows' max defect and the trace
+    rows' defect over the first ``width`` modes, to which the modes of x
+    past them are added here, in place."""
+    if width < x.shape[1]:
+        trace_defect -= _lam_apply(system, x[1:, width:], width)
+    return float(max(interior_rows, np.abs(trace_defect).max()))
 
 
 def _stage_solution(
     system: BlockSystem, x: np.ndarray, w0: float, w_int: np.ndarray,
-    Phi: np.ndarray, Dw: np.ndarray, rho: float, **fixed_point,
+    Phi: np.ndarray, Dw: np.ndarray, rho: float, run: list[_QuasiStatic] | None = None, **fixed_point,
 ) -> StageSolution:
     """The slab's solution from x, (N+1, M) with x0 in row 0, and w_1..w_N.
 
@@ -829,7 +922,10 @@ def _stage_solution(
     exactly.  The residual is the max-norm defect of the collocation
     equations: the interior rows of the first modes, whose right-hand side
     is summed left to right in place and then holds the defect, and the
-    trace rows over all modes.
+    trace rows over all modes.  When the slab's quasi-static modes wait in
+    ``run`` for their fill (``_eliminate_split``), the stage's residual is
+    its interior rows' until ``_finish_run`` adds the trace rows; not
+    finite, it is already the stage's.
     """
     width = Phi.shape[-1]
     xt = x[1:, :width]
@@ -837,24 +933,52 @@ def _stage_solution(
     rhs += Dw
     rhs += Phi
     trace_defect = w_int - _lam_apply(system, rhs)
-    if width < x.shape[1]:
-        trace_defect -= _lam_apply(system, x[1:, width:], width)
     rhs -= xt
-    residual = float(max(np.abs(rhs, out=rhs).max(initial=0.0), np.abs(trace_defect).max()))
+    residual = np.abs(rhs, out=rhs).max(initial=0.0)
+    deferred = run is not None and width < x.shape[1]
+    if not deferred:
+        residual = _trace_residual(system, residual, trace_defect, x, width)
     w = np.concatenate([[w0], w_int])
-    return StageSolution(
+    stage = StageSolution(
         slab=system.slab,
         t=system.t_star,
         x=x,
         y=system.bvals * w,
         boundary_traces=w,
-        residual=residual,
+        residual=float(residual),
         contraction=rho,
         **fixed_point,
     )
+    if deferred:
+        run[-1].stage, run[-1].trace_defect = stage, trace_defect
+    return stage
 
 
-def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
+def _finish_run(run: list[_QuasiStatic], stages: list[StageSolution]) -> float:
+    """Fill the quasi-static modes of the deferred stages ``run``, the last
+    ones of ``stages``, complete their residuals there, and empty ``run``.
+
+    Returns the seconds it took.  Raises :class:`NonFiniteStageError` on the
+    run's first stage that is not finite.
+    """
+    start = time.perf_counter()
+    _fill_quasi_static(run)
+    moving = run[0].interior.moving
+    done = [
+        replace(fill.stage, residual=_trace_residual(fill, fill.stage.residual, fill.trace_defect, fill.x, moving))
+        for fill in run
+    ]
+    stages[len(stages) - len(done):] = done
+    run.clear()
+    for stage in done:
+        if not np.isfinite(stage.residual):
+            raise NonFiniteStageError(stage.residual, stage.slab)
+    return time.perf_counter() - start
+
+
+def solve_stage_direct(
+    system: BlockSystem, x0: np.ndarray, w0: float, *, _run: list[_QuasiStatic] | None = None,
+) -> StageSolution:
     """Direct elimination solve of one slab.
 
     The interior rows read S~ x~ = D w + Phi, and the trace rows
@@ -868,10 +992,13 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     own and added only at the end: summing them before the sweep would turn
     the trace's quantised cancellation remainders into smooth noise, which
     the CSV output pays for in distinct values.  The quasi-static modes
-    take the boundary part of Phi and D w from one pass of the maps after
-    the solve, and x~ = D w + Phi there, in that order, with the sweep's
-    ``+= 0.0`` on rows 2..N.  So the maps are read once per slab past
-    ``moving``, and the (N, N+1, M) coupling is never multiplied out.
+    take the boundary part of Phi and D w from the maps after the solve,
+    and x~ = D w + Phi there, in that order, with the sweep's ``+= 0.0`` on
+    rows 2..N (``_fill_quasi_static``).  Called on its own, the solve fills
+    them as a run of one and returns a complete stage; :func:`march` passes
+    the list ``_run``, which defers the fill to the end of the run of slabs
+    that share the interior.  The (N, N+1, M) coupling is never multiplied
+    out.
 
     Without quasi-static modes the trace row is Lambda S~^{-1} Phi from
     Phi's own sweep.  With them, Phi is not known before the solve, and the
@@ -884,8 +1011,8 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    x, w_int, Phi, Dw = _eliminate_split(system, x0, w0)
-    return _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
+    x, w_int, Phi, Dw = _eliminate_split(system, x0, w0, _run)
+    return _stage_solution(system, x, w0, w_int, Phi, Dw, rho, _run)
 
 
 def solve_stage_fixed_point(
@@ -1000,6 +1127,20 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     anchored at the slab's left junction, where u^ = u; the march takes the
     scale off each stage and carries u from slab to slab.
 
+    On a partition of more than one slab, a constant family's direct
+    stages defer their quasi-static modes to one fill per run of
+    consecutive slabs that share an interior, in one pass of the maps
+    (``_fill_quasi_static``); ``solve_seconds`` includes it.  Every slab of
+    a constant family shares one interior, so its run ends only when the
+    march does, or before a slab whose coupling reaches the refinement
+    threshold.  A varying family's slabs, whose interiors differ, and a
+    single slab are runs of one, filled by the stage solve (before the
+    march takes the clock's scale off).  A deferred stage whose interior rows are
+    not finite raises at once; one whose trace rows alone are not finite
+    raises when its run is filled, which the march does before it refines
+    or raises for a later slab.  Either way the error names the first slab
+    that is not finite, as an undeferred march does.
+
     When the assembled boundary coupling reaches the refinement threshold
     the slab count doubles and the march restarts, at most six times.  The
     march holds one slab's :class:`BlockSystem` at a time: slab l's is
@@ -1028,6 +1169,8 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         partition = TimePartition(config.T, K)
         assembler = CoefficientAssembler(family, grid, partition)
         stages: list[StageSolution] = []
+        # every slab of a constant family shares one interior: its direct stages are one run
+        run: list[_QuasiStatic] | None = [] if config.mode == "direct" and family.is_constant and K > 1 else None
         x_prev = u0
         # a BLAS dot, not _lam_apply: the einsum sums a dense u0 in another order
         w_prev = float(u0 @ basis.boundary_trace)
@@ -1038,13 +1181,16 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
             system = assembler.slab(l, problem.g, problem.forcing, problem.b)
             rho = system.contraction_norm()
             contraction_max = max(contraction_max, rho)
-            if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
-                refine = True
-                del system  # freed before the restarted march assembles its first slab
-                break
+            if rho >= CONTRACTION_REFINE:
+                if run:  # a stage of the run that is not finite raises first, as it did undeferred
+                    solve_seconds += _finish_run(run, stages)
+                if refinements < MAX_REFINEMENTS:
+                    refine = True
+                    del system  # freed before the restarted march assembles its first slab
+                    break
             t0 = time.perf_counter()
             if config.mode == "direct":
-                stage = solve_stage_direct(system, x_prev, w_prev)
+                stage = solve_stage_direct(system, x_prev, w_prev, _run=run)
             else:
                 stage = solve_stage_fixed_point(
                     system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
@@ -1052,17 +1198,21 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
             solve_seconds += time.perf_counter() - t0
             unscale = system.unscale
             del system  # freed, with its maps, before slab l + 1 is assembled
+            stages.append(stage)
             if not np.isfinite(stage.residual):
+                if run:  # the stage is deferred: its run raises on its first stage that is not finite
+                    _finish_run(run, stages)
                 raise NonFiniteStageError(stage.residual, l)
             if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
                 for values in (stage.x.T, stage.boundary_traces, stage.y):
                     values *= unscale
             x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
-            stages.append(stage)
         if refine:
             K *= 2
             refinements += 1
             continue
+        if run:
+            solve_seconds += _finish_run(run, stages)
         return SolutionTrace(
             config=config,
             partition=partition,

@@ -1570,8 +1570,9 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     inputs unchanged.  Phi is the one boundary pass modes(V[0] w0 - g),
     then E[0] x0 added to row 1, then the forcing: over all modes for the
     fixed-point solve, and for the direct solve over the moving modes and,
-    from the one stacked pass after the trace solve, over the quasi-static
-    ones, where x~ = D w + Phi with ``+= 0.0`` on rows 2..N.  At M = 512,
+    from the quasi-static fill after the trace solve (a run of one here),
+    over the quasi-static ones, where x~ = D w + Phi with ``+= 0.0`` on
+    rows 2..N.  At M = 512,
     K = 2, 94 of the modes move on the constant family's slab 2.  With
     data, a forcing in every mode is added to the problem's, so that the
     order of the three terms shows in every mode."""
@@ -1629,36 +1630,200 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()
 
 
+def map_reads(problem, N, K, M, monkeypatch):
+    """The march of ``problem`` on (N, K, M), with its maps-to-modes calls:
+    the sweeps over the moving modes and the reads of the quasi-static
+    columns past them, each as (moving, span, subintervals, rows)."""
+    sweeps, reads = [], []
+    modes = collocation.SlabInterior.modes
+
+    def counting(self, c, span=slice(None), *args, **kwargs):
+        out = modes(self, c, span, *args, **kwargs)
+        subintervals = range(N)[args[0] if args else kwargs.get("subintervals", slice(None))]
+        rows = c.size // (len(subintervals) * c.shape[-1])
+        call = (self.moving, span.indices(M), tuple(subintervals), rows)
+        (sweeps if span.indices(M)[0] == 0 else reads).append(call)
+        return out
+
+    monkeypatch.setattr(collocation.SlabInterior, "modes", counting)
+    trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
+    assert (trace.refinements, len(trace.stages)) == (0, K)
+    return sweeps, reads
+
+
 @pytest.mark.parametrize(
     "build, K, moving",
-    [(build_reference_example, 1, 67), (build_reference_example, 4, 128), (constant_forced_problem, 3, 105)],
-    ids=["reference-1", "reference-4", "forced-3"],
+    [(build_reference_example, 1, 67), (build_reference_example, 4, 128)],
+    ids=["reference-1", "reference-4"],
 )
 def test_constant_family_direct_march_reads_the_maps_once_per_slab(build, K, moving, monkeypatch):
     """Each slab of a constant-family direct march takes the moving modes
     of the maps to modes twice, for Phi before the trace solve and for D w
     after it, and the quasi-static modes past ``moving`` once, for both at
-    once after the solve: one full-width pass per slab plus the moving
-    slice.  Of the 128 modes, 67 move at K = 1, 105 in the forced problem
-    (a = 1.2, c = 0.3) at K = 3, and all at K = 4, where no quasi-static
-    pass is made.  K slabs, no refinement."""
-    problem = build(M=128)
+    once after the solve: every subinterval's columns are read K (M +
+    moving) times over.  Of the 128 modes, 67 move at K = 1, a run of one
+    slab, and all at K = 4, where no quasi-static pass is made.  K slabs,
+    no refinement."""
+    N, M = 12, 128
+    sweeps, reads = map_reads(build(M=M), N, K, M, monkeypatch)
+    assert sweeps == 2 * K * [(moving, (0, moving, 1), tuple(range(N)), 1)]
+    read = [k for _, _, subintervals, _ in reads for k in subintervals]
+    assert sorted(read) == K * (list(range(N)) if moving < M else [])
+    assert all(call[:2] == (moving, (moving, M, 1)) and call[3] == 2 for call in reads)
+    calls = sweeps + reads
+    assert sum((stop - start) * len(k) for _, (start, stop, _), k, _ in calls) == K * N * (M + moving)
+
+
+@pytest.mark.parametrize("build, K, moving", [(constant_forced_problem, 3, 105)], ids=["forced-3"])
+def test_constant_family_direct_march_reads_the_quasi_static_maps_once_per_run(build, K, moving, monkeypatch):
+    """The quasi-static columns past ``moving`` are read once per run of
+    slabs that share the interior, here the whole march: each
+    subinterval's once, for the two rows of every slab at once, while each
+    slab still sweeps the moving modes twice.  105 of the 128 modes move in
+    the forced problem (a = 1.2, c = 0.3) at K = 3.  K slabs, no
+    refinement."""
+    N, M = 12, 128
+    sweeps, reads = map_reads(build(M=M), N, K, M, monkeypatch)
+    assert sweeps == 2 * K * [(moving, (0, moving, 1), tuple(range(N)), 1)]
+    read = [k for _, _, subintervals, _ in reads for k in subintervals]
+    assert sorted(read) == list(range(N))
+    assert all(call[:2] == (moving, (moving, M, 1)) and call[3] == 2 * K for call in reads)
+
+
+def stage_by_stage(problem, N, K):
+    """The stages of a march on (N, K), no refinement, from standalone
+    :func:`solve_stage_direct` calls on one assembler, with the clock's
+    scale taken off as the march takes it."""
+    assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, K))
+    x, w = problem.u0, float(problem.u0 @ problem.family.basis.boundary_trace)
+    stages = []
+    for l in range(1, K + 1):
+        system = assembler.slab(l, problem.g, problem.forcing, problem.b)
+        stage = solve_stage_direct(system, x, w)
+        if system.unscale is not None:
+            for values in (stage.x.T, stage.boundary_traces, stage.y):
+                values *= system.unscale
+        x, w = stage.x[-1], float(stage.boundary_traces[-1])
+        stages.append(stage)
+    return stages
+
+
+@pytest.mark.parametrize(
+    "build, N, K, M",
+    [
+        (build_reference_example, 12, 4, 4096),
+        (build_neumann_example, 12, 4, 4096),
+        (build_decay_example, 12, 4, 1024),
+        (build_zero_example, 12, 3, 512),
+        (constant_forced_problem, 12, 3, 128),
+        (varying_manufactured_problem, 12, 4, 4096),
+    ],
+    ids=["reference", "neumann", "decay", "zero", "forced", "varying"],
+)
+def test_march_equals_standalone_stage_solves(build, N, K, M):
+    """A march, which fills a constant family's quasi-static modes once per
+    run of slabs, equals a loop of standalone stage solves, each a run of
+    one, bit for bit: node modes, w, y and every stage residual, and each
+    slab's node 0 is the previous slab's last node.  Decay and zero hold
+    signed zeros; the forced problem (105 of 128 modes move) has a forcing
+    past ``moving``; the varying family's slabs are runs of one, with the
+    clock's scale taken off."""
+    problem = build(M=M)
+    trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
+    assert trace.refinements == 0
+    stages = stage_by_stage(problem, N, K)
+    assert len(trace.stages) == len(stages) == K
+    for got, want in zip(trace.stages, stages):
+        assert got.slab == want.slab
+        for name in ("x", "boundary_traces", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (got.slab, name)
+        assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+    for before, after in zip(trace.stages, trace.stages[1:]):
+        assert after.x[0].tobytes() == before.x[-1].tobytes()
+
+
+def test_boundary_data_nan_on_one_slab_of_a_run_names_that_slab():
+    """At (12, 4, 4096) the four slabs are one run, whose quasi-static
+    modes (all but 133) are filled when the march ends.  A g that is NaN
+    only inside slab 2, t in (0.3, 0.45), raises on slab 2 at once, before
+    g is sampled past slab 2, as in an undeferred march."""
+    base = build_reference_example(M=4096)
     calls = []
-    modes = collocation.SlabInterior.modes
 
-    def counting(self, c, span=slice(None)):
-        out = modes(self, c, span)
-        calls.append((self.moving, span.indices(128), c.shape[1:-1]))
-        return out
+    def g(t):
+        calls.append(t)
+        return math.nan if 0.3 < t < 0.45 else float(base.g(t))
 
-    monkeypatch.setattr(collocation.SlabInterior, "modes", counting)
-    trace = march(problem, SolverConfig(N=12, K=K, M=128, T=problem.T))
-    assert (trace.refinements, len(trace.stages)) == (0, K)
-    per_slab = [(moving, (0, moving, 1), ()), (moving, (0, moving, 1), ())]
-    if moving < 128:
-        per_slab.append((moving, (moving, 128, 1), (2,)))
-    assert calls == K * per_slab
-    assert sum(stop - start for _, (start, stop, _), _ in calls) == K * (128 + moving)
+    problem = dataclasses.replace(base, g=g)
+    with pytest.raises(NonFiniteStageError, match="on slab 2") as exc:
+        march(problem, SolverConfig(N=12, K=4, M=4096, T=problem.T))
+    assert exc.value.slab == 2
+    assert max(calls) <= 0.5
+
+
+def test_a_run_checks_its_stages_again_when_it_is_filled():
+    """A deferred stage is checked twice: its interior rows when it is
+    solved, and its trace rows over all modes when its run is filled.
+    Slab 2's trace defect over the moving modes is set to inf after its
+    solve, as a quasi-static fill that overflows would leave it: finishing
+    the run completes both stages, slab 1's as a standalone solve, and
+    raises on slab 2."""
+    problem = build_reference_example(M=1024)
+    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
+    x0, w0 = problem.u0, float(problem.u0 @ problem.family.basis.boundary_trace)
+    x, w = x0, w0
+    run, stages = [], []
+    for l in (1, 2):
+        system = assembler.slab(l, problem.g, problem.forcing, problem.b)
+        stages.append(solve_stage_direct(system, x, w, _run=run))
+        x, w = stages[-1].x[-1], float(stages[-1].boundary_traces[-1])
+    assert len(run) == 2 and all(np.isfinite(stage.residual) for stage in stages)
+    alone = solve_stage_direct(assembler.slab(1, problem.g, problem.forcing, problem.b), x0, w0)
+    run[1].trace_defect[0] = np.inf
+    with pytest.raises(NonFiniteStageError, match="on slab 2") as exc:
+        collocation._finish_run(run, stages)
+    assert exc.value.slab == 2 and run == []
+    assert stages[0].x.tobytes() == alone.x.tobytes()
+    assert np.float64(stages[0].residual).tobytes() == np.float64(alone.residual).tobytes()
+    assert stages[1].residual == np.inf
+
+
+@pytest.mark.parametrize("later", ["nan", "refines"])
+def test_a_stage_whose_trace_rows_alone_are_not_finite_raises_before_a_later_slab(later, monkeypatch):
+    """At (12, 4, 1024) slab 1 is deferred with its trace defect set to inf,
+    as a quasi-static fill that overflows would leave it.  The error names
+    slab 1, as an undeferred march's would, when slab 2's interior rows are
+    NaN (g is NaN inside slab 2) and when slab 2's coupling reaches the
+    refinement threshold, before any restart."""
+    base = build_reference_example(M=1024)
+    problem = base
+    if later == "nan":
+        problem = dataclasses.replace(base, g=lambda t: math.nan if 0.3 < t < 0.45 else float(base.g(t)))
+    stage_solution, norm = collocation._stage_solution, collocation.BlockSystem.contraction_norm
+
+    def overflowing(system, *args):
+        stage = stage_solution(system, *args)
+        if system.slab == 1:
+            args[-1][-1].trace_defect[0] = np.inf
+        return stage
+
+    monkeypatch.setattr(collocation, "_stage_solution", overflowing)
+    if later == "refines":
+        monkeypatch.setattr(
+            collocation.BlockSystem, "contraction_norm", lambda self: 0.75 if self.slab == 2 else norm(self)
+        )
+    partitions = []
+    init = CoefficientAssembler.__init__
+
+    def counting(self, family, grid, partition):
+        partitions.append(partition.K)
+        init(self, family, grid, partition)
+
+    monkeypatch.setattr(CoefficientAssembler, "__init__", counting)
+    with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
+        march(problem, SolverConfig(N=12, K=4, M=1024, T=problem.T))
+    assert exc.value.slab == 1 and exc.value.residual == np.inf
+    assert partitions == [4]
 
 
 def test_only_the_trace_row_and_the_interior_tables_read_the_trace():
