@@ -21,9 +21,8 @@ Each part is explained in one place:
   quasi-static ones past them, where S~ = I;
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
   coupling kept factored and g kept as samples (:func:`solve_stage_direct`);
-- ``_fill_quasi_static``: the quasi-static modes of a run of slabs of one
-  interior, filled in one pass of the maps, which :func:`march` makes once
-  per run;
+- ``_fill_quasi_static``: the quasi-static modes of direct stages, filled
+  after the trace solves, and when :func:`march` fills them;
 - :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
   stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
 """
@@ -159,10 +158,8 @@ class SlabInterior:
     quasi-static modes, whose stage values are D w + Phi in closed form.
     ``_forward_sub``, ``_imsc`` and the propagated rows of
     :attr:`trace_images` skip them: each skipped term is a product with
-    0.0.  A direct solve takes them after its trace solve, in one pass of
-    the maps per run of slabs that share the interior
-    (``_fill_quasi_static``).  No tolerance, and no order of E in the mode,
-    is assumed.
+    0.0.  A direct solve leaves them to ``_fill_quasi_static``.  No
+    tolerance, and no order of E in the mode, is assumed.
     """
 
     tau: float
@@ -219,9 +216,8 @@ class SlabInterior:
         (n, rows, width), when it is given.
 
         The one map to modes for every coupling term.  A direct solve reads
-        the moving modes twice per slab, for Phi and for D w, and the
-        quasi-static ones once per run of slabs, for every slab's two rows
-        at once (``_fill_quasi_static``).
+        the moving modes twice per slab, for Phi and for D w, and leaves the
+        quasi-static ones to ``_fill_quasi_static``.
         """
         maps = self.maps[subintervals, :, span]
         n, Q1 = maps.shape[:2]
@@ -267,8 +263,8 @@ class BlockSystem:
               at O(N M Q) cost; F_y w0 and the g term share one pass,
               c0 = V[0] w0 - g (``_phi_blocks``).  The direct solve reads
               Lambda S~^{-1} F_y w0 with the g term off the trace images,
-              as G c0, and leaves c0 and V w past the moving modes to the
-              quasi-static fill, one pass of the maps per run of slabs.
+              as G c0, and leaves c0 and V w past the moving modes to
+              ``_fill_quasi_static``.
 
     Slabs may share one interior, with its E, maps and trace, so solvers
     must not write to them.
@@ -792,44 +788,59 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     return r
 
 
+@dataclass(frozen=True)
 class _QuasiStatic:
-    """A direct stage's quasi-static modes, past ``moving``, until ``_fill_quasi_static`` fills them.
+    """A direct stage whose quasi-static modes wait for ``_fill_quasi_static``.
 
-    x             the stage's values, (N+1, M); until the fill, rows 1..N of
-                  its quasi-static columns hold the forcing there if
-                  ``forced``, and row 0 holds x0 there only on a run's first
-                  slab: the fill copies the others' from the slab before
+    x             the stage's values, (N+1, M); past ``moving``, rows 1..N
+                  hold the forcing if ``forced``, and row 0 holds x0 only
+                  on a run's first slab: the fill copies the others'
     c             (N, 2, Q+1): c0 = V[0] w0 - g and V w, which the maps take
                   to the boundary part of Phi and to D w
-    stage         a deferred stage (``_stage_solution``), whose residual is
-                  its interior rows' until ``_finish_run``
+    stage         the stage, whose residual is its interior rows'
     trace_defect  the trace rows' defect w - Lambda x~ over the moving modes
 
     It holds no :class:`BlockSystem`: a march keeps one slab's at a time.
     """
 
-    __slots__ = ("interior", "x", "c", "forced", "stage", "trace_defect")
+    interior: SlabInterior
+    x: np.ndarray
+    c: np.ndarray
+    forced: bool
+    stage: StageSolution
+    trace_defect: np.ndarray
 
-    def __init__(self, interior: SlabInterior, x: np.ndarray, c: np.ndarray, forced: bool):
-        self.interior, self.x, self.c, self.forced = interior, x, c, forced
-        self.stage: StageSolution | None = None
-        self.trace_defect: np.ndarray | None = None
 
+def _fill_quasi_static(run: list[_QuasiStatic]) -> list[StageSolution]:
+    """x~ = D w + Phi on the quasi-static modes of ``run``, consecutive slabs
+    of one interior, in place, and the run's stages with their residuals
+    completed.
 
-def _fill_quasi_static(run: list[_QuasiStatic]) -> None:
-    """x~ = D w + Phi on the quasi-static modes of ``run``, consecutive slabs of one interior, in place.
+    S~ = I past ``moving``, so a direct solve (:func:`solve_stage_direct`)
+    solves its trace system and its moving modes and leaves x~ there, with
+    the trace rows' part of its residual, to this fill.  Called on its own,
+    the solve fills a run of one.  :func:`march` passes every direct stage
+    of a constant family, whose slabs all share one interior, and fills the
+    pass's stages at once on every way out of its slab loop: at the end,
+    before a refinement and on a raise.  Until then a stage's residual is
+    its interior rows', and the march raises at once when that is not
+    finite; after the fill it raises on the first filled stage that is not
+    finite, so that the error names the first slab that is not finite, as
+    an undeferred solve would.  A varying family's slabs each have their own
+    interior and are runs of one, filled before the march takes the
+    clock's scale off.
 
-    S~ = I there.  The boundary part of Phi and D w of every slab of the run
-    come from the (2R, Q+1) rows c against the quasi-static columns of the
-    maps, taken in blocks of whole subintervals of about
-    ``_MAP_BLOCK_MODES`` quasi-static modes (``_map_blocks``), one
-    subinterval per block from M - moving = 512 up, into one buffer: the
-    maps are read once per run, and no (N, 2R, M - moving) array is made.
-    Then, per slab, in the order of the moving modes' sums:
-    E[0] x0 in row 1, the forcing, ``+= 0.0`` on rows 2..N (the sign of zero
-    that the moving modes' sweep gives there), and x~ = D w + Phi.  A slab's
-    x0 is the previous slab's last node, so the block of row 1 is taken
-    last, and each slab but the first takes its row 0 there.
+    The boundary part of Phi and D w of every slab of the run come from the
+    (2R, Q+1) rows c against the quasi-static columns of the maps, taken in
+    blocks of whole subintervals of about ``_MAP_BLOCK_MODES`` quasi-static
+    modes (``_map_blocks``), one subinterval per block from M - moving = 512
+    up, into one buffer: the maps are read once per run, and no
+    (N, 2R, M - moving) array is made.  Then, per slab, in the order of the
+    moving modes' sums: E[0] x0 in row 1, the forcing, ``+= 0.0`` on rows
+    2..N (the sign of zero that the moving modes' sweep gives there), and
+    x~ = D w + Phi.  A slab's x0 is the previous slab's last node, so the
+    block of row 1 is taken last, and each slab but the first takes its row
+    0 there.  Each residual then takes the trace rows over all modes.
     """
     interior = run[0].interior
     N, M = interior.E.shape
@@ -853,15 +864,20 @@ def _fill_quasi_static(run: list[_QuasiStatic]) -> None:
                 phi += values
             phi[max(1 - block.start, 0):] += 0.0  # rows 2..N
             np.add(dw, phi, out=values)
+    done = []
+    for fill in run:
+        trace_defect = fill.trace_defect - _lam_apply(fill, fill.x[1:, tail], tail.start)
+        done.append(replace(fill.stage, residual=_trace_residual(fill.stage.residual, trace_defect)))
+    return done
 
 
-def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float, run: list[_QuasiStatic] | None = None):
-    """x, w_1..w_N, and Phi and D w on the moving modes, of one slab, from the factored coupling.
+def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float):
+    """x, w_1..w_N, Phi and D w on the moving modes, and the rows
+    c = (c0, V w) of ``_QuasiStatic`` (None without quasi-static modes), of
+    one slab, from the factored coupling.
 
-    x, (N+1, M), holds x0 and x~.  Its quasi-static modes are filled here,
-    as a run of one, or, when ``run`` is a list, appended to it, to be
-    filled with the rest of the run (``_fill_quasi_static``).  See
-    :func:`solve_stage_direct`.
+    x, (N+1, M), holds x0 and, on the moving modes, x~; its quasi-static
+    modes are left to ``_fill_quasi_static``.  See :func:`solve_stage_direct`.
     """
     interior, N, M = system.interior, system.N, system.M
     head, tail = slice(interior.moving), slice(interior.moving, M)
@@ -891,41 +907,33 @@ def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float, run: list[_
     xt[...] = Dw
     _forward_sub(system, xt)
     xt += Z_phi
-    if tail.start < M:
-        fill = _QuasiStatic(interior, x, np.stack([c0, cw], axis=1), system.forcing is not None)
-        if fill.forced:
-            x[1:, tail] = system.forcing[:, tail]  # the fill adds it from here, in its place in the sum
-        if run is None:
-            _fill_quasi_static([fill])
-        else:
-            run.append(fill)
-    return x, w_int, Phi, Dw
+    if tail.start == M:
+        return x, w_int, Phi, Dw, None
+    if system.forcing is not None:
+        x[1:, tail] = system.forcing[:, tail]  # the fill adds it from here, in its place in the sum
+    return x, w_int, Phi, Dw, np.stack([c0, cw], axis=1)
 
 
-def _trace_residual(system: BlockSystem, interior_rows: float, trace_defect: np.ndarray, x: np.ndarray, width: int) -> float:
-    """The stage residual, from the interior rows' max defect and the trace
-    rows' defect over the first ``width`` modes, to which the modes of x
-    past them are added here, in place."""
-    if width < x.shape[1]:
-        trace_defect -= _lam_apply(system, x[1:, width:], width)
-    return float(max(interior_rows, np.abs(trace_defect).max()))
+def _trace_residual(interior_rows: float, trace_defect: np.ndarray) -> float:
+    """The stage residual from the interior rows' max defect and the trace
+    rows' defect; NaN when either holds a NaN."""
+    return float(np.maximum(interior_rows, np.abs(trace_defect).max()))
 
 
 def _stage_solution(
     system: BlockSystem, x: np.ndarray, w0: float, w_int: np.ndarray,
-    Phi: np.ndarray, Dw: np.ndarray, rho: float, run: list[_QuasiStatic] | None = None, **fixed_point,
-) -> StageSolution:
-    """The slab's solution from x, (N+1, M) with x0 in row 0, and w_1..w_N.
+    Phi: np.ndarray, Dw: np.ndarray, rho: float, **fixed_point,
+) -> tuple[StageSolution, np.ndarray]:
+    """The slab's solution from x, (N+1, M) with x0 in row 0, and w_1..w_N,
+    and its trace rows' defect over the first modes.
 
     ``Phi`` and ``Dw`` = D w_int hold the first modes of x~ = x[1:], past
     which S~ = I and x~ is D w + Phi, so that those interior rows hold
     exactly.  The residual is the max-norm defect of the collocation
     equations: the interior rows of the first modes, whose right-hand side
     is summed left to right in place and then holds the defect, and the
-    trace rows over all modes.  When the slab's quasi-static modes wait in
-    ``run`` for their fill (``_eliminate_split``), the stage's residual is
-    its interior rows' until ``_finish_run`` adds the trace rows; not
-    finite, it is already the stage's.
+    trace rows over all modes, which ``_fill_quasi_static`` adds when the
+    first modes are not all of them.
     """
     width = Phi.shape[-1]
     xt = x[1:, :width]
@@ -935,9 +943,8 @@ def _stage_solution(
     trace_defect = w_int - _lam_apply(system, rhs)
     rhs -= xt
     residual = np.abs(rhs, out=rhs).max(initial=0.0)
-    deferred = run is not None and width < x.shape[1]
-    if not deferred:
-        residual = _trace_residual(system, residual, trace_defect, x, width)
+    if width == x.shape[1]:
+        residual = _trace_residual(residual, trace_defect)
     w = np.concatenate([[w0], w_int])
     stage = StageSolution(
         slab=system.slab,
@@ -949,31 +956,7 @@ def _stage_solution(
         contraction=rho,
         **fixed_point,
     )
-    if deferred:
-        run[-1].stage, run[-1].trace_defect = stage, trace_defect
-    return stage
-
-
-def _finish_run(run: list[_QuasiStatic], stages: list[StageSolution]) -> float:
-    """Fill the quasi-static modes of the deferred stages ``run``, the last
-    ones of ``stages``, complete their residuals there, and empty ``run``.
-
-    Returns the seconds it took.  Raises :class:`NonFiniteStageError` on the
-    run's first stage that is not finite.
-    """
-    start = time.perf_counter()
-    _fill_quasi_static(run)
-    moving = run[0].interior.moving
-    done = [
-        replace(fill.stage, residual=_trace_residual(fill, fill.stage.residual, fill.trace_defect, fill.x, moving))
-        for fill in run
-    ]
-    stages[len(stages) - len(done):] = done
-    run.clear()
-    for stage in done:
-        if not np.isfinite(stage.residual):
-            raise NonFiniteStageError(stage.residual, stage.slab)
-    return time.perf_counter() - start
+    return stage, trace_defect
 
 
 def solve_stage_direct(
@@ -991,14 +974,10 @@ def solve_stage_direct(
     and D w one after it; Phi and D w are each swept through S~^{-1} on its
     own and added only at the end: summing them before the sweep would turn
     the trace's quantised cancellation remainders into smooth noise, which
-    the CSV output pays for in distinct values.  The quasi-static modes
-    take the boundary part of Phi and D w from the maps after the solve,
-    and x~ = D w + Phi there, in that order, with the sweep's ``+= 0.0`` on
-    rows 2..N (``_fill_quasi_static``).  Called on its own, the solve fills
-    them as a run of one and returns a complete stage; :func:`march` passes
-    the list ``_run``, which defers the fill to the end of the run of slabs
-    that share the interior.  The (N, N+1, M) coupling is never multiplied
-    out.
+    the CSV output pays for in distinct values.  The quasi-static modes are
+    filled after the solve by ``_fill_quasi_static``, at once, or, when
+    :func:`march` passes the list ``_run``, with the rest of its pass.  The
+    (N, N+1, M) coupling is never multiplied out.
 
     Without quasi-static modes the trace row is Lambda S~^{-1} Phi from
     Phi's own sweep.  With them, Phi is not known before the solve, and the
@@ -1011,8 +990,15 @@ def solve_stage_direct(
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    x, w_int, Phi, Dw = _eliminate_split(system, x0, w0, _run)
-    return _stage_solution(system, x, w0, w_int, Phi, Dw, rho, _run)
+    x, w_int, Phi, Dw, c = _eliminate_split(system, x0, w0)
+    stage, trace_defect = _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
+    if c is None:
+        return stage
+    fill = _QuasiStatic(system.interior, x, c, system.forcing is not None, stage, trace_defect)
+    if _run is None:
+        return _fill_quasi_static([fill])[0]
+    _run.append(fill)
+    return stage
 
 
 def solve_stage_fixed_point(
@@ -1074,7 +1060,7 @@ def solve_stage_fixed_point(
     return _stage_solution(
         system, np.vstack([x0[None, :], x]), w0, w_int, Phi, _d_apply(system, w_int), rho,
         fp_iterations=len(history), fp_ratios=hist[1:] / hist[:-1],
-    )
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -1127,19 +1113,9 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     anchored at the slab's left junction, where u^ = u; the march takes the
     scale off each stage and carries u from slab to slab.
 
-    On a partition of more than one slab, a constant family's direct
-    stages defer their quasi-static modes to one fill per run of
-    consecutive slabs that share an interior, in one pass of the maps
-    (``_fill_quasi_static``); ``solve_seconds`` includes it.  Every slab of
-    a constant family shares one interior, so its run ends only when the
-    march does, or before a slab whose coupling reaches the refinement
-    threshold.  A varying family's slabs, whose interiors differ, and a
-    single slab are runs of one, filled by the stage solve (before the
-    march takes the clock's scale off).  A deferred stage whose interior rows are
-    not finite raises at once; one whose trace rows alone are not finite
-    raises when its run is filled, which the march does before it refines
-    or raises for a later slab.  Either way the error names the first slab
-    that is not finite, as an undeferred march does.
+    A constant family's direct stages leave their quasi-static modes to
+    one fill per pass (``_fill_quasi_static``), which ``solve_seconds``
+    includes.
 
     When the assembled boundary coupling reaches the refinement threshold
     the slab count doubles and the march restarts, at most six times.  The
@@ -1169,50 +1145,53 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         partition = TimePartition(config.T, K)
         assembler = CoefficientAssembler(family, grid, partition)
         stages: list[StageSolution] = []
-        # every slab of a constant family shares one interior: its direct stages are one run
-        run: list[_QuasiStatic] | None = [] if config.mode == "direct" and family.is_constant and K > 1 else None
+        # every slab of a constant family shares one interior: its direct stages are filled as one run
+        run: list[_QuasiStatic] | None = [] if config.mode == "direct" and family.is_constant else None
         x_prev = u0
         # a BLAS dot, not _lam_apply: the einsum sums a dense u0 in another order
         w_prev = float(u0 @ basis.boundary_trace)
         solve_seconds = 0.0
         contraction_max = 0.0
         refine = False
-        for l in range(1, K + 1):
-            system = assembler.slab(l, problem.g, problem.forcing, problem.b)
-            rho = system.contraction_norm()
-            contraction_max = max(contraction_max, rho)
-            if rho >= CONTRACTION_REFINE:
-                if run:  # a stage of the run that is not finite raises first, as it did undeferred
-                    solve_seconds += _finish_run(run, stages)
-                if refinements < MAX_REFINEMENTS:
+        try:
+            for l in range(1, K + 1):
+                system = assembler.slab(l, problem.g, problem.forcing, problem.b)
+                rho = system.contraction_norm()
+                contraction_max = max(contraction_max, rho)
+                if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
                     refine = True
                     del system  # freed before the restarted march assembles its first slab
                     break
-            t0 = time.perf_counter()
-            if config.mode == "direct":
-                stage = solve_stage_direct(system, x_prev, w_prev, _run=run)
-            else:
-                stage = solve_stage_fixed_point(
-                    system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
-                )
-            solve_seconds += time.perf_counter() - t0
-            unscale = system.unscale
-            del system  # freed, with its maps, before slab l + 1 is assembled
-            stages.append(stage)
-            if not np.isfinite(stage.residual):
-                if run:  # the stage is deferred: its run raises on its first stage that is not finite
-                    _finish_run(run, stages)
-                raise NonFiniteStageError(stage.residual, l)
-            if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
-                for values in (stage.x.T, stage.boundary_traces, stage.y):
-                    values *= unscale
-            x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
+                t0 = time.perf_counter()
+                if config.mode == "direct":
+                    stage = solve_stage_direct(system, x_prev, w_prev, _run=run)
+                else:
+                    stage = solve_stage_fixed_point(
+                        system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
+                    )
+                solve_seconds += time.perf_counter() - t0
+                unscale = system.unscale
+                del system  # freed, with its maps, before slab l + 1 is assembled
+                stages.append(stage)
+                if not np.isfinite(stage.residual):
+                    raise NonFiniteStageError(stage.residual, l)
+                if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
+                    for values in (stage.x.T, stage.boundary_traces, stage.y):
+                        values *= unscale
+                x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
+        finally:
+            if run:
+                t0 = time.perf_counter()
+                filled = _fill_quasi_static(run)
+                solve_seconds += time.perf_counter() - t0
+                for stage in filled:
+                    stages[stage.slab - 1] = stage
+                    if not np.isfinite(stage.residual):
+                        raise NonFiniteStageError(stage.residual, stage.slab)
         if refine:
             K *= 2
             refinements += 1
             continue
-        if run:
-            solve_seconds += _finish_run(run, stages)
         return SolutionTrace(
             config=config,
             partition=partition,

@@ -1601,7 +1601,7 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     moving = system.interior.moving
     assert 0 < moving < M
     inputs = [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)]
-    x, w_int, Phi, Dw = collocation._eliminate_split(system, x0, w0)
+    x, w_int, Phi, Dw, c = collocation._eliminate_split(system, x0, w0)
     assert [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)] == inputs
     head, tail = slice(moving), slice(moving, M)
     want = system.interior.modes(c0, head)
@@ -1611,6 +1611,12 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     assert Phi.tobytes() == want.tobytes()
     cw = np.einsum("kjq,j->kq", system.lag_b[:, 1:], w_int)
     assert Dw.tobytes() == system.interior.modes(cw, head).tobytes()
+    assert c.tobytes() == np.stack([c0, cw], axis=1).tobytes()
+
+    inputs = [a.tobytes() for a in (x0, x, w_int, Phi, Dw)]
+    stage, trace_defect = collocation._stage_solution(system, x, w0, w_int, Phi, Dw, 0.0)
+    assert [a.tobytes() for a in (x0, x, w_int, Phi, Dw)] == inputs
+    [stage] = collocation._fill_quasi_static([collocation._QuasiStatic(system.interior, x, c, data, stage, trace_defect)])
     boundary, d_w = system.interior.modes(np.stack([c0, cw], axis=1), tail).transpose(1, 0, 2)
     phi = boundary.copy()
     phi[0] = phi[0] + system.E[0, tail] * x0[tail]
@@ -1619,10 +1625,6 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     phi[1:] = phi[1:] + 0.0
     assert x[0].tobytes() == x0.tobytes()
     assert x[1:, tail].tobytes() == (d_w + phi).tobytes()
-
-    inputs = [a.tobytes() for a in (x0, x, w_int, Phi, Dw)]
-    stage = collocation._stage_solution(system, x, w0, w_int, Phi, Dw, 0.0)
-    assert [a.tobytes() for a in (x0, x, w_int, Phi, Dw)] == inputs
     xt = x[1:, head]
     rhs = collocation._imsc(system, xt) + Dw + Phi
     trace = w_int - collocation._lam_apply(system, rhs) - collocation._lam_apply(system, x[1:, tail], moving)
@@ -1717,8 +1719,10 @@ def stage_by_stage(problem, N, K):
         (build_zero_example, 12, 3, 512),
         (constant_forced_problem, 12, 3, 128),
         (varying_manufactured_problem, 12, 4, 4096),
+        (build_reference_example, 12, 1, 512),
+        (constant_forced_problem, 12, 1, 128),
     ],
-    ids=["reference", "neumann", "decay", "zero", "forced", "varying"],
+    ids=["reference", "neumann", "decay", "zero", "forced", "varying", "reference-1", "forced-1"],
 )
 def test_march_equals_standalone_stage_solves(build, N, K, M):
     """A march, which fills a constant family's quasi-static modes once per
@@ -1727,7 +1731,9 @@ def test_march_equals_standalone_stage_solves(build, N, K, M):
     slab's node 0 is the previous slab's last node.  Decay and zero hold
     signed zeros; the forced problem (105 of 128 modes move) has a forcing
     past ``moving``; the varying family's slabs are runs of one, with the
-    clock's scale taken off."""
+    clock's scale taken off.  A one-slab march fills its slab after the
+    slab loop, as any march of a constant family does (67 of 512 modes
+    move on the reference slab, 61 of 128 on the forced one)."""
     problem = build(M=M)
     trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
     assert trace.refinements == 0
@@ -1761,13 +1767,30 @@ def test_boundary_data_nan_on_one_slab_of_a_run_names_that_slab():
     assert max(calls) <= 0.5
 
 
-def test_a_run_checks_its_stages_again_when_it_is_filled():
+def overflow_in_the_fill(monkeypatch, slab):
+    """Patch the quasi-static fill's map product, the one call of
+    ``SlabInterior.modes`` with ``out``, so that it leaves an inf in the
+    last mode of D w on subinterval 1 of the ``slab``-th stage of the run,
+    as a fill that overflows would: that stage's values hold inf in one
+    quasi-static column."""
+    modes = collocation.SlabInterior.modes
+
+    def overflowing(self, c, span=slice(None), subintervals=slice(None), out=None):
+        result = modes(self, c, span, subintervals, out)
+        if out is not None and subintervals.start == 0:
+            result[0, 2 * slab - 1, -1] = np.inf
+        return result
+
+    monkeypatch.setattr(collocation.SlabInterior, "modes", overflowing)
+
+
+def test_a_run_checks_its_stages_again_when_it_is_filled(monkeypatch):
     """A deferred stage is checked twice: its interior rows when it is
     solved, and its trace rows over all modes when its run is filled.
-    Slab 2's trace defect over the moving modes is set to inf after its
-    solve, as a quasi-static fill that overflows would leave it: finishing
-    the run completes both stages, slab 1's as a standalone solve, and
-    raises on slab 2."""
+    The fill leaves an inf in one quasi-static column of slab 2
+    (``overflow_in_the_fill``): filling the run completes both stages,
+    slab 1's as a standalone solve, slab 2's residual is inf, and a march
+    over the same slabs raises on slab 2."""
     problem = build_reference_example(M=1024)
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
     x0, w0 = problem.u0, float(problem.u0 @ problem.family.basis.boundary_trace)
@@ -1779,35 +1802,30 @@ def test_a_run_checks_its_stages_again_when_it_is_filled():
         x, w = stages[-1].x[-1], float(stages[-1].boundary_traces[-1])
     assert len(run) == 2 and all(np.isfinite(stage.residual) for stage in stages)
     alone = solve_stage_direct(assembler.slab(1, problem.g, problem.forcing, problem.b), x0, w0)
-    run[1].trace_defect[0] = np.inf
-    with pytest.raises(NonFiniteStageError, match="on slab 2") as exc:
-        collocation._finish_run(run, stages)
-    assert exc.value.slab == 2 and run == []
+    overflow_in_the_fill(monkeypatch, 2)
+    stages = collocation._fill_quasi_static(run)
+    assert [stage.slab for stage in stages] == [1, 2]
     assert stages[0].x.tobytes() == alone.x.tobytes()
     assert np.float64(stages[0].residual).tobytes() == np.float64(alone.residual).tobytes()
     assert stages[1].residual == np.inf
+    with pytest.raises(NonFiniteStageError, match="on slab 2") as exc:
+        march(problem, SolverConfig(N=12, K=4, M=1024, T=problem.T))
+    assert exc.value.slab == 2
 
 
 @pytest.mark.parametrize("later", ["nan", "refines"])
 def test_a_stage_whose_trace_rows_alone_are_not_finite_raises_before_a_later_slab(later, monkeypatch):
-    """At (12, 4, 1024) slab 1 is deferred with its trace defect set to inf,
-    as a quasi-static fill that overflows would leave it.  The error names
-    slab 1, as an undeferred march's would, when slab 2's interior rows are
-    NaN (g is NaN inside slab 2) and when slab 2's coupling reaches the
-    refinement threshold, before any restart."""
+    """At (12, 4, 1024) the fill leaves an inf in one quasi-static column
+    of slab 1 (``overflow_in_the_fill``), so only its trace rows are not
+    finite.  The error names slab 1, as an undeferred march's would, when
+    slab 2's interior rows are NaN (g is NaN inside slab 2) and when slab
+    2's coupling reaches the refinement threshold, before any restart."""
     base = build_reference_example(M=1024)
     problem = base
     if later == "nan":
         problem = dataclasses.replace(base, g=lambda t: math.nan if 0.3 < t < 0.45 else float(base.g(t)))
-    stage_solution, norm = collocation._stage_solution, collocation.BlockSystem.contraction_norm
-
-    def overflowing(system, *args):
-        stage = stage_solution(system, *args)
-        if system.slab == 1:
-            args[-1][-1].trace_defect[0] = np.inf
-        return stage
-
-    monkeypatch.setattr(collocation, "_stage_solution", overflowing)
+    norm = collocation.BlockSystem.contraction_norm
+    overflow_in_the_fill(monkeypatch, 1)
     if later == "refines":
         monkeypatch.setattr(
             collocation.BlockSystem, "contraction_norm", lambda self: 0.75 if self.slab == 2 else norm(self)
@@ -1996,6 +2014,36 @@ def test_nan_boundary_data_stops_the_march_when_most_modes_do_not_move(mode):
     with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
         march(problem, SolverConfig(N=12, K=1, M=1024, T=problem.T, mode=mode))
     assert exc.value.slab == 1
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_nan_boundary_data_stops_the_march_when_no_mode_moves(K):
+    """With c = 1e6 no mode moves at M = 64: the interior rows are empty,
+    their defect 0.0, and a NaN g reaches only the trace rows, whose NaN
+    the residual keeps.  Both solvers raise on slab 1."""
+    base = build_reference_example(M=64)
+    problem = dataclasses.replace(base, family=constant_family(base.basis, a=1.0, c=1e6), g=lambda t: np.nan)
+    for mode in ("direct", "fixed_point"):
+        with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
+            march(problem, SolverConfig(N=12, K=K, M=64, T=problem.T, mode=mode))
+        assert exc.value.slab == 1
+
+
+def test_a_nan_in_the_last_initial_mode_makes_a_standalone_residual_nan():
+    """At (12, 1, 1024) the last mode is quasi-static and E[0] is 0.0
+    there, so a NaN in x0's last mode reaches the stage values in that
+    column only, in rows 0 and 1, and not w: the trace rows carry it to
+    the residual, which is NaN."""
+    M = 1024
+    problem = build_reference_example(M=M)
+    system = assemble_coefficients(
+        problem.family, build_grid(12), TimePartition(problem.T, 1), 1, problem.g, problem.forcing, problem.b
+    )
+    x0 = problem.u0.copy()
+    x0[-1] = np.nan
+    stage = solve_stage_direct(system, x0, float(problem.u0 @ problem.basis.boundary_trace))
+    assert np.isnan(stage.x).sum() == 2 and np.isfinite(stage.boundary_traces).all()
+    assert np.isnan(stage.residual)
 
 
 def test_a_forcing_nan_in_the_last_mode_alone_stops_the_direct_march():
