@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_solver:
             p.add_argument("--mode", choices=("direct", "picard"), default="direct",
                            help="stage solver: direct elimination or fixed-point sweep")
-            p.add_argument("--fp-tol", type=float, default=1e-12)
-            p.add_argument("--fp-max-iter", type=int, default=400)
+            p.add_argument("--fp-tol", type=float, default=SolverConfig.fp_tol)
+            p.add_argument("--fp-max-iter", type=int, default=SolverConfig.fp_max_iter)
 
     p_tables = sub.add_parser("tables", help="single-slab error table for the reference rod")
     p_tables.add_argument("--n", type=int, required=True, choices=(2, 4, 8),

@@ -261,7 +261,7 @@ class BlockSystem:
               the integrand.  It is kept factored as V and the maps: the
               solvers form V y in sample space and take it through the maps,
               at O(N M Q) cost; F_y w0 and the g term share one pass,
-              c0 = V[0] w0 - g (``_phi_blocks``).  The direct solve reads
+              c0 = V[0] w0 - g, then ``_add_inflow``.  The direct solve reads
               Lambda S~^{-1} F_y w0 with the g term off the trace images,
               as G c0, and leaves c0 and V w past the moving modes to
               ``_fill_quasi_static``.
@@ -736,15 +736,6 @@ def _add_inflow(system: BlockSystem, Phi: np.ndarray, x0: np.ndarray, span: slic
     return Phi
 
 
-def _phi_blocks(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
-    """Phi = F_x x0 + F_y w0 + f_x (see :class:`BlockSystem`), summed in place.
-
-    The boundary part, F_y w0 and the g term, is one pass of the maps:
-    modes(V[0] w0 - g); then x0 and the forcing (``_add_inflow``).
-    """
-    return _add_inflow(system, system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc), x0)
-
-
 def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
     """(I - S~) w for a block vector w of shape (N, width >= moving), summed onto zeros; the moving modes only."""
     out, moving = np.zeros(w.shape), system.interior.moving
@@ -762,11 +753,6 @@ def _lam_apply(system: BlockSystem, x: np.ndarray, first: int = 0) -> np.ndarray
 def _trace_samples(system: BlockSystem, y: np.ndarray) -> np.ndarray:
     """V y in sample space, (N, Q+1), for trace values y of shape (N,): modes(V y) is D y."""
     return np.einsum("kjq,j->kq", system.lag_b[:, 1:], y)
-
-
-def _d_apply(system: BlockSystem, y: np.ndarray) -> np.ndarray:
-    """D y for trace values y of shape (N,): V y in sample space, then through the maps."""
-    return system.interior.modes(_trace_samples(system, y))
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
@@ -1005,8 +991,8 @@ def solve_stage_fixed_point(
     system: BlockSystem,
     x0: np.ndarray,
     w0: float,
-    tol: float = 1e-12,
-    max_iter: int = 400,
+    tol: float = SolverConfig.fp_tol,
+    max_iter: int = SolverConfig.fp_max_iter,
 ) -> StageSolution:
     """Fixed-point sweep on the eliminated system.
 
@@ -1020,21 +1006,21 @@ def solve_stage_fixed_point(
     if not np.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     check_count("max_iter", max_iter)
-    N, M = system.N, system.M
+    interior, N, M = system.interior, system.N, system.M
     Pmat = system.lambda_d
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
     W = np.linalg.inv(np.eye(N) - Pmat)
-    Phi = _phi_blocks(system, x0, w0)
+    Phi = _add_inflow(system, interior.modes(w0 * system.lag_b[:, 0] - system.g_loc), x0)
     lamPhi = _lam_apply(system, Phi)
-    const = _forward_sub(system, _d_apply(system, W @ lamPhi) + Phi)
+    const = _forward_sub(system, interior.modes(_trace_samples(system, W @ lamPhi)) + Phi)
 
     x = np.zeros((N, M))
     history: list[float] = []
     for it in range(1, max_iter + 1):
         z = _lam_apply(system, _imsc(system, x))
-        x_new = _forward_sub(system, _d_apply(system, W @ z)) + const
+        x_new = _forward_sub(system, interior.modes(_trace_samples(system, W @ z))) + const
         d = float(np.abs(x_new - x).max())
         if not np.isfinite(d):
             raise NonFiniteStageError(d, system.slab)
@@ -1058,7 +1044,7 @@ def solve_stage_fixed_point(
     w_int = W @ (_lam_apply(system, _imsc(system, x)) + lamPhi)
     hist = np.array(history)
     return _stage_solution(
-        system, np.vstack([x0[None, :], x]), w0, w_int, Phi, _d_apply(system, w_int), rho,
+        system, np.vstack([x0[None, :], x]), w0, w_int, Phi, interior.modes(_trace_samples(system, w_int)), rho,
         fp_iterations=len(history), fp_ratios=hist[1:] / hist[:-1],
     )[0]
 

@@ -75,9 +75,9 @@ def run_convergence_study(
     problem: HeatProblem,
     Ns,
     Ks,
-    mode: str = "direct",
-    fp_tol: float = 1e-12,
-    fp_max_iter: int = 400,
+    mode: str = SolverConfig.mode,
+    fp_tol: float = SolverConfig.fp_tol,
+    fp_max_iter: int = SolverConfig.fp_max_iter,
     probe_x: float = 0.5,
 ) -> StudyResult:
     """March the problem for every (N, K) pair and collect max errors.

@@ -142,8 +142,7 @@ def build_neumann_example(M: int = 128, T: float = 1.0) -> HeatProblem:
         dprofile_at_1=-np.pi,
     )
     mu_next = basis.eigenvalue(M + 1)
-    tail = basis.inv_mu_tail(M) if basis.inv_mu_tail is not None else 0.0
-    u0_tail = 2.0 * np.pi * tail * mu_next / (mu_next - np.pi**2)
+    u0_tail = 2.0 * np.pi * basis.inv_mu_tail(M) * mu_next / (mu_next - np.pi**2)
     return HeatProblem(
         family=family,
         b=ExpDecay(1.0, 0.0),

@@ -242,9 +242,7 @@ class KernelSeries:
         return float(np.abs(self._kappa()).max())
 
     def integrated_tail(self) -> float:
-        """Bound on int_0^inf of the dropped part of |K|."""
-        if self.basis.inv_mu_tail is None:
-            raise ValueError("basis does not provide a closed-form eigenvalue tail")
+        """Bound on int_0^inf of the dropped part of |K|, from the basis's closed-form eigenvalue tail."""
         return self._kappa_bound() * self.basis.inv_mu_tail(self.M)
 
     def off_coincidence_tail(self, delta: float) -> float:

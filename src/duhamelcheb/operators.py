@@ -49,9 +49,8 @@ class EigenBasis:
     eigenvalue : callable
         ``eigenvalue(n)`` extends the eigenvalue sequence beyond M
         (1-based mode index), used by kernel tail bounds.
-    inv_mu_tail : callable or None
-        ``inv_mu_tail(M)`` bounds ``sum_{n > M} 1 / mu_n`` when a closed
-        form is available.
+    inv_mu_tail : callable
+        ``inv_mu_tail(M)`` bounds ``sum_{n > M} 1 / mu_n`` in closed form.
     """
 
     mu: np.ndarray
@@ -60,7 +59,7 @@ class EigenBasis:
     eigenfunctions: Callable[[np.ndarray | float], np.ndarray]
     lift_profile: Callable[[np.ndarray | float], np.ndarray | float]
     eigenvalue: Callable[[int], float]
-    inv_mu_tail: Callable[[int], float] | None = None
+    inv_mu_tail: Callable[[int], float]
 
     @property
     def M(self) -> int:
@@ -184,7 +183,8 @@ class OperatorFamily:
         coefficients in xi of C^ anchored at xi = -1, (D, K).  In the local
         coordinate a constant family gives exactly 1.0, xi = r and C^ = 0,
         the identity clock, which it returns at once, with one zero
-        coefficient per slab and xi a read-only view of ``r``.
+        coefficient per slab and xi a read-only view of ``r``.  A constant a
+        has rho = 1 too, and its Newton steps settle at once on xi = r.
         """
         if self.is_constant:
             return np.ones(centres.size), np.broadcast_to(r, (centres.size, r.size)), np.zeros((1, centres.size))
@@ -193,8 +193,6 @@ class OperatorFamily:
         rho = a_loc / a_loc[0]
         log_scale = P.polyint(c_loc - c_loc[0] * rho, lbnd=-1.0, scl=half)
         xi = np.repeat(r[None, :], centres.size, axis=0)
-        if not self.a_coeffs[1:].any():  # a constant a: the clock is the identity on every slab
-            return np.ones(centres.size), xi, log_scale
         mean = (1.0 / np.arange(1, n + 1)[::2]) @ rho[::2]
         # solve mean (xi - r) + D(xi) = 0 with D = int_{-1}^{xi} (rho - mean), whose rounding is small
         D = P.polyint(np.concatenate([rho[:1] - mean, rho[1:]]), lbnd=-1.0)

@@ -219,11 +219,16 @@ def test_negative_frozen_eigenvalues_rejected(small_setup):
         assemble_coefficients(growing, grid, partition, l=1)
 
 
-@pytest.mark.parametrize("N", [16, 24, 32])
-def test_varying_family_marches_to_roundoff(N):
+@pytest.mark.parametrize(
+    "N, a1",
+    [pytest.param(N, 0.5, id=f"{N}") for N in (16, 24, 32)]
+    + [pytest.param(N, 0.0, id=f"{N}-a=1") for N in (16, 24, 32)],
+)
+def test_varying_family_marches_to_roundoff(N, a1):
     """The varying family, solved in its clock, reaches max_eps1 <= 1e-13
-    at every N."""
-    prob = varying_manufactured_problem()
+    at every N, also with a = 1 under the drifting c = 0.3 t, whose clock
+    is the identity."""
+    prob = varying_manufactured_problem(a1=a1)
     trace = march(prob, SolverConfig(N=N, K=8, M=128))
     assert trace.refinements == 0
     assert compute_errors(trace, prob).max_eps1 <= 1e-13
@@ -1589,8 +1594,8 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     x0 = np.random.default_rng(5).standard_normal(M)
     x0[[0, 3, M - 1]] = -0.0
     w0 = float(x0 @ problem.basis.boundary_trace) if data else -0.0
-    Phi = collocation._phi_blocks(system, x0, w0)
     c0 = w0 * system.lag_b[:, 0] - system.g_loc
+    Phi = collocation._add_inflow(system, system.interior.modes(c0), x0)
     want = system.interior.modes(c0)
     want[0] = want[0] + system.E[0] * x0
     if system.forcing is not None:

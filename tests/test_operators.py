@@ -217,6 +217,23 @@ def test_linear_clock_matches_its_closed_forms(basis, t0, t1):
     assert np.abs(log_scale - want).max() <= 4 * EPS * family.c(t1) * (t1 - t0)
 
 
+@pytest.mark.parametrize("t0, t1", SLABS)
+def test_the_clock_of_a_constant_a_is_the_identity_under_a_drifting_c(basis, t0, t1):
+    """a = 1 and c = 0.3 + 3 t: rho = 1, so the Newton steps settle at
+    once, with the mean exactly 1.0 and the clock coordinates back bit for
+    bit, and C^(t) = (0.3 - c(t_m)) (t - t0) + 1.5 (t^2 - t0^2) to a few
+    ulps of int |c| over the slab."""
+    family = OperatorFamily(basis=basis, a_coeffs=np.array([1.0]), c_coeffs=np.array([0.3, 3.0]))
+    half = 0.5 * (t1 - t0)
+    mean, xi, _ = family.slab_clocks(np.array([t0 + half]), half, CGL_POINTS)
+    assert mean.tolist() == [1.0]
+    assert xi.tobytes() == CGL_POINTS.tobytes()
+    _, t, log_scale = slab_clock(family, t0, t1, CGL_POINTS)
+    want = (0.3 - family.c(t0 + half)) * (t - t0) + 1.5 * (t**2 - t0**2)
+    assert log_scale[0] == 0.0
+    assert np.abs(log_scale - want).max() <= 4 * EPS * family.c(t1) * (t1 - t0)
+
+
 @pytest.mark.parametrize("t0, t1", SLABS[:3])
 def test_quadratic_clock_matches_its_closed_form(basis, t0, t1):
     """a = 2 (1 + t / 4 + t^2) and c = 0: int a = 2 s(t) with
