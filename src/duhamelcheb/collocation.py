@@ -16,13 +16,12 @@ Each part is explained in one place:
 - :class:`CoefficientAssembler`: the clock's slabs, the quadrature maps that
   integrate every coefficient, the memoised tables, and the forcing rule;
 - ``CoefficientAssembler._interior``: the Gauss-Legendre/Gauss-Laguerre
-  split and the mode-contiguous layout of the maps;
-- :class:`SlabInterior`: the moving modes, which the sweeps take, and the
-  quasi-static ones past them, where S~ = I;
+  split, where the maps end and their separable tail begins, and the
+  mode-contiguous layout of the maps;
+- :class:`SlabInterior`: the moving modes, which the maps hold and the
+  sweeps take, and the quasi-static ones past them, where S~ = I;
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
   coupling kept factored and g kept as samples (:func:`solve_stage_direct`);
-- ``_fill_quasi_static``: the quasi-static modes of direct stages, filled
-  after the trace solves, and when :func:`march` fills them;
 - :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
   stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
 """
@@ -144,35 +143,41 @@ class SlabInterior:
     Index k-1 stands for node subinterval k = 1..N, trailing axis modes;
     mu~ = a_m mu0 + c_m.
 
-    E[k-1]              propagator exp(-mu~ (tau/2) theta_k)
-    maps[k-1]           (Q+1, M) quadrature map R_k of subinterval k (see
-                        ``CoefficientAssembler._interior``)
+    E[k-1]              propagator exp(-mu~ (tau/2) theta_k), (M,)
+    maps[k-1]           (Q+1, moving) quadrature map R_k of subinterval k on
+                        the moving modes (see ``CoefficientAssembler._interior``)
+    tail_maps[k-1]      C_k, (Q+1, Q+1): past the moving modes R_k = C_k B
+    tail_basis          B, (Q+1, M - moving), which every subinterval shares
     kernel_scale        (M,) a_m mu0 lift, which scales beta and the g term
     trace               boundary trace functional of the modes
-    moving              the modes [:moving] hold every nonzero E
 
     The moving modes [:moving] hold every propagator that is nonzero on
     some subinterval.  Past them E underflowed to 0.0 on every subinterval,
     as for all but the slowest modes at large M (133 of 4096 in the
     reference problem at N = 12, K = 4), so S~ = I there: these are the
-    quasi-static modes, whose stage values are D w + Phi in closed form.
-    ``_forward_sub``, ``_imsc`` and the propagated rows of
-    :attr:`trace_images` skip them: each skipped term is a product with
-    0.0.  A direct solve leaves them to ``_fill_quasi_static``.  No
-    tolerance, and no order of E in the mode, is assumed.
+    quasi-static modes.  Their maps take the Gauss-Laguerre rule on every
+    subinterval, a polynomial in 1 / nu that separates into C_k B; without
+    quasi-static modes C_k is (Q+1, 0) and B (0, 0).  E = 0 implies
+    lam > 372.5, beyond the split up to data degree 352; past that degree
+    a mode whose lam is at most the split on some subinterval stays in the
+    maps.  ``_forward_sub``, ``_imsc`` and the propagated rows of
+    :attr:`trace_images` skip the modes past ``moving``: each skipped term
+    is a product with 0.0.  No tolerance, and no order of E in the mode, is
+    assumed.
     """
 
     tau: float
     E: np.ndarray
     maps: np.ndarray
+    tail_maps: np.ndarray
+    tail_basis: np.ndarray
     kernel_scale: np.ndarray
     trace: np.ndarray
 
-    @functools.cached_property
+    @property
     def moving(self) -> int:
-        """1 + the last mode whose E is nonzero on some subinterval; 0 when none is."""
-        nonzero = np.flatnonzero(self.E.any(axis=0))
-        return int(nonzero[-1]) + 1 if nonzero.size else 0
+        """The number of modes the maps hold; the tail C_k B starts here."""
+        return self.maps.shape[2]
 
     @functools.cached_property
     def coupling_scale(self) -> np.ndarray:
@@ -182,7 +187,8 @@ class SlabInterior:
     @functools.cached_property
     def trace_weights(self) -> np.ndarray:
         """H[k-1, q] = sum_m t_m s_m R_k[q, m]: Lambda D is H V."""
-        return self.maps @ (self.trace * self.coupling_scale)
+        ts, moving = self.trace * self.coupling_scale, self.moving
+        return self.maps @ ts[:moving] + self.tail_maps @ (self.tail_basis @ ts[moving:])
 
     @functools.cached_property
     def trace_images(self) -> np.ndarray:
@@ -194,8 +200,8 @@ class SlabInterior:
         propagator: it is the trace weights.  The rows k > i sum the modes
         ``[:moving]``, the only ones whose product is not exactly zero.
         """
-        N, Q1, _ = self.maps.shape
-        moving, s = self.moving, self.coupling_scale
+        N, Q1, moving = self.maps.shape
+        s = self.coupling_scale
         G = np.zeros((N, N, Q1))
         G[range(N), range(N)] = self.trace_weights
         weights = np.empty((N, moving))
@@ -203,27 +209,28 @@ class SlabInterior:
             weights[i] = self.trace[:moving]
             for k in range(i + 1, N):
                 np.multiply(weights[k - 1], self.E[k, :moving], out=weights[k])
-            G[i + 1:, i] = (weights[i + 1:] * s[:moving]) @ self.maps[i, :, :moving].T
+            G[i + 1:, i] = (weights[i + 1:] * s[:moving]) @ self.maps[i].T
         return G
 
-    def modes(
-        self, c: np.ndarray, span: slice = slice(None), subintervals: slice = slice(None),
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """s (R_k c_k) on the modes ``span`` for sample-space values c of
-        shape (n, [rows,] Q+1) on the n ``subintervals`` (all N by default):
-        shape (n, [rows,] width), written into ``out``, of shape
-        (n, rows, width), when it is given.
+    def modes(self, c: np.ndarray) -> np.ndarray:
+        """s (R_k c_k), shape (N, M), for sample-space values c of shape (N, Q+1).
 
-        The one map to modes for every coupling term.  A direct solve reads
-        the moving modes twice per slab, for Phi and for D w, and leaves the
-        quasi-static ones to ``_fill_quasi_static``.
+        The one map to modes for every coupling term: the moving modes
+        through the maps, the quasi-static ones through C_k and then B.
         """
-        maps = self.maps[subintervals, :, span]
-        n, Q1 = maps.shape[:2]
-        out = np.matmul(c.reshape(n, -1, Q1), maps, out=out)
-        out *= self.coupling_scale[span]
-        return out.reshape(*c.shape[:-1], -1)
+        moving = self.moving
+        out = np.empty(self.E.shape)
+        np.matmul(c[:, None], self.maps, out=out[:, None, :moving])
+        np.matmul(np.matmul(c[:, None], self.tail_maps)[:, 0], self.tail_basis, out=out[:, moving:])
+        out *= self.coupling_scale
+        return out
+
+    def dense_maps(self) -> np.ndarray:
+        """R_k over all modes, (N, Q+1, M), a new array: the maps and C_k B.
+
+        For :meth:`BlockSystem.coupling` and inspection; no solve reads it.
+        """
+        return np.concatenate([self.maps, self.tail_maps @ self.tail_basis], axis=2)
 
 
 @dataclass(frozen=True)
@@ -261,10 +268,9 @@ class BlockSystem:
               the integrand.  It is kept factored as V and the maps: the
               solvers form V y in sample space and take it through the maps,
               at O(N M Q) cost; F_y w0 and the g term share one pass,
-              c0 = V[0] w0 - g, then ``_add_inflow``.  The direct solve reads
-              Lambda S~^{-1} F_y w0 with the g term off the trace images,
-              as G c0, and leaves c0 and V w past the moving modes to
-              ``_fill_quasi_static``.
+              c0 = V[0] w0 - g, then ``_add_inflow``.  The direct solve
+              reads Lambda S~^{-1} D as G V, from the trace images G
+              (:attr:`SlabInterior.trace_images`).
 
     Slabs may share one interior, with its E, maps and trace, so solvers
     must not write to them.
@@ -296,7 +302,7 @@ class BlockSystem:
 
         The solvers keep it factored; it is multiplied out for inspection only.
         """
-        beta = np.matmul(self.lag_b, self.interior.maps)
+        beta = np.matmul(self.lag_b, self.interior.dense_maps())
         beta *= self.interior.coupling_scale
         return beta
 
@@ -351,16 +357,17 @@ class BlockSystem:
 
 _MAP_BLOCK_MODES = 512
 """A slab is assembled in blocks of whole subintervals of about this many
-modes (``_map_blocks``), one subinterval per block from M = 512 up: larger
-blocks raise a march's peak memory, smaller ones slow it.  It bounds every
-assembly temporary, each (Q+1) by the block's modes: the Chebyshev basis
-of ``_interior``, which carries the maps' scale, its Gauss-Legendre rows,
-and the forcing's samples."""
+modes (``_map_blocks``): the maps in blocks of the moving modes, the
+forcing in blocks of all of them, one subinterval per block from 512 modes
+up.  Larger blocks raise a march's peak memory, smaller ones slow it.  It
+bounds every assembly temporary, each (Q+1) by the block's modes: the
+Chebyshev basis of ``_interior``, which carries the maps' scale, its
+Gauss-Legendre rows, and the forcing's samples."""
 
 
 def _map_blocks(N: int, M: int) -> list[slice]:
     """The blocks of whole node subintervals, of about ``_MAP_BLOCK_MODES`` modes each."""
-    width = max(1, _MAP_BLOCK_MODES // M)
+    width = max(1, _MAP_BLOCK_MODES // max(M, 1))
     return [slice(first, min(first + width, N)) for first in range(0, N, width)]
 
 
@@ -513,7 +520,8 @@ class CoefficientAssembler:
     node and report spurious exactness on resolved problems.  The Gauss
     tables, the local sample points, their Lagrange values and the
     forcing's interpolation table are memoised per N and data degree, and
-    shared read-only by every assembler, so ``slab`` makes no interpolation.
+    shared read-only by every assembler, so ``slab`` interpolates only the
+    tail basis of an interior with quasi-static modes, in one call.
 
     The forcing rule.  The forcing is sampled once per slab at the P + 1
     slab-wide CGL points of degree P = ``FORCING_DEGREE``.  The samples are
@@ -547,48 +555,71 @@ class CoefficientAssembler:
         """E, the quadrature maps R_k and the kernel scale of a slab of clock
         length ``tau`` with the family frozen at ``t_m``.
 
-        maps[k-1, q, n] is the integral over 0 <= sigma <= theta_k of
+        R_k[q, n] is the integral over 0 <= sigma <= theta_k of
         e^{-nu_n sigma} l_q(z), z = 2 sigma / theta_k - 1, l_q the local Lagrange
         function of sample point s_q.  With lam = nu theta_k / 2 it is taken by
-        Gauss-Legendre up to lam = data_degree + 20, beyond by Gauss-Laguerre
-        on the layer at z = -1, whose nodes then all lie in [-1, 1] and whose
-        dropped tail is below e^{-2 lam} e^{data_degree / 2}.  Everything is
-        formed one map block at a time: whole subintervals of about
-        ``_MAP_BLOCK_MODES`` modes (``_map_blocks``), with no Python loop over
-        the block's subintervals.  The Gauss-Laguerre rows are (theta_k / 2) h
-        times a degree-Q polynomial in h = 1 / lam, evaluated from its stored
-        Chebyshev coefficients for every mode of the block at once, one batched
-        matrix product written straight into the block's maps; the factor seeds
-        the basis (``_chebyshev_basis``), so no pass rescales the map.  With
+        Gauss-Legendre up to lam = split = data_degree + 20, beyond by
+        Gauss-Laguerre on the layer at z = -1, whose nodes then all lie in
+        [-1, 1] and whose dropped tail is below e^{-2 lam} e^{data_degree / 2}.
+        The Gauss-Laguerre rule is (theta_k / 2) h P_q(h) = P_q(h) / nu, P_q a
+        degree-Q polynomial in h = 1 / lam whose Chebyshev coefficients the
+        Gauss tables store.
+
+        E comes first.  The maps, shape (N, Q+1, moving), hold the modes up
+        to the last one whose E is nonzero on some subinterval or whose lam
+        is at most the split on the shortest one.  They are formed one map
+        block at a time: whole subintervals of about ``_MAP_BLOCK_MODES``
+        moving modes (``_map_blocks``), with no Python loop over the block's
+        subintervals.  The Gauss-Laguerre rows are one batched matrix product
+        written straight into the block's maps; the factor seeds the basis
+        (``_chebyshev_basis``), so no pass rescales the map.  With
         h = 1 / max(lam, split) the slow modes sit at x = 2 split h - 1 = 1,
         where the basis is finite, and their columns are then overwritten by
         the Gauss-Legendre rule: one gather of the block's slow (k, n), one
         exp, one product with the weighted Legendre table and one scatter.
-        Each map is stored mode-contiguous, shape (Q+1, M): maps[k-1, q] holds
-        sample point q's weights for every mode, so every pass of the maps over
-        the modes reads rows of M contiguous values.
+        Each map is stored mode-contiguous: maps[k-1, q] holds sample point
+        q's weights for every moving mode, so every pass of the maps over the
+        modes reads contiguous rows.
+
+        Past the moving modes every R_k is Gauss-Laguerre.  Put
+        y = nu_min / nu in (0, 1], nu_min the smallest rate there, and
+        h_k = 1 / (theta_k nu_min / 2): then h = h_k y, and P_q(h_k y) is a
+        degree-Q polynomial in y, equal to its interpolant at the degree-Q
+        CGL points y_j of [0, 1].  So R_k = C_k B, with
+        C_k[q, j] = P_q(h_k y_j) and B[j, n] = l_j(y_n) / nu_n, the Lagrange
+        basis in y taken by one barycentric ``interpolate`` call, which every
+        subinterval shares.
         """
         family, grid, split = self.family, self.grid, self._split
-        N, M, Q = grid.N, family.basis.M, self.data_degree
+        N, Q = grid.N, self.data_degree
         mu = family.frozen_eigenvalues(t_m)
         if np.any(mu < 0):
             raise ValueError(f"operator family is not positive at t={t_m}: a mu_1 + c = {mu.min():.6g}")
         nu = 0.5 * tau * mu
         E = _propagators(nu, grid.spacings)
-        maps = np.empty((N, Q + 1, M))
+        live = np.flatnonzero(E.any(axis=0) | ~(0.5 * grid.spacings.min() * nu > split))
+        moving = int(live[-1]) + 1 if live.size else 0
+        maps = np.empty((N, Q + 1, moving))
         z, w_lag = self._legendre
-        for block in _map_blocks(N, M):
+        for block in _map_blocks(N, moving):
             half = 0.5 * grid.spacings[block, None]
-            lam = half * nu
+            lam = half * nu[:moving]
             h = 1.0 / np.maximum(lam, split)
             R = maps[block]
             chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q, (half * h).ravel())
-            np.matmul(self._laguerre.T, chebyshev.reshape(Q + 1, -1, M).transpose(1, 0, 2), out=R)
+            np.matmul(self._laguerre.T, chebyshev.reshape(Q + 1, *lam.shape).transpose(1, 0, 2), out=R)
             del chebyshev  # freed before the Gauss-Legendre rows
             k, m = np.nonzero(lam <= split)
             R[k, :, m] = half[k] * (np.exp(-lam[k, m, None] * (1.0 + z)) @ w_lag)
+        C, B, tail = np.empty((N, Q + 1, 0)), np.empty((0, 0)), nu[moving:]
+        if tail.size:
+            nu_min, y = tail.min(), 0.5 * (1.0 + self._qgrid.nodes)
+            h = (1.0 / (0.5 * grid.spacings * nu_min))[:, None] * y  # h_k y_j
+            chebyshev = _chebyshev_basis(2.0 * split * h.ravel() - 1.0, Q, 1.0)
+            C = np.matmul(self._laguerre.T, chebyshev.reshape(Q + 1, N, Q + 1).transpose(1, 0, 2))
+            B = interpolate(self._qgrid, np.eye(Q + 1), 2.0 * (nu_min / tail) - 1.0).T / tail
         basis = family.basis
-        return SlabInterior(tau, E, maps, family.a(t_m) * basis.mu * basis.lift_coeffs, basis.boundary_trace)
+        return SlabInterior(tau, E, maps, C, B, family.a(t_m) * basis.mu * basis.lift_coeffs, basis.boundary_trace)
 
     def _forcing_samples(self, f: Callable[[float], np.ndarray], times: np.ndarray, weights: np.ndarray):
         """``weights`` f at the local sample times, as a function of a map block.
@@ -655,8 +686,12 @@ class CoefficientAssembler:
             forcing = np.empty(interior.E.shape)
             weights = a_m / family.a(times)
             samples = self._forcing_samples(f, times, weights if scale is None else scale * weights)
+            moving, C, B = interior.moving, interior.tail_maps, interior.tail_basis
             for block in _map_blocks(*forcing.shape):
-                forcing[block] = np.einsum("kqm,kqm->km", interior.maps[block], samples(block))
+                F = samples(block)
+                forcing[block, :moving] = np.einsum("kqm,kqm->km", interior.maps[block], F[..., :moving])
+                if moving < forcing.shape[1]:  # sum_q R_k[q] F_k[q] = sum_j B[j] (C_k^T F_k)[j] past moving
+                    forcing[block, moving:] = np.einsum("jm,kjm->km", B, C[block].transpose(0, 2, 1) @ F[..., moving:])
             forcing *= 0.5 * tau
         if b is None:
             lag_b, bvals = self._lag_loc, np.ones(t_star.shape)
@@ -726,28 +761,25 @@ class StageSolution:
     fp_ratios: np.ndarray | None = None
 
 
-def _add_inflow(system: BlockSystem, Phi: np.ndarray, x0: np.ndarray, span: slice = slice(None)) -> np.ndarray:
-    """Phi += F_x x0 + f_x on the modes ``span``, in place: F_x is E[0] in
-    row 1 and zero elsewhere, so x0 enters row 1 only; the forcing, if any,
-    is added last."""
-    Phi[0] += system.E[0, span] * x0[span]
+def _add_inflow(system: BlockSystem, Phi: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Phi += F_x x0 + f_x in place: F_x is E[0] in row 1 and zero
+    elsewhere, so x0 enters row 1 only; the forcing, if any, is added last."""
+    Phi[0] += system.E[0] * x0
     if system.forcing is not None:
-        Phi += system.forcing[:, span]
+        Phi += system.forcing
     return Phi
 
 
 def _imsc(system: BlockSystem, w: np.ndarray) -> np.ndarray:
-    """(I - S~) w for a block vector w of shape (N, width >= moving), summed onto zeros; the moving modes only."""
+    """(I - S~) w for a block vector w of shape (N, M), summed onto zeros; the moving modes only."""
     out, moving = np.zeros(w.shape), system.interior.moving
     out[1:, :moving] += system.E[1:, :moving] * w[:-1, :moving]
     return out
 
 
-def _lam_apply(system: BlockSystem, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """Lambda x: the trace row of ``system``'s interior (a :class:`BlockSystem`,
-    or a slab's ``_QuasiStatic`` fill) contracted with the trailing mode axis
-    of ``x``, which holds the modes from ``first`` on."""
-    return np.einsum("m,...m->...", system.interior.trace[first:first + x.shape[-1]], x)
+def _lam_apply(system: BlockSystem, x: np.ndarray) -> np.ndarray:
+    """Lambda x: the trace row of ``system``'s interior contracted with the trailing mode axis of ``x``."""
+    return np.einsum("m,...m->...", system.interior.trace, x)
 
 
 def _trace_samples(system: BlockSystem, y: np.ndarray) -> np.ndarray:
@@ -761,143 +793,34 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     It sweeps the moving modes (see :class:`SlabInterior`); past them r is
     the result but for the sign of a zero: the skipped products, 0.0 where
     the entry above is positive or 0.0, turned a -0.0 of rows 2..N into
-    0.0, and one ``+= 0.0`` does so.  With rows, E is repeated once per
-    row, so that each step multiplies two arrays of one shape.
+    0.0, and one ``+= 0.0`` does so.
     """
     moving = system.interior.moving
-    E, head = system.E[:, :moving], r[..., :moving]
-    if head.ndim == 3:
-        E = np.repeat(E[:, None], head.shape[1], axis=1)
-    for E_k, above, row in zip(E[1:], head, head[1:]):
+    head = r[..., :moving]
+    for E_k, above, row in zip(system.E[1:, :moving], head, head[1:]):
         row += E_k * above
     r[1:, ..., moving:] += 0.0
     return r
 
 
-@dataclass(frozen=True)
-class _QuasiStatic:
-    """A direct stage whose quasi-static modes wait for ``_fill_quasi_static``.
-
-    x             the stage's values, (N+1, M); past ``moving``, rows 1..N
-                  hold the forcing if ``forced``, and row 0 holds x0 only
-                  on a run's first slab: the fill copies the others'
-    c             (N, 2, Q+1): c0 = V[0] w0 - g and V w, which the maps take
-                  to the boundary part of Phi and to D w
-    stage         the stage, whose residual is its interior rows'
-    trace_defect  the trace rows' defect w - Lambda x~ over the moving modes
-
-    It holds no :class:`BlockSystem`: a march keeps one slab's at a time.
-    """
-
-    interior: SlabInterior
-    x: np.ndarray
-    c: np.ndarray
-    forced: bool
-    stage: StageSolution
-    trace_defect: np.ndarray
-
-
-def _fill_quasi_static(run: list[_QuasiStatic]) -> list[StageSolution]:
-    """x~ = D w + Phi on the quasi-static modes of ``run``, consecutive slabs
-    of one interior, in place, and the run's stages with their residuals
-    completed.
-
-    S~ = I past ``moving``, so a direct solve (:func:`solve_stage_direct`)
-    solves its trace system and its moving modes and leaves x~ there, with
-    the trace rows' part of its residual, to this fill.  Called on its own,
-    the solve fills a run of one.  :func:`march` passes every direct stage
-    of a constant family, whose slabs all share one interior, and fills the
-    pass's stages at once on every way out of its slab loop: at the end,
-    before a refinement and on a raise.  Until then a stage's residual is
-    its interior rows', and the march raises at once when that is not
-    finite; after the fill it raises on the first filled stage that is not
-    finite, so that the error names the first slab that is not finite, as
-    an undeferred solve would.  A varying family's slabs each have their own
-    interior and are runs of one, filled before the march takes the
-    clock's scale off.
-
-    The boundary part of Phi and D w of every slab of the run come from the
-    (2R, Q+1) rows c against the quasi-static columns of the maps, taken in
-    blocks of whole subintervals of about ``_MAP_BLOCK_MODES`` quasi-static
-    modes (``_map_blocks``), one subinterval per block from M - moving = 512
-    up, into one buffer: the maps are read once per run, and no
-    (N, 2R, M - moving) array is made.  Then, per slab, in the order of the
-    moving modes' sums: E[0] x0 in row 1, the forcing, ``+= 0.0`` on rows
-    2..N (the sign of zero that the moving modes' sweep gives there), and
-    x~ = D w + Phi.  A slab's x0 is the previous slab's last node, so the
-    block of row 1 is taken last, and each slab but the first takes its row
-    0 there.  Each residual then takes the trace rows over all modes.
-    """
-    interior = run[0].interior
-    N, M = interior.E.shape
-    tail = slice(interior.moving, M)
-    E0 = interior.E[0, tail]
-    c = np.concatenate([fill.c for fill in run], axis=1)
-    blocks = _map_blocks(N, M - tail.start)
-    rows = np.empty((blocks[0].stop, 2 * len(run), M - tail.start))
-    previous = None
-    for block in blocks[1:] + blocks[:1]:
-        pairs = interior.modes(c[block], tail, block, out=rows[:block.stop - block.start])
-        for r, fill in enumerate(run):
-            phi, dw, x = pairs[:, 2 * r], pairs[:, 2 * r + 1], fill.x
-            values = x[1 + block.start:1 + block.stop, tail]
-            if block.start == 0:
-                if previous is not None:
-                    x[0, tail] = previous[-1, tail]
-                phi[0] += E0 * x[0, tail]
-                previous = x
-            if fill.forced:
-                phi += values
-            phi[max(1 - block.start, 0):] += 0.0  # rows 2..N
-            np.add(dw, phi, out=values)
-    done = []
-    for fill in run:
-        trace_defect = fill.trace_defect - _lam_apply(fill, fill.x[1:, tail], tail.start)
-        done.append(replace(fill.stage, residual=_trace_residual(fill.stage.residual, trace_defect)))
-    return done
-
-
 def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float):
-    """x, w_1..w_N, Phi and D w on the moving modes, and the rows
-    c = (c0, V w) of ``_QuasiStatic`` (None without quasi-static modes), of
-    one slab, from the factored coupling.
+    """x, w_1..w_N, Phi and D w of one slab, from the factored coupling.
 
-    x, (N+1, M), holds x0 and, on the moving modes, x~; its quasi-static
-    modes are left to ``_fill_quasi_static``.  See :func:`solve_stage_direct`.
+    x, (N+1, M), holds x0 and x~.  See :func:`solve_stage_direct`.
     """
     interior, N, M = system.interior, system.N, system.M
-    head, tail = slice(interior.moving), slice(interior.moving, M)
-    c0 = w0 * system.lag_b[:, 0] - system.g_loc  # modes(c0) is F_y w0 with the g term
-    Phi = _add_inflow(system, interior.modes(c0, head), x0, head)
-    G = interior.trace_images.reshape(N, -1)
-    LZ_D = G @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
-    # whether a mode is quasi-static is read off E: ``moving`` only bounds the
-    # sweeps, and sweeping more modes must not change the slab's trace row
-    if system.E[:, -1].any():
-        Z_phi = _forward_sub(system, Phi.copy())
-        lam_phi = _lam_apply(system, Z_phi)
-    else:
-        swept = np.zeros((N, 2, Phi.shape[1]))  # Phi, and its part F_x x0 + f_x that G c0 does not hold
-        swept[:, 0] = Phi
-        _add_inflow(system, swept[:, 1], x0, head)
-        Z_phi = _forward_sub(system, swept)[:, 0]
-        lam_phi = G @ c0.ravel() + _lam_apply(system, swept[:, 1])
-        if system.forcing is not None:
-            lam_phi += _lam_apply(system, system.forcing[:, tail], tail.start)
-    w_int = np.linalg.solve(np.eye(N) - LZ_D, lam_phi)
-    cw = _trace_samples(system, w_int)
+    Phi = _add_inflow(system, interior.modes(w0 * system.lag_b[:, 0] - system.g_loc), x0)
+    Z_phi = _forward_sub(system, Phi.copy())
+    LZ_D = interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
+    w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
     x = np.empty((N + 1, M))
     x[0] = x0
-    xt = x[1:, head]
-    Dw = interior.modes(cw, head)
+    xt = x[1:]
+    Dw = interior.modes(_trace_samples(system, w_int))
     xt[...] = Dw
     _forward_sub(system, xt)
     xt += Z_phi
-    if tail.start == M:
-        return x, w_int, Phi, Dw, None
-    if system.forcing is not None:
-        x[1:, tail] = system.forcing[:, tail]  # the fill adds it from here, in its place in the sum
-    return x, w_int, Phi, Dw, np.stack([c0, cw], axis=1)
+    return x, w_int, Phi, Dw
 
 
 def _trace_residual(interior_rows: float, trace_defect: np.ndarray) -> float:
@@ -909,82 +832,55 @@ def _trace_residual(interior_rows: float, trace_defect: np.ndarray) -> float:
 def _stage_solution(
     system: BlockSystem, x: np.ndarray, w0: float, w_int: np.ndarray,
     Phi: np.ndarray, Dw: np.ndarray, rho: float, **fixed_point,
-) -> tuple[StageSolution, np.ndarray]:
+) -> StageSolution:
     """The slab's solution from x, (N+1, M) with x0 in row 0, and w_1..w_N,
-    and its trace rows' defect over the first modes.
+    given ``Dw`` = D w_int.
 
-    ``Phi`` and ``Dw`` = D w_int hold the first modes of x~ = x[1:], past
-    which S~ = I and x~ is D w + Phi, so that those interior rows hold
-    exactly.  The residual is the max-norm defect of the collocation
-    equations: the interior rows of the first modes, whose right-hand side
-    is summed left to right in place and then holds the defect, and the
-    trace rows over all modes, which ``_fill_quasi_static`` adds when the
-    first modes are not all of them.
+    The residual is the max-norm defect of the collocation equations: the
+    interior rows, whose right-hand side is summed left to right in place
+    and then holds the defect, and the trace rows.
     """
-    width = Phi.shape[-1]
-    xt = x[1:, :width]
+    xt = x[1:]
     rhs = _imsc(system, xt)
     rhs += Dw
     rhs += Phi
     trace_defect = w_int - _lam_apply(system, rhs)
     rhs -= xt
-    residual = np.abs(rhs, out=rhs).max(initial=0.0)
-    if width == x.shape[1]:
-        residual = _trace_residual(residual, trace_defect)
+    residual = _trace_residual(np.abs(rhs, out=rhs).max(initial=0.0), trace_defect)
     w = np.concatenate([[w0], w_int])
-    stage = StageSolution(
+    return StageSolution(
         slab=system.slab,
         t=system.t_star,
         x=x,
         y=system.bvals * w,
         boundary_traces=w,
-        residual=float(residual),
+        residual=residual,
         contraction=rho,
         **fixed_point,
     )
-    return stage, trace_defect
 
 
-def solve_stage_direct(
-    system: BlockSystem, x0: np.ndarray, w0: float, *, _run: list[_QuasiStatic] | None = None,
-) -> StageSolution:
+def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
     """Direct elimination solve of one slab.
 
     The interior rows read S~ x~ = D w + Phi, and the trace rows
     w = Lambda x~, so (I - Lambda S~^{-1} D) w = Lambda S~^{-1} Phi and then
     x~ = S~^{-1} Phi + S~^{-1} D w.  Phi and D w come from the factored
-    coupling (see :class:`BlockSystem`), and the modes split at
-    ``moving`` (:class:`SlabInterior`).
-
-    On the moving modes Phi is one pass of the maps before the trace solve
-    and D w one after it; Phi and D w are each swept through S~^{-1} on its
-    own and added only at the end: summing them before the sweep would turn
-    the trace's quantised cancellation remainders into smooth noise, which
-    the CSV output pays for in distinct values.  The quasi-static modes are
-    filled after the solve by ``_fill_quasi_static``, at once, or, when
-    :func:`march` passes the list ``_run``, with the rest of its pass.  The
-    (N, N+1, M) coupling is never multiplied out.
-
-    Without quasi-static modes the trace row is Lambda S~^{-1} Phi from
-    Phi's own sweep.  With them, Phi is not known before the solve, and the
-    row is formed as Lambda S~^{-1} D = G V is, from the trace images G:
-    G c0 for the boundary part modes(c0), c0 = V[0] w0 - g; plus
-    Lambda S~^{-1} (F_x x0 + f_x), swept as a second row beside Phi over
-    the moving modes; plus Lambda f_x past them, where S~ = I.  The first
-    is cheaper where every mode moves, the second reads the maps once.
+    coupling (see :class:`BlockSystem`), each one pass of the maps and
+    their separable tail over all modes, and Lambda S~^{-1} D is G V with
+    the trace images G of the slab's interior (:class:`SlabInterior`).  Phi
+    is formed before the trace solve and D w after it; each is swept
+    through S~^{-1} on its own, over the moving modes, and they are added
+    only at the end: summing them before the sweep would turn the trace's
+    quantised cancellation remainders into smooth noise, which the CSV
+    output pays for in distinct values.  The (N, N+1, M) coupling is never
+    multiplied out.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    x, w_int, Phi, Dw, c = _eliminate_split(system, x0, w0)
-    stage, trace_defect = _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
-    if c is None:
-        return stage
-    fill = _QuasiStatic(system.interior, x, c, system.forcing is not None, stage, trace_defect)
-    if _run is None:
-        return _fill_quasi_static([fill])[0]
-    _run.append(fill)
-    return stage
+    x, w_int, Phi, Dw = _eliminate_split(system, x0, w0)
+    return _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
 
 
 def solve_stage_fixed_point(
@@ -1046,7 +942,7 @@ def solve_stage_fixed_point(
     return _stage_solution(
         system, np.vstack([x0[None, :], x]), w0, w_int, Phi, interior.modes(_trace_samples(system, w_int)), rho,
         fp_iterations=len(history), fp_ratios=hist[1:] / hist[:-1],
-    )[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -1097,11 +993,10 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
 
     Each slab is solved in the family's clock, for u^ = e^{C^} u with C^
     anchored at the slab's left junction, where u^ = u; the march takes the
-    scale off each stage and carries u from slab to slab.
-
-    A constant family's direct stages leave their quasi-static modes to
-    one fill per pass (``_fill_quasi_static``), which ``solve_seconds``
-    includes.
+    scale off each stage and carries u from slab to slab.  Every stage
+    solve returns a complete stage, so a stage whose residual is not finite
+    raises :class:`NonFiniteStageError` naming its slab at once, before the
+    next slab is assembled.
 
     When the assembled boundary coupling reaches the refinement threshold
     the slab count doubles and the march restarts, at most six times.  The
@@ -1131,49 +1026,37 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         partition = TimePartition(config.T, K)
         assembler = CoefficientAssembler(family, grid, partition)
         stages: list[StageSolution] = []
-        # every slab of a constant family shares one interior: its direct stages are filled as one run
-        run: list[_QuasiStatic] | None = [] if config.mode == "direct" and family.is_constant else None
         x_prev = u0
         # a BLAS dot, not _lam_apply: the einsum sums a dense u0 in another order
         w_prev = float(u0 @ basis.boundary_trace)
         solve_seconds = 0.0
         contraction_max = 0.0
         refine = False
-        try:
-            for l in range(1, K + 1):
-                system = assembler.slab(l, problem.g, problem.forcing, problem.b)
-                rho = system.contraction_norm()
-                contraction_max = max(contraction_max, rho)
-                if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
-                    refine = True
-                    del system  # freed before the restarted march assembles its first slab
-                    break
-                t0 = time.perf_counter()
-                if config.mode == "direct":
-                    stage = solve_stage_direct(system, x_prev, w_prev, _run=run)
-                else:
-                    stage = solve_stage_fixed_point(
-                        system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
-                    )
-                solve_seconds += time.perf_counter() - t0
-                unscale = system.unscale
-                del system  # freed, with its maps, before slab l + 1 is assembled
-                stages.append(stage)
-                if not np.isfinite(stage.residual):
-                    raise NonFiniteStageError(stage.residual, l)
-                if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
-                    for values in (stage.x.T, stage.boundary_traces, stage.y):
-                        values *= unscale
-                x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
-        finally:
-            if run:
-                t0 = time.perf_counter()
-                filled = _fill_quasi_static(run)
-                solve_seconds += time.perf_counter() - t0
-                for stage in filled:
-                    stages[stage.slab - 1] = stage
-                    if not np.isfinite(stage.residual):
-                        raise NonFiniteStageError(stage.residual, stage.slab)
+        for l in range(1, K + 1):
+            system = assembler.slab(l, problem.g, problem.forcing, problem.b)
+            rho = system.contraction_norm()
+            contraction_max = max(contraction_max, rho)
+            if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
+                refine = True
+                del system  # freed before the restarted march assembles its first slab
+                break
+            t0 = time.perf_counter()
+            if config.mode == "direct":
+                stage = solve_stage_direct(system, x_prev, w_prev)
+            else:
+                stage = solve_stage_fixed_point(
+                    system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
+                )
+            solve_seconds += time.perf_counter() - t0
+            unscale = system.unscale
+            del system  # freed, with its maps, before slab l + 1 is assembled
+            if not np.isfinite(stage.residual):
+                raise NonFiniteStageError(stage.residual, l)
+            stages.append(stage)
+            if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
+                for values in (stage.x.T, stage.boundary_traces, stage.y):
+                    values *= unscale
+            x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
         if refine:
             K *= 2
             refinements += 1

@@ -1005,12 +1005,14 @@ def test_neumann_contraction_matches_the_dense_norm_on_every_restart():
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])
 def test_constant_family_march_never_multiplies_out_the_coupling(build, N, K, M, mode, monkeypatch):
     """A constant family's march, direct or fixed-point, never multiplies
-    the coupling out: no (N, N + 1, M) array, only the factors."""
+    the coupling out: no (N, N + 1, M) array, only the factors, and never
+    the quasi-static maps: no (N, Q+1, M) array, only C_k and B."""
 
     def refuse(self):
-        raise AssertionError("the dense coupling was multiplied out")
+        raise AssertionError("the dense coupling or maps were multiplied out")
 
     monkeypatch.setattr(collocation.BlockSystem, "coupling", refuse)
+    monkeypatch.setattr(collocation.SlabInterior, "dense_maps", refuse)
     problem = build(M=M)
     trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T, mode=mode))
     assert len(trace.stages) == trace.partition.K
@@ -1133,14 +1135,15 @@ def test_slab_matches_the_per_subinterval_oracle(build, N, K, M):
 @pytest.mark.parametrize("M", [128, 4096])
 @pytest.mark.parametrize("N", [1, 2, 12, 16, 32, 64])
 def test_maps_match_the_barycentric_table(N, M):
-    """Each row R_k[m] of the maps agrees with the barycentric evaluation of
-    the nodal Gauss-Laguerre table within 4e-15 of its largest |.|, at
-    data degrees from 12 to 64."""
+    """Each row R_k[m] of the maps, multiplied out over all modes (the
+    quasi-static ones from the separable tail C_k B), agrees with the
+    barycentric evaluation of the nodal Gauss-Laguerre table within 4e-15
+    of its largest |.|, at data degrees from 12 to 64."""
     problem = build_reference_example(M=M)
     assembler = CoefficientAssembler(problem.family, build_grid(N), TimePartition(problem.T, 4))
     coeffs = assembler.slab(1)
     nu = 0.5 * assembler.partition.tau * problem.family.frozen_eigenvalues(coeffs.t_star[1:, None])
-    for k, R in enumerate(coeffs.interior.maps.transpose(0, 2, 1)):
+    for k, R in enumerate(coeffs.interior.dense_maps().transpose(0, 2, 1)):
         want = barycentric_map(assembler, k, nu[k])
         bound = 4e-15 * np.abs(want).max(axis=1)
         assert (np.abs(R - want).max(axis=1) <= bound).all(), k
@@ -1178,7 +1181,7 @@ def test_maps_match_adaptive_quadrature_near_the_split():
     basis = dataclasses.replace(heat_basis(M), mu=4.0 * lam)
     assembler = CoefficientAssembler(constant_family(basis), grid, TimePartition(1.0, 1))
     assert (assembler.data_degree, assembler._split) == (Q, split)
-    maps = assembler.slab(1).interior.maps.transpose(0, 2, 1)
+    maps = assembler.slab(1).interior.dense_maps().transpose(0, 2, 1)
     for m in range(M):
         want = quad_map_row(1.0, 2.0 * lam[m], Q)
         for R in maps:
@@ -1199,19 +1202,24 @@ def test_zero_frozen_eigenvalue_gives_finite_maps():
     assert coeffs.interior.E[:, 0].tolist() == [1.0] * grid.N
     for name in ("E", "beta", "phi"):
         assert np.isfinite(materialised(coeffs)[name]).all(), name
-    for theta, R in zip(grid.spacings, coeffs.interior.maps.transpose(0, 2, 1)):
+    for theta, R in zip(grid.spacings, coeffs.interior.dense_maps().transpose(0, 2, 1)):
         assert np.isfinite(R).all()
         want = quad_map_row(theta, 0.0, assembler.data_degree)
         assert np.abs(R[0] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(
-    "build", [build_reference_example, varying_manufactured_problem], ids=["constant", "varying"]
+    "build, moving", [(build_reference_example, [94]), (varying_manufactured_problem, [89, 80])],
+    ids=["constant", "varying"],
 )
-def test_slab_makes_no_interpolate_calls(build, monkeypatch):
+def test_slab_makes_one_interpolate_call_per_tail(build, moving, monkeypatch):
     """Once the assembler is built, assembling a slab evaluates the maps
     from the stored Chebyshev coefficients: no per-point barycentric
-    ``interpolate`` call is left."""
+    ``interpolate`` call is left.  An interior with quasi-static modes makes
+    one vector call, for its tail basis B at every quasi-static mode, whose
+    first point, mode ``moving``, is the exact node y = 1.  At (12, 2, 128)
+    the constant family's two slabs share one interior, and the varying
+    family's each build their own."""
     problem = build(M=128)
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 2))
     calls = []
@@ -1221,9 +1229,16 @@ def test_slab_makes_no_interpolate_calls(build, monkeypatch):
         return interpolate(*args, **kwargs)
 
     monkeypatch.setattr(collocation, "interpolate", counting)
+    interiors = []
     for l in (1, 2):
-        assembler.slab(l, problem.g, problem.forcing, problem.b)
-    assert calls == []
+        interior = assembler.slab(l, problem.g, problem.forcing, problem.b).interior
+        if all(interior is not seen for seen in interiors):
+            interiors.append(interior)
+    assert [interior.moving for interior in interiors] == moving
+    assert len(calls) == len(interiors)
+    for (qgrid, values, points), interior in zip(calls, interiors):
+        assert qgrid.N == assembler.data_degree and values.shape == (qgrid.N + 1,) * 2
+        assert points.shape == (128 - interior.moving,) and points[0] == 1.0
 
 
 @pytest.mark.parametrize("mode", ["direct", "fixed_point"])
@@ -1521,12 +1536,17 @@ def second_slab(build, M, N=12, K=4):
 
 @LAYOUT_CASES
 def test_maps_are_stored_mode_contiguous(build, M):
-    """maps[k-1] is R_k as (Q+1, M), rows of M contiguous values, so every
-    pass of the maps over the modes reads them in order."""
+    """maps[k-1] is R_k on the moving modes as (Q+1, moving), rows of
+    contiguous values, so every pass of the maps over the modes reads them
+    in order; past them the tail holds C_k, (Q+1, Q+1), and B, (Q+1,
+    M - moving), or (Q+1, 0) and (0, 0) where every mode moves."""
     _, assembler, system = second_slab(build, M)
-    maps = system.interior.maps
-    assert maps.shape == (12, assembler.data_degree + 1, M)
-    assert maps.flags.c_contiguous
+    interior, Q1 = system.interior, assembler.data_degree + 1
+    moving = interior.moving
+    tail = ((12, Q1, Q1), (Q1, M - moving)) if moving < M else ((12, Q1, 0), (0, 0))
+    assert interior.maps.shape == (12, Q1, moving)
+    assert (interior.tail_maps.shape, interior.tail_basis.shape) == tail
+    assert interior.maps.flags.c_contiguous and interior.tail_maps.flags.c_contiguous
 
 
 def assert_rows_agree(got, want, scale, rel=1e-15):
@@ -1539,7 +1559,8 @@ def assert_rows_agree(got, want, scale, rel=1e-15):
 @LAYOUT_CASES
 def test_map_passes_agree_with_a_plain_einsum_over_the_maps(build, M):
     """``modes``, ``trace_weights``, ``trace_images`` and ``coupling()``
-    against np.einsum over maps[k-1, q, m], within 1e-15 of each row.  The
+    against np.einsum over R_k[q, m] multiplied out over all modes
+    (``dense_maps``), within 1e-15 of each row.  The
     reference sums in extended precision, and trace_weights and
     trace_images, which sum over the M modes, get 3e-15: there a float64
     einsum's own roundoff reaches 9e-15 of the row at M = 4096, and the
@@ -1547,7 +1568,7 @@ def test_map_passes_agree_with_a_plain_einsum_over_the_maps(build, M):
     _, _, system = second_slab(build, M)
     interior = system.interior
     wide = np.longdouble
-    maps, s, trace = interior.maps.astype(wide), interior.coupling_scale.astype(wide), interior.trace.astype(wide)
+    maps, s, trace = interior.dense_maps().astype(wide), interior.coupling_scale.astype(wide), interior.trace.astype(wide)
     c = np.random.default_rng(7).standard_normal(interior.maps.shape[:2])
     want = s * np.einsum("kqm,kq->km", maps, c)
     assert_rows_agree(interior.modes(c), want, s * np.einsum("kqm,kq->km", abs(maps), abs(c)))
@@ -1573,14 +1594,13 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     formulas bit for bit, with a -0.0 in x0 (and w0 = -0.0 without data,
     where only signed zeros and F_x x0 meet), and the solver leaves its
     inputs unchanged.  Phi is the one boundary pass modes(V[0] w0 - g),
-    then E[0] x0 added to row 1, then the forcing: over all modes for the
-    fixed-point solve, and for the direct solve over the moving modes and,
-    from the quasi-static fill after the trace solve (a run of one here),
-    over the quasi-static ones, where x~ = D w + Phi with ``+= 0.0`` on
-    rows 2..N.  At M = 512,
-    K = 2, 94 of the modes move on the constant family's slab 2.  With
-    data, a forcing in every mode is added to the problem's, so that the
-    order of the three terms shows in every mode."""
+    then E[0] x0 added to row 1, then the forcing, over all modes for both
+    solvers; ``modes`` takes the moving modes through the maps and the
+    quasi-static ones as (c_k C_k) B, each scaled by s last.  The direct
+    solve's x~ is S~^{-1} D w + S~^{-1} Phi, each swept on its own.  At
+    M = 512, K = 2, 94 of the modes move on the constant family's slab 2.
+    With data, a forcing in every mode is added to the problem's, so that
+    the order of the three terms shows in every mode."""
     M = 512
     problem = build(M=M)
     dense = np.random.default_rng(6).standard_normal(M)
@@ -1591,71 +1611,56 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
 
     assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 2))
     system = assembler.slab(2, *((problem.g, forcing, problem.b) if data else ()))
+    interior = system.interior
     x0 = np.random.default_rng(5).standard_normal(M)
     x0[[0, 3, M - 1]] = -0.0
     w0 = float(x0 @ problem.basis.boundary_trace) if data else -0.0
     c0 = w0 * system.lag_b[:, 0] - system.g_loc
-    Phi = collocation._add_inflow(system, system.interior.modes(c0), x0)
-    want = system.interior.modes(c0)
+    moving = interior.moving
+    assert 0 < moving < M
+    s = interior.coupling_scale
+    head = np.matmul(c0[:, None], interior.maps)[:, 0] * s[:moving]
+    tail = (np.matmul(c0[:, None], interior.tail_maps)[:, 0] @ interior.tail_basis) * s[moving:]
+    assert interior.modes(c0).tobytes() == np.concatenate([head, tail], axis=1).tobytes()
+    want = interior.modes(c0)
     want[0] = want[0] + system.E[0] * x0
     if system.forcing is not None:
         want = want + system.forcing
     assert (system.forcing is not None) == data
-    assert Phi.tobytes() == want.tobytes()
-
-    moving = system.interior.moving
-    assert 0 < moving < M
     inputs = [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)]
-    x, w_int, Phi, Dw, c = collocation._eliminate_split(system, x0, w0)
+    x, w_int, Phi, Dw = collocation._eliminate_split(system, x0, w0)
     assert [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)] == inputs
-    head, tail = slice(moving), slice(moving, M)
-    want = system.interior.modes(c0, head)
-    want[0] = want[0] + system.E[0, head] * x0[head]
-    if data:
-        want = want + system.forcing[:, head]
     assert Phi.tobytes() == want.tobytes()
     cw = np.einsum("kjq,j->kq", system.lag_b[:, 1:], w_int)
-    assert Dw.tobytes() == system.interior.modes(cw, head).tobytes()
-    assert c.tobytes() == np.stack([c0, cw], axis=1).tobytes()
+    assert Dw.tobytes() == interior.modes(cw).tobytes()
+    assert x[0].tobytes() == x0.tobytes()
+    swept = [collocation._forward_sub(system, a.copy()) for a in (Dw, Phi)]
+    assert x[1:].tobytes() == (swept[0] + swept[1]).tobytes()
 
     inputs = [a.tobytes() for a in (x0, x, w_int, Phi, Dw)]
-    stage, trace_defect = collocation._stage_solution(system, x, w0, w_int, Phi, Dw, 0.0)
+    stage = collocation._stage_solution(system, x, w0, w_int, Phi, Dw, 0.0)
     assert [a.tobytes() for a in (x0, x, w_int, Phi, Dw)] == inputs
-    [stage] = collocation._fill_quasi_static([collocation._QuasiStatic(system.interior, x, c, data, stage, trace_defect)])
-    boundary, d_w = system.interior.modes(np.stack([c0, cw], axis=1), tail).transpose(1, 0, 2)
-    phi = boundary.copy()
-    phi[0] = phi[0] + system.E[0, tail] * x0[tail]
-    if data:
-        phi = phi + system.forcing[:, tail]
-    phi[1:] = phi[1:] + 0.0
-    assert x[0].tobytes() == x0.tobytes()
-    assert x[1:, tail].tobytes() == (d_w + phi).tobytes()
-    xt = x[1:, head]
+    xt = x[1:]
     rhs = collocation._imsc(system, xt) + Dw + Phi
-    trace = w_int - collocation._lam_apply(system, rhs) - collocation._lam_apply(system, x[1:, tail], moving)
+    trace = w_int - collocation._lam_apply(system, rhs)
     want = float(max(np.abs(xt - rhs).max(), np.abs(trace).max()))
     assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()
 
 
 def map_reads(problem, N, K, M, monkeypatch):
-    """The march of ``problem`` on (N, K, M), with its maps-to-modes calls:
-    the sweeps over the moving modes and the reads of the quasi-static
-    columns past them, each as (moving, span, subintervals, rows)."""
-    sweeps, reads = [], []
+    """The march of ``problem`` on (N, K, M), with the shapes of the maps,
+    C_k, B and the sample-space values c at each ``modes`` call."""
+    calls = []
     modes = collocation.SlabInterior.modes
 
-    def counting(self, c, span=slice(None), *args, **kwargs):
-        out = modes(self, c, span, *args, **kwargs)
-        subintervals = range(N)[args[0] if args else kwargs.get("subintervals", slice(None))]
-        rows = c.size // (len(subintervals) * c.shape[-1])
-        call = (self.moving, span.indices(M), tuple(subintervals), rows)
-        (sweeps if span.indices(M)[0] == 0 else reads).append(call)
-        return out
+    def counting(self, c):
+        calls.append((self.maps.shape, self.tail_maps.shape, self.tail_basis.shape, c.shape))
+        return modes(self, c)
 
     monkeypatch.setattr(collocation.SlabInterior, "modes", counting)
     trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
     assert (trace.refinements, len(trace.stages)) == (0, K)
-    return sweeps, reads
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -1664,37 +1669,16 @@ def map_reads(problem, N, K, M, monkeypatch):
     ids=["reference-1", "reference-4"],
 )
 def test_constant_family_direct_march_reads_the_maps_once_per_slab(build, K, moving, monkeypatch):
-    """Each slab of a constant-family direct march takes the moving modes
-    of the maps to modes twice, for Phi before the trace solve and for D w
-    after it, and the quasi-static modes past ``moving`` once, for both at
-    once after the solve: every subinterval's columns are read K (M +
-    moving) times over.  Of the 128 modes, 67 move at K = 1, a run of one
-    slab, and all at K = 4, where no quasi-static pass is made.  K slabs,
-    no refinement."""
-    N, M = 12, 128
-    sweeps, reads = map_reads(build(M=M), N, K, M, monkeypatch)
-    assert sweeps == 2 * K * [(moving, (0, moving, 1), tuple(range(N)), 1)]
-    read = [k for _, _, subintervals, _ in reads for k in subintervals]
-    assert sorted(read) == K * (list(range(N)) if moving < M else [])
-    assert all(call[:2] == (moving, (moving, M, 1)) and call[3] == 2 for call in reads)
-    calls = sweeps + reads
-    assert sum((stop - start) * len(k) for _, (start, stop, _), k, _ in calls) == K * N * (M + moving)
-
-
-@pytest.mark.parametrize("build, K, moving", [(constant_forced_problem, 3, 105)], ids=["forced-3"])
-def test_constant_family_direct_march_reads_the_quasi_static_maps_once_per_run(build, K, moving, monkeypatch):
-    """The quasi-static columns past ``moving`` are read once per run of
-    slabs that share the interior, here the whole march: each
-    subinterval's once, for the two rows of every slab at once, while each
-    slab still sweeps the moving modes twice.  105 of the 128 modes move in
-    the forced problem (a = 1.2, c = 0.3) at K = 3.  K slabs, no
-    refinement."""
-    N, M = 12, 128
-    sweeps, reads = map_reads(build(M=M), N, K, M, monkeypatch)
-    assert sweeps == 2 * K * [(moving, (0, moving, 1), tuple(range(N)), 1)]
-    read = [k for _, _, subintervals, _ in reads for k in subintervals]
-    assert sorted(read) == list(range(N))
-    assert all(call[:2] == (moving, (moving, M, 1)) and call[3] == 2 * K for call in reads)
+    """Each slab of a constant-family direct march takes its sample-space
+    values to modes twice, for Phi before the trace solve and for D w
+    after it, each over all modes: the moving ones through the maps, which
+    hold no other column, and the quasi-static ones through C_k and B.  Of
+    the 128 modes, 67 move at K = 1, and all at K = 4, where the tail is
+    empty.  K slabs, no refinement."""
+    N, M, Q1 = 12, 128, 13
+    calls = map_reads(build(M=M), N, K, M, monkeypatch)
+    tail = ((N, Q1, Q1), (Q1, M - moving)) if moving < M else ((N, Q1, 0), (0, 0))
+    assert calls == 2 * K * [((N, Q1, moving), *tail, (N, Q1))]
 
 
 def stage_by_stage(problem, N, K):
@@ -1730,15 +1714,13 @@ def stage_by_stage(problem, N, K):
     ids=["reference", "neumann", "decay", "zero", "forced", "varying", "reference-1", "forced-1"],
 )
 def test_march_equals_standalone_stage_solves(build, N, K, M):
-    """A march, which fills a constant family's quasi-static modes once per
-    run of slabs, equals a loop of standalone stage solves, each a run of
-    one, bit for bit: node modes, w, y and every stage residual, and each
-    slab's node 0 is the previous slab's last node.  Decay and zero hold
-    signed zeros; the forced problem (105 of 128 modes move) has a forcing
-    past ``moving``; the varying family's slabs are runs of one, with the
-    clock's scale taken off.  A one-slab march fills its slab after the
-    slab loop, as any march of a constant family does (67 of 512 modes
-    move on the reference slab, 61 of 128 on the forced one)."""
+    """A march equals a loop of standalone stage solves bit for bit: node
+    modes, w, y and every stage residual, and each slab's node 0 is the
+    previous slab's last node.  Decay and zero hold signed zeros; the
+    forced problem (105 of 128 modes move) has a forcing past ``moving``;
+    the varying family's slabs each have their own interior, with the
+    clock's scale taken off.  67 of 512 modes move on the one-slab
+    reference march, 61 of 128 on the forced one."""
     problem = build(M=M)
     trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T))
     assert trace.refinements == 0
@@ -1754,10 +1736,10 @@ def test_march_equals_standalone_stage_solves(build, N, K, M):
 
 
 def test_boundary_data_nan_on_one_slab_of_a_run_names_that_slab():
-    """At (12, 4, 4096) the four slabs are one run, whose quasi-static
-    modes (all but 133) are filled when the march ends.  A g that is NaN
-    only inside slab 2, t in (0.3, 0.45), raises on slab 2 at once, before
-    g is sampled past slab 2, as in an undeferred march."""
+    """At (12, 4, 4096) the four slabs share one interior, whose
+    quasi-static modes are all but 133.  A g that is NaN only inside slab 2,
+    t in (0.3, 0.45), raises on slab 2 at once, before g is sampled past
+    slab 2."""
     base = build_reference_example(M=4096)
     calls = []
 
@@ -1772,65 +1754,44 @@ def test_boundary_data_nan_on_one_slab_of_a_run_names_that_slab():
     assert max(calls) <= 0.5
 
 
-def overflow_in_the_fill(monkeypatch, slab):
-    """Patch the quasi-static fill's map product, the one call of
-    ``SlabInterior.modes`` with ``out``, so that it leaves an inf in the
-    last mode of D w on subinterval 1 of the ``slab``-th stage of the run,
-    as a fill that overflows would: that stage's values hold inf in one
-    quasi-static column."""
-    modes = collocation.SlabInterior.modes
-
-    def overflowing(self, c, span=slice(None), subintervals=slice(None), out=None):
-        result = modes(self, c, span, subintervals, out)
-        if out is not None and subintervals.start == 0:
-            result[0, 2 * slab - 1, -1] = np.inf
-        return result
-
-    monkeypatch.setattr(collocation.SlabInterior, "modes", overflowing)
-
-
-def test_a_run_checks_its_stages_again_when_it_is_filled(monkeypatch):
-    """A deferred stage is checked twice: its interior rows when it is
-    solved, and its trace rows over all modes when its run is filled.
-    The fill leaves an inf in one quasi-static column of slab 2
-    (``overflow_in_the_fill``): filling the run completes both stages,
-    slab 1's as a standalone solve, slab 2's residual is inf, and a march
-    over the same slabs raises on slab 2."""
-    problem = build_reference_example(M=1024)
-    assembler = CoefficientAssembler(problem.family, build_grid(12), TimePartition(problem.T, 4))
-    x0, w0 = problem.u0, float(problem.u0 @ problem.family.basis.boundary_trace)
-    x, w = x0, w0
-    run, stages = [], []
-    for l in (1, 2):
-        system = assembler.slab(l, problem.g, problem.forcing, problem.b)
-        stages.append(solve_stage_direct(system, x, w, _run=run))
-        x, w = stages[-1].x[-1], float(stages[-1].boundary_traces[-1])
-    assert len(run) == 2 and all(np.isfinite(stage.residual) for stage in stages)
-    alone = solve_stage_direct(assembler.slab(1, problem.g, problem.forcing, problem.b), x0, w0)
-    overflow_in_the_fill(monkeypatch, 2)
-    stages = collocation._fill_quasi_static(run)
-    assert [stage.slab for stage in stages] == [1, 2]
-    assert stages[0].x.tobytes() == alone.x.tobytes()
-    assert np.float64(stages[0].residual).tobytes() == np.float64(alone.residual).tobytes()
-    assert stages[1].residual == np.inf
-    with pytest.raises(NonFiniteStageError, match="on slab 2") as exc:
-        march(problem, SolverConfig(N=12, K=4, M=1024, T=problem.T))
-    assert exc.value.slab == 2
-
-
 @pytest.mark.parametrize("later", ["nan", "refines"])
-def test_a_stage_whose_trace_rows_alone_are_not_finite_raises_before_a_later_slab(later, monkeypatch):
-    """At (12, 4, 1024) the fill leaves an inf in one quasi-static column
-    of slab 1 (``overflow_in_the_fill``), so only its trace rows are not
-    finite.  The error names slab 1, as an undeferred march's would, when
-    slab 2's interior rows are NaN (g is NaN inside slab 2) and when slab
-    2's coupling reaches the refinement threshold, before any restart."""
+def test_a_non_finite_quasi_static_column_raises_before_a_later_slab(later, monkeypatch):
+    """At (12, 4, 1024) the D w pass of slab 1 leaves an inf in the last
+    mode, which is quasi-static, on subinterval 1, as a pass that overflows
+    would: only that column of the stage values is not finite, and the
+    residual is NaN.  The error names slab 1 when slab 2's interior rows
+    are NaN (g is NaN inside slab 2) and when slab 2's coupling reaches
+    the refinement threshold, before any restart."""
     base = build_reference_example(M=1024)
     problem = base
     if later == "nan":
         problem = dataclasses.replace(base, g=lambda t: math.nan if 0.3 < t < 0.45 else float(base.g(t)))
     norm = collocation.BlockSystem.contraction_norm
-    overflow_in_the_fill(monkeypatch, 1)
+    eliminate = collocation._eliminate_split
+
+    def overflowing(system, x0, w0):
+        if system.slab != 1:
+            return eliminate(system, x0, w0)
+        modes = collocation.SlabInterior.modes
+        passes = []
+
+        def second_overflows(self, c):
+            out = modes(self, c)
+            passes.append(out)
+            if len(passes) == 2:
+                out[0, -1] = np.inf
+            return out
+
+        monkeypatch.setattr(collocation.SlabInterior, "modes", second_overflows)
+        try:
+            x, w_int, Phi, Dw = eliminate(system, x0, w0)
+        finally:
+            monkeypatch.setattr(collocation.SlabInterior, "modes", modes)
+        assert system.interior.moving < system.M and not np.isfinite(x[1, -1])
+        assert np.isfinite(np.delete(x, -1, axis=1)).all() and np.isfinite(w_int).all()
+        return x, w_int, Phi, Dw
+
+    monkeypatch.setattr(collocation, "_eliminate_split", overflowing)
     if later == "refines":
         monkeypatch.setattr(
             collocation.BlockSystem, "contraction_norm", lambda self: 0.75 if self.slab == 2 else norm(self)
@@ -1843,9 +1804,10 @@ def test_a_stage_whose_trace_rows_alone_are_not_finite_raises_before_a_later_sla
         init(self, family, grid, partition)
 
     monkeypatch.setattr(CoefficientAssembler, "__init__", counting)
-    with pytest.raises(NonFiniteStageError, match="on slab 1") as exc:
+    # the residual's interior rows take inf - inf in that column, which numpy reports as invalid
+    with pytest.raises(NonFiniteStageError, match="on slab 1") as exc, np.errstate(invalid="ignore"):
         march(problem, SolverConfig(N=12, K=4, M=1024, T=problem.T))
-    assert exc.value.slab == 1 and exc.value.residual == np.inf
+    assert exc.value.slab == 1 and np.isnan(exc.value.residual)
     assert partitions == [4]
 
 
@@ -1894,9 +1856,25 @@ def test_s_tilde_and_the_coupling_scale_are_each_built_once():
 
 
 def all_modes_move(monkeypatch):
-    """Patch ``SlabInterior.moving`` to M, so that every sweep runs over all
-    the modes, exact-zero products included."""
-    monkeypatch.setattr(collocation.SlabInterior, "moving", property(lambda self: self.E.shape[1]))
+    """Build every interior with all its modes in the maps and no tail: the
+    quasi-static columns are taken by the Gauss-Laguerre rule one (k, n) at
+    a time, as the moving modes' columns are, so that every sweep and every
+    map pass runs over all the modes, exact-zero products included."""
+    build = CoefficientAssembler._interior
+
+    def whole(self, tau, t_m):
+        interior = build(self, tau, t_m)
+        N, Q1, moving = interior.maps.shape
+        half = 0.5 * self.grid.spacings[:, None]
+        h = 1.0 / (half * (0.5 * tau * self.family.frozen_eigenvalues(t_m))[moving:])
+        chebyshev = collocation._chebyshev_basis(2.0 * self._split * h.ravel() - 1.0, Q1 - 1, (half * h).ravel())
+        tail = np.matmul(self._laguerre.T, chebyshev.reshape(Q1, *h.shape).transpose(1, 0, 2))
+        return dataclasses.replace(
+            interior, maps=np.concatenate([interior.maps, tail], axis=2),
+            tail_maps=np.empty((N, Q1, 0)), tail_basis=np.empty((0, 0)),
+        )
+
+    monkeypatch.setattr(CoefficientAssembler, "_interior", whole)
 
 
 @pytest.mark.parametrize(
@@ -1926,12 +1904,44 @@ def test_moving_counts_the_modes_with_a_nonzero_propagator(build, N, K, M, movin
 
 
 def test_moving_does_not_assume_a_monotone_propagator():
-    """A nonzero E past a run of zeros, on one subinterval only, still counts."""
-    E = np.zeros((3, 6))
-    E[2, 4] = 5e-324
-    interior = collocation.SlabInterior(1.0, E, np.zeros((3, 2, 6)), np.ones(6), np.ones(6))
-    assert interior.moving == 5
-    assert dataclasses.replace(interior, E=np.zeros((3, 6))).moving == 0
+    """A nonzero E past a run of zeros, on some subintervals only, still
+    counts, and the tail past it need not be monotone in the rate.  At
+    N = 3, K = 1 and T = 1 the subintervals have theta = 0.5, 1, 0.5, so
+    E = exp(-mu theta / 2): mode 4 (mu = 2e3) is nonzero on the short ones
+    only, modes 1-3 and the tail are zero everywhere.  With every E zero
+    the tail holds every mode.  Every column of the multiplied-out maps
+    matches the barycentric table within 4e-15 of its largest |.|."""
+    grid = build_grid(3)
+    for mu, moving in (([1.0, 4e3, 6e3, 5e3, 2e3, 8e3, 5e3], 5), ([4e3, 8e3, 5e3], 0)):
+        mu = np.array(mu)
+        basis = dataclasses.replace(heat_basis(mu.size), mu=mu)
+        assembler = CoefficientAssembler(constant_family(basis), grid, TimePartition(1.0, 1))
+        interior = assembler.slab(1).interior
+        assert interior.moving == moving
+        assert interior.E[:, moving - 1].any() if moving else not interior.E.any()
+        assert not interior.E[:, moving:].any() and interior.tail_basis.shape[1] == mu.size - moving
+        for k, R in enumerate(interior.dense_maps().transpose(0, 2, 1)):
+            want = barycentric_map(assembler, k, 0.5 * mu)
+            assert (np.abs(R - want).max(axis=1) <= 4e-15 * np.abs(want).max(axis=1)).all(), k
+
+
+def test_a_quasi_static_mode_within_the_split_keeps_its_gauss_legendre_column():
+    """The tail starts past every mode whose E is nonzero somewhere or
+    whose lam is at most the split on the shortest subinterval: E = 0
+    alone implies lam > 372.5, which exceeds the split only for data
+    degrees up to 352.  With the split patched to 400, at N = 2, K = 1 and
+    T = 1 (theta = 1, lam = mu / 4), the modes at lam = 380 and 390 have
+    E = 0 on both subintervals but stay in the maps, where their columns
+    are the Gauss-Legendre rule's bit for bit; the tail starts at lam = 500."""
+    lam = np.array([1.0, 380.0, 390.0, 500.0, 600.0])
+    basis = dataclasses.replace(heat_basis(lam.size), mu=4.0 * lam)
+    assembler = CoefficientAssembler(constant_family(basis), build_grid(2), TimePartition(1.0, 1))
+    assembler._split = 400.0
+    interior = assembler.slab(1).interior
+    assert not interior.E[:, 1:].any() and interior.moving == 3
+    z, w_lag = assembler._legendre
+    want = 0.5 * (np.exp(-np.tile(lam[:3], 2)[:, None] * (1.0 + z)) @ w_lag)
+    assert interior.maps.tobytes() == want.reshape(2, 3, -1).transpose(0, 2, 1).tobytes()
 
 
 @LAYOUT_CASES
@@ -1954,7 +1964,7 @@ def test_sweeps_over_the_moving_modes_equal_the_sweeps_over_all(build, M):
         r[parity::2] = 0.0
         want = swept(r)
         assert collocation._forward_sub(system, r.copy()).tobytes() == want.tobytes()
-        rows = np.stack([r, 2.0 * r], axis=1)  # two rows side by side, as the direct solve sweeps Phi
+        rows = np.stack([r, 2.0 * r], axis=1)  # two rows side by side, which broadcast against E
         assert collocation._forward_sub(system, rows).tobytes() == np.stack([want, swept(2.0 * r)], axis=1).tobytes()
         want = np.zeros(r.shape)
         want[1:] = want[1:] + E[1:] * r[:-1]
@@ -1974,10 +1984,24 @@ def nodal_values(trace) -> np.ndarray:
     ids=["reference", "neumann", "varying"],
 )
 def test_sweeping_the_moving_modes_only_keeps_the_march(build, N, K, M, mode, monkeypatch):
-    """The march with the sweeps cut at ``moving`` against the march over
-    all modes: the node values agree within 1e-15 of each node's largest,
-    and max_eps1 is the same float.  Only the trace images, whose sums
-    drop the exact zeros, may round otherwise."""
+    """The march with the sweeps cut at ``moving`` and the quasi-static
+    maps in their separable form C_k B against the march whose maps hold
+    every mode (``all_modes_move``): max_eps1 is the same float, and the
+    node values agree within 1e-15 of each node's largest for the direct
+    solve.  Only the quasi-static columns and the sums that drop exact
+    zeros may round otherwise.
+
+    The fixed-point solve gets 3e-14, from the 2.2e-14 measured on
+    Neumann (12, 1, 512) (4.6e-15 at (12, 4, 4096)).  The whole difference
+    comes from the trace weights H, whose quasi-static part C_k (B t s)
+    sums in another order: taking H alone from the separable form leaves
+    the two marches within 1.6e-16.  H moves W = (I - Lambda D)^{-1} by a
+    few ulps, and the fixed-point trace row W (Lambda (I - S~) x + Lambda Phi)
+    applies W to two terms of about 0.37 that cancel to w of about 1e-3 on
+    the first slab, so w moves by about 1e-17, which is 2e-14 of the
+    decayed values of the last node.  The direct solve applies its matrix
+    to w itself.  Fixed point and direct differ by 7e-12 of each node's
+    largest there, at the default tolerance."""
     problem = build(M=M)
     config = SolverConfig(N=N, K=K, M=M, T=problem.T, mode=mode)
     split = march(problem, config)
@@ -1986,7 +2010,7 @@ def test_sweeping_the_moving_modes_only_keeps_the_march(build, N, K, M, mode, mo
     assert split.refinements == full.refinements
     assert (split.node_times() == full.node_times()).all()
     want = nodal_values(full)
-    assert_rows_agree(nodal_values(split), want, want)
+    assert_rows_agree(nodal_values(split), want, want, rel=1e-15 if mode == "direct" else 3e-14)
     assert compute_errors(split, problem).max_eps1 == compute_errors(full, problem).max_eps1
 
 
@@ -2036,9 +2060,9 @@ def test_nan_boundary_data_stops_the_march_when_no_mode_moves(K):
 
 def test_a_nan_in_the_last_initial_mode_makes_a_standalone_residual_nan():
     """At (12, 1, 1024) the last mode is quasi-static and E[0] is 0.0
-    there, so a NaN in x0's last mode reaches the stage values in that
-    column only, in rows 0 and 1, and not w: the trace rows carry it to
-    the residual, which is NaN."""
+    there, so a NaN in x0's last mode makes E[0] x0 NaN in that column of
+    Phi, which the trace row Lambda S~^{-1} Phi carries to w and so to
+    every stage value.  The residual is NaN."""
     M = 1024
     problem = build_reference_example(M=M)
     system = assemble_coefficients(
@@ -2047,16 +2071,14 @@ def test_a_nan_in_the_last_initial_mode_makes_a_standalone_residual_nan():
     x0 = problem.u0.copy()
     x0[-1] = np.nan
     stage = solve_stage_direct(system, x0, float(problem.u0 @ problem.basis.boundary_trace))
-    assert np.isnan(stage.x).sum() == 2 and np.isfinite(stage.boundary_traces).all()
+    assert np.isnan(stage.x[1:]).all() and np.isnan(stage.boundary_traces[1:]).all()
     assert np.isnan(stage.residual)
 
 
 def test_a_forcing_nan_in_the_last_mode_alone_stops_the_direct_march():
-    """At (12, 1, 1024) only 67 modes move, and the direct solve takes the
-    quasi-static modes after the trace solve, where their interior rows
-    hold exactly.  A forcing that is NaN in the last mode only reaches the
-    stage values through the trace row, Lambda f_x past ``moving``, and
-    still raises on slab 1."""
+    """At (12, 1, 1024) only 67 modes move.  A forcing that is NaN in the
+    last mode only, which is quasi-static, reaches the stage values
+    through the trace row Lambda S~^{-1} Phi, and raises on slab 1."""
     M = 1024
 
     def forcing(t):
@@ -2071,10 +2093,10 @@ def test_a_forcing_nan_in_the_last_mode_alone_stops_the_direct_march():
 
 
 def test_a_slab_where_no_mode_moves_is_all_quasi_static():
-    """With c = 1e6 every propagator underflows (``moving`` is 0): the direct
-    solve has no moving block and takes every mode from its one pass after
-    the trace solve.  Its stage is finite, its residual tiny, and it agrees
-    with the fixed-point solve."""
+    """With c = 1e6 every propagator underflows (``moving`` is 0): the maps
+    are empty, every mode is in the tail C_k B, and the direct solve has
+    no moving block to sweep.  Its stage is finite, its residual tiny, and
+    it agrees with the fixed-point solve."""
     base = build_reference_example(M=64)
     problem = dataclasses.replace(base, family=constant_family(base.basis, a=1.0, c=1e6))
     config = SolverConfig(N=6, K=1, M=64, T=problem.T)

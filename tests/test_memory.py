@@ -20,8 +20,12 @@ the quasi-static modes (all but 133 of the 4096) taken in one stacked pass
 of the maps after the trace solve, written straight into the stage's
 values, it peaked at 8 206 876.  With the quasi-static modes of all four
 slabs filled in one pass of the maps when the march ends, one subinterval
-at a time into one (8, 3963) buffer, it peaks at 7 645 229; the bound
-allows 5% above that, so one (N, N + 1, M) array (5.1 MB) breaks it.
+at a time into one (8, 3963) buffer, it peaked at 7 645 229.  With the
+maps built for the moving modes only and the quasi-static ones taken from
+the separable tail C_k B, whose basis B is 0.41 MB, in place of their
+4.9 MB of maps, each slab solved over all modes at once, it peaks at
+4 054 245; the bound allows 5% above that, so one (N, N + 1, M) array
+(5.1 MB) or the quasi-static maps multiplied out (4.9 MB) break it.
 
 The varying manufactured problem at N = 12, K = 8, M = 128 marched and
 evaluated the same way took the batched LU path, whose right-hand side was
@@ -37,9 +41,9 @@ computed when the assembler is built, while slab l + 1's interior was
 built with slab l's still held.  With each slab's times and scale taken
 per slab, and the previous interior freed first, it peaked at 453 160; the
 bound allows 5% above that, so one (N, N + 1, M) array (160 kB) or a
-second interior breaks it.  Every mode moves there, so the direct solve
-keeps the parent's trace row; it reads 453 496, a peak set while a slab
-is assembled, not by the solve.
+second interior breaks it.  Every mode moves there, so no interior has a
+tail; it reads 454 440 with the separable tail in place, a peak set while
+a slab is assembled, not by the solve.
 
 The CLI ``solve --N 16 --K 32 --M 128``, stdout captured in memory, peaked
 at 7 219 681 bytes with one ``repr`` per CSV cell and at 7 242 021 with
@@ -93,7 +97,7 @@ from duhamelcheb import (
 )
 from problems import varying_manufactured_problem
 
-MEASURED_PEAK_BYTES = 7_645_229
+MEASURED_PEAK_BYTES = 4_054_245
 MEASURED_VARYING_PEAK_BYTES = 453_160
 MEASURED_CLI_PEAK_BYTES = 2_792_328
 MEASURED_STRUCTURED_PEAK_BYTES = 13_100_761
