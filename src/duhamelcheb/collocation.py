@@ -23,7 +23,9 @@ Each part is explained in one place:
 - :class:`BlockSystem`: the blocks of the stage system, with the boundary
   coupling kept factored and g kept as samples (:func:`solve_stage_direct`);
 - :func:`solve_stage_direct` and :func:`solve_stage_fixed_point`: the two
-  stage solvers, which share one trace row w = Lambda x~ (``_lam_apply``).
+  stage solvers, which share Phi (``_add_inflow``), one trace row
+  w = Lambda x~ (``_lam_apply``) and the stage residual
+  (``_stage_solution``).
 """
 from __future__ import annotations
 
@@ -268,8 +270,8 @@ class BlockSystem:
               the integrand.  It is kept factored as V and the maps: the
               solvers form V y in sample space and take it through the maps,
               at O(N M Q) cost; F_y w0 and the g term share one pass,
-              c0 = V[0] w0 - g, then ``_add_inflow``.  The direct solve
-              reads Lambda S~^{-1} D as G V, from the trace images G
+              and ``_add_inflow`` forms Phi.  The direct solve reads
+              Lambda S~^{-1} D as G V, from the trace images G
               (:attr:`SlabInterior.trace_images`).
 
     Slabs may share one interior, with its E, maps and trace, so solvers
@@ -761,9 +763,12 @@ class StageSolution:
     fp_ratios: np.ndarray | None = None
 
 
-def _add_inflow(system: BlockSystem, Phi: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Phi += F_x x0 + f_x in place: F_x is E[0] in row 1 and zero
-    elsewhere, so x0 enters row 1 only; the forcing, if any, is added last."""
+def _add_inflow(system: BlockSystem, x0: np.ndarray, w0: float) -> np.ndarray:
+    """Phi = modes(V[0] w0 - g) + F_x x0 + f_x, summed in place in that order:
+    F_y w0 and the g term share one pass of the maps, F_x is E[0] in row 1
+    and zero elsewhere, so x0 enters row 1 only, and the forcing, if any,
+    is added last."""
+    Phi = system.interior.modes(w0 * system.lag_b[:, 0] - system.g_loc)
     Phi[0] += system.E[0] * x0
     if system.forcing is not None:
         Phi += system.forcing
@@ -788,7 +793,7 @@ def _trace_samples(system: BlockSystem, y: np.ndarray) -> np.ndarray:
 
 
 def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
-    """Apply the inverse of S~ to r of shape (N, [rows,] M) in place, by forward substitution.
+    """Apply the inverse of S~ to r of shape (N, M) in place, by forward substitution.
 
     It sweeps the moving modes (see :class:`SlabInterior`); past them r is
     the result but for the sign of a zero: the skipped products, 0.0 where
@@ -799,34 +804,8 @@ def _forward_sub(system: BlockSystem, r: np.ndarray) -> np.ndarray:
     head = r[..., :moving]
     for E_k, above, row in zip(system.E[1:, :moving], head, head[1:]):
         row += E_k * above
-    r[1:, ..., moving:] += 0.0
+    r[1:, moving:] += 0.0
     return r
-
-
-def _eliminate_split(system: BlockSystem, x0: np.ndarray, w0: float):
-    """x, w_1..w_N, Phi and D w of one slab, from the factored coupling.
-
-    x, (N+1, M), holds x0 and x~.  See :func:`solve_stage_direct`.
-    """
-    interior, N, M = system.interior, system.N, system.M
-    Phi = _add_inflow(system, interior.modes(w0 * system.lag_b[:, 0] - system.g_loc), x0)
-    Z_phi = _forward_sub(system, Phi.copy())
-    LZ_D = interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
-    w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
-    x = np.empty((N + 1, M))
-    x[0] = x0
-    xt = x[1:]
-    Dw = interior.modes(_trace_samples(system, w_int))
-    xt[...] = Dw
-    _forward_sub(system, xt)
-    xt += Z_phi
-    return x, w_int, Phi, Dw
-
-
-def _trace_residual(interior_rows: float, trace_defect: np.ndarray) -> float:
-    """The stage residual from the interior rows' max defect and the trace
-    rows' defect; NaN when either holds a NaN."""
-    return float(np.maximum(interior_rows, np.abs(trace_defect).max()))
 
 
 def _stage_solution(
@@ -838,7 +817,8 @@ def _stage_solution(
 
     The residual is the max-norm defect of the collocation equations: the
     interior rows, whose right-hand side is summed left to right in place
-    and then holds the defect, and the trace rows.
+    and then holds the defect, and the trace rows; NaN when either holds a
+    NaN.
     """
     xt = x[1:]
     rhs = _imsc(system, xt)
@@ -846,7 +826,7 @@ def _stage_solution(
     rhs += Phi
     trace_defect = w_int - _lam_apply(system, rhs)
     rhs -= xt
-    residual = _trace_residual(np.abs(rhs, out=rhs).max(initial=0.0), trace_defect)
+    residual = float(np.maximum(np.abs(rhs, out=rhs).max(initial=0.0), np.abs(trace_defect).max()))
     w = np.concatenate([[w0], w_int])
     return StageSolution(
         slab=system.slab,
@@ -865,21 +845,33 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
 
     The interior rows read S~ x~ = D w + Phi, and the trace rows
     w = Lambda x~, so (I - Lambda S~^{-1} D) w = Lambda S~^{-1} Phi and then
-    x~ = S~^{-1} Phi + S~^{-1} D w.  Phi and D w come from the factored
-    coupling (see :class:`BlockSystem`), each one pass of the maps and
-    their separable tail over all modes, and Lambda S~^{-1} D is G V with
-    the trace images G of the slab's interior (:class:`SlabInterior`).  Phi
-    is formed before the trace solve and D w after it; each is swept
-    through S~^{-1} on its own, over the moving modes, and they are added
-    only at the end: summing them before the sweep would turn the trace's
-    quantised cancellation remainders into smooth noise, which the CSV
-    output pays for in distinct values.  The (N, N+1, M) coupling is never
-    multiplied out.
+    x~ = S~^{-1} Phi + S~^{-1} D w.  Phi (``_add_inflow``) and D w come
+    from the factored coupling (see :class:`BlockSystem`), each one pass of
+    the maps and their separable tail over all modes, and Lambda S~^{-1} D
+    is G V with the trace images G of the slab's interior
+    (:class:`SlabInterior`).  Phi is formed before the trace solve and D w
+    after it; each is swept through S~^{-1} on its own, over the moving
+    modes, and they are added only at the end: summing them before the
+    sweep would turn the trace's quantised cancellation remainders into
+    smooth noise, which the CSV output pays for in distinct values.  The
+    (N, N+1, M) coupling is never multiplied out.
     """
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    x, w_int, Phi, Dw = _eliminate_split(system, x0, w0)
+    interior, N = system.interior, system.N
+    Phi = _add_inflow(system, x0, w0)
+    Z_phi = _forward_sub(system, Phi.copy())
+    LZ_D = interior.trace_images.reshape(N, -1) @ system.lag_b[:, 1:].transpose(0, 2, 1).reshape(-1, N)
+    w_int = np.linalg.solve(np.eye(N) - LZ_D, _lam_apply(system, Z_phi))
+    x = np.empty((N + 1, system.M))
+    x[0] = x0
+    xt = x[1:]
+    Dw = interior.modes(_trace_samples(system, w_int))
+    xt[...] = Dw
+    _forward_sub(system, xt)
+    xt += Z_phi
+    del Z_phi  # freed before the residual pass, which would otherwise raise the march's peak
     return _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
 
 
@@ -903,12 +895,11 @@ def solve_stage_fixed_point(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     check_count("max_iter", max_iter)
     interior, N, M = system.interior, system.N, system.M
-    Pmat = system.lambda_d
     rho = system.contraction_norm()
     if rho >= 1.0:
         raise SlabContractionError(rho, system.slab)
-    W = np.linalg.inv(np.eye(N) - Pmat)
-    Phi = _add_inflow(system, interior.modes(w0 * system.lag_b[:, 0] - system.g_loc), x0)
+    W = np.linalg.inv(np.eye(N) - system.lambda_d)
+    Phi = _add_inflow(system, x0, w0)
     lamPhi = _lam_apply(system, Phi)
     const = _forward_sub(system, interior.modes(_trace_samples(system, W @ lamPhi)) + Phi)
 
@@ -1022,6 +1013,7 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
     grid = build_grid(config.N)
     K = config.K
     refinements = 0
+    system = None
     while True:
         partition = TimePartition(config.T, K)
         assembler = CoefficientAssembler(family, grid, partition)
@@ -1031,14 +1023,12 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
         w_prev = float(u0 @ basis.boundary_trace)
         solve_seconds = 0.0
         contraction_max = 0.0
-        refine = False
         for l in range(1, K + 1):
+            del system  # slab l - 1's, or the refined-away slab's, freed with its maps before slab l is assembled
             system = assembler.slab(l, problem.g, problem.forcing, problem.b)
             rho = system.contraction_norm()
             contraction_max = max(contraction_max, rho)
             if rho >= CONTRACTION_REFINE and refinements < MAX_REFINEMENTS:
-                refine = True
-                del system  # freed before the restarted march assembles its first slab
                 break
             t0 = time.perf_counter()
             if config.mode == "direct":
@@ -1048,25 +1038,22 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
                     system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
                 )
             solve_seconds += time.perf_counter() - t0
-            unscale = system.unscale
-            del system  # freed, with its maps, before slab l + 1 is assembled
             if not np.isfinite(stage.residual):
                 raise NonFiniteStageError(stage.residual, l)
             stages.append(stage)
-            if unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
+            if system.unscale is not None:  # the new stage's own arrays, which nothing else holds, lose the clock's scale in place
                 for values in (stage.x.T, stage.boundary_traces, stage.y):
-                    values *= unscale
+                    values *= system.unscale
             x_prev, w_prev = stage.x[-1], float(stage.boundary_traces[-1])
-        if refine:
-            K *= 2
-            refinements += 1
-            continue
-        return SolutionTrace(
-            config=config,
-            partition=partition,
-            grid=grid,
-            stages=stages,
-            solve_seconds=solve_seconds,
-            refinements=refinements,
-            contraction_max=contraction_max,
-        )
+        else:
+            return SolutionTrace(
+                config=config,
+                partition=partition,
+                grid=grid,
+                stages=stages,
+                solve_seconds=solve_seconds,
+                refinements=refinements,
+                contraction_max=contraction_max,
+            )
+        K *= 2
+        refinements += 1

@@ -14,6 +14,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import weakref
@@ -529,6 +530,35 @@ def test_contraction_error_raised_for_strong_coupling():
     assert "on slab 1:" in str(exc.value)
 
 
+def test_fixed_point_solve_raises_on_a_coupling_that_does_not_contract():
+    """The reference rod with b = 20 couples its one slab at (8, 1, 128)
+    with ||Lambda D|| = 16.1: the fixed-point solve, called on that slab
+    directly, raises before it sweeps."""
+    problem = dataclasses.replace(build_reference_example(M=128), b=ExpDecay(20.0, 0.0))
+    assembler = CoefficientAssembler(problem.family, build_grid(8), TimePartition(problem.T, 1))
+    system = assembler.slab(1, problem.g, problem.forcing, problem.b)
+    w0 = float(problem.u0 @ problem.basis.boundary_trace)
+    with pytest.raises(SlabContractionError, match=r"^boundary coupling norm 16\.1 on slab 1: slab too long; increase K$") as exc:
+        solve_stage_fixed_point(system, problem.u0, w0)
+    assert exc.value.slab == 1 and exc.value.norm == system.contraction_norm()
+
+
+def test_fixed_point_solve_raises_on_growing_successive_differences(monkeypatch):
+    """With the contraction check patched to pass, the fixed-point sweep of
+    the exact b = 20 problem, u = e^{-pi^2 t/4} sin(pi x/2) with
+    g = 20 e^{-pi^2 t/4}, at (16, 1, 128) grows: its differences rise three
+    sweeps running, past the first, and it raises after 4 sweeps with
+    ratio 1.2."""
+    base = build_reference_example(M=128)
+    problem = dataclasses.replace(base, b=ExpDecay(20.0, 0.0), g=ExpDecay(20.0, np.pi**2 / 4.0))
+    assert problem.compatibility_defect() <= 1e-15
+    monkeypatch.setattr(collocation.BlockSystem, "contraction_norm", lambda self: 0.0)
+    message = r"^fixed-point iteration diverged on slab 1 after 4 sweeps \(estimated ratio 1\.2\): growing successive differences$"
+    with pytest.raises(FixedPointDivergenceError, match=message) as exc:
+        march(problem, SolverConfig(N=16, K=1, M=128, mode="fixed_point"))
+    assert (exc.value.iterations, exc.value.slab) == (4, 1)
+
+
 def test_auto_refine_splits_slabs():
     basis = heat_basis(64)
     family = constant_family(basis)
@@ -666,6 +696,14 @@ def test_non_finite_initial_mode_is_named(reference_problem, value):
     u0[[3, 7]] = value
     problem = dataclasses.replace(reference_problem, u0=u0)
     with pytest.raises(ValueError, match=rf"^initial mode vector is not finite: u0\[3\] = {value}$"):
+        march(problem, SolverConfig(N=8, K=2, M=128))
+
+
+@pytest.mark.parametrize("shape", [(127,), (129,), (128, 1)], ids=["(M-1,)", "(M+1,)", "(M,1)"])
+def test_initial_mode_vector_of_another_shape_is_named(reference_problem, shape):
+    problem = dataclasses.replace(reference_problem, u0=np.zeros(shape))
+    expected = re.escape(f"initial mode vector has shape {shape}, expected (128,)")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
         march(problem, SolverConfig(N=8, K=2, M=128))
 
 
@@ -1595,9 +1633,10 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     where only signed zeros and F_x x0 meet), and the solver leaves its
     inputs unchanged.  Phi is the one boundary pass modes(V[0] w0 - g),
     then E[0] x0 added to row 1, then the forcing, over all modes for both
-    solvers; ``modes`` takes the moving modes through the maps and the
-    quasi-static ones as (c_k C_k) B, each scaled by s last.  The direct
-    solve's x~ is S~^{-1} D w + S~^{-1} Phi, each swept on its own.  At
+    solvers (``_add_inflow``); ``modes`` takes the moving modes through the
+    maps and the quasi-static ones as (c_k C_k) B, each scaled by s last.
+    The direct solve's x~ is S~^{-1} D w + S~^{-1} Phi, each swept on its
+    own, with D w = modes(V w) of the w it returns.  At
     M = 512, K = 2, 94 of the modes move on the constant family's slab 2.
     With data, a forcing in every mode is added to the problem's, so that
     the order of the three terms shows in every mode."""
@@ -1628,15 +1667,17 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
         want = want + system.forcing
     assert (system.forcing is not None) == data
     inputs = [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)]
-    x, w_int, Phi, Dw = collocation._eliminate_split(system, x0, w0)
+    Phi = collocation._add_inflow(system, x0, w0)
+    solved = collocation.solve_stage_direct(system, x0, w0)
     assert [a.tobytes() for a in (x0, system.E, system.g_loc, system.lag_b)] == inputs
     assert Phi.tobytes() == want.tobytes()
-    cw = np.einsum("kjq,j->kq", system.lag_b[:, 1:], w_int)
-    assert Dw.tobytes() == interior.modes(cw).tobytes()
+    x, w_int = solved.x, solved.boundary_traces[1:]
+    Dw = interior.modes(np.einsum("kjq,j->kq", system.lag_b[:, 1:], w_int))
     assert x[0].tobytes() == x0.tobytes()
     swept = [collocation._forward_sub(system, a.copy()) for a in (Dw, Phi)]
     assert x[1:].tobytes() == (swept[0] + swept[1]).tobytes()
 
+    x = x.copy()
     inputs = [a.tobytes() for a in (x0, x, w_int, Phi, Dw)]
     stage = collocation._stage_solution(system, x, w0, w_int, Phi, Dw, 0.0)
     assert [a.tobytes() for a in (x0, x, w_int, Phi, Dw)] == inputs
@@ -1645,6 +1686,7 @@ def test_in_place_stage_sums_keep_the_left_to_right_order(build, data):
     trace = w_int - collocation._lam_apply(system, rhs)
     want = float(max(np.abs(xt - rhs).max(), np.abs(trace).max()))
     assert np.float64(stage.residual).tobytes() == np.float64(want).tobytes()
+    assert np.float64(solved.residual).tobytes() == np.float64(want).tobytes()
 
 
 def map_reads(problem, N, K, M, monkeypatch):
@@ -1767,11 +1809,11 @@ def test_a_non_finite_quasi_static_column_raises_before_a_later_slab(later, monk
     if later == "nan":
         problem = dataclasses.replace(base, g=lambda t: math.nan if 0.3 < t < 0.45 else float(base.g(t)))
     norm = collocation.BlockSystem.contraction_norm
-    eliminate = collocation._eliminate_split
+    solve = collocation.solve_stage_direct
 
     def overflowing(system, x0, w0):
         if system.slab != 1:
-            return eliminate(system, x0, w0)
+            return solve(system, x0, w0)
         modes = collocation.SlabInterior.modes
         passes = []
 
@@ -1784,14 +1826,15 @@ def test_a_non_finite_quasi_static_column_raises_before_a_later_slab(later, monk
 
         monkeypatch.setattr(collocation.SlabInterior, "modes", second_overflows)
         try:
-            x, w_int, Phi, Dw = eliminate(system, x0, w0)
+            stage = solve(system, x0, w0)
         finally:
             monkeypatch.setattr(collocation.SlabInterior, "modes", modes)
+        x, w_int = stage.x, stage.boundary_traces[1:]
         assert system.interior.moving < system.M and not np.isfinite(x[1, -1])
         assert np.isfinite(np.delete(x, -1, axis=1)).all() and np.isfinite(w_int).all()
-        return x, w_int, Phi, Dw
+        return stage
 
-    monkeypatch.setattr(collocation, "_eliminate_split", overflowing)
+    monkeypatch.setattr(collocation, "solve_stage_direct", overflowing)
     if later == "refines":
         monkeypatch.setattr(
             collocation.BlockSystem, "contraction_norm", lambda self: 0.75 if self.slab == 2 else norm(self)
@@ -1946,8 +1989,8 @@ def test_a_quasi_static_mode_within_the_split_keeps_its_gauss_legendre_column():
 
 @LAYOUT_CASES
 def test_sweeps_over_the_moving_modes_equal_the_sweeps_over_all(build, M):
-    """``_forward_sub``, on one row and on two side by side, and ``_imsc``
-    against their formulas over all modes, bit for bit.  The block vectors
+    """``_forward_sub`` and ``_imsc`` against their formulas over all
+    modes, bit for bit.  The block vectors
     are random with every other row zero, so that each product E[k] r[k-1]
     lands on a zero, where even a subnormal shows."""
     _, _, system = second_slab(build, M)
@@ -1964,8 +2007,6 @@ def test_sweeps_over_the_moving_modes_equal_the_sweeps_over_all(build, M):
         r[parity::2] = 0.0
         want = swept(r)
         assert collocation._forward_sub(system, r.copy()).tobytes() == want.tobytes()
-        rows = np.stack([r, 2.0 * r], axis=1)  # two rows side by side, which broadcast against E
-        assert collocation._forward_sub(system, rows).tobytes() == np.stack([want, swept(2.0 * r)], axis=1).tobytes()
         want = np.zeros(r.shape)
         want[1:] = want[1:] + E[1:] * r[:-1]
         assert collocation._imsc(system, r).tobytes() == want.tobytes()
@@ -2132,8 +2173,8 @@ def test_a_forcing_value_of_the_wrong_shape_is_rejected(value, N, mode):
 )
 def test_march_holds_one_slab_system_at_a_time(build, N, K, mode, monkeypatch):
     """When a slab is assembled, the previous slab's ``BlockSystem``, with
-    its maps and alpha, has been freed, also when the march restarts on a
-    doubled partition (the Neumann problem refines twice)."""
+    its maps, has been freed, also when the march restarts on a doubled
+    partition (the Neumann problem refines twice)."""
     systems, alive = [], []
     slab = CoefficientAssembler.slab
 

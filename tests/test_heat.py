@@ -350,6 +350,20 @@ def test_compute_errors_requires_exact_solution(reference_problem):
         compute_errors(trace, bare)
 
 
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        (lambda problem: residual_tail_bound(problem, [0.5, 1.0]), "residual bound needs an exact solution"),
+        (lambda problem: residual_of_exact_in_integral_equations(problem, [0.5, 1.0]), "residual oracle needs an exact solution"),
+        (lambda problem: problem.compatibility_defect(), "problem has no exact solution attached"),
+    ],
+    ids=["residual_tail_bound", "residual_of_exact_in_integral_equations", "compatibility_defect"],
+)
+def test_the_exact_solution_oracles_require_an_exact_solution(reference_problem, oracle, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle(dataclasses.replace(reference_problem, exact=None))
+
+
 def test_residual_zero_for_zero_problem():
     prob = build_zero_example(M=32)
     res = residual_of_exact_in_integral_equations(prob, (0.5, 1.0))

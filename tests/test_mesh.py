@@ -75,6 +75,12 @@ def test_lagrange_kronecker_property():
         assert np.array_equal(vals, expect)
 
 
+@pytest.mark.parametrize("j", [-1, 5])
+def test_lagrange_basis_index_outside_the_grid_is_rejected(j):
+    with pytest.raises(ValueError, match=rf"^basis index {j} outside 0\.\.4$"):
+        lagrange_eval(build_grid(4), j, 0.3)
+
+
 def test_lagrange_matches_product_form():
     g = build_grid(4)
     assert lagrange_eval(g, 2, 0.3) == pytest.approx(
