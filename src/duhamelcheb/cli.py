@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_solver:
             p.add_argument("--mode", choices=("direct", "picard"), default="direct",
                            help="stage solver: direct elimination or fixed-point sweep")
-            p.add_argument("--fp-tol", type=float, default=SolverConfig.fp_tol)
-            p.add_argument("--fp-max-iter", type=int, default=SolverConfig.fp_max_iter)
 
     p_tables = sub.add_parser("tables", help="single-slab error table for the reference rod")
     p_tables.add_argument("--n", type=int, required=True, choices=(2, 4, 8),
@@ -162,14 +160,13 @@ def _trace_table(trace, problem: HeatProblem) -> Table:
     return Table("solution_trace", config, columns, rows)
 
 
-def _solver_options(args) -> dict:
-    """The stage-solver arguments of ``--mode`` (picard is "fixed_point") and the ``--fp-*`` flags."""
-    mode = "fixed_point" if args.mode == "picard" else args.mode
-    return {"mode": mode, "fp_tol": args.fp_tol, "fp_max_iter": args.fp_max_iter}
+def _solve_mode(args) -> str:
+    """The :class:`SolverConfig` mode of ``--mode`` (picard is "fixed_point")."""
+    return "fixed_point" if args.mode == "picard" else args.mode
 
 
 def _cmd_solve(args) -> int:
-    config = SolverConfig(N=args.N, K=args.K, M=args.M, T=args.T, **_solver_options(args))
+    config = SolverConfig(N=args.N, K=args.K, M=args.M, T=args.T, mode=_solve_mode(args))
     problem = _BUILDERS[args.problem](M=args.M, T=args.T)
     trace = march(problem, config)
     _emit(_trace_table(trace, problem), args.format, args.out)
@@ -183,7 +180,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_convergence(args) -> int:
     problem = build_reference_example(M=args.M, T=args.T)
-    result = run_convergence_study(problem, args.Ns, args.Ks, **_solver_options(args))
+    result = run_convergence_study(problem, args.Ns, args.Ks, _solve_mode(args))
     _emit(result.table(), args.format, args.out)
     return EXIT_OK
 

@@ -65,6 +65,12 @@ CONTRACTION_REFINE = 0.5
 
 MAX_REFINEMENTS = 6
 
+FP_TOL = 1e-12
+"""The fixed-point sweep stops once successive iterates differ by less than this, in max norm."""
+
+FP_MAX_ITER = 400
+"""The fixed-point sweeps allowed per slab before :class:`FixedPointDivergenceError`."""
+
 FORCING_DEGREE = 16
 """The degree P of the slab-wide Chebyshev grid the forcing is sampled on."""
 
@@ -113,9 +119,9 @@ class NonFiniteStageError(RuntimeError):
 class SolverConfig:
     """Discretization parameters.
 
-    N: collocation degree per slab, K: number of slabs, M: retained modes,
-    T: final time, mode: "direct" or "fixed_point", fp_tol / fp_max_iter:
-    fixed-point controls.
+    N: collocation degree per slab, K: number of slabs, M: retained modes
+    (all stored as Python ints), T: final time, mode: "direct" or
+    "fixed_point" (whose sweep runs to :data:`FP_TOL` within :data:`FP_MAX_ITER`).
     """
 
     N: int = 8
@@ -123,18 +129,15 @@ class SolverConfig:
     M: int = 128
     T: float = 1.0
     mode: str = "direct"
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 400
 
     def __post_init__(self):
-        for name in ("N", "K", "M", "fp_max_iter"):
+        for name in ("N", "K", "M"):
             check_count(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not np.isfinite(self.T) or self.T <= 0:
             raise ValueError(f"final time must be finite and positive, got T={self.T}")
         if self.mode not in ("direct", "fixed_point"):
             raise ValueError(f"unknown solve mode {self.mode!r}")
-        if not np.isfinite(self.fp_tol) or self.fp_tol <= 0:
-            raise ValueError(f"fixed-point tolerance must be finite and positive, got {self.fp_tol}")
 
 
 @dataclass(frozen=True)
@@ -875,25 +878,16 @@ def solve_stage_direct(system: BlockSystem, x0: np.ndarray, w0: float) -> StageS
     return _stage_solution(system, x, w0, w_int, Phi, Dw, rho)
 
 
-def solve_stage_fixed_point(
-    system: BlockSystem,
-    x0: np.ndarray,
-    w0: float,
-    tol: float = SolverConfig.fp_tol,
-    max_iter: int = SolverConfig.fp_max_iter,
-) -> StageSolution:
+def solve_stage_fixed_point(system: BlockSystem, x0: np.ndarray, w0: float) -> StageSolution:
     """Fixed-point sweep on the eliminated system.
 
     Iterates x <- S~^{-1} D W Lambda (I - S~) x + const with
     W = [I - Lambda D]^{-1}; converges geometrically when the combined
     coupling is a contraction, with ratio shrinking as the slab shortens.
     Lambda D is H V, and Phi and D y come from the factored coupling (see
-    :class:`BlockSystem`), so no (N, N+1, M) coupling is built.
-    ``tol`` must be finite and positive and ``max_iter`` an integer >= 1.
+    :class:`BlockSystem`), so no (N, N+1, M) coupling is built.  The sweep
+    stops below :data:`FP_TOL` and gives up after :data:`FP_MAX_ITER` sweeps.
     """
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    check_count("max_iter", max_iter)
     interior, N, M = system.interior, system.N, system.M
     rho = system.contraction_norm()
     if rho >= 1.0:
@@ -905,7 +899,7 @@ def solve_stage_fixed_point(
 
     x = np.zeros((N, M))
     history: list[float] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         z = _lam_apply(system, _imsc(system, x))
         x_new = _forward_sub(system, interior.modes(_trace_samples(system, W @ z))) + const
         d = float(np.abs(x_new - x).max())
@@ -913,7 +907,7 @@ def solve_stage_fixed_point(
             raise NonFiniteStageError(d, system.slab)
         history.append(d)
         x = x_new
-        if d < tol:
+        if d < FP_TOL:
             break
         if len(history) >= 4:
             inc = all(history[-i] > history[-i - 1] for i in (1, 2, 3))
@@ -925,7 +919,7 @@ def solve_stage_fixed_point(
     else:
         ratio = history[-1] / history[-2] if len(history) > 1 else np.inf
         raise FixedPointDivergenceError(
-            ratio, max_iter, "iteration cap reached before tolerance", system.slab
+            ratio, FP_MAX_ITER, "iteration cap reached before tolerance", system.slab
         )
 
     w_int = W @ (_lam_apply(system, _imsc(system, x)) + lamPhi)
@@ -1034,9 +1028,7 @@ def march(problem, config: SolverConfig) -> SolutionTrace:
             if config.mode == "direct":
                 stage = solve_stage_direct(system, x_prev, w_prev)
             else:
-                stage = solve_stage_fixed_point(
-                    system, x_prev, w_prev, tol=config.fp_tol, max_iter=config.fp_max_iter
-                )
+                stage = solve_stage_fixed_point(system, x_prev, w_prev)
             solve_seconds += time.perf_counter() - t0
             if not np.isfinite(stage.residual):
                 raise NonFiniteStageError(stage.residual, l)

@@ -16,8 +16,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .collocation import SolverConfig, march
-from .heat import ErrorReport, HeatProblem, Table, compute_errors
-from .kernels import check_probe, sample_data, sample_forcing
+from .heat import PROBE_X, ErrorReport, HeatProblem, Table, compute_errors
+from .kernels import sample_data, sample_forcing
 from .mesh import check_count
 
 __all__ = [
@@ -71,35 +71,22 @@ def _counts(name: str, values) -> list[int]:
     return [int(value) for value in values]
 
 
-def run_convergence_study(
-    problem: HeatProblem,
-    Ns,
-    Ks,
-    mode: str = SolverConfig.mode,
-    fp_tol: float = SolverConfig.fp_tol,
-    fp_max_iter: int = SolverConfig.fp_max_iter,
-    probe_x: float = 0.5,
-) -> StudyResult:
+def run_convergence_study(problem: HeatProblem, Ns, Ks, mode: str = SolverConfig.mode) -> StudyResult:
     """March the problem for every (N, K) pair and collect max errors.
 
     Wall time per row covers the stage solves only, so rows are comparable
-    across N at fixed assembly cost.  ``Ns`` and ``Ks`` must be non-empty
-    lists of integers >= 1 (see :func:`~duhamelcheb.mesh.check_count`) and
-    ``probe_x`` a point of [0, 1], or ``ValueError`` is raised before
-    anything is marched.
+    across N at fixed assembly cost; max_eps2 is taken at
+    :data:`~duhamelcheb.heat.PROBE_X`.  ``Ns`` and ``Ks`` must be non-empty
+    lists of integers >= 1 (see :func:`~duhamelcheb.mesh.check_count`), or
+    ``ValueError`` is raised before anything is marched.
     """
     Ns, Ks = _counts("N", Ns), _counts("K", Ks)
-    check_probe(probe_x)
     M = problem.basis.M
     rows = []
     for N in Ns:
         for K in Ks:
-            config = SolverConfig(
-                N=N, K=K, M=M, T=problem.T, mode=mode,
-                fp_tol=fp_tol, fp_max_iter=fp_max_iter,
-            )
-            trace = march(problem, config)
-            report = compute_errors(trace, problem, probe_x=probe_x)
+            trace = march(problem, SolverConfig(N=N, K=K, M=M, T=problem.T, mode=mode))
+            report = compute_errors(trace, problem)
             rows.append(
                 StudyRow(
                     N=N,
@@ -112,7 +99,7 @@ def run_convergence_study(
             )
     return StudyResult(
         rows=rows,
-        config={"problem": problem.name, "T": problem.T, "M": M, "mode": mode, "probe_x": probe_x},
+        config={"problem": problem.name, "T": problem.T, "M": M, "mode": mode, "probe_x": PROBE_X},
     )
 
 
@@ -159,15 +146,14 @@ def fit_rates(result: StudyResult) -> RateSummary:
     )
 
 
-def baseline_backward_euler(
-    problem: HeatProblem, steps: int, probe_x: float = 0.5
-) -> ErrorReport:
+def baseline_backward_euler(problem: HeatProblem, steps: int) -> ErrorReport:
     """Backward Euler march with per-step lift splitting.
 
     Each step freezes the operator at the new time level, solves the
     implicit system modewise, and closes the scalar boundary equation with
     the exact lift trace.  Boundary and probe values are recorded from the
-    split representation (interior series plus closed-form lift), so the
+    split representation (interior series plus closed-form lift) at x = 1
+    and x = :data:`~duhamelcheb.heat.PROBE_X`, so the
     reported errors measure the time discretization rather than series
     truncation; the report keeps them as ``boundary_values`` and
     ``probe_values``.
@@ -177,20 +163,19 @@ def baseline_backward_euler(
     :func:`~duhamelcheb.kernels.sample_data` (one array call for an
     ``ExpDecay``).  A constant family builds the frozen step operator once;
     the forcing is called once per step.  ``wall_time_s`` covers the
-    sampling and the stepping.  ``steps`` must be an integer >= 1 and
-    ``probe_x`` a point of [0, 1], or ``ValueError`` is raised; a problem
+    sampling and the stepping.  ``steps`` must be an integer >= 1, or
+    ``ValueError`` is raised; a problem
     without an exact solution raises it once the steps are taken
     (:meth:`ErrorReport.measured`).
     """
     check_count("steps", steps)
-    check_probe(probe_x)
     family = problem.family
     basis = family.basis
     h = problem.T / steps
     trace1 = basis.boundary_trace
-    phi_probe = basis.eigenfunctions(probe_x)
+    phi_probe = basis.eigenfunctions(PROBE_X)
     lift1 = basis.lift_boundary_value
-    lift_probe = float(basis.lift_profile(probe_x))
+    lift_probe = float(basis.lift_profile(PROBE_X))
     b_lift = basis.lift_coeffs
 
     u = problem.u0.copy()
@@ -235,10 +220,10 @@ def baseline_backward_euler(
         "M": basis.M,
         "T": problem.T,
         "problem": problem.name,
-        "probe_x": probe_x,
+        "probe_x": PROBE_X,
         "wall_time_s": wall,
     }
-    return ErrorReport.measured(problem, times, vals1, valsp, probe_x, config)
+    return ErrorReport.measured(problem, times, vals1, valsp, config)
 
 
 def baseline_sweep(problem: HeatProblem, steps_list) -> Table:
@@ -259,8 +244,11 @@ def equal_budget_baseline(problem: HeatProblem, budget: float) -> ErrorReport:
     """Backward Euler at the first step count whose wall time reaches ``budget``.
 
     Step counts double from 16; at 2**16 steps the search stops and that
-    report is returned whether or not it reached the budget.
+    report is returned whether or not it reached the budget.  A NaN or
+    negative ``budget`` raises ``ValueError`` before any step is taken.
     """
+    if not budget >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget}")
     steps = 16
     report = baseline_backward_euler(problem, steps)
     while report.config["wall_time_s"] < budget and steps < 2**16:

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .operators import EigenBasis, OperatorFamily, heat_basis, constant_family
-from .kernels import ExpDecay, KernelSeries, check_probe, exp_integral, homogeneous_v
+from .kernels import ExpDecay, KernelSeries, exp_integral, homogeneous_v
 from .collocation import SolutionTrace
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
     "residual_of_exact_in_integral_equations",
     "residual_tail_bound",
 ]
+
+PROBE_X = 0.5
+"""The interior point x at which the error reports take eps2."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,11 @@ class HeatProblem:
     def basis(self) -> EigenBasis:
         return self.family.basis
 
-    def compatibility_defect(self, samples: int = 9) -> float:
-        """Max defect of the Robin identity for the attached exact solution; NaN if one defect is."""
+    def compatibility_defect(self) -> float:
+        """Max defect of the Robin identity for the attached exact solution at 9 equispaced times; NaN if one defect is."""
         if self.exact is None:
             raise ValueError("problem has no exact solution attached")
-        ts = np.linspace(0.0, self.T, samples)
+        ts = np.linspace(0.0, self.T, 9)
         vals = [
             abs(self.exact.neumann_trace(t) + self.b(t) * self.exact.boundary_value(t) - self.g(t))
             for t in ts
@@ -356,10 +359,10 @@ class ErrorReport:
     """Nodewise errors of an approximate solution against the exact solution.
 
     eps1 is the boundary-value error |u(1, t) - u_N(1, t)|, eps2 the error
-    at the probe point (x = 1/2 by default).  The first row is the initial
+    at the probe point x = :data:`PROBE_X`.  The first row is the initial
     time, which ``max_eps1`` and ``max_eps2`` skip unless it is the only
     row.  boundary_values and probe_values, when given, are the approximate
-    values u_N(1, t) and u_N(probe_x, t) the errors were taken from; the
+    values u_N(1, t) and u_N(PROBE_X, t) the errors were taken from; the
     table does not render them.  :meth:`measured` builds a report from them,
     for :func:`compute_errors` and the backward Euler baseline alike.
     """
@@ -374,7 +377,7 @@ class ErrorReport:
     @classmethod
     def measured(
         cls, problem: HeatProblem, times: np.ndarray, boundary_values: np.ndarray,
-        probe_values: np.ndarray, probe_x: float, config: dict,
+        probe_values: np.ndarray, config: dict,
     ) -> ErrorReport:
         """The report of the approximate values at ``times``, against ``problem.exact``.
 
@@ -384,7 +387,7 @@ class ErrorReport:
         if exact is None:
             raise ValueError("error report needs a problem with an exact solution")
         eps1 = np.abs(np.asarray(exact.boundary_value(times), dtype=float) - boundary_values)
-        eps2 = np.abs(np.asarray(exact(probe_x, times), dtype=float) - probe_values)
+        eps2 = np.abs(np.asarray(exact(PROBE_X, times), dtype=float) - probe_values)
         return cls(times, eps1, eps2, config, boundary_values, probe_values)
 
     @property
@@ -405,13 +408,11 @@ def _max_past_initial(eps: np.ndarray) -> float:
     return float(eps[min(1, eps.shape[0] - 1):].max())
 
 
-def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 0.5) -> ErrorReport:
-    """Error report of a marched trace at all distinct node times.
+def compute_errors(trace: SolutionTrace, problem: HeatProblem) -> ErrorReport:
+    """Error report of a marched trace at all distinct node times, eps2 at :data:`PROBE_X`.
 
-    Raises ``ValueError`` without an exact solution or for a ``probe_x``
-    off the rod (see :func:`~duhamelcheb.kernels.check_probe`).
+    Raises ``ValueError`` without an exact solution.
     """
-    check_probe(probe_x)
     basis = problem.basis
     modes = trace.node_modes()
     cfg = {
@@ -421,11 +422,11 @@ def compute_errors(trace: SolutionTrace, problem: HeatProblem, probe_x: float = 
         "T": trace.config.T,
         "mode": trace.config.mode,
         "problem": problem.name,
-        "probe_x": probe_x,
+        "probe_x": PROBE_X,
         "refinements": trace.refinements,
     }
-    boundary, probe = modes @ basis.boundary_trace, modes @ basis.eigenfunctions(probe_x)
-    return ErrorReport.measured(problem, trace.node_times(), boundary, probe, probe_x, cfg)
+    boundary, probe = modes @ basis.boundary_trace, modes @ basis.eigenfunctions(PROBE_X)
+    return ErrorReport.measured(problem, trace.node_times(), boundary, probe, cfg)
 
 
 def _modal_convolution(basis: EigenBasis, data: ExpDecay, t: float) -> np.ndarray:
@@ -483,12 +484,7 @@ def residual_tail_bound(problem: HeatProblem, times) -> float:
     return float(kernel_part + initial_part)
 
 
-def residual_of_exact_in_integral_equations(
-    problem: HeatProblem,
-    times,
-    sign: float = 1.0,
-    x_probes: tuple[float, ...] = (0.3, 0.5, 0.9, 1.0),
-) -> IntegralResidual:
+def residual_of_exact_in_integral_equations(problem: HeatProblem, times, sign: float = 1.0) -> IntegralResidual:
     """Residual of the exact solution in the truncated integral equations.
 
     The equivalent system states, with v the zero-boundary homogeneous
@@ -498,6 +494,7 @@ def residual_of_exact_in_integral_equations(
                           - int_0^t K1(t - lam, x) b(lam) u(1, lam) dlam,
 
     and its boundary trace (through K = K1(., 1)) multiplied by b(t).
+    The field identity is checked at x = 0.3, 0.5, 0.9 and 1.
     ``sign`` multiplies both kernel integrals; the true convention is +1,
     and the residual blows past the truncation bound for the flipped sign
     whenever g and b u(1, .) do not cancel.
@@ -519,7 +516,7 @@ def residual_of_exact_in_integral_equations(
     )
     ts = _residual_times(times)
     kappa = basis.mu * basis.lift_coeffs
-    xs = np.asarray(x_probes, dtype=float)
+    xs = np.array([0.3, 0.5, 0.9, 1.0])
     phis = basis.eigenfunctions(xs)
 
     res_field, res_boundary = [], []

@@ -180,12 +180,12 @@ def moment_integrals(mu: float, lo: float, hi: float, s_max: int) -> MomentTable
     return MomentTable(mu=mu, lo=lo, hi=hi, values=vals)
 
 
-def check_probe(x, name: str = "probe_x") -> None:
-    """Raise ``ValueError`` naming ``name`` and the first point of ``x`` off the rod [0, 1] (NaN is off it)."""
+def check_probe(x) -> None:
+    """Raise ``ValueError`` naming the first point of ``x`` off the rod [0, 1] (NaN is off it)."""
     x_arr = np.asarray(x, dtype=float)
     bad = x_arr[~((x_arr >= 0.0) & (x_arr <= 1.0))]
     if bad.size:
-        raise ValueError(f"probe point must be finite and in [0, 1], got {name}={float(bad[0])}")
+        raise ValueError(f"probe point must be finite and in [0, 1], got x={float(bad[0])}")
 
 
 def _check_positive_times(kernel: str, t_arr: np.ndarray) -> None:
@@ -231,7 +231,7 @@ class KernelSeries:
         t_arr = np.asarray(t, dtype=float)
         x_arr = np.asarray(x, dtype=float)
         _check_positive_times("K1", t_arr)
-        check_probe(x_arr, "x")
+        check_probe(x_arr)
         phis = basis.eigenfunctions(x_arr).reshape(basis.M, -1)
         decay = np.exp(-np.outer(basis.mu, np.atleast_1d(t_arr).ravel()))
         out = np.einsum("m,mt,mx->tx", basis.mu * basis.lift_coeffs, decay, phis)
@@ -276,7 +276,7 @@ def homogeneous_v(basis: EigenBasis, u0_modes: np.ndarray, x, t: float) -> np.nd
     eigenfunction reconstruction of the decayed initial coefficients.
     ``x`` must lie on the rod [0, 1] (see :func:`check_probe`).
     """
-    check_probe(x, "x")
+    check_probe(x)
     decayed = np.asarray(u0_modes, dtype=float) * np.exp(-basis.mu * t)
     out = np.tensordot(decayed, basis.eigenfunctions(x), axes=(0, 0))
     return float(out) if np.ndim(x) == 0 else out

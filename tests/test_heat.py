@@ -23,7 +23,7 @@ from duhamelcheb import (
     residual_of_exact_in_integral_equations,
     residual_tail_bound,
 )
-from duhamelcheb import heat
+from duhamelcheb import cli, heat
 
 
 def test_expdecay_scalar_and_array():
@@ -108,14 +108,14 @@ def test_error_report_csv_round_trips(reference_problem):
 
 
 def test_compute_errors_keeps_the_approximate_values(reference_problem):
-    """The report carries u_N(1, t) and u_N(probe_x, t) bit for bit, and its
+    """The report carries u_N(1, t) and u_N(PROBE_X, t) bit for bit, and its
     table still renders t, eps1 and eps2 only."""
     trace = march(reference_problem, SolverConfig(N=6, K=2, M=128))
-    report = compute_errors(trace, reference_problem, probe_x=0.25)
+    report = compute_errors(trace, reference_problem)
     basis = reference_problem.basis
     modes = trace.node_modes()
     assert np.array_equal(report.boundary_values, modes @ basis.boundary_trace)
-    assert np.array_equal(report.probe_values, modes @ basis.eigenfunctions(0.25))
+    assert np.array_equal(report.probe_values, modes @ basis.eigenfunctions(heat.PROBE_X))
     exact = reference_problem.exact.boundary_value(report.times)
     assert np.array_equal(report.eps1, np.abs(exact - report.boundary_values))
     assert report.table().columns == ["t", "eps1", "eps2"]
@@ -134,6 +134,17 @@ def test_error_report_structured_round_trip(reference_problem):
     assert payload["config"]["problem"] == "reference"
     assert len(payload["rows"]) == report.times.shape[0]
     assert payload["rows"][1][1] == report.eps1[1]
+
+
+def test_numpy_integer_counts_reach_the_structured_document_as_ints(reference_problem):
+    """SolverConfig stores numpy-integer counts as Python ints, so the config
+    echo of the error report and of the CLI's trace table stays JSON."""
+    config = SolverConfig(N=np.int64(4), K=np.int64(2), M=np.int64(128))
+    trace = march(reference_problem, config)
+    for table in (compute_errors(trace, reference_problem).table(), cli._trace_table(trace, reference_problem)):
+        payload = json.loads("".join(table.structured_chunks()))
+        assert (payload["config"]["N"], payload["config"]["K"], payload["config"]["M"]) == (4, 2, 128)
+    assert [type(value) for value in (config.N, config.K, config.M)] == [int, int, int]
 
 
 def test_table_csv_bytes_are_pinned():
